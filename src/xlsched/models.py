@@ -50,6 +50,7 @@ __all__ = [
 
 # |exponent| bound keeping 2**z finite in IEEE double precision
 EXP_CLAMP = 1023.0
+_LN2 = math.log(2.0)
 
 
 def _exp2(z: float) -> float:
@@ -183,11 +184,14 @@ class TransmissionModel(Protocol):
 class ShannonExpModel:
     """Default model: exponential loss/error curves + Shannon-gap energy.
 
-    Besides the generic three-function surface it exposes a closed-form
-    payload minimizer (``best_payload``): the weighted objective
-    ``L * 2**(-decay*a) + E * cost(tau, a)`` is convex with a stationary
-    point solvable in the log domain, which the solvers use as a fast path.
-    Generic models without such a method fall back to golden-section search.
+    Besides the generic three-function surface it exposes the window value
+    ``V(tau) = min_a L * 2**(-decay*a) + E * cost(tau, a)`` in closed form
+    (``window_value``): the payload minimizer is a stationary point solvable
+    in the log domain, and the slope ``dV/dtau`` follows from the envelope
+    theorem. The solvers search the window length by a root-find on that
+    slope; generic models without ``window_value`` fall back to golden-section
+    search over the window length, and without ``best_payload`` over the
+    payload as well.
     """
 
     params: ShannonEnergyParams = field(default_factory=ShannonEnergyParams)
@@ -220,27 +224,68 @@ class ShannonExpModel:
             upper = min(upper, max(a_cap, 0.0))
         return upper
 
-    def best_payload(self, unit, tau: float, loss_weight: float, energy_weight: float) -> float:
-        """argmin over payload of loss_weight*loss + energy_weight*cost."""
-        if tau <= 0.0:
-            return 0.0
+    def window_value(
+        self, unit, tau: float, loss_weight: float, energy_weight: float
+    ) -> tuple[float, float, float]:
+        """Payload minimizer, window value and its slope in the window length.
+
+        Returns ``(a, V, dV/dtau)`` for ``V(tau) = min_a L*loss(a) + E*cost(tau, a)``
+        over ``0 <= a <= payload_upper(unit, tau)``. By the envelope theorem
+        the slope is ``E * d cost/d tau`` at fixed ``a`` unless the energy cap
+        binds, where ``a`` moves with the cap and the slope is
+        ``L * d loss/d a * d a_cap/d tau`` (energy stays at the cap). An empty
+        payload, or an unpriced one (``E = 0``) below the cap, has slope 0.
+        """
+        if tau <= 0.0 or loss_weight <= 0.0:
+            return 0.0, loss_weight, 0.0
         upper = self.payload_upper(unit, tau)
         if upper <= 0.0:
-            return 0.0
-        if loss_weight <= 0.0:
-            return 0.0
-        if energy_weight <= 0.0:
-            return upper
+            return 0.0, loss_weight, 0.0
         p = self.params
-        ratio = (
-            loss_weight * unit.decay * unit.channel * p.bandwidth_hz
-            / (energy_weight * p.noise * p.bit_unit)
-        )
-        if ratio <= 0.0:
-            return 0.0
-        k = p.bit_unit / (tau * p.bandwidth_hz)
-        a = math.log2(ratio) / (unit.decay + k)
-        return min(max(a, 0.0), upper)
+        if energy_weight <= 0.0:
+            a = upper
+        else:
+            ratio = (
+                loss_weight * unit.decay * unit.channel * p.bandwidth_hz
+                / (energy_weight * p.noise * p.bit_unit)
+            )
+            if ratio <= 0.0:
+                return 0.0, loss_weight, 0.0
+            k = p.bit_unit / (tau * p.bandwidth_hz)
+            a = min(max(math.log2(ratio) / (unit.decay + k), 0.0), upper)
+            if a <= 0.0:
+                return 0.0, loss_weight, 0.0
+        lost = min(_exp2(-unit.decay * min(a, unit.size)), 1.0)
+        value = loss_weight * lost
+        if energy_weight > 0.0:
+            z = a * p.bit_unit / (tau * p.bandwidth_hz)
+            e2z = _exp2(z)
+            spend = (p.noise / unit.channel) * tau * (e2z - 1.0)
+            if math.isinf(spend):
+                spend = 2.0 ** EXP_CLAMP
+            value += energy_weight * spend
+        if a == upper < unit.size:
+            # the cap binds: a = a_cap(tau) = (tau/c) log2(1 + K/tau) with
+            # c = bit_unit/bandwidth and K = cap*channel/noise, so
+            # a_cap'(tau) = (log2(1 + K/tau) - (K/tau) / ((1 + K/tau) ln 2)) / c
+            k_tau = p.energy_cap * unit.channel / (p.noise * tau)
+            d_cap = (
+                (math.log2(1.0 + k_tau) - k_tau / ((1.0 + k_tau) * _LN2))
+                * p.bandwidth_hz / p.bit_unit
+            )
+            slope = -loss_weight * unit.decay * _LN2 * lost * d_cap
+        elif energy_weight > 0.0:
+            slope = energy_weight * (p.noise / unit.channel) * (e2z - 1.0 - z * _LN2 * e2z)
+        else:
+            slope = 0.0
+        return a, value, slope
+
+    def best_payload(self, unit, tau: float, loss_weight: float, energy_weight: float) -> float:
+        """argmin over payload of loss_weight*loss + energy_weight*cost.
+
+        The first entry of :meth:`window_value`, the one closed form.
+        """
+        return self.window_value(unit, tau, loss_weight, energy_weight)[0]
 
     # -- vectorized variants for the online hot path -----------------------
 

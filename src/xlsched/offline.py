@@ -11,7 +11,10 @@ At fixed prices the relaxation splits into one small problem per unit, solved
 in two layers: the payload search inside a fixed window is convex (closed
 form for the default model, golden-section otherwise), and the remaining
 window search is convex in the window length after observing that the start
-time enters linearly and is therefore optimal at an interval endpoint.
+time enters linearly and is therefore optimal at an interval endpoint. For
+the default model the window value comes with its slope in the window
+length, so the window search is a bracketed root-find on the slope (about
+eight model calls per unit); generic models use golden-section search.
 
 Interdependent units couple through the dependency graph; there the per-unit
 subproblems are swept in index order (block coordinate descent) with warm
@@ -35,7 +38,7 @@ from .core import (
     SolveReport,
 )
 from .models import TransmissionModel
-from .search import golden_section
+from .search import derivative_search, golden_section
 
 __all__ = [
     "UnitSolution",
@@ -241,6 +244,7 @@ def lower_optimization(
 def _window_search(
     unit: DataUnit,
     window_value: Callable[[float], float],
+    window_slope: Optional[Callable[[float], float]],
     handoff_prev: float,
     handoff_next: float,
     start_floor: float,
@@ -251,8 +255,10 @@ def _window_search(
     For fixed tau the start time enters linearly with coefficient
     (handoff_next - handoff_prev), so it sits at an endpoint of
     [start_floor, deadline - tau]; substituting the endpoint leaves a convex
-    function of tau alone. Ties prefer the maximal window (start at the
-    floor, end at the deadline).
+    function g of tau alone, with slope window_slope(tau) + handoff_next
+    (start at the floor) or + handoff_prev (end at the deadline). With a
+    slope the search is a root-find on it, otherwise golden-section search.
+    Ties prefer the maximal window (start at the floor, end at the deadline).
 
     Returns (start, tau, objective).
     """
@@ -265,9 +271,85 @@ def _window_search(
             return base + cf * start_floor
         return base + cf * (unit.deadline - tau)
 
-    tau_star, g_star = golden_section(g, 0.0, tau_max, tol=tol)
-    x_star = start_floor if cf >= 0.0 else unit.deadline - tau_star
+    if window_slope is None:
+        tau_star, g_star = golden_section(g, 0.0, tau_max, tol=tol)
+    else:
+        lam = handoff_next if cf >= 0.0 else handoff_prev
+        tau_star, g_star = derivative_search(
+            g, lambda tau: window_slope(tau) + lam, 0.0, tau_max, tol=tol
+        )
+    x_star = start_floor if cf >= 0.0 else max(unit.deadline - tau_star, start_floor)
     return x_star, tau_star, g_star
+
+
+def _solve_unit(
+    unit: DataUnit,
+    model: TransmissionModel,
+    loss_coeff: float,
+    err_coeff: float,
+    energy_coeff: float,
+    handoff_prev: float,
+    handoff_next: float,
+    start_floor: float,
+    tol: float,
+) -> UnitSolution:
+    """The continuous per-unit relaxed solve every solver path shares.
+
+    Minimizes loss_coeff*p + err_coeff*e + energy_coeff*w - handoff_prev*start
+    + handoff_next*end over windows inside [start_floor, deadline] and their
+    payloads. Models with ``window_value`` give the window value and its
+    slope in one call per window length; other models get the payload
+    argmin of :func:`_payload_argmin` and a golden-section window search.
+    The window value depends on (start, end) only through the window length,
+    which the shape conditions on conforming models imply.
+    """
+    # numpy scalars here would leak into every iterate and the decision
+    loss_coeff = float(loss_coeff)
+    err_coeff = float(err_coeff)
+    energy_coeff = float(energy_coeff)
+    handoff_prev = float(handoff_prev)
+    handoff_next = float(handoff_next)
+    window = getattr(model, "window_value", None)
+    if window is None:
+
+        def solve(tau: float) -> tuple[float, float]:
+            return _payload_argmin(
+                model, unit, tau, loss_coeff, err_coeff, energy_coeff, tol=tol
+            )
+
+    else:
+        weight = loss_coeff + err_coeff
+
+        def solve(tau: float) -> tuple[float, float, float]:
+            return window(unit, tau, weight, energy_coeff)
+
+    cache: dict[float, tuple] = {}
+
+    def evaluate(tau: float) -> tuple:
+        hit = cache.get(tau)
+        if hit is None:
+            hit = cache[tau] = solve(tau)
+        return hit
+
+    slope = None if window is None else (lambda tau: evaluate(tau)[2])
+    x_star, tau_star, obj = _window_search(
+        unit,
+        lambda tau: evaluate(tau)[1],
+        slope,
+        handoff_prev,
+        handoff_next,
+        start_floor,
+        tol,
+    )
+    # rounding in start + tau must not carry the end past the deadline, and
+    # the payload must fit the stored window, whose length may differ by an ulp
+    end = min(x_star + tau_star, unit.deadline)
+    payload, f_star = evaluate(end - x_star)[:2]
+    return UnitSolution(
+        decision=CrossLayerDecision(start=x_star, end=end, payload=payload),
+        objective=obj,
+        best_response=f_star,
+    )
 
 
 def upper_optimization(
@@ -281,33 +363,14 @@ def upper_optimization(
 ) -> UnitSolution:
     """Full per-unit relaxed solve: window and payload against given prices.
 
-    Exploits that the window value depends on (start, end) only through the
-    window length, which the shape conditions on conforming models imply.
+    The objective is ``(impact*loss + price*cost)/num_units
+    - handoff_prev*start + handoff_next*end``.
     """
     if num_units <= 0:
         raise ValueError(f"num_units must be positive, got {num_units}")
     m = float(num_units)
-    cache: dict[float, tuple[float, float]] = {}
-
-    def window_value(tau: float) -> float:
-        hit = cache.get(tau)
-        if hit is None:
-            hit = _payload_argmin(
-                model, unit, tau, unit.impact / m, 0.0, price / m, tol=tol
-            )
-            cache[tau] = hit
-        return hit[1]
-
-    x_star, tau_star, obj = _window_search(
-        unit, window_value, handoff_prev, handoff_next, unit.ready, tol
-    )
-    payload, f_star = cache.get(tau_star) or _payload_argmin(
-        model, unit, tau_star, unit.impact / m, 0.0, price / m, tol=tol
-    )
-    return UnitSolution(
-        decision=CrossLayerDecision(start=x_star, end=x_star + tau_star, payload=payload),
-        objective=obj,
-        best_response=f_star,
+    return _solve_unit(
+        unit, model, unit.impact / m, 0.0, price / m, handoff_prev, handoff_next, unit.ready, tol
     )
 
 
@@ -405,39 +468,16 @@ def _solve_unit_dag(
     (impact*A*p + S*e)/M + price*w/M - handoff_prev*start + handoff_next*end.
     """
     m = float(num_units)
-    cache: dict[float, tuple[float, float]] = {}
-
-    def window_value(tau: float) -> float:
-        hit = cache.get(tau)
-        if hit is None:
-            hit = _payload_argmin(
-                model,
-                unit,
-                tau,
-                loss_coeff=unit.impact * anc_survival / m,
-                err_coeff=desc_weight / m,
-                energy_coeff=price / m,
-                tol=tol,
-            )
-            cache[tau] = hit
-        return hit[1]
-
-    x_star, tau_star, obj = _window_search(
-        unit, window_value, handoff_prev, handoff_next, unit.ready, tol
-    )
-    payload, f_star = cache.get(tau_star) or _payload_argmin(
-        model,
+    return _solve_unit(
         unit,
-        tau_star,
+        model,
         unit.impact * anc_survival / m,
         desc_weight / m,
         price / m,
-        tol=tol,
-    )
-    return UnitSolution(
-        decision=CrossLayerDecision(start=x_star, end=x_star + tau_star, payload=payload),
-        objective=obj,
-        best_response=f_star,
+        handoff_prev,
+        handoff_next,
+        unit.ready,
+        tol,
     )
 
 
@@ -515,10 +555,11 @@ def recover_primal(
     Forward sweep: each start is floored at the previous (final) end; units
     whose window was actually moved get their end/payload re-optimized inside
     the clipped window under the current prices, everyone else passes through
-    bit-exact. If the budget still binds, payloads are scaled down uniformly
-    by bisection until average energy is within 1e-4 (relative) of, and not
-    above, the budget; callers that price energy elsewhere can switch the
-    rescale off with ``enforce_budget=False``.
+    bit-exact. If the budget still binds, payloads are scaled down by one
+    common factor, found by bisection (at most 80 halvings, fewer once the
+    bracket is two adjacent floats) as the largest factor tried whose average
+    energy does not exceed the budget; callers that price energy elsewhere
+    can switch the rescale off with ``enforce_budget=False``.
 
     With ``grid``, repairs pick from the unit's lattice options instead and
     the budget is restored by shaving whole action steps, so the result stays
@@ -556,29 +597,18 @@ def recover_primal(
             a_surv, s_weight = _dag_coeffs(pos, inst.units, work, inst.graph, model)
         else:
             a_surv, s_weight = 1.0, 0.0
-        cache: dict[float, tuple[float, float]] = {}
-
-        def window_value(tau: float) -> float:
-            hit = cache.get(tau)
-            if hit is None:
-                hit = _payload_argmin(
-                    model,
-                    unit,
-                    tau,
-                    loss_coeff=unit.impact * a_surv / m,
-                    err_coeff=s_weight / m,
-                    energy_coeff=price / m,
-                )
-                cache[tau] = hit
-            return hit[1]
-
-        tau_star, _ = golden_section(
-            lambda tau: window_value(tau) + hn * tau, 0.0, unit.deadline - floor, tol=1e-8
-        )
-        payload = (cache.get(tau_star) or _payload_argmin(
-            model, unit, tau_star, unit.impact * a_surv / m, s_weight / m, price / m
-        ))[0]
-        fixed = CrossLayerDecision(start=floor, end=floor + tau_star, payload=payload)
+        # a start coefficient hn - min(hn, 0) >= 0 keeps the start at the floor
+        fixed = _solve_unit(
+            unit,
+            model,
+            unit.impact * a_surv / m,
+            s_weight / m,
+            price / m,
+            min(hn, 0.0),
+            hn,
+            floor,
+            1e-8,
+        ).decision
         out.append(fixed)
         prev_end = fixed.end
 
@@ -593,6 +623,9 @@ def recover_primal(
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                # adjacent floats: every further pass would leave lo unchanged
+                break
             if usage(mid) > inst.budget:
                 hi = mid
             else:

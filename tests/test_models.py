@@ -231,6 +231,45 @@ class TestBestPayload:
             assert cv == pytest.approx(model.cost(unit, 0.0, tau, a), rel=1e-12)
 
 
+
+class TestWindowValue:
+    @pytest.mark.parametrize("cap", [None, 0.5, 5.0])
+    @pytest.mark.parametrize("lw,ew", [(80.0, 1.5), (80.0, 0.0), (20.0, 40.0), (0.0, 1.0)])
+    def test_value_and_payload_match_the_model(self, cap, lw, ew):
+        model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
+        unit = _unit(channel=1.3)
+        for tau in (0.0, 1e-6, 0.004, 0.02, 0.05):
+            a, v, _ = model.window_value(unit, tau, lw, ew)
+            assert a == model.best_payload(unit, tau, lw, ew)
+            assert 0.0 <= a <= model.payload_upper(unit, tau)
+            ref = lw * model.loss(unit, 0.0, tau, a) + ew * model.cost(unit, 0.0, tau, a)
+            assert v == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("cap", [None, 0.5, 5.0])
+    @pytest.mark.parametrize("lw,ew", [(80.0, 1.5), (80.0, 0.0), (20.0, 40.0), (300.0, 1e-3)])
+    def test_slope_matches_central_differences(self, cap, lw, ew):
+        model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
+        unit = _unit(channel=0.8)
+        for tau in np.linspace(0.0007, 0.05, 37):
+            _, _, slope = model.window_value(unit, tau, lw, ew)
+            h = 1e-6 * tau
+            fd = (model.window_value(unit, tau + h, lw, ew)[1]
+                  - model.window_value(unit, tau - h, lw, ew)[1]) / (2 * h)
+            assert slope == pytest.approx(fd, rel=1e-5, abs=1e-6 * max(lw, 1.0))
+            # a longer window never hurts
+            assert slope <= 0.0
+
+    def test_unpriced_and_empty_corners_have_zero_slope(self):
+        model = ShannonExpModel()
+        unit = _unit()
+        assert model.window_value(unit, 0.0, 100.0, 1.0) == (0.0, 100.0, 0.0)
+        assert model.window_value(unit, 0.05, 0.0, 1.0) == (0.0, 0.0, 0.0)
+        a, _, slope = model.window_value(unit, 0.05, 100.0, 0.0)
+        assert (a, slope) == (unit.size, 0.0)
+        # an overflowing exponent stays finite or -inf, never NaN
+        _, v, slope = model.window_value(unit, 1e-9, 1e300, 1e-300)
+        assert not math.isnan(v) and not math.isnan(slope)
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ShannonEnergyParams(noise=0.0)

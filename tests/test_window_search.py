@@ -1,0 +1,224 @@
+"""Slope-bracketed window search: root finder, kernel, generic-model fallback."""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+import pytest
+
+from xlsched import (
+    CausalStream,
+    DataUnit,
+    DependencyGraph,
+    Instance,
+    ShannonEnergyParams,
+    ShannonExpModel,
+    TraceParams,
+    generate_trace,
+    run_online,
+    solve_independent,
+    solve_interdependent,
+    upper_optimization,
+)
+from xlsched.offline import _solve_unit
+from xlsched.search import brent_root, derivative_search, golden_section
+
+TOL = 1e-8
+
+
+class GenericModel:
+    """Only the three-function model surface of a wrapped model."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def loss(self, unit, start, end, payload):
+        return self._inner.loss(unit, start, end, payload)
+
+    def errprop(self, unit, start, end, payload):
+        return self._inner.errprop(unit, start, end, payload)
+
+    def cost(self, unit, start, end, payload):
+        return self._inner.cost(unit, start, end, payload)
+
+
+class PayloadOnlyModel(GenericModel):
+    """Closed-form payload but no window slope: the golden-section window path."""
+
+    def payload_upper(self, unit, tau):
+        return self._inner.payload_upper(unit, tau)
+
+    def best_payload(self, unit, tau, loss_weight, energy_weight):
+        return self._inner.best_payload(unit, tau, loss_weight, energy_weight)
+
+
+@dataclass(frozen=True)
+class CountingModel(ShannonExpModel):
+    calls: list = field(default_factory=lambda: [0], compare=False)
+
+    def window_value(self, unit, tau, loss_weight, energy_weight):
+        self.calls[0] += 1
+        return super().window_value(unit, tau, loss_weight, energy_weight)
+
+
+class TestBrentRoot:
+    def test_smooth_root(self):
+        x = brent_root(lambda t: t * t - 2.0, 0.0, 2.0, tol=1e-12)
+        assert x == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    def test_step_function_root_within_tol(self):
+        x = brent_root(lambda t: -1.0 if t < 0.3 else 1.0, 0.0, 1.0, tol=1e-9)
+        assert abs(x - 0.3) <= 1e-9
+
+    def test_infinite_values_fall_back_to_bisection(self):
+        x = brent_root(lambda t: -math.inf if t < 0.7 else t - 0.7, 0.0, 1.0, tol=1e-10)
+        assert x == pytest.approx(0.7, abs=1e-10)
+
+    def test_endpoint_roots_and_sign_check(self):
+        assert brent_root(lambda t: t, 0.0, 1.0) == 0.0
+        assert brent_root(lambda t: t - 1.0, 0.0, 1.0) == 1.0
+        with pytest.raises(ValueError):
+            brent_root(lambda t: t + 1.0, 0.0, 1.0)
+
+
+class TestDerivativeSearch:
+    def test_parabola(self):
+        x, fx = derivative_search(lambda t: (t - 0.3) ** 2, lambda t: 2 * (t - 0.3), 0.0, 1.0, 1e-10)
+        assert x == pytest.approx(0.3, abs=1e-10)
+        assert fx == pytest.approx(0.0, abs=1e-18)
+
+    def test_tie_rules_match_golden_section(self):
+        for f, df in (
+            (lambda t: t, lambda t: 1.0),
+            (lambda t: -t, lambda t: -1.0),
+            (lambda t: 0.0, lambda t: 0.0),
+        ):
+            assert derivative_search(f, df, 0.0, 1.0) == golden_section(f, 0.0, 1.0)
+
+    def test_jump_at_lower_end(self):
+        # f(0) is above the limit from the right, as the window value with
+        # unpriced energy: the candidate tol above 0 wins
+        def f(t):
+            return 1.0 if t == 0.0 else 0.5 + t
+
+        x, fx = derivative_search(f, lambda t: 1.0, 0.0, 1.0, 1e-8)
+        assert x == 1e-8 and fx == 0.5 + 1e-8
+
+    def test_degenerate_interval(self):
+        assert derivative_search(lambda t: t * t, lambda t: 2 * t, 2.0, 2.0) == (2.0, 4.0)
+        with pytest.raises(ValueError):
+            derivative_search(lambda t: t, lambda t: 1.0, 1.0, 0.0)
+
+
+def _draw_case(rng):
+    cap = [None, 0.5, 5.0, 50.0][rng.integers(4)]
+    life = [0.0, 1e-9, 1e-4, float(rng.uniform(0.001, 0.1))][rng.integers(4)]
+    ready = float(rng.uniform(0.0, 1.0))
+    unit = DataUnit(
+        1,
+        float(rng.uniform(1.0, 200.0)),
+        float(rng.uniform(1.0, 20.0)),
+        ready,
+        ready + life,
+        float(rng.uniform(0.05, 2.0)),
+        float(rng.uniform(0.1, 3.0)),
+    )
+    floor = ready + float(rng.choice([0.0, rng.uniform(0.0, 1.0)])) * life
+    m = float(rng.choice([1, 4, 10]))
+    loss = float(rng.choice([0.0, unit.impact / m]))
+    err = float(rng.choice([0.0, rng.uniform(0.0, 50.0) / m]))
+    price = float(rng.choice([0.0, rng.exponential(1.0), rng.uniform(0.0, 100.0)])) / m
+    hp = float(rng.choice([0.0, rng.uniform(0.0, 200.0)]))
+    hn = float(rng.choice([0.0, rng.uniform(0.0, 200.0)]))
+    return cap, unit, floor, loss, err, price, hp, hn
+
+
+class TestSlopeSearchAgainstGolden:
+    def test_random_cases(self):
+        rng = np.random.default_rng(2024)
+        evals = []
+        for _ in range(1500):
+            cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
+            params = ShannonEnergyParams(energy_cap=cap)
+            model = CountingModel(params=params)
+            ref_model = PayloadOnlyModel(ShannonExpModel(params=params))
+            args = (loss, err, price, hp, hn, floor, TOL)
+            sol = _solve_unit(unit, model, *args)
+            ref = _solve_unit(unit, ref_model, *args)
+            evals.append(model.calls[0])
+
+            d = sol.decision
+            assert floor <= d.start <= d.end <= unit.deadline
+            assert 0.0 <= d.payload <= model.payload_upper(unit, d.end - d.start) * (1 + 1e-12)
+            if cap is not None:
+                assert model.cost(unit, d.start, d.end, d.payload) <= cap * (1 + 1e-9)
+            lam = max(hp, hn)
+            assert sol.objective <= ref.objective + 1e-9 * max(1.0, abs(ref.objective)) + lam * TOL
+            # the reported objective is the decision's own priced value
+            honest = (
+                loss * model.loss(unit, d.start, d.end, d.payload)
+                + err * model.errprop(unit, d.start, d.end, d.payload)
+                + price * model.cost(unit, d.start, d.end, d.payload)
+                - hp * d.start
+                + hn * d.end
+            )
+            assert sol.objective == pytest.approx(honest, rel=1e-9, abs=1e-9)
+        assert float(np.mean(evals)) <= 12.0
+
+
+class TestGenericModelPath:
+    MODEL = ShannonExpModel()
+
+    @pytest.mark.parametrize("price,hp,hn", [(0.0, 0.0, 0.0), (1.0, 500.0, 0.0), (0.7, 20.0, 35.0)])
+    def test_upper_optimization_agrees_with_fast_path(self, price, hp, hn):
+        unit = DataUnit(1, 100.0, 10.0, 0.0, 0.05, 0.5, 1.2)
+        fast = upper_optimization(unit, price, hp, hn, 4, self.MODEL)
+        slow = upper_optimization(unit, price, hp, hn, 4, GenericModel(self.MODEL))
+        assert slow.objective == pytest.approx(fast.objective, rel=1e-7, abs=1e-9)
+        assert slow.decision.start == pytest.approx(fast.decision.start, abs=1e-6)
+        assert slow.decision.end == pytest.approx(fast.decision.end, abs=1e-6)
+        assert slow.decision.payload == pytest.approx(fast.decision.payload, abs=1e-5)
+
+    def test_solve_independent_agrees_with_fast_path(self):
+        inst = generate_trace(TraceParams(seed=7, num_dus=3, budget=2.0))
+        fast = solve_independent(inst, self.MODEL, max_outer=15)
+        slow = solve_independent(inst, GenericModel(self.MODEL), max_outer=15)
+        assert slow.outer_iterations == fast.outer_iterations
+        assert slow.dual_value == pytest.approx(fast.dual_value, rel=1e-6)
+        assert slow.primal_value == pytest.approx(fast.primal_value, rel=1e-6)
+        for a, b in zip(fast.decisions, slow.decisions):
+            assert b.start == pytest.approx(a.start, abs=1e-6)
+            assert b.end == pytest.approx(a.end, abs=1e-6)
+            assert b.payload == pytest.approx(a.payload, abs=1e-4)
+
+
+def _assert_plain_floats(decisions):
+    assert decisions
+    for d in decisions:
+        for value in (d.start, d.end, d.payload):
+            assert type(value) is float
+
+
+class TestDecisionsArePlainFloats:
+    MODEL = ShannonExpModel()
+
+    def test_solve_independent(self):
+        inst = generate_trace(TraceParams(seed=7, num_dus=6, budget=2.0))
+        _assert_plain_floats(solve_independent(inst, self.MODEL, max_outer=30).decisions)
+
+    def test_solve_interdependent(self):
+        inst = generate_trace(TraceParams(seed=5, num_dus=4, budget=2.0))
+        graph = DependencyGraph(4, ((2, 1), (3, 2), (4, 3)))
+        chained = Instance(units=inst.units, budget=inst.budget, graph=graph)
+        _assert_plain_floats(solve_interdependent(chained, self.MODEL, max_outer=30).decisions)
+
+    def test_mdu(self):
+        inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
+        result = run_online(CausalStream(inst, cycle_len=5), self.MODEL, "mdu")
+        _assert_plain_floats(result.decisions)
+
+    def test_numpy_multipliers_do_not_leak(self):
+        unit = DataUnit(1, 100.0, 10.0, 0.0, 0.05, 0.5, 1.2)
+        sol = upper_optimization(unit, np.float64(0.8), np.float64(30.0), np.float64(10.0), 4, self.MODEL)
+        _assert_plain_floats([sol.decision])
+        assert type(sol.objective) is float
