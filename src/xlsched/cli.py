@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import ConfigError, config_hash, load_config
-from .core import load_instance, save_instance, validate_instance
+from .core import load_instance, save_instance, validate_instance, write_text_atomic
 from .experiments import (
     EXPERIMENTS,
     build_model,
@@ -76,12 +76,20 @@ def _cmd_gen_trace(cfg, out: Path, seed: Optional[int]) -> int:
     return 0
 
 
-def _cmd_solve(cfg, out: Path, path: Path, mode: str) -> int:
+def _load_valid_instance(path: Path):
+    """The instance at ``path``, or None after printing why it is invalid."""
     inst = load_instance(path)
     check = validate_instance(inst)
     if not check.ok:
         for issue in check.issues:
             print(f"invalid instance: {issue.message} (unit {issue.index})", file=sys.stderr)
+        return None
+    return inst
+
+
+def _cmd_solve(cfg, out: Path, path: Path, mode: str) -> int:
+    inst = _load_valid_instance(path)
+    if inst is None:
         return 2
     model = build_model(cfg)
     s = cfg.solver
@@ -105,7 +113,7 @@ def _cmd_solve(cfg, out: Path, path: Path, mode: str) -> int:
     dec_lines = ["# index,start,end,payload"]
     for i, d in enumerate(report.decisions, start=1):
         dec_lines.append(f"{i},{d.start!r},{d.end!r},{d.payload!r}")
-    (out / f"decisions_{mode}.csv").write_text("\n".join(dec_lines) + "\n", encoding="utf-8")
+    write_text_atomic(out / f"decisions_{mode}.csv", "\n".join(dec_lines) + "\n")
     print(
         f"{mode}: {report.outer_iterations} outer iterations, "
         f"gap {report.gap:.3e}, primal {report.primal_value!r}, "
@@ -121,7 +129,9 @@ def _cmd_online(cfg, out: Path) -> int:
 
 
 def _cmd_oracle(cfg, path: Path, time_step: float, action_points: int) -> int:
-    inst = load_instance(path)
+    inst = _load_valid_instance(path)
+    if inst is None:
+        return 2
     model = build_model(cfg)
     result = brute_force(
         inst, model, time_step=time_step, action_points=action_points

@@ -23,24 +23,22 @@ save/load round trip is bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Union
 
 __all__ = [
     "DataUnit",
     "CrossLayerDecision",
     "DependencyGraph",
     "Instance",
-    "DualState",
     "IterationRow",
     "SolveReport",
     "ValidationIssue",
     "ValidationResult",
     "GraphCycleError",
     "validate_instance",
-    "topological_ancestors",
     "save_instance",
     "load_instance",
     "dumps_instance",
@@ -196,11 +194,6 @@ class DependencyGraph:
             raise IndexError(f"unit index {index} outside 1..{self.num_nodes}")
 
 
-def topological_ancestors(graph: DependencyGraph, index: int) -> frozenset[int]:
-    """Transitive dependency set of ``index`` (1-based) in ``graph``."""
-    return graph.ancestors(index)
-
-
 @dataclass(frozen=True)
 class Instance:
     """A complete scheduling problem: units in FIFO order, budget, optional DAG."""
@@ -278,31 +271,6 @@ def validate_instance(inst: Instance) -> ValidationResult:
             add("graph", None, "graph not acyclic")
 
     return ValidationResult(ok=not issues, issues=tuple(issues))
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Multiplier state of the decomposed problem at outer iteration ``k``.
-
-    ``price`` is the resource-budget multiplier; ``handoff_prices[i]`` prices
-    the FIFO coupling between units i+1 and i+2 (0-based tuple of length
-    num_units - 1). Step schedules are alpha0/k and beta0/k.
-    """
-
-    price: float
-    handoff_prices: tuple[float, ...]
-    k: int = 1
-    alpha0: float = 0.5
-    beta0: float = 1000.0
-
-    def alpha(self) -> float:
-        return self.alpha0 / self.k
-
-    def beta(self) -> float:
-        return self.beta0 / self.k
-
-    def advanced(self, price: float, handoff_prices: Sequence[float]) -> "DualState":
-        return replace(self, price=price, handoff_prices=tuple(handoff_prices), k=self.k + 1)
 
 
 @dataclass(frozen=True)
@@ -403,8 +371,24 @@ def loads_instance(text: str) -> Instance:
     return Instance(units=tuple(units), budget=budget, graph=graph)
 
 
+def write_text_atomic(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` through a sibling ``.tmp`` file renamed over ``path``.
+
+    Readers see the earlier file or the new one, never a partial write; on
+    failure the earlier file stays and the temporary file is removed.
+    """
+    target = Path(path)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_instance(inst: Instance, path: Union[str, Path]) -> None:
-    Path(path).write_text(dumps_instance(inst), encoding="utf-8")
+    write_text_atomic(path, dumps_instance(inst))
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

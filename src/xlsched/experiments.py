@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .config import ExperimentConfig, config_hash
-from .core import Instance, SolveReport
+from .core import Instance, SolveReport, write_text_atomic
 from .models import ShannonExpModel
 from .offline import solve_independent, solve_interdependent
 from .online import CausalStream, RunResult, run_online
@@ -54,11 +54,8 @@ def _write_csv(
     lines = [f"# {note}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    write_text_atomic(path, "\n".join(lines) + "\n")
     return path
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "energy_cost",
     "loss_fraction",
     "error_propagation",
-    "independent_distortion",
     "dag_distortion",
     "verify_shape",
     "EXP_CLAMP",
@@ -135,31 +134,24 @@ def error_propagation(decay: float, size: float, payload: float) -> float:
     return loss_fraction(decay, size, payload)
 
 
-def independent_distortion(impact: float, decay: float, size: float, payload: float) -> float:
-    """Expected distortion of a unit with no dependencies."""
-    if impact < 0:
-        raise ValueError(f"impact must be nonnegative, got {impact}")
-    return impact * loss_fraction(decay, size, payload)
-
-
 def dag_distortion(
     index: int,
-    units: tuple,
-    decisions: tuple,
-    graph: "DependencyGraph",
+    units: Sequence["DataUnit"],
+    decisions: Sequence["CrossLayerDecision"],
+    graph: Optional["DependencyGraph"],
     model: "TransmissionModel",
 ) -> float:
     """Expected distortion of unit ``index`` (1-based) given everyone's decisions.
 
     A unit is useful only if it survives its own loss and every ancestor
-    survived error propagation; otherwise its full impact is lost.
+    survived error propagation; otherwise its full impact is lost. Without a
+    graph (``graph=None``) or without ancestors it is ``impact * loss``.
     """
     unit = units[index - 1]
     dec = decisions[index - 1]
     p = model.loss(unit, dec.start, dec.end, dec.payload)
-    anc = graph.ancestors(index)
+    anc = graph.ancestors(index) if graph is not None else ()
     if not anc:
-        # bitwise-identical to the independent path
         return unit.impact * p
     survive = 1.0 - p
     for k in anc:

@@ -16,9 +16,13 @@ the default model the window value comes with its slope in the window
 length, so the window search is a bracketed root-find on the slope (about
 eight model calls per unit); generic models use golden-section search.
 
-Interdependent units couple through the dependency graph; there the per-unit
-subproblems are swept in index order (block coordinate descent) with warm
-starts across outer iterations.
+Both solvers share one outer loop, which owns the two master problems: it
+moves the budget price and the handoff prices, recovers a feasible schedule
+every iteration and keeps the best primal and dual values. A solver supplies
+only its relaxed step. Independent units are solved once each per outer
+iteration; interdependent units couple through the dependency graph, so
+there the per-unit subproblems are swept in index order (block coordinate
+descent) with warm starts across outer iterations.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from .core import (
     Instance,
     IterationRow,
     SolveReport,
+    write_text_atomic,
 )
-from .models import TransmissionModel
+from .models import TransmissionModel, dag_distortion
 from .search import derivative_search, golden_section
 
 __all__ = [
@@ -494,18 +499,10 @@ def instance_distortion(
     m = inst.num_units
     if m == 0:
         return 0.0
-    total = 0.0
     graph = inst.graph if respect_graph else None
-    for u, d in zip(inst.units, decisions):
-        p = model.loss(u, d.start, d.end, d.payload)
-        if graph is None or not graph.ancestors(u.index):
-            total += u.impact * p
-            continue
-        survive = 1.0 - p
-        for k in graph.ancestors(u.index):
-            ku, kd = inst.units[k - 1], decisions[k - 1]
-            survive *= 1.0 - model.errprop(ku, kd.start, kd.end, kd.payload)
-        total += u.impact - u.impact * survive
+    total = 0.0
+    for i in range(1, m + 1):
+        total += dag_distortion(i, inst.units, decisions, graph, model)
     return total / m
 
 
@@ -528,9 +525,8 @@ def _lagrangian_value(
     price: float,
     handoffs: Sequence[float],
     model: TransmissionModel,
-    respect_graph: bool,
 ) -> float:
-    val = instance_distortion(inst, decisions, model, respect_graph)
+    val = instance_distortion(inst, decisions, model)
     val += price * (average_energy(inst, decisions, model) - inst.budget)
     for i, mu in enumerate(handoffs):
         val += mu * (decisions[i].end - decisions[i + 1].start)
@@ -548,7 +544,6 @@ def recover_primal(
     handoff_prices: Optional[Sequence[float]] = None,
     respect_graph: Optional[bool] = None,
     enforce_budget: bool = True,
-    grid: Optional[DecisionGrid] = None,
 ) -> tuple[tuple[CrossLayerDecision, ...], float]:
     """Turn relaxed decisions into a feasible schedule and value it.
 
@@ -560,10 +555,6 @@ def recover_primal(
     bracket is two adjacent floats) as the largest factor tried whose average
     energy does not exceed the budget; callers that price energy elsewhere
     can switch the rescale off with ``enforce_budget=False``.
-
-    With ``grid``, repairs pick from the unit's lattice options instead and
-    the budget is restored by shaving whole action steps, so the result stays
-    on the lattice.
     """
     m = inst.num_units
     if m == 0:
@@ -571,11 +562,6 @@ def recover_primal(
     if respect_graph is None:
         respect_graph = inst.graph is not None
     handoffs = list(handoff_prices) if handoff_prices is not None else [0.0] * max(m - 1, 0)
-    if grid is not None:
-        opts = [grid.options(u, model) for u in inst.units]
-        return _recover_primal_grid(
-            inst, decisions, opts, grid, model, price, handoffs, respect_graph, enforce_budget
-        )
 
     out: list[CrossLayerDecision] = []
     prev_end = -math.inf
@@ -647,9 +633,10 @@ def _recover_primal_grid(
     price: float,
     handoffs: Sequence[float],
     respect_graph: bool,
-    enforce_budget: bool,
 ) -> tuple[tuple[CrossLayerDecision, ...], float]:
-    """Lattice counterpart of the recover_primal forward sweep."""
+    """Lattice counterpart of recover_primal: the same forward sweep with
+    repairs picked from the unit's lattice options, and the budget restored
+    by shaving whole action steps, so the result stays on the lattice."""
     m = inst.num_units
     out: list[CrossLayerDecision] = []
     prev_end = -math.inf
@@ -680,17 +667,14 @@ def _recover_primal_grid(
         prev_end = fixed.end
 
     # budget restoration in whole action steps, largest spender first
-    if enforce_budget:
-        for _ in range(m * grid.action_points):
-            costs = [
-                model.cost(u, d.start, d.end, d.payload) for u, d in zip(inst.units, out)
-            ]
-            if sum(costs) / m <= inst.budget + _TINY:
-                break
-            i = max(range(m), key=lambda k: costs[k])
-            d = out[i]
-            step = grid.action_step(inst.units[i])
-            out[i] = CrossLayerDecision(d.start, d.end, max(d.payload - step, 0.0))
+    for _ in range(m * grid.action_points):
+        costs = [model.cost(u, d.start, d.end, d.payload) for u, d in zip(inst.units, out)]
+        if sum(costs) / m <= inst.budget + _TINY:
+            break
+        i = max(range(m), key=lambda k: costs[k])
+        d = out[i]
+        step = grid.action_step(inst.units[i])
+        out[i] = CrossLayerDecision(d.start, d.end, max(d.payload - step, 0.0))
 
     # local descent on the true objective: each unit re-picks its lattice
     # option between the neighbors' boundaries while the budget allows; the
@@ -837,29 +821,100 @@ def _polish_grid_pairs(
 
 # -- full solvers -------------------------------------------------------------
 
+_EMPTY_REPORT = SolveReport((), 0.0, 0.0, 0.0, 0, 0, True, 0.0, ())
 
-def _finalize_report(
-    best_decisions,
-    best_dual,
-    best_primal,
-    outer,
-    inner_total,
-    converged,
-    price,
-    handoffs,
-    rows,
+
+def _unit_solver(inst: Instance, model: TransmissionModel, opts):
+    """``solve(i, price, hp, hn, a_surv=1, s_weight=0)`` for the unit at position
+    ``i``: the lattice argmin over ``opts``, else the continuous solve, which
+    goes through the module-level ``_solve_unit_dag`` looked up at call time."""
+    m = inst.num_units
+    if opts is None:
+
+        def solve(i, price, hp, hn, a_surv=1.0, s_weight=0.0):
+            return _solve_unit_dag(inst.units[i - 1], price, hp, hn, m, model, a_surv, s_weight)
+
+    else:
+
+        def solve(i, price, hp, hn, a_surv=1.0, s_weight=0.0):
+            impact = inst.units[i - 1].impact
+            return _solve_unit_grid(opts[i - 1], hp, hn, impact * a_surv / m, s_weight / m, price / m)
+
+    return solve
+
+
+def _dual_loop(
+    inst: Instance, model: TransmissionModel, relax: Callable, opts, grid: Optional[DecisionGrid],
+    respect_graph: bool, *, epsilon: float, max_outer: int, alpha0: float, beta0: float,
+    gap_tol: Optional[float], collect_trajectory: bool,
 ) -> SolveReport:
-    gap = (best_primal - best_dual) / max(abs(best_dual), _TINY)
+    """The outer loop of both dual solvers: the price and handoff masters.
+
+    Each iteration takes the relaxed step ``relax(k, price, mu)`` ->
+    (decisions, dual value, sweeps), recovers a feasible schedule from its
+    decisions, keeps the best primal and dual values, then moves the budget
+    price and the handoff prices by projected subgradient steps alpha0/k and
+    beta0/k. It stops when the multipliers move by at most ``epsilon`` or the
+    best relative gap reaches ``gap_tol``, when given. On a lattice the best
+    schedule is finally polished by pairwise lattice descent.
+    """
+    m = inst.num_units
+    price = 0.0
+    mu = np.zeros(max(m - 1, 0))
+    best_dual = -math.inf
+    best_primal = math.inf
+    best_decisions = tuple(CrossLayerDecision(u.deadline, u.deadline, 0.0) for u in inst.units)
+    rows: list[IterationRow] = []
+    converged = False
+    inner_total = 0
+
+    for k in range(1, max_outer + 1):
+        decisions, dual_value, sweeps = relax(k, price, mu)
+        inner_total += sweeps
+        avg_usage = average_energy(inst, decisions, model)
+        if opts is None:
+            primal_decisions, primal_value = recover_primal(
+                inst, decisions, model, price=price, handoff_prices=mu, respect_graph=respect_graph
+            )
+        else:
+            primal_decisions, primal_value = _recover_primal_grid(
+                inst, decisions, opts, grid, model, price, mu, respect_graph
+            )
+        best_dual = max(best_dual, dual_value)
+        if primal_value < best_primal:
+            best_primal = primal_value
+            best_decisions = primal_decisions
+        gap = (best_primal - best_dual) / max(abs(best_dual), _TINY)
+        if collect_trajectory:
+            norm = float(np.linalg.norm(mu))
+            rows.append(IterationRow(k, dual_value, primal_value, gap, price, norm, sweeps))
+
+        usage = min(avg_usage, _USAGE_CLIP_FACTOR * inst.budget)
+        new_price = price_update(price, usage, inst.budget, alpha0 / k)
+        new_mu = mu.copy()
+        for i in range(m - 1):
+            new_mu[i] = handoff_update(mu[i], decisions[i].end, decisions[i + 1].start, beta0 / k)
+        delta = abs(new_price - price) + float(np.linalg.norm(new_mu - mu))
+        price, mu = new_price, new_mu
+        if (gap_tol is not None and gap <= gap_tol) or delta <= epsilon:
+            converged = True
+            break
+
+    if opts is not None:
+        polished, pval = _polish_grid_pairs(inst, best_decisions, opts, grid, model, respect_graph)
+        if pval < best_primal:
+            best_primal, best_decisions = pval, polished
+
     return SolveReport(
         decisions=tuple(best_decisions),
         dual_value=best_dual,
         primal_value=best_primal,
-        gap=gap,
-        outer_iterations=outer,
+        gap=(best_primal - best_dual) / max(abs(best_dual), _TINY),
+        outer_iterations=k,
         inner_iterations=inner_total,
         converged=converged,
         price=price,
-        handoff_prices=tuple(handoffs),
+        handoff_prices=tuple(mu),
         trajectory=tuple(rows),
     )
 
@@ -886,83 +941,26 @@ def solve_independent(
     over the unit's lattice options and the recovered primal stays on the
     lattice.
     """
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
     m = inst.num_units
     if m == 0:
-        return _finalize_report((), 0.0, 0.0, 0, 0, True, 0.0, (), ())
+        return _EMPTY_REPORT
     opts = None if grid is None else [grid.options(u, model) for u in inst.units]
-    price = 0.0
-    mu = np.zeros(max(m - 1, 0))
-    best_dual = -math.inf
-    best_primal = math.inf
-    best_decisions: tuple[CrossLayerDecision, ...] = tuple(
-        CrossLayerDecision(u.deadline, u.deadline, 0.0) for u in inst.units
-    )
-    rows: list[IterationRow] = []
-    converged = False
-    outer = 0
+    solve = _unit_solver(inst, model, opts)
 
-    for k in range(1, max_outer + 1):
-        outer = k
+    def relax(k, price, mu):
         sols = []
-        for i, unit in enumerate(inst.units, start=1):
+        for i in range(1, m + 1):
             hp = mu[i - 2] if i >= 2 else 0.0
             hn = mu[i - 1] if i <= m - 1 else 0.0
-            if opts is None:
-                sols.append(upper_optimization(unit, price, hp, hn, m, model))
-            else:
-                sols.append(
-                    _solve_unit_grid(opts[i - 1], hp, hn, unit.impact / m, 0.0, price / m)
-                )
-        decisions = [s.decision for s in sols]
+            sols.append(solve(i, price, hp, hn))
         dual_value = sum(s.objective for s in sols) - price * inst.budget
-        avg_usage = average_energy(inst, decisions, model)
+        return [s.decision for s in sols], dual_value, 1
 
-        if opts is None:
-            primal_decisions, primal_value = recover_primal(
-                inst, decisions, model, price=price, handoff_prices=mu, respect_graph=False
-            )
-        else:
-            primal_decisions, primal_value = _recover_primal_grid(
-                inst, decisions, opts, grid, model, price, mu, False, True
-            )
-        if dual_value > best_dual:
-            best_dual = dual_value
-        if primal_value < best_primal:
-            best_primal = primal_value
-            best_decisions = primal_decisions
-        gap = (best_primal - best_dual) / max(abs(best_dual), _TINY)
-        if collect_trajectory:
-            rows.append(
-                IterationRow(k, dual_value, primal_value, gap, price, float(np.linalg.norm(mu)), 1)
-            )
-
-        new_price = price_update(
-            price,
-            min(avg_usage, _USAGE_CLIP_FACTOR * inst.budget),
-            inst.budget,
-            alpha0 / k,
-        )
-        new_mu = mu.copy()
-        for i in range(m - 1):
-            new_mu[i] = handoff_update(
-                mu[i], decisions[i].end, decisions[i + 1].start, beta0 / k
-            )
-        delta = abs(new_price - price) + float(np.linalg.norm(new_mu - mu))
-        price, mu = new_price, new_mu
-        if gap_tol is not None and gap <= gap_tol:
-            converged = True
-            break
-        if delta <= epsilon:
-            converged = True
-            break
-
-    if opts is not None:
-        polished, pval = _polish_grid_pairs(inst, best_decisions, opts, grid, model, False)
-        if pval < best_primal:
-            best_primal, best_decisions = pval, polished
-
-    return _finalize_report(
-        best_decisions, best_dual, best_primal, outer, outer, converged, price, mu, rows
+    return _dual_loop(
+        inst, model, relax, opts, grid, False, epsilon=epsilon, max_outer=max_outer,
+        alpha0=alpha0, beta0=beta0, gap_tol=gap_tol, collect_trajectory=collect_trajectory,
     )
 
 
@@ -983,135 +981,63 @@ def solve_interdependent(
 ) -> SolveReport:
     """Dual solve for graph-coupled units via block coordinate descent.
 
-    Within each outer iteration the per-unit subproblems are swept in index
-    order against the current decisions of everyone else (warm-started from
-    the previous outer iteration); a sweep's candidate is only accepted when
-    it does not increase the unit's local objective, so the relaxed objective
-    is non-increasing sweep over sweep. ``sweep_log``, when given, receives
-    (outer_k, sweep_index, relaxed objective) tuples for inspection. With
+    The outer loop is that of :func:`solve_independent`. Within each outer
+    iteration the per-unit subproblems are swept in index order against the
+    current decisions of everyone else (warm-started from the previous outer
+    iteration), at most ``max_inner`` times and until the relaxed objective
+    moves by less than ``inner_epsilon``; a sweep's candidate is only
+    accepted when it does not increase the unit's local objective, so the
+    relaxed objective is non-increasing sweep over sweep. ``sweep_log``, when
+    given, receives (outer_k, sweep_index, relaxed objective) tuples. With
     ``grid`` the subproblems are exact argmins over lattice options and the
     recovered primal stays on the lattice.
     """
+    if max_outer < 1 or max_inner < 1:
+        raise ValueError(f"max_outer and max_inner must be at least 1, got {max_outer}, {max_inner}")
     m = inst.num_units
     if m == 0:
-        return _finalize_report((), 0.0, 0.0, 0, 0, True, 0.0, (), ())
+        return _EMPTY_REPORT
     if inst.graph is None:
         raise ValueError("solve_interdependent requires an instance with a graph")
-    graph = inst.graph
     opts = None if grid is None else [grid.options(u, model) for u in inst.units]
-    price = 0.0
-    mu = np.zeros(max(m - 1, 0))
+    solve = _unit_solver(inst, model, opts)
     if opts is None:
-        decisions: list[CrossLayerDecision] = [
-            CrossLayerDecision(u.ready, u.deadline, u.size) for u in inst.units
-        ]
+        decisions = [CrossLayerDecision(u.ready, u.deadline, u.size) for u in inst.units]
     else:
         # warm start must live on the lattice or it can survive the sweeps
-        decisions = [
-            _solve_unit_grid(opts[i], 0.0, 0.0, u.impact / m, 0.0, 0.0).decision
-            for i, u in enumerate(inst.units)
-        ]
-    best_dual = -math.inf
-    best_primal = math.inf
-    best_decisions = tuple(decisions)
-    rows: list[IterationRow] = []
-    converged = False
-    outer = 0
-    inner_total = 0
+        decisions = [solve(i, 0.0, 0.0, 0.0).decision for i in range(1, m + 1)]
 
-    def unit_local_value(i: int, dec: CrossLayerDecision, a_surv: float, s_weight: float, hp: float, hn: float) -> float:
+    def local_value(i, dec, a_surv, s_weight, price, hp, hn) -> float:
         unit = inst.units[i - 1]
         p = model.loss(unit, dec.start, dec.end, dec.payload)
         e = model.errprop(unit, dec.start, dec.end, dec.payload)
         w = model.cost(unit, dec.start, dec.end, dec.payload)
-        return (
-            (unit.impact * a_surv * p + s_weight * e + price * w) / m
-            - hp * dec.start
-            + hn * dec.end
-        )
+        distortion = unit.impact * a_surv * p + s_weight * e
+        return (distortion + price * w) / m - hp * dec.start + hn * dec.end
 
-    for k in range(1, max_outer + 1):
-        outer = k
-        g_prev = _lagrangian_value(inst, decisions, price, mu, model, True)
-        sweeps = 0
+    def relax(k, price, mu):
+        g_prev = _lagrangian_value(inst, decisions, price, mu, model)
         for sweep in range(max_inner):
-            sweeps += 1
             for i in range(1, m + 1):
                 hp = mu[i - 2] if i >= 2 else 0.0
                 hn = mu[i - 1] if i <= m - 1 else 0.0
-                a_surv, s_weight = _dag_coeffs(i, inst.units, decisions, graph, model)
-                if opts is None:
-                    cand = _solve_unit_dag(
-                        inst.units[i - 1], price, hp, hn, m, model, a_surv, s_weight
-                    )
-                else:
-                    unit = inst.units[i - 1]
-                    cand = _solve_unit_grid(
-                        opts[i - 1], hp, hn, unit.impact * a_surv / m, s_weight / m, price / m
-                    )
-                incumbent = unit_local_value(i, decisions[i - 1], a_surv, s_weight, hp, hn)
-                challenger = unit_local_value(i, cand.decision, a_surv, s_weight, hp, hn)
-                if challenger < incumbent:
-                    decisions[i - 1] = cand.decision
-            g_now = _lagrangian_value(inst, decisions, price, mu, model, True)
+                a_surv, s_weight = _dag_coeffs(i, inst.units, decisions, inst.graph, model)
+                cand = solve(i, price, hp, hn, a_surv, s_weight).decision
+                incumbent = local_value(i, decisions[i - 1], a_surv, s_weight, price, hp, hn)
+                if local_value(i, cand, a_surv, s_weight, price, hp, hn) < incumbent:
+                    decisions[i - 1] = cand
+            g_now = _lagrangian_value(inst, decisions, price, mu, model)
             if sweep_log is not None:
                 sweep_log.append((k, sweep, g_now))
-            if abs(g_prev - g_now) < inner_epsilon:
-                g_prev = g_now
-                break
+            settled = abs(g_prev - g_now) < inner_epsilon
             g_prev = g_now
-        inner_total += sweeps
+            if settled:
+                break
+        return decisions, g_prev, sweep + 1
 
-        dual_value = g_prev
-        avg_usage = average_energy(inst, decisions, model)
-        if opts is None:
-            primal_decisions, primal_value = recover_primal(
-                inst, decisions, model, price=price, handoff_prices=mu, respect_graph=True
-            )
-        else:
-            primal_decisions, primal_value = _recover_primal_grid(
-                inst, decisions, opts, grid, model, price, mu, True, True
-            )
-        if dual_value > best_dual:
-            best_dual = dual_value
-        if primal_value < best_primal:
-            best_primal = primal_value
-            best_decisions = primal_decisions
-        gap = (best_primal - best_dual) / max(abs(best_dual), _TINY)
-        if collect_trajectory:
-            rows.append(
-                IterationRow(
-                    k, dual_value, primal_value, gap, price, float(np.linalg.norm(mu)), sweeps
-                )
-            )
-
-        new_price = price_update(
-            price,
-            min(avg_usage, _USAGE_CLIP_FACTOR * inst.budget),
-            inst.budget,
-            alpha0 / k,
-        )
-        new_mu = mu.copy()
-        for i in range(m - 1):
-            new_mu[i] = handoff_update(
-                mu[i], decisions[i].end, decisions[i + 1].start, beta0 / k
-            )
-        delta = abs(new_price - price) + float(np.linalg.norm(new_mu - mu))
-        price, mu = new_price, new_mu
-        if gap_tol is not None and gap <= gap_tol:
-            converged = True
-            break
-        if delta <= epsilon:
-            converged = True
-            break
-
-    if opts is not None:
-        polished, pval = _polish_grid_pairs(inst, best_decisions, opts, grid, model, True)
-        if pval < best_primal:
-            best_primal, best_decisions = pval, polished
-
-    return _finalize_report(
-        best_decisions, best_dual, best_primal, outer, inner_total, converged, price, mu, rows
+    return _dual_loop(
+        inst, model, relax, opts, grid, True, epsilon=epsilon, max_outer=max_outer,
+        alpha0=alpha0, beta0=beta0, gap_tol=gap_tol, collect_trajectory=collect_trajectory,
     )
 
 
@@ -1125,8 +1051,4 @@ def report_to_csv(report: SolveReport, path: Union[str, Path], note: str = "") -
         lines.append(
             f"{r.k},{r.dual_value!r},{r.primal_value!r},{r.gap!r},{r.price!r},{r.handoff_norm!r},{r.inner_iterations}"
         )
-    text = "\n".join(lines) + "\n"
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(target)
+    write_text_atomic(path, "\n".join(lines) + "\n")

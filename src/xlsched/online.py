@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import CrossLayerDecision, DataUnit, DependencyGraph, Instance
-from .models import TransmissionModel
+from .models import TransmissionModel, dag_distortion
 from .offline import (
     _dag_coeffs,
     _payload_argmin,
@@ -47,7 +47,6 @@ __all__ = [
     "LookaheadError",
     "DagKnowledge",
     "state_transition",
-    "value_estimate",
     "value_update",
     "online_price_update",
     "solve_online_unit",
@@ -89,11 +88,6 @@ class ValueModel:
 
     def value(self, s: float) -> float:
         return sum(r * v for r, v in zip(self.coeffs, self.features(s)))
-
-
-def value_estimate(vm: ValueModel, s: float) -> float:
-    """Learned cost of carrying backlog ``s`` into the next unit."""
-    return vm.value(s)
 
 
 def _value_vec(coeffs: Sequence[float], s: np.ndarray) -> np.ndarray:
@@ -553,19 +547,6 @@ class RunResult:
     decisions: tuple[CrossLayerDecision, ...]
 
 
-def _realized_distortion(inst: Instance, decisions, model, index: int) -> float:
-    unit = inst.units[index - 1]
-    dec = decisions[index - 1]
-    p = model.loss(unit, dec.start, dec.end, dec.payload)
-    if inst.graph is None or not inst.graph.ancestors(index):
-        return unit.impact * p
-    survive = 1.0 - p
-    for k in inst.graph.ancestors(index):
-        ku, kd = inst.units[k - 1], decisions[k - 1]
-        survive *= 1.0 - model.errprop(ku, kd.start, kd.end, kd.payload)
-    return unit.impact - unit.impact * survive
-
-
 def _cycle_rows(
     stream: CausalStream,
     policy: str,
@@ -583,7 +564,7 @@ def _cycle_rows(
         reduction = 0.0
         for i in range(lo, hi + 1):
             q = inst.units[i - 1].impact
-            reduction += q - _realized_distortion(inst, decisions, model, i)
+            reduction += q - dag_distortion(i, inst.units, decisions, inst.graph, model)
         e_avg = float(np.mean([energies[i - 1] for i in range(lo, hi + 1)]))
         rows.append(
             CycleRow(

@@ -147,6 +147,15 @@ class TestOracle:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "refuses" in err
 
+    def test_invalid_instance_is_rejected(self, tmp_path, capsys):
+        inst = generate_trace(TraceParams(seed=1, num_dus=2))
+        path = tmp_path / "bad.txt"
+        save_instance(Instance(units=inst.units, budget=-1.0), path)
+        rc = main(["--out", str(tmp_path / "o"), "oracle", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid instance" in err and "budget" in err
+
 
 def _tiny_plan(policies="proposed,myopic", extra=""):
     return f"""

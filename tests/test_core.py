@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +12,17 @@ from xlsched import (
     CrossLayerDecision,
     DataUnit,
     DependencyGraph,
-    DualState,
     GraphCycleError,
     Instance,
     dumps_instance,
     load_instance,
     loads_instance,
+    SolveReport,
+    report_to_csv,
     save_instance,
-    topological_ancestors,
     validate_instance,
 )
+from xlsched.core import write_text_atomic
 
 
 def _unit(index, ready, deadline, **kw):
@@ -82,7 +84,7 @@ class TestDependencyGraph:
     def test_no_edges_no_ancestors(self):
         g = DependencyGraph(num_nodes=3, edges=())
         assert g.ancestors(1) == frozenset()
-        assert topological_ancestors(g, 3) == frozenset()
+        assert g.ancestors(3) == frozenset()
 
     def test_chain_closure(self):
         g = DependencyGraph(num_nodes=3, edges=((2, 1), (3, 2)))
@@ -105,7 +107,7 @@ class TestDependencyGraph:
     def test_cycle_raises_on_topological_questions(self):
         g = DependencyGraph(num_nodes=2, edges=((1, 2), (2, 1)))
         with pytest.raises(GraphCycleError):
-            topological_ancestors(g, 1)
+            g.ancestors(1)
 
     @given(st.integers(0, 12345))
     @settings(max_examples=50, deadline=None)
@@ -257,14 +259,32 @@ class TestSmallTypes:
     def test_decision_window(self):
         assert CrossLayerDecision(0.01, 0.04, 3.0).window == pytest.approx(0.03)
 
-    def test_dual_state_steps(self):
-        s = DualState(price=0.0, handoff_prices=(0.0,), k=4, alpha0=0.5, beta0=1000.0)
-        assert s.alpha() == pytest.approx(0.125)
-        assert s.beta() == pytest.approx(250.0)
-        nxt = s.advanced(0.3, (0.1,))
-        assert nxt.k == 5 and nxt.price == 0.3 and nxt.handoff_prices == (0.1,)
-
     def test_empty_instance(self):
         inst = Instance(units=(), budget=5.0)
         assert inst.num_units == 0
         assert math.isfinite(inst.budget)
+
+
+_WRITERS = {
+    "text": lambda path: write_text_atomic(path, "new\n"),
+    "instance": lambda path: save_instance(_two_unit_instance(), path),
+    "trajectory": lambda path: report_to_csv(
+        SolveReport((), 0.0, 0.0, 0.0, 0, 0, True, 0.0, ()), path
+    ),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_failed_replace_keeps_the_earlier_file(self, tmp_path, monkeypatch, writer):
+        target = tmp_path / "out.txt"
+        target.write_text("earlier\n", encoding="utf-8")
+
+        def refuse(self, other):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(Path, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            _WRITERS[writer](target)
+        assert target.read_text(encoding="utf-8") == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

@@ -13,7 +13,6 @@ from xlsched import (
     dag_distortion,
     energy_cost,
     error_propagation,
-    independent_distortion,
     loss_fraction,
     verify_shape,
 )
@@ -88,14 +87,22 @@ class TestLossFraction:
 
 
 class TestIndependentDistortion:
+    """Without a graph ``dag_distortion`` is impact times the loss fraction."""
+
+    @staticmethod
+    def _distortion(impact, payload):
+        unit = _unit(impact=impact)
+        dec = CrossLayerDecision(0.0, 0.05, payload)
+        return dag_distortion(1, (unit,), (dec,), None, ShannonExpModel())
+
     def test_full_loss(self):
-        assert independent_distortion(100.0, 0.5, 10.0, 0.0) == 100.0
+        assert self._distortion(100.0, 0.0) == 100.0
 
     def test_half_loss(self):
-        assert independent_distortion(100.0, 0.5, 10.0, 2.0) == pytest.approx(50.0)
+        assert self._distortion(100.0, 2.0) == pytest.approx(50.0)
 
     def test_saturated(self):
-        assert independent_distortion(50.0, 0.5, 10.0, 20.0) == pytest.approx(1.5625)
+        assert self._distortion(50.0, 20.0) == pytest.approx(1.5625)
 
 
 class _TableModel:

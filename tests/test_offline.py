@@ -1,5 +1,6 @@
 """Offline dual machinery: subgradient steps, per-unit solves, recovery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -420,3 +421,39 @@ class TestDecisionGrid:
         oracle = brute_force(inst, MODEL, time_step=0.01, action_points=21)
         # exhaustive optimum can never sit above a feasible lattice schedule
         assert oracle.value <= rep.primal_value + 1e-9
+
+
+class TestSharedDualLoop:
+    """Both solvers run one outer loop; only their relaxed step differs."""
+
+    @staticmethod
+    def _instance(n, chain):
+        inst = generate_trace(TraceParams(seed=4, num_dus=n, budget=2.0))
+        graph = DependencyGraph(n, tuple((i, i - 1) for i in range(2, n + 1))) if chain else None
+        return Instance(units=inst.units, budget=inst.budget, graph=graph)
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["continuous", "lattice"])
+    @pytest.mark.parametrize("solver", [solve_independent, solve_interdependent])
+    def test_trajectory_collection_changes_nothing_else(self, solver, lattice):
+        inst = self._instance(3 if lattice else 5, chain=solver is solve_interdependent)
+        grid = DecisionGrid(time_step=0.01, action_points=11) if lattice else None
+        full = solver(inst, MODEL, max_outer=30, grid=grid)
+        bare = solver(inst, MODEL, max_outer=30, grid=grid, collect_trajectory=False)
+        assert len(full.trajectory) == full.outer_iterations
+        assert bare.trajectory == ()
+        assert bare == dataclasses.replace(full, trajectory=())
+
+    def test_independent_rows_take_one_sweep(self):
+        rep = solve_independent(self._instance(5, chain=False), MODEL, max_outer=25)
+        assert rep.trajectory
+        assert all(r.inner_iterations == 1 for r in rep.trajectory)
+        assert rep.inner_iterations == rep.outer_iterations
+
+    @pytest.mark.parametrize("solver", [solve_independent, solve_interdependent])
+    def test_rejects_max_outer_below_one(self, solver):
+        with pytest.raises(ValueError, match="max_outer"):
+            solver(self._instance(5, chain=True), MODEL, max_outer=0)
+
+    def test_rejects_max_inner_below_one(self):
+        with pytest.raises(ValueError, match="max_inner"):
+            solve_interdependent(self._instance(5, chain=True), MODEL, max_inner=0)

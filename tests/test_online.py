@@ -26,7 +26,6 @@ from xlsched import (
     solve_online_unit_dag,
     state_transition,
     upper_optimization,
-    value_estimate,
     value_update,
 )
 
@@ -63,15 +62,15 @@ class TestStateTransition:
 class TestValueModel:
     def test_zero_at_origin_for_any_coefficients(self):
         for coeffs in ((1.0,), (3.0, -2.0), (0.5, 0.5, 0.5)):
-            assert value_estimate(ValueModel(coeffs=coeffs), 0.0) == 0.0
+            assert ValueModel(coeffs=coeffs).value(0.0) == 0.0
 
     def test_two_features(self):
         vm = ValueModel(coeffs=(1.0, 1.0))
         # s + s^2/2 at s=2
-        assert value_estimate(vm, 2.0) == pytest.approx(4.0)
+        assert vm.value(2.0) == pytest.approx(4.0)
 
     def test_single_feature(self):
-        assert value_estimate(ValueModel(coeffs=(3.0,)), 0.5) == pytest.approx(1.5)
+        assert ValueModel(coeffs=(3.0,)).value(0.5) == pytest.approx(1.5)
 
     def test_feature_factorials(self):
         vm = ValueModel.zero(4)

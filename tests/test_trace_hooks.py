@@ -1,0 +1,61 @@
+"""The benchmark's span tracer sees every solver layer it wraps.
+
+``perfbench/spans.py`` wraps module attributes of the package between
+``install`` and ``uninstall``; the solvers must call their unit solves,
+coefficient updates and ``mdu`` handoff steps through those attributes, or
+the traced counters read 0.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from xlsched import (
+    CausalStream,
+    DependencyGraph,
+    Instance,
+    OnlineParams,
+    TraceParams,
+    generate_trace,
+    offline,
+    online,
+)
+
+_SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_unit_solves_coefficients_and_mdu_steps():
+    spans = _load_spans()
+    wrapped = [(owner, attr, getattr(owner, attr)) for owner, attr, _, _ in spans._WRAPPED]
+    wrapped.append((offline.DecisionGrid, "options", offline.DecisionGrid.options))
+    tracer = spans.Tracer()
+    model = spans.CountingModel(tracer=tracer)
+    inst = generate_trace(TraceParams(seed=2, num_dus=4, budget=2.0))
+    chain = Instance(inst.units, inst.budget, DependencyGraph(4, ((2, 1), (3, 2), (4, 3))))
+    groups = tracer.group_calls
+
+    tracer.install()
+    try:
+        rep = offline.solve_independent(inst, model, max_outer=5)
+        assert groups["unit_solve"] == inst.num_units * rep.outer_iterations
+        assert groups["dag_coeffs"] == 0
+        offline.solve_interdependent(chain, model, max_outer=5, max_inner=2)
+        assert groups["dag_coeffs"] > 0
+        solves_before_mdu = groups["unit_solve"]
+        online.run_online(CausalStream(chain, cycle_len=4), model, "mdu", OnlineParams(mdu_outer=3))
+    finally:
+        tracer.uninstall()
+
+    assert groups["unit_solve"] > solves_before_mdu
+    assert groups["mdu_cycle"] == 1
+    assert groups["mdu_handoff"] > 0
+    for owner, attr, fn in wrapped:
+        assert getattr(owner, attr) is fn
