@@ -266,6 +266,8 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
         raise ConfigError("[learner]: kappa0 and lambda_init must be nonnegative")
     if learner.end_grid < 2:
         raise ConfigError("[learner]: y_points must be >= 2")
+    if learner.mdu_outer < 1:
+        raise ConfigError("[learner]: mdu_outer must be >= 1")
 
     policies = tuple(
         p.strip() for p in raw["experiment"]["policies"].split(",") if p.strip()

@@ -237,22 +237,24 @@ def validate_instance(inst: Instance) -> ValidationResult:
     def add(code: str, index: Optional[int], message: str) -> None:
         issues.append(ValidationIssue(code, index, message))
 
-    if not inst.budget > 0:
-        add("budget", None, f"budget must be positive, got {inst.budget!r}")
+    if not 0 < inst.budget < math.inf:
+        add("budget", None, f"budget must be positive and finite, got {inst.budget!r}")
 
     prev_ready = -math.inf
     for pos, u in enumerate(inst.units, start=1):
         if u.index != pos:
             add("index", pos, f"unit at position {pos} has index {u.index}")
-        if not u.impact > 0:
-            add("impact", pos, f"impact must be positive, got {u.impact!r}")
-        if not u.size > 0:
-            add("size", pos, f"size must be positive, got {u.size!r}")
-        if not u.decay > 0:
-            add("decay", pos, f"decay must be positive, got {u.decay!r}")
-        if not u.channel > 0:
-            add("channel", pos, f"channel gain must be positive, got {u.channel!r}")
-        if u.deadline < u.ready:
+        if not 0 < u.impact < math.inf:
+            add("impact", pos, f"impact must be positive and finite, got {u.impact!r}")
+        if not 0 < u.size < math.inf:
+            add("size", pos, f"size must be positive and finite, got {u.size!r}")
+        if not 0 < u.decay < math.inf:
+            add("decay", pos, f"decay must be positive and finite, got {u.decay!r}")
+        if not 0 < u.channel < math.inf:
+            add("channel", pos, f"channel gain must be positive and finite, got {u.channel!r}")
+        if not (math.isfinite(u.ready) and math.isfinite(u.deadline)):
+            add("window", pos, f"ready time {u.ready!r} and deadline {u.deadline!r} must be finite")
+        elif u.deadline < u.ready:
             add("window", pos, f"deadline {u.deadline!r} precedes ready time {u.ready!r}")
         if u.ready < prev_ready:
             add("order", pos, "ready times must be non-decreasing in index order")

@@ -163,7 +163,16 @@ def dag_distortion(
 
 @runtime_checkable
 class TransmissionModel(Protocol):
-    """What the solvers need from a physical-layer model."""
+    """What the solvers need from a physical-layer model.
+
+    The scalar trio ``loss``, ``errprop`` and ``cost`` values a decision
+    (and is all :func:`verify_shape` samples). The per-unit solves use the
+    closed-form surface: ``window_value`` for the offline window search and
+    the vectorized ``best_payload_vec``, ``loss_vec`` and ``cost_vec`` for the
+    online end-grid search. Both take the payload argmin of one merged weight
+    on the loss curve (loss weight plus error weight), so a conforming model's
+    ``errprop`` must equal its ``loss``.
+    """
 
     def loss(self, unit: "DataUnit", start: float, end: float, payload: float) -> float: ...
 
@@ -171,19 +180,38 @@ class TransmissionModel(Protocol):
 
     def cost(self, unit: "DataUnit", start: float, end: float, payload: float) -> float: ...
 
+    def window_value(
+        self, unit: "DataUnit", tau: float, loss_weight: float, energy_weight: float
+    ) -> tuple[float, float, float]: ...
+
+    def best_payload_vec(
+        self, unit: "DataUnit", taus: np.ndarray, loss_weight: float, energy_weight: float
+    ) -> np.ndarray: ...
+
+    def loss_vec(self, unit: "DataUnit", payloads: np.ndarray) -> np.ndarray: ...
+
+    def cost_vec(self, unit: "DataUnit", taus: np.ndarray, payloads: np.ndarray) -> np.ndarray: ...
+
+
+def check_model(model: object) -> None:
+    """Raise ``TypeError`` unless ``model`` implements :class:`TransmissionModel`."""
+    if not isinstance(model, TransmissionModel):
+        raise TypeError(
+            f"{type(model).__name__} does not implement the TransmissionModel protocol "
+            "(loss, errprop, cost, window_value, best_payload_vec, loss_vec, cost_vec)"
+        )
+
 
 @dataclass(frozen=True)
 class ShannonExpModel:
     """Default model: exponential loss/error curves + Shannon-gap energy.
 
-    Besides the generic three-function surface it exposes the window value
+    Besides the scalar trio it exposes the window value
     ``V(tau) = min_a L * 2**(-decay*a) + E * cost(tau, a)`` in closed form
     (``window_value``): the payload minimizer is a stationary point solvable
     in the log domain, and the slope ``dV/dtau`` follows from the envelope
     theorem. The solvers search the window length by a root-find on that
-    slope; generic models without ``window_value`` fall back to golden-section
-    search over the window length, and without ``best_payload`` over the
-    payload as well.
+    slope.
     """
 
     params: ShannonEnergyParams = field(default_factory=ShannonEnergyParams)
@@ -197,7 +225,7 @@ class ShannonExpModel:
     def cost(self, unit, start, end, payload) -> float:
         return energy_cost(self.params, unit.channel, start, end, payload)
 
-    # -- fast paths used by the solvers ------------------------------------
+    # -- closed form used by the solvers -----------------------------------
 
     def payload_upper(self, unit, tau: float) -> float:
         """Largest feasible payload in a window of length ``tau``."""

@@ -8,13 +8,12 @@ pricing the two coupling constraint families:
 * ``handoff_prices[i]`` multiplies the overlap ``end_i - start_{i+1}``.
 
 At fixed prices the relaxation splits into one small problem per unit, solved
-in two layers: the payload search inside a fixed window is convex (closed
-form for the default model, golden-section otherwise), and the remaining
-window search is convex in the window length after observing that the start
-time enters linearly and is therefore optimal at an interval endpoint. For
-the default model the window value comes with its slope in the window
-length, so the window search is a bracketed root-find on the slope (about
-eight model calls per unit); generic models use golden-section search.
+in two layers: the payload search inside a fixed window is convex and the
+model solves it in closed form, and the remaining window search is convex in
+the window length after observing that the start time enters linearly and is
+therefore optimal at an interval endpoint. The model's window value comes
+with its slope in the window length, so the window search is a bracketed
+root-find on the slope (about eight model calls per unit).
 
 Both solvers share one outer loop, which owns the two master problems: it
 moves the budget price and the handoff prices, recovers a feasible schedule
@@ -42,8 +41,10 @@ from .core import (
     SolveReport,
     write_text_atomic,
 )
-from .models import TransmissionModel, dag_distortion
-from .search import derivative_search, golden_section
+from .models import TransmissionModel, check_model, dag_distortion
+from .search import derivative_search
+# unused here: perfbench/spans.py wraps this module attribute
+from .search import golden_section  # noqa: F401
 
 __all__ = [
     "UnitSolution",
@@ -176,46 +177,6 @@ def _solve_unit_grid(
     )
 
 
-def _payload_argmin(
-    model: TransmissionModel,
-    unit: DataUnit,
-    tau: float,
-    loss_coeff: float,
-    err_coeff: float,
-    energy_coeff: float,
-    tol: float = 1e-8,
-) -> tuple[float, float]:
-    """Minimize loss_coeff*p + err_coeff*e + energy_coeff*w over the payload.
-
-    Zero-length windows admit only an empty payload. Uses the model's closed
-    form when it matches (identical loss and error curves), golden-section
-    search otherwise.
-    """
-    x0 = unit.ready
-
-    def value_at(a: float) -> float:
-        v = 0.0
-        if loss_coeff != 0.0:
-            v += loss_coeff * model.loss(unit, x0, x0 + tau, a)
-        if err_coeff != 0.0:
-            v += err_coeff * model.errprop(unit, x0, x0 + tau, a)
-        if energy_coeff != 0.0:
-            v += energy_coeff * model.cost(unit, x0, x0 + tau, a)
-        return v
-
-    if tau <= 0.0:
-        return 0.0, value_at(0.0)
-
-    best = getattr(model, "best_payload", None)
-    if best is not None:
-        a_star = best(unit, tau, loss_coeff + err_coeff, energy_coeff)
-        return a_star, value_at(a_star)
-
-    upper = getattr(model, "payload_upper", lambda u, t: u.size)(unit, tau)
-    a_star, v_star = golden_section(value_at, 0.0, upper, tol=tol)
-    return a_star, v_star
-
-
 def lower_optimization(
     unit: DataUnit,
     price: float,
@@ -223,68 +184,19 @@ def lower_optimization(
     end: float,
     num_units: int,
     model: TransmissionModel,
-    tol: float = 1e-8,
 ) -> tuple[float, float]:
     """Best payload for a fixed window; returns (payload, window value).
 
     The window value is the unit's share of the priced objective,
-    ``(impact * loss + price * cost) / num_units``.
+    ``(impact * loss + price * cost) / num_units``, and both come from the
+    model's closed form (a zero-length window admits only an empty payload).
     """
     if end < start:
         raise ValueError(f"window end {end} precedes start {start}")
     if num_units <= 0:
         raise ValueError(f"num_units must be positive, got {num_units}")
     m = float(num_units)
-    return _payload_argmin(
-        model,
-        unit,
-        end - start,
-        loss_coeff=unit.impact / m,
-        err_coeff=0.0,
-        energy_coeff=price / m,
-        tol=tol,
-    )
-
-
-def _window_search(
-    unit: DataUnit,
-    window_value: Callable[[float], float],
-    window_slope: Optional[Callable[[float], float]],
-    handoff_prev: float,
-    handoff_next: float,
-    start_floor: float,
-    tol: float,
-) -> tuple[float, float, float]:
-    """Minimize window_value(tau) - handoff_prev*start + handoff_next*end.
-
-    For fixed tau the start time enters linearly with coefficient
-    (handoff_next - handoff_prev), so it sits at an endpoint of
-    [start_floor, deadline - tau]; substituting the endpoint leaves a convex
-    function g of tau alone, with slope window_slope(tau) + handoff_next
-    (start at the floor) or + handoff_prev (end at the deadline). With a
-    slope the search is a root-find on it, otherwise golden-section search.
-    Ties prefer the maximal window (start at the floor, end at the deadline).
-
-    Returns (start, tau, objective).
-    """
-    cf = handoff_next - handoff_prev
-    tau_max = unit.deadline - start_floor
-
-    def g(tau: float) -> float:
-        base = window_value(tau) + handoff_next * tau
-        if cf >= 0.0:
-            return base + cf * start_floor
-        return base + cf * (unit.deadline - tau)
-
-    if window_slope is None:
-        tau_star, g_star = golden_section(g, 0.0, tau_max, tol=tol)
-    else:
-        lam = handoff_next if cf >= 0.0 else handoff_prev
-        tau_star, g_star = derivative_search(
-            g, lambda tau: window_slope(tau) + lam, 0.0, tau_max, tol=tol
-        )
-    x_star = start_floor if cf >= 0.0 else max(unit.deadline - tau_star, start_floor)
-    return x_star, tau_star, g_star
+    return model.window_value(unit, end - start, unit.impact / m, price / m)[:2]
 
 
 def _solve_unit(
@@ -302,11 +214,18 @@ def _solve_unit(
 
     Minimizes loss_coeff*p + err_coeff*e + energy_coeff*w - handoff_prev*start
     + handoff_next*end over windows inside [start_floor, deadline] and their
-    payloads. Models with ``window_value`` give the window value and its
-    slope in one call per window length; other models get the payload
-    argmin of :func:`_payload_argmin` and a golden-section window search.
-    The window value depends on (start, end) only through the window length,
-    which the shape conditions on conforming models imply.
+    payloads. One ``window_value`` call per window length tau gives the
+    payload argmin, the window value V(tau) and its slope for the merged
+    weight loss_coeff + err_coeff (a conforming model's errprop is its loss);
+    V depends on the window only through its length.
+
+    For fixed tau the start time enters linearly with coefficient
+    (handoff_next - handoff_prev), so it sits at an endpoint of
+    [start_floor, deadline - tau]; substituting the endpoint leaves a convex
+    function g of tau alone, with slope V'(tau) + handoff_next (start at the
+    floor) or + handoff_prev (end at the deadline), and the window search is
+    a root-find on that slope. Ties prefer the maximal window (start at the
+    floor, end at the deadline).
     """
     # numpy scalars here would leak into every iterate and the decision
     loss_coeff = float(loss_coeff)
@@ -314,38 +233,27 @@ def _solve_unit(
     energy_coeff = float(energy_coeff)
     handoff_prev = float(handoff_prev)
     handoff_next = float(handoff_next)
-    window = getattr(model, "window_value", None)
-    if window is None:
+    weight = loss_coeff + err_coeff
+    cf = handoff_next - handoff_prev
+    cache: dict[float, tuple[float, float, float]] = {}
 
-        def solve(tau: float) -> tuple[float, float]:
-            return _payload_argmin(
-                model, unit, tau, loss_coeff, err_coeff, energy_coeff, tol=tol
-            )
-
-    else:
-        weight = loss_coeff + err_coeff
-
-        def solve(tau: float) -> tuple[float, float, float]:
-            return window(unit, tau, weight, energy_coeff)
-
-    cache: dict[float, tuple] = {}
-
-    def evaluate(tau: float) -> tuple:
+    def evaluate(tau: float) -> tuple[float, float, float]:
         hit = cache.get(tau)
         if hit is None:
-            hit = cache[tau] = solve(tau)
+            hit = cache[tau] = model.window_value(unit, tau, weight, energy_coeff)
         return hit
 
-    slope = None if window is None else (lambda tau: evaluate(tau)[2])
-    x_star, tau_star, obj = _window_search(
-        unit,
-        lambda tau: evaluate(tau)[1],
-        slope,
-        handoff_prev,
-        handoff_next,
-        start_floor,
-        tol,
+    def g(tau: float) -> float:
+        base = evaluate(tau)[1] + handoff_next * tau
+        if cf >= 0.0:
+            return base + cf * start_floor
+        return base + cf * (unit.deadline - tau)
+
+    lam = handoff_next if cf >= 0.0 else handoff_prev
+    tau_star, obj = derivative_search(
+        g, lambda tau: evaluate(tau)[2] + lam, 0.0, unit.deadline - start_floor, tol=tol
     )
+    x_star = start_floor if cf >= 0.0 else max(unit.deadline - tau_star, start_floor)
     # rounding in start + tau must not carry the end past the deadline, and
     # the payload must fit the stored window, whose length may differ by an ulp
     end = min(x_star + tau_star, unit.deadline)
@@ -400,6 +308,33 @@ def handoff_update(handoff: float, end_i: float, start_next: float, step: float)
 # -- dependency-aware pieces -------------------------------------------------
 
 
+def _graph_coeffs(
+    index: int,
+    graph,
+    err: Callable[[int], float],
+    kept: Callable[[int], float],
+) -> tuple[float, float]:
+    """Ancestor survival A and descendant weight S of unit ``index``.
+
+    A is the product of ``1 - err(k)`` over the ancestors k; S sums, over the
+    descendants j, ``kept(j)`` times the product of ``1 - err(k)`` over the
+    ancestors k of j other than ``index``. Nothing is cached: ``err`` is
+    called once per factor and ``kept`` once per descendant.
+    """
+    a_surv = 1.0
+    for k in graph.ancestors(index):
+        a_surv *= 1.0 - err(k)
+    s_weight = 0.0
+    for j in graph.descendants(index):
+        term = kept(j)
+        for k in graph.ancestors(j):
+            if k == index:
+                continue
+            term *= 1.0 - err(k)
+        s_weight += term
+    return a_surv, s_weight
+
+
 def _dag_coeffs(
     index: int,
     units: Sequence[DataUnit],
@@ -413,22 +348,16 @@ def _dag_coeffs(
     distortion that vary with unit i's decision collapse to
     ``impact_i * p_i * A - (1 - e_i) * S``.
     """
-    anc = graph.ancestors(index)
-    a_surv = 1.0
-    for k in anc:
-        ku, kd = units[k - 1], decisions[k - 1]
-        a_surv *= 1.0 - model.errprop(ku, kd.start, kd.end, kd.payload)
-    s_weight = 0.0
-    for j in graph.descendants(index):
+
+    def err(k: int) -> float:
+        kd = decisions[k - 1]
+        return model.errprop(units[k - 1], kd.start, kd.end, kd.payload)
+
+    def kept(j: int) -> float:
         ju, jd = units[j - 1], decisions[j - 1]
-        term = ju.impact * (1.0 - model.loss(ju, jd.start, jd.end, jd.payload))
-        for k in graph.ancestors(j):
-            if k == index:
-                continue
-            ku, kd = units[k - 1], decisions[k - 1]
-            term *= 1.0 - model.errprop(ku, kd.start, kd.end, kd.payload)
-        s_weight += term
-    return a_surv, s_weight
+        return ju.impact * (1.0 - model.loss(ju, jd.start, jd.end, jd.payload))
+
+    return _graph_coeffs(index, graph, err, kept)
 
 
 def dag_sensitivity(
@@ -941,6 +870,7 @@ def solve_independent(
     over the unit's lattice options and the recovered primal stays on the
     lattice.
     """
+    check_model(model)
     if max_outer < 1:
         raise ValueError(f"max_outer must be at least 1, got {max_outer}")
     m = inst.num_units
@@ -992,6 +922,7 @@ def solve_interdependent(
     ``grid`` the subproblems are exact argmins over lattice options and the
     recovered primal stays on the lattice.
     """
+    check_model(model)
     if max_outer < 1 or max_inner < 1:
         raise ValueError(f"max_outer and max_inner must be at least 1, got {max_outer}, {max_inner}")
     m = inst.num_units

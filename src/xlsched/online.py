@@ -26,10 +26,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import CrossLayerDecision, DataUnit, DependencyGraph, Instance
-from .models import TransmissionModel, dag_distortion
+from .models import TransmissionModel, check_model, dag_distortion
 from .offline import (
     _dag_coeffs,
-    _payload_argmin,
+    _graph_coeffs,
     _solve_unit_dag,
     handoff_update,
     recover_primal,
@@ -203,46 +203,27 @@ def _solve_online_core(
     vm: ValueModel,
     t_next: float,
     model: TransmissionModel,
-    loss_coeff: float,
-    err_coeff: float,
-    const_shift: float,
+    merged: float,
     end_grid: int,
     refine_points: int,
 ) -> UnitOutcome:
     """Grid-plus-refinement search over the window end, payload nested inside.
 
-    The end grid always contains both interval endpoints and the kink of the
-    backlog term at the next arrival time.
+    ``merged`` weighs the loss curve: the unit's loss weight plus its error
+    weight (a conforming model's errprop is its loss). The payload comes from
+    the model's vectorized closed form. The end grid always contains both
+    interval endpoints and the kink of the backlog term at the next arrival
+    time.
     """
     d = unit.deadline
     coeffs = vm.coeffs
 
-    fast = (
-        hasattr(model, "best_payload_vec")
-        and hasattr(model, "loss_vec")
-        and hasattr(model, "cost_vec")
-    )
-    merged = loss_coeff + err_coeff
-
     def eval_grid(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         taus = ys - start
-        if fast:
-            pls = model.best_payload_vec(unit, taus, merged, price)
-            p = model.loss_vec(unit, pls)
-            w = model.cost_vec(unit, taus, pls)
-            obj = merged * p + price * w
-        else:
-            pls = np.empty_like(ys)
-            obj = np.empty_like(ys)
-            p = np.empty_like(ys)
-            w = np.empty_like(ys)
-            for j, tau in enumerate(taus):
-                a, v = _payload_argmin(model, unit, tau, loss_coeff, err_coeff, price)
-                pls[j] = a
-                obj[j] = v
-                p[j] = model.loss(unit, start, start + tau, a)
-                w[j] = model.cost(unit, start, start + tau, a)
-        obj = obj + const_shift + _value_vec(coeffs, np.maximum(ys - t_next, 0.0))
+        pls = model.best_payload_vec(unit, taus, merged, price)
+        p = model.loss_vec(unit, pls)
+        w = model.cost_vec(unit, taus, pls)
+        obj = merged * p + price * w + _value_vec(coeffs, np.maximum(ys - t_next, 0.0))
         return obj, pls, p, w
 
     if d <= start:
@@ -319,7 +300,7 @@ def solve_online_unit(
     if start > unit.deadline:
         return _dropped_outcome(unit, vm, t_next)
     return _solve_online_core(
-        unit, start, price, vm, t_next, model, unit.impact, 0.0, 0.0, end_grid, refine_points
+        unit, start, price, vm, t_next, model, unit.impact, end_grid, refine_points
     )
 
 
@@ -364,37 +345,22 @@ def solve_online_unit_dag(
     """
     if backlog < 0:
         raise ValueError(f"backlog must be nonnegative, got {backlog}")
-    g = knowledge.graph
     i = unit.index
-    a_surv = 1.0
-    for k in g.ancestors(i):
-        a_surv *= 1.0 - knowledge.realized_err[k - 1]
-    s_weight = 0.0
-    for j in g.descendants(i):
-        if not knowledge.cycle_lo <= j <= knowledge.cycle_hi:
-            continue
-        term = knowledge.impact_of(j)
-        for k in g.ancestors(j):
-            # untransmitted references (k >= i, including i itself) count as intact
-            if k >= i:
-                continue
-            term *= 1.0 - knowledge.realized_err[k - 1]
-        s_weight += term
+
+    def err(k: int) -> float:
+        # untransmitted references (k >= i) count as intact
+        return knowledge.realized_err[k - 1] if k < i else 0.0
+
+    def kept(j: int) -> float:
+        return knowledge.impact_of(j) if knowledge.cycle_lo <= j <= knowledge.cycle_hi else 0.0
+
+    a_surv, s_weight = _graph_coeffs(i, knowledge.graph, err, kept)
     start = unit.ready + backlog
     if start > unit.deadline:
         return _dropped_outcome(unit, vm, t_next, unit.impact * a_surv, s_weight)
     return _solve_online_core(
-        unit,
-        start,
-        price,
-        vm,
-        t_next,
-        model,
-        loss_coeff=unit.impact * a_surv,
-        err_coeff=s_weight,
-        const_shift=0.0,
-        end_grid=end_grid,
-        refine_points=refine_points,
+        unit, start, price, vm, t_next, model, unit.impact * a_surv + s_weight,
+        end_grid, refine_points,
     )
 
 
@@ -599,6 +565,7 @@ def run_online(
     bounded-slope representation. The centered fixed point is the excess cost
     of entering a backlog, which is continuous through the origin.
     """
+    check_model(model)
     if params is None:
         params = OnlineParams()
     if policy not in POLICIES:
@@ -606,6 +573,8 @@ def run_online(
     if budget is None:
         budget = stream.budget
     if policy == "mdu":
+        if params.mdu_outer < 1:
+            raise ValueError(f"mdu_outer must be at least 1, got {params.mdu_outer}")
         return _run_mdu(stream, model, params, budget)
 
     n = stream.num_units

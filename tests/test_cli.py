@@ -122,6 +122,14 @@ class TestSolve:
         assert rc == 2
         assert "invalid instance" in capsys.readouterr().err
 
+    def test_non_finite_instance_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("budget 10.0\nunits 1\nunit 1 10.0 5.0 nan 0.1 0.5 1.0\n")
+        rc = main(["--out", str(tmp_path / "o"), "solve", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid instance" in err and "finite" in err
+
     def test_bad_config(self, tmp_path, capsys):
         inst = _small_instance_file(tmp_path)
         cfg = _config(tmp_path, "[solver]\nspeed = fast\n")

@@ -88,6 +88,7 @@ class TestRejection:
         ("[learner]\nupdate_mode = tabular\n", "update_mode"),
         ("[learner]\ndag_impact = oracle\n", "dag_impact"),
         ("[learner]\ny_points = 1\n", "y_points"),
+        ("[learner]\nmdu_outer = 0\n", "mdu_outer"),
         ("[experiment]\npolicies = proposed,greedy\n", "unknown policy"),
         ("[experiment]\npolicies =\n", "non-empty"),
         ("[experiment]\nw_sweep = 5,ten\n", "not a number list"),

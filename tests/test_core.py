@@ -218,12 +218,29 @@ class TestSerialization:
         assert inst.num_units == 0 and inst.budget == 1.0
 
 
-_MUTATIONS = ("budget", "impact", "size", "decay", "channel", "window", "order", "index")
+# (field, bad value, expected issue code); the value of the structural
+# mutations "window", "order" and "index" is derived from the drawn units
+_MUTATIONS = tuple(
+    (f, 0.0, f) for f in ("impact", "size", "decay", "channel")
+) + tuple(
+    (f, bad, f)
+    for f in ("budget", "impact", "size", "decay", "channel")
+    for bad in (math.nan, math.inf)
+) + (
+    ("budget", -1.0, "budget"),
+    ("ready", math.nan, "window"),
+    ("ready", -math.inf, "window"),
+    ("deadline", math.inf, "window"),
+    ("deadline", math.nan, "window"),
+    ("window", None, "window"),
+    ("order", None, "order"),
+    ("index", None, "index"),
+)
 
 
-@given(choice=st.sampled_from(_MUTATIONS), seed=st.integers(0, 10**6))
+@given(mutation=st.sampled_from(_MUTATIONS), seed=st.integers(0, 10**6))
 @settings(max_examples=80, deadline=None)
-def test_every_broken_invariant_is_reported(choice, seed):
+def test_every_broken_invariant_is_reported(mutation, seed):
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -236,8 +253,9 @@ def test_every_broken_invariant_is_reported(choice, seed):
     ]
     budget = 10.0
     pos = int(rng.integers(0, n))
+    choice, bad, code = mutation
     if choice == "budget":
-        budget = -1.0
+        budget = bad
     elif choice == "window":
         units[pos] = dataclasses.replace(units[pos], deadline=units[pos].ready - 0.01)
     elif choice == "order":
@@ -246,10 +264,10 @@ def test_every_broken_invariant_is_reported(choice, seed):
     elif choice == "index":
         units[pos] = dataclasses.replace(units[pos], index=units[pos].index + 7)
     else:
-        units[pos] = dataclasses.replace(units[pos], **{choice: 0.0})
+        units[pos] = dataclasses.replace(units[pos], **{choice: bad})
     result = validate_instance(Instance(units=tuple(units), budget=budget))
     assert not result.ok
-    assert any(i.code == choice for i in result.issues)
+    assert any(i.code == code for i in result.issues)
 
 
 class TestSmallTypes:

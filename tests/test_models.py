@@ -7,16 +7,22 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from xlsched import (
+    CausalStream,
     DataUnit,
+    Instance,
     ShannonEnergyParams,
     ShannonExpModel,
     dag_distortion,
     energy_cost,
     error_propagation,
     loss_fraction,
+    run_online,
+    solve_independent,
+    solve_interdependent,
     verify_shape,
 )
 from xlsched.core import CrossLayerDecision, DependencyGraph
+from xlsched.models import TransmissionModel
 
 # flattens the curve to tau * (2**(a/tau) - 1) at unit channel gain
 TEXTBOOK = ShannonEnergyParams(noise=1.0, bandwidth_hz=1.0, bit_unit=1.0)
@@ -179,6 +185,41 @@ class TestVerifyShape:
         report = verify_shape(ShannonExpModel(), _unit(), 0, seed=0)
         assert report.ok
         assert report.samples == 0
+
+
+class ThreeFunctionModel:
+    """Only the scalar trio of the default model: not a TransmissionModel."""
+
+    _inner = ShannonExpModel()
+
+    def loss(self, unit, start, end, payload):
+        return self._inner.loss(unit, start, end, payload)
+
+    def errprop(self, unit, start, end, payload):
+        return self._inner.errprop(unit, start, end, payload)
+
+    def cost(self, unit, start, end, payload):
+        return self._inner.cost(unit, start, end, payload)
+
+
+class TestModelProtocol:
+    def test_default_model_conforms(self):
+        assert isinstance(ShannonExpModel(), TransmissionModel)
+        assert not isinstance(ThreeFunctionModel(), TransmissionModel)
+
+    def test_scalar_trio_suffices_for_verify_shape(self):
+        assert verify_shape(ThreeFunctionModel(), _unit(), 50, seed=3).ok
+
+    @pytest.mark.parametrize("solve", [
+        lambda inst, model: solve_independent(inst, model),
+        lambda inst, model: solve_interdependent(inst, model),
+        lambda inst, model: run_online(CausalStream(inst), model, "proposed"),
+        lambda inst, model: run_online(CausalStream(inst), model, "mdu"),
+    ], ids=["independent", "interdependent", "online", "mdu"])
+    def test_non_conforming_model_is_rejected_at_entry(self, solve):
+        # an empty instance: the check runs before any unit is looked at
+        with pytest.raises(TypeError, match="TransmissionModel"):
+            solve(Instance(units=(), budget=1.0), ThreeFunctionModel())
 
 
 class TestBestPayload:

@@ -399,6 +399,12 @@ class TestRunOnline:
         for a, b in zip(result.decisions, result.decisions[1:]):
             assert b.start >= a.end - 1e-9
 
+    def test_mdu_rejects_no_handoff_iterations(self):
+        # with no iteration no unit is solved and the warm start would ship
+        stream = CausalStream(generate_trace(TraceParams(seed=6, num_dus=10, budget=1.0)), 5)
+        with pytest.raises(ValueError, match="mdu_outer"):
+            run_online(stream, MODEL, "mdu", OnlineParams(mdu_outer=0))
+
 
 class TestLearnedValueShape:
     @pytest.mark.parametrize("mode", ["normalized", "verbatim", "semi_gradient"])

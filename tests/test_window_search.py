@@ -1,4 +1,4 @@
-"""Slope-bracketed window search: root finder, kernel, generic-model fallback."""
+"""Slope-bracketed window search: root finder and the per-unit kernel."""
 
 import math
 from dataclasses import dataclass, field
@@ -24,32 +24,6 @@ from xlsched.offline import _solve_unit
 from xlsched.search import brent_root, derivative_search, golden_section
 
 TOL = 1e-8
-
-
-class GenericModel:
-    """Only the three-function model surface of a wrapped model."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def loss(self, unit, start, end, payload):
-        return self._inner.loss(unit, start, end, payload)
-
-    def errprop(self, unit, start, end, payload):
-        return self._inner.errprop(unit, start, end, payload)
-
-    def cost(self, unit, start, end, payload):
-        return self._inner.cost(unit, start, end, payload)
-
-
-class PayloadOnlyModel(GenericModel):
-    """Closed-form payload but no window slope: the golden-section window path."""
-
-    def payload_upper(self, unit, tau):
-        return self._inner.payload_upper(unit, tau)
-
-    def best_payload(self, unit, tau, loss_weight, energy_weight):
-        return self._inner.best_payload(unit, tau, loss_weight, energy_weight)
 
 
 @dataclass(frozen=True)
@@ -133,6 +107,18 @@ def _draw_case(rng):
     return cap, unit, floor, loss, err, price, hp, hn
 
 
+def _golden_reference(unit, model, loss, err, price, hp, hn, floor):
+    """Golden-section search over the window length of the same objective,
+    with the start at its endpoint rule; returns the objective it reaches."""
+    cf = hn - hp
+
+    def g(tau):
+        value = model.window_value(unit, tau, loss + err, price)[1] + hn * tau
+        return value + cf * (floor if cf >= 0.0 else unit.deadline - tau)
+
+    return golden_section(g, 0.0, unit.deadline - floor, tol=TOL)[1]
+
+
 class TestSlopeSearchAgainstGolden:
     def test_random_cases(self):
         rng = np.random.default_rng(2024)
@@ -141,10 +127,8 @@ class TestSlopeSearchAgainstGolden:
             cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
             params = ShannonEnergyParams(energy_cap=cap)
             model = CountingModel(params=params)
-            ref_model = PayloadOnlyModel(ShannonExpModel(params=params))
-            args = (loss, err, price, hp, hn, floor, TOL)
-            sol = _solve_unit(unit, model, *args)
-            ref = _solve_unit(unit, ref_model, *args)
+            sol = _solve_unit(unit, model, loss, err, price, hp, hn, floor, TOL)
+            ref = _golden_reference(unit, ShannonExpModel(params=params), loss, err, price, hp, hn, floor)
             evals.append(model.calls[0])
 
             d = sol.decision
@@ -153,7 +137,7 @@ class TestSlopeSearchAgainstGolden:
             if cap is not None:
                 assert model.cost(unit, d.start, d.end, d.payload) <= cap * (1 + 1e-9)
             lam = max(hp, hn)
-            assert sol.objective <= ref.objective + 1e-9 * max(1.0, abs(ref.objective)) + lam * TOL
+            assert sol.objective <= ref + 1e-9 * max(1.0, abs(ref)) + lam * TOL
             # the reported objective is the decision's own priced value
             honest = (
                 loss * model.loss(unit, d.start, d.end, d.payload)
@@ -164,32 +148,6 @@ class TestSlopeSearchAgainstGolden:
             )
             assert sol.objective == pytest.approx(honest, rel=1e-9, abs=1e-9)
         assert float(np.mean(evals)) <= 12.0
-
-
-class TestGenericModelPath:
-    MODEL = ShannonExpModel()
-
-    @pytest.mark.parametrize("price,hp,hn", [(0.0, 0.0, 0.0), (1.0, 500.0, 0.0), (0.7, 20.0, 35.0)])
-    def test_upper_optimization_agrees_with_fast_path(self, price, hp, hn):
-        unit = DataUnit(1, 100.0, 10.0, 0.0, 0.05, 0.5, 1.2)
-        fast = upper_optimization(unit, price, hp, hn, 4, self.MODEL)
-        slow = upper_optimization(unit, price, hp, hn, 4, GenericModel(self.MODEL))
-        assert slow.objective == pytest.approx(fast.objective, rel=1e-7, abs=1e-9)
-        assert slow.decision.start == pytest.approx(fast.decision.start, abs=1e-6)
-        assert slow.decision.end == pytest.approx(fast.decision.end, abs=1e-6)
-        assert slow.decision.payload == pytest.approx(fast.decision.payload, abs=1e-5)
-
-    def test_solve_independent_agrees_with_fast_path(self):
-        inst = generate_trace(TraceParams(seed=7, num_dus=3, budget=2.0))
-        fast = solve_independent(inst, self.MODEL, max_outer=15)
-        slow = solve_independent(inst, GenericModel(self.MODEL), max_outer=15)
-        assert slow.outer_iterations == fast.outer_iterations
-        assert slow.dual_value == pytest.approx(fast.dual_value, rel=1e-6)
-        assert slow.primal_value == pytest.approx(fast.primal_value, rel=1e-6)
-        for a, b in zip(fast.decisions, slow.decisions):
-            assert b.start == pytest.approx(a.start, abs=1e-6)
-            assert b.end == pytest.approx(a.end, abs=1e-6)
-            assert b.payload == pytest.approx(a.payload, abs=1e-4)
 
 
 def _assert_plain_floats(decisions):
