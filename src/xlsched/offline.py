@@ -39,6 +39,7 @@ from .core import (
     Instance,
     IterationRow,
     SolveReport,
+    validate_instance,
     write_text_atomic,
 )
 from .models import TransmissionModel, check_model, dag_distortion
@@ -63,6 +64,9 @@ __all__ = [
 ]
 
 _TINY = 1e-12
+
+# column of a DecisionGrid.options table holding each per-option value
+_OPT_COLUMN = {"payload": 2, "loss": 3, "err": 4, "cost": 5}
 
 # When the budget price touches 0 while handoff prices are positive, the
 # relaxed subproblems collapse windows to zero length at full payload and the
@@ -649,6 +653,51 @@ def _recover_primal_grid(
     return final, instance_distortion(inst, final, model, respect_graph)
 
 
+class _Bystander:
+    """A unit outside the pair being re-picked, shaved per candidate.
+
+    Its payload ladder starts at the incumbent payload, and level n+1 has
+    payload ``max(p_n - step, 0.0)``. Each level keeps the model's loss, error
+    and energy from scalar calls, as valuing that decision directly would.
+    ``level`` holds every candidate's current level.
+    """
+
+    def __init__(self, unit: DataUnit, dec: CrossLayerDecision, step: float,
+                 model: TransmissionModel, candidates: int):
+        self.unit, self.dec, self.step, self.model = unit, dec, step, model
+        self.payload: list[float] = []
+        self.loss: list[float] = []
+        self.err: list[float] = []
+        self.cost: list[float] = []
+        self.level = np.zeros(candidates, dtype=np.intp)
+        self._add(dec.payload)
+
+    def _add(self, payload: float) -> None:
+        u, d, model = self.unit, self.dec, self.model
+        self.payload.append(payload)
+        self.loss.append(model.loss(u, d.start, d.end, payload))
+        self.err.append(model.errprop(u, d.start, d.end, payload))
+        self.cost.append(model.cost(u, d.start, d.end, payload))
+
+    def at(self, field: str, rows) -> np.ndarray:
+        """``field`` at the current level of the candidates in ``rows``."""
+        return np.asarray(getattr(self, field))[self.level[rows]]
+
+    def shave(self, rows: np.ndarray) -> None:
+        """One action step off the payload of the candidates in ``rows``."""
+        if rows.size:
+            self.level[rows] += 1
+            deepest = int(self.level[rows].max())
+            while len(self.payload) <= deepest:
+                self._add(max(self.payload[-1] - self.step, 0.0))
+
+    def decision(self, row: int) -> CrossLayerDecision:
+        level = int(self.level[row])
+        if level == 0:
+            return self.dec
+        return CrossLayerDecision(self.dec.start, self.dec.end, self.payload[level])
+
+
 def _polish_grid_pairs(
     inst: Instance,
     decisions: Sequence[CrossLayerDecision],
@@ -668,14 +717,34 @@ def _polish_grid_pairs(
     (end_i, start_{i+1}, payload_i, payload_{i+1}) with the outer endpoints
     held fixed; distant pairs only swap payload at fixed windows. A candidate
     over budget may still buy its way in by shaving bystander payloads one
-    action step at a time (largest spender first). Candidates stay within
-    ``time_radius`` / ``pay_radius`` lattice steps of the incumbent, scored
-    by the true objective.
+    action step at a time (largest spender first, ties to the lowest index,
+    at most twice as many steps as unit i has options). Candidates stay
+    within ``time_radius`` / ``pay_radius`` lattice steps of the incumbent,
+    scored by the true objective.
+
+    Each pair (i, k) is scored in one numpy pass. Its candidates are the
+    (row of i, row of k) combinations of the two option tables in a-major
+    order: every row of k for the first row of i, then for the next. Units
+    i and k are read from the tables, each bystander from a ladder of its
+    shave levels (:class:`_Bystander`), and the value repeats
+    ``instance_distortion``'s arithmetic in the same order, so each score is
+    bit-identical to valuing the candidate schedule alone. The first
+    candidate in scan order that beats the incumbent by more than 1e-12 is
+    accepted (first improvement) and the pair's remaining candidates are
+    re-scored against the new incumbent, whose bystanders may have been
+    shaved: the result is that of scanning the candidates one by one.
+
+    ``spent_elsewhere``, the bystanders' energy in the budget test before any
+    shave, is computed once per pair and goes stale after an accepted shave.
+    A later candidate of the pair may then shave one bystander step more
+    than it needs. This is kept so that results stay bit-identical.
     """
     m = inst.num_units
     out = list(decisions)
     budget_total = inst.budget * m + 1e-9
     best = instance_distortion(inst, tuple(out), model, respect_graph)
+    graph = inst.graph if respect_graph else None
+    ancestors = [tuple(graph.ancestors(q)) if graph is not None else () for q in range(1, m + 1)]
 
     def rows_near(idx: int, fix_start: bool, fix_end: bool):
         starts, ends, payloads = opts[idx][0], opts[idx][1], opts[idx][2]
@@ -687,8 +756,58 @@ def _polish_grid_pairs(
         keep &= np.abs(ends - d.end) <= (_TINY if fix_end else t_rad)
         return np.flatnonzero(keep)
 
-    def cost_of(idx: int, d: CrossLayerDecision) -> float:
-        return model.cost(inst.units[idx], d.start, d.end, d.payload)
+    def score(i: int, k: int, a: np.ndarray, b: np.ndarray, spent_elsewhere: float):
+        """Feasibility and value of each candidate, and the shaved bystanders."""
+        bystanders = {
+            j: _Bystander(inst.units[j], out[j], grid.action_step(inst.units[j]), model, a.size)
+            for j in range(m)
+            if j not in (i, k)
+        }
+
+        def column(q: int, field: str, rows):
+            if q == i:
+                return opts[i][_OPT_COLUMN[field]][a[rows]]
+            if q == k:
+                return opts[k][_OPT_COLUMN[field]][b[rows]]
+            return bystanders[q].at(field, rows)
+
+        every = slice(None)
+        feasible = spent_elsewhere + column(i, "cost", every) + column(k, "cost", every) <= budget_total
+        pending = ~feasible
+        # without bystanders nothing can be shaved
+        for _ in range(2 * len(opts[i][2]) if bystanders else 0):
+            rows = np.flatnonzero(pending)
+            if rows.size == 0:
+                break
+            cost = np.column_stack([y.at("cost", rows) for y in bystanders.values()])
+            shavable = np.column_stack([y.at("payload", rows) > 0.0 for y in bystanders.values()])
+            stuck = ~shavable.any(axis=1)
+            pending[rows[stuck]] = False
+            rows, cost, shavable = rows[~stuck], cost[~stuck], shavable[~stuck]
+            if rows.size == 0:
+                break
+            # largest spender first; argmax keeps the lowest index on ties
+            pick = np.argmax(np.where(shavable, cost, -np.inf), axis=1)
+            for c, y in enumerate(bystanders.values()):
+                y.shave(rows[pick == c])
+            total = np.zeros(rows.size)
+            for q in range(m):
+                total = total + column(q, "cost", rows)
+            feasible[rows] = total <= budget_total
+            pending[rows] = ~feasible[rows]
+
+        total = np.zeros(a.size)
+        for q in range(m):
+            impact = inst.units[q].impact
+            p = column(q, "loss", every)
+            if not ancestors[q]:
+                total = total + impact * p
+                continue
+            survive = 1.0 - p
+            for anc in ancestors[q]:
+                survive = survive * (1.0 - column(anc - 1, "err", every))
+            total = total + (impact - impact * survive)
+        return feasible, total / m, bystanders
 
     for _ in range(rounds):
         improved = False
@@ -700,49 +819,31 @@ def _polish_grid_pairs(
                 if ri.size == 0 or rk.size == 0:
                     continue
                 spent_elsewhere = sum(
-                    cost_of(j, out[j]) for j in range(m) if j not in (i, k)
+                    model.cost(inst.units[j], out[j].start, out[j].end, out[j].payload)
+                    for j in range(m)
+                    if j not in (i, k)
                 )
-                si, ei, pi, _, _, ci = opts[i]
-                sk, ek, pk, _, _, ck = opts[k]
+                si, ei, pi = opts[i][:3]
+                sk, ek, pk = opts[k][:3]
                 right_bound = out[k + 1].start if k + 1 < m else math.inf
-                for a in ri:
-                    for b in rk:
-                        if ek[b] > right_bound + _TINY:
-                            continue
-                        if adjacent and ei[a] > sk[b] + _TINY:
-                            continue
-                        if not adjacent and ei[a] > out[i + 1].start + _TINY:
-                            continue
-                        cand = list(out)
-                        cand[i] = CrossLayerDecision(float(si[a]), float(ei[a]), float(pi[a]))
-                        cand[k] = CrossLayerDecision(float(sk[b]), float(ek[b]), float(pk[b]))
-                        feasible = spent_elsewhere + ci[a] + ck[b] <= budget_total
-                        for _ in range(2 * len(opts[i][2])):
-                            if feasible:
-                                break
-                            by = {
-                                j: cost_of(j, cand[j])
-                                for j in range(m)
-                                if j not in (i, k) and cand[j].payload > 0.0
-                            }
-                            if not by:
-                                break
-                            j = max(by, key=by.get)
-                            dj = cand[j]
-                            step = grid.action_step(inst.units[j])
-                            cand[j] = CrossLayerDecision(
-                                dj.start, dj.end, max(dj.payload - step, 0.0)
-                            )
-                            feasible = (
-                                sum(cost_of(q, cand[q]) for q in range(m)) <= budget_total
-                            )
-                        if not feasible:
-                            continue
-                        val = instance_distortion(inst, cand, model, respect_graph)
-                        if val < best - 1e-12:
-                            best = val
-                            out = cand
-                            improved = True
+                a = np.repeat(ri, rk.size)
+                b = np.tile(rk, ri.size)
+                left_bound = sk[b] if adjacent else out[i + 1].start
+                keep = ~(ek[b] > right_bound + _TINY) & ~(ei[a] > left_bound + _TINY)
+                a, b = a[keep], b[keep]
+                while a.size:
+                    feasible, val, bystanders = score(i, k, a, b, spent_elsewhere)
+                    hits = np.flatnonzero(feasible & (val < best - 1e-12))
+                    if hits.size == 0:
+                        break
+                    t = int(hits[0])
+                    best = float(val[t])
+                    out[i] = CrossLayerDecision(float(si[a[t]]), float(ei[a[t]]), float(pi[a[t]]))
+                    out[k] = CrossLayerDecision(float(sk[b[t]]), float(ek[b[t]]), float(pk[b[t]]))
+                    for j, y in bystanders.items():
+                        out[j] = y.decision(t)
+                    improved = True
+                    a, b = a[t + 1 :], b[t + 1 :]
         if not improved:
             break
     return tuple(out), best
@@ -751,6 +852,15 @@ def _polish_grid_pairs(
 # -- full solvers -------------------------------------------------------------
 
 _EMPTY_REPORT = SolveReport((), 0.0, 0.0, 0.0, 0, 0, True, 0.0, ())
+
+
+def _require_valid(inst: Instance) -> None:
+    """Raise ``ValueError`` naming the first issue ``validate_instance`` finds."""
+    check = validate_instance(inst)
+    if not check.ok:
+        issue = check.issues[0]
+        where = "" if issue.index is None else f" (unit {issue.index})"
+        raise ValueError(f"invalid instance: {issue.message}{where}")
 
 
 def _unit_solver(inst: Instance, model: TransmissionModel, opts):
@@ -868,11 +978,13 @@ def solve_independent(
     reaches ``gap_tol``, when given). Reports the best feasible schedule and
     best dual value seen. With ``grid`` every subproblem is an exact argmin
     over the unit's lattice options and the recovered primal stays on the
-    lattice.
+    lattice. An instance that ``validate_instance`` rejects raises
+    ``ValueError`` before any work.
     """
     check_model(model)
     if max_outer < 1:
         raise ValueError(f"max_outer must be at least 1, got {max_outer}")
+    _require_valid(inst)
     m = inst.num_units
     if m == 0:
         return _EMPTY_REPORT
@@ -920,11 +1032,13 @@ def solve_interdependent(
     relaxed objective is non-increasing sweep over sweep. ``sweep_log``, when
     given, receives (outer_k, sweep_index, relaxed objective) tuples. With
     ``grid`` the subproblems are exact argmins over lattice options and the
-    recovered primal stays on the lattice.
+    recovered primal stays on the lattice. Invalid instances raise
+    ``ValueError`` as in :func:`solve_independent`.
     """
     check_model(model)
     if max_outer < 1 or max_inner < 1:
         raise ValueError(f"max_outer and max_inner must be at least 1, got {max_outer}, {max_inner}")
+    _require_valid(inst)
     m = inst.num_units
     if m == 0:
         return _EMPTY_REPORT

@@ -78,9 +78,12 @@ def brent_root(
     Brent's zero-in (Brent 1973, *Algorithms for Minimization without
     Derivatives*, ch. 4): inverse quadratic or secant steps while they stay
     inside the bracket and shrink it fast enough, bisection otherwise. ``f``
-    must not have the same strict sign at both ends. Infinite values are
-    allowed; they only force bisection steps.
+    must not have the same strict sign at both ends. Infinite values of ``f``
+    are allowed; they only force bisection steps. A NaN or infinite bracket
+    end raises ``ValueError``: the stopping test never holds on it.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket [{lo}, {hi}] must be finite")
     a, b = lo, hi
     fa, fb = f(a), f(b)
     if (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):

@@ -457,3 +457,13 @@ class TestSharedDualLoop:
     def test_rejects_max_inner_below_one(self):
         with pytest.raises(ValueError, match="max_inner"):
             solve_interdependent(self._instance(5, chain=True), MODEL, max_inner=0)
+
+    @pytest.mark.parametrize("solver", [solve_independent, solve_interdependent])
+    def test_rejects_invalid_instance_at_entry(self, solver, fail_fast):
+        # a NaN ready time once sent the window search into an endless root-find
+        inst = self._instance(4, chain=True)
+        units = list(inst.units)
+        units[1] = dataclasses.replace(units[1], ready=math.nan)
+        bad = Instance(units=tuple(units), budget=inst.budget, graph=inst.graph)
+        with pytest.raises(ValueError, match=r"invalid instance: ready time nan .* \(unit 2\)"):
+            solver(bad, MODEL, max_outer=5)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from xlsched import (
     CausalStream,
+    DecisionGrid,
     DependencyGraph,
     Instance,
     OnlineParams,
@@ -59,3 +60,24 @@ def test_tracer_counts_unit_solves_coefficients_and_mdu_steps():
     assert groups["mdu_handoff"] > 0
     for owner, attr, fn in wrapped:
         assert getattr(owner, attr) is fn
+
+
+def test_tracer_sees_one_polish_and_the_options_of_each_lattice_solve():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    model = spans.CountingModel(tracer=tracer)
+    inst = generate_trace(TraceParams(seed=3, num_dus=3, budget=2.0))
+    chain = Instance(inst.units, inst.budget, DependencyGraph(3, ((2, 1), (3, 2))))
+    grid = DecisionGrid(0.02, 11)
+    groups = tracer.group_calls
+
+    tracer.install()
+    try:
+        for solved, (solve, target) in enumerate(
+            ((offline.solve_independent, inst), (offline.solve_interdependent, chain)), start=1
+        ):
+            solve(target, model, max_outer=5, grid=grid)
+            assert groups["polish"] == solved
+            assert groups["grid_options"] == solved * target.num_units
+    finally:
+        tracer.uninstall()

@@ -54,6 +54,12 @@ class TestBrentRoot:
         with pytest.raises(ValueError):
             brent_root(lambda t: t + 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_bracket_raises(self, lo, hi, fail_fast):
+        # a NaN bracket never meets the stopping test, so it must not start
+        with pytest.raises(ValueError, match="finite"):
+            brent_root(lambda t: -1.0 if t < 0.5 else 1.0, lo, hi)
+
 
 class TestDerivativeSearch:
     def test_parabola(self):
