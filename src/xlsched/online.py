@@ -30,6 +30,7 @@ from .models import TransmissionModel, check_model, dag_distortion
 from .offline import (
     _dag_coeffs,
     _graph_coeffs,
+    _require_valid,
     _solve_unit_dag,
     handoff_update,
     recover_primal,
@@ -564,14 +565,20 @@ def run_online(
     would chase the absolute cost-to-idle, which jumps at 0+ and has no
     bounded-slope representation. The centered fixed point is the excess cost
     of entering a backlog, which is continuous through the origin.
+
+    Raises ``ValueError`` on an invalid instance (see ``validate_instance``)
+    or a ``budget`` override that is not positive and finite.
     """
     check_model(model)
+    _require_valid(stream.instance)
     if params is None:
         params = OnlineParams()
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if budget is None:
         budget = stream.budget
+    elif not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget!r}")
     if policy == "mdu":
         if params.mdu_outer < 1:
             raise ValueError(f"mdu_outer must be at least 1, got {params.mdu_outer}")

@@ -1,5 +1,6 @@
 """Online learner: value model, per-unit decisions, streams, full runs."""
 
+import dataclasses
 import json
 import math
 
@@ -28,6 +29,7 @@ from xlsched import (
     upper_optimization,
     value_update,
 )
+from xlsched.online import POLICIES
 
 MODEL = ShannonExpModel()
 
@@ -404,6 +406,23 @@ class TestRunOnline:
         stream = CausalStream(generate_trace(TraceParams(seed=6, num_dus=10, budget=1.0)), 5)
         with pytest.raises(ValueError, match="mdu_outer"):
             run_online(stream, MODEL, "mdu", OnlineParams(mdu_outer=0))
+
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_nan_ready_time_is_rejected(self, policy):
+        inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
+        units = list(inst.units)
+        units[3] = dataclasses.replace(units[3], ready=math.nan)
+        stream = CausalStream(Instance(units=tuple(units), budget=inst.budget), 5)
+        with pytest.raises(ValueError, match="invalid instance"):
+            run_online(stream, MODEL, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_budget_override_is_rejected(self, policy, budget):
+        stream = CausalStream(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            run_online(stream, MODEL, policy, budget=budget)
 
 
 class TestLearnedValueShape:
