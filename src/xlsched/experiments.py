@@ -148,9 +148,12 @@ def run_online_sweep(
     """Policy x budget x seed grid: per-cell cycle CSVs plus a summary.
 
     The summary holds the per-(budget, policy) mean over seeds of the
-    steady-state distortion reduction.
+    steady-state distortion reduction. A ``steady_start`` past the last
+    cycle raises ``ValueError`` before any cell runs.
     """
     plan = cfg.plan
+    if plan.steady_start > plan.cycles:
+        raise ValueError(f"no cycles at or after {plan.steady_start} (the plan runs {plan.cycles})")
     tag = config_hash(cfg)
     if seeds is None:
         seeds = plan.seeds

@@ -300,13 +300,6 @@ class ShannonExpModel:
             slope = 0.0
         return a, value, slope
 
-    def best_payload(self, unit, tau: float, loss_weight: float, energy_weight: float) -> float:
-        """argmin over payload of loss_weight*loss + energy_weight*cost.
-
-        The first entry of :meth:`window_value`, the one closed form.
-        """
-        return self.window_value(unit, tau, loss_weight, energy_weight)[0]
-
     # -- vectorized variants for the online hot path -----------------------
 
     def best_payload_vec(self, unit, taus: np.ndarray, loss_weight: float, energy_weight: float) -> np.ndarray:

@@ -50,11 +50,9 @@ from .search import golden_section  # noqa: F401
 __all__ = [
     "UnitSolution",
     "DecisionGrid",
-    "lower_optimization",
     "upper_optimization",
     "price_update",
     "handoff_update",
-    "dag_sensitivity",
     "solve_independent",
     "solve_interdependent",
     "recover_primal",
@@ -80,11 +78,10 @@ _USAGE_CLIP_FACTOR = 3.0
 
 @dataclass(frozen=True)
 class UnitSolution:
-    """Per-unit relaxed solve: decision, its priced objective, window value."""
+    """Per-unit relaxed solve: the decision and its priced objective."""
 
     decision: CrossLayerDecision
     objective: float
-    best_response: float
 
 
 @dataclass(frozen=True)
@@ -117,23 +114,21 @@ class DecisionGrid:
         Returns six parallel arrays: starts, ends, payloads, and the model's
         loss, error-propagation and energy values at each choice. Choices
         whose energy exceeds the model's per-transmission cap are removed.
+        Choices run start-major, then end, then payload, and no time point
+        lies past the deadline: ``ready + k*time_step`` can overshoot it by
+        an ulp, so the points are clamped to it.
         """
         span = unit.deadline - unit.ready
         n_steps = int(math.floor(span / self.time_step + 1e-9))
-        times = unit.ready + self.time_step * np.arange(n_steps + 1)
+        times = np.minimum(unit.ready + self.time_step * np.arange(n_steps + 1), unit.deadline)
         actions = np.linspace(0.0, unit.size, self.action_points)
 
-        starts, ends, payloads = [], [], []
-        for xi in range(len(times)):
-            for yi in range(xi, len(times)):
-                for a in actions:
-                    starts.append(times[xi])
-                    ends.append(times[yi])
-                    payloads.append(a)
-        starts = np.asarray(starts)
-        ends = np.asarray(ends)
-        payloads = np.asarray(payloads)
+        xi, yi = np.triu_indices(len(times))
+        starts = np.repeat(times[xi], len(actions))
+        ends = np.repeat(times[yi], len(actions))
+        payloads = np.tile(actions, len(xi))
 
+        # scalar calls: the vector model differs from them in the last ulp
         loss = np.empty(len(starts))
         err = np.empty(len(starts))
         cost = np.empty(len(starts))
@@ -177,30 +172,7 @@ def _solve_unit_grid(
     return UnitSolution(
         decision=CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j])),
         objective=float(obj[j]),
-        best_response=float(vals[j]),
     )
-
-
-def lower_optimization(
-    unit: DataUnit,
-    price: float,
-    start: float,
-    end: float,
-    num_units: int,
-    model: TransmissionModel,
-) -> tuple[float, float]:
-    """Best payload for a fixed window; returns (payload, window value).
-
-    The window value is the unit's share of the priced objective,
-    ``(impact * loss + price * cost) / num_units``, and both come from the
-    model's closed form (a zero-length window admits only an empty payload).
-    """
-    if end < start:
-        raise ValueError(f"window end {end} precedes start {start}")
-    if num_units <= 0:
-        raise ValueError(f"num_units must be positive, got {num_units}")
-    m = float(num_units)
-    return model.window_value(unit, end - start, unit.impact / m, price / m)[:2]
 
 
 def _solve_unit(
@@ -212,7 +184,6 @@ def _solve_unit(
     handoff_prev: float,
     handoff_next: float,
     start_floor: float,
-    tol: float,
 ) -> UnitSolution:
     """The continuous per-unit relaxed solve every solver path shares.
 
@@ -255,18 +226,14 @@ def _solve_unit(
 
     lam = handoff_next if cf >= 0.0 else handoff_prev
     tau_star, obj = derivative_search(
-        g, lambda tau: evaluate(tau)[2] + lam, 0.0, unit.deadline - start_floor, tol=tol
+        g, lambda tau: evaluate(tau)[2] + lam, 0.0, unit.deadline - start_floor
     )
     x_star = start_floor if cf >= 0.0 else max(unit.deadline - tau_star, start_floor)
     # rounding in start + tau must not carry the end past the deadline, and
     # the payload must fit the stored window, whose length may differ by an ulp
     end = min(x_star + tau_star, unit.deadline)
-    payload, f_star = evaluate(end - x_star)[:2]
-    return UnitSolution(
-        decision=CrossLayerDecision(start=x_star, end=end, payload=payload),
-        objective=obj,
-        best_response=f_star,
-    )
+    payload = evaluate(end - x_star)[0]
+    return UnitSolution(CrossLayerDecision(start=x_star, end=end, payload=payload), obj)
 
 
 def upper_optimization(
@@ -276,7 +243,6 @@ def upper_optimization(
     handoff_next: float,
     num_units: int,
     model: TransmissionModel,
-    tol: float = 1e-8,
 ) -> UnitSolution:
     """Full per-unit relaxed solve: window and payload against given prices.
 
@@ -287,7 +253,7 @@ def upper_optimization(
         raise ValueError(f"num_units must be positive, got {num_units}")
     m = float(num_units)
     return _solve_unit(
-        unit, model, unit.impact / m, 0.0, price / m, handoff_prev, handoff_next, unit.ready, tol
+        unit, model, unit.impact / m, 0.0, price / m, handoff_prev, handoff_next, unit.ready
     )
 
 
@@ -364,31 +330,6 @@ def _dag_coeffs(
     return _graph_coeffs(index, graph, err, kept)
 
 
-def dag_sensitivity(
-    index: int,
-    units: Sequence[DataUnit],
-    decisions: Sequence[CrossLayerDecision],
-    graph,
-    model: TransmissionModel,
-) -> Callable[[float, float, float], float]:
-    """Distortion terms of the joint objective that move with unit ``index``.
-
-    Returns a callable of (start, end, payload) equal, up to an additive
-    constant, to the total graph-aware distortion as a function of this
-    unit's decision alone. Finite differences of the returned callable match
-    finite differences of the full objective.
-    """
-    unit = units[index - 1]
-    a_surv, s_weight = _dag_coeffs(index, units, decisions, graph, model)
-
-    def piece(start: float, end: float, payload: float) -> float:
-        p = model.loss(unit, start, end, payload)
-        e = model.errprop(unit, start, end, payload)
-        return unit.impact * p * a_surv - (1.0 - e) * s_weight
-
-    return piece
-
-
 def _solve_unit_dag(
     unit: DataUnit,
     price: float,
@@ -398,7 +339,6 @@ def _solve_unit_dag(
     model: TransmissionModel,
     anc_survival: float,
     desc_weight: float,
-    tol: float = 1e-8,
 ) -> UnitSolution:
     """Per-unit relaxed solve with dependency-adjusted distortion terms.
 
@@ -415,7 +355,6 @@ def _solve_unit_dag(
         handoff_prev,
         handoff_next,
         unit.ready,
-        tol,
     )
 
 
@@ -476,7 +415,6 @@ def recover_primal(
     price: float = 0.0,
     handoff_prices: Optional[Sequence[float]] = None,
     respect_graph: Optional[bool] = None,
-    enforce_budget: bool = True,
 ) -> tuple[tuple[CrossLayerDecision, ...], float]:
     """Turn relaxed decisions into a feasible schedule and value it.
 
@@ -486,8 +424,9 @@ def recover_primal(
     bit-exact. If the budget still binds, payloads are scaled down by one
     common factor, found by bisection (at most 80 halvings, fewer once the
     bracket is two adjacent floats) as the largest factor tried whose average
-    energy does not exceed the budget; callers that price energy elsewhere
-    can switch the rescale off with ``enforce_budget=False``.
+    energy does not exceed the budget. An instance with an infinite budget,
+    as the ``mdu`` baseline builds for a cycle whose energy it prices
+    elsewhere, is never rescaled.
     """
     m = inst.num_units
     if m == 0:
@@ -526,7 +465,6 @@ def recover_primal(
             min(hn, 0.0),
             hn,
             floor,
-            1e-8,
         ).decision
         out.append(fixed)
         prev_end = fixed.end
@@ -538,7 +476,8 @@ def recover_primal(
             for u, d in zip(inst.units, out)
         ) / m
 
-    if enforce_budget and usage(1.0) > inst.budget:
+    # an infinite budget (the mdu cycle instances) is never exceeded: skip the sum
+    if math.isfinite(inst.budget) and usage(1.0) > inst.budget:
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -653,6 +592,13 @@ def _recover_primal_grid(
     return final, instance_distortion(inst, final, model, respect_graph)
 
 
+# the pair polish: at most this many passes over all pairs, and candidates
+# within this many time / action steps of the incumbent
+_POLISH_ROUNDS = 4
+_POLISH_TIME_RADIUS = 3
+_POLISH_PAY_RADIUS = 5
+
+
 class _Bystander:
     """A unit outside the pair being re-picked, shaved per candidate.
 
@@ -705,9 +651,6 @@ def _polish_grid_pairs(
     grid: DecisionGrid,
     model: TransmissionModel,
     respect_graph: bool,
-    rounds: int = 4,
-    time_radius: int = 3,
-    pay_radius: int = 5,
 ) -> tuple[tuple[CrossLayerDecision, ...], float]:
     """Pairwise lattice descent around an incumbent schedule.
 
@@ -719,8 +662,9 @@ def _polish_grid_pairs(
     over budget may still buy its way in by shaving bystander payloads one
     action step at a time (largest spender first, ties to the lowest index,
     at most twice as many steps as unit i has options). Candidates stay
-    within ``time_radius`` / ``pay_radius`` lattice steps of the incumbent,
-    scored by the true objective.
+    within ``_POLISH_TIME_RADIUS`` time steps and ``_POLISH_PAY_RADIUS``
+    action steps of the incumbent, scored by the true objective, for at most
+    ``_POLISH_ROUNDS`` passes over all pairs.
 
     Each pair (i, k) is scored in one numpy pass. Its candidates are the
     (row of i, row of k) combinations of the two option tables in a-major
@@ -749,8 +693,8 @@ def _polish_grid_pairs(
     def rows_near(idx: int, fix_start: bool, fix_end: bool):
         starts, ends, payloads = opts[idx][0], opts[idx][1], opts[idx][2]
         d = out[idx]
-        t_rad = time_radius * grid.time_step + _TINY
-        p_rad = pay_radius * grid.action_step(inst.units[idx]) + _TINY
+        t_rad = _POLISH_TIME_RADIUS * grid.time_step + _TINY
+        p_rad = _POLISH_PAY_RADIUS * grid.action_step(inst.units[idx]) + _TINY
         keep = np.abs(payloads - d.payload) <= p_rad
         keep &= np.abs(starts - d.start) <= (_TINY if fix_start else t_rad)
         keep &= np.abs(ends - d.end) <= (_TINY if fix_end else t_rad)
@@ -809,7 +753,7 @@ def _polish_grid_pairs(
             total = total + (impact - impact * survive)
         return feasible, total / m, bystanders
 
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         improved = False
         for i in range(m - 1):
             for k in range(i + 1, m):
@@ -885,7 +829,7 @@ def _unit_solver(inst: Instance, model: TransmissionModel, opts):
 def _dual_loop(
     inst: Instance, model: TransmissionModel, relax: Callable, opts, grid: Optional[DecisionGrid],
     respect_graph: bool, *, epsilon: float, max_outer: int, alpha0: float, beta0: float,
-    gap_tol: Optional[float], collect_trajectory: bool,
+    gap_tol: Optional[float],
 ) -> SolveReport:
     """The outer loop of both dual solvers: the price and handoff masters.
 
@@ -924,9 +868,8 @@ def _dual_loop(
             best_primal = primal_value
             best_decisions = primal_decisions
         gap = (best_primal - best_dual) / max(abs(best_dual), _TINY)
-        if collect_trajectory:
-            norm = float(np.linalg.norm(mu))
-            rows.append(IterationRow(k, dual_value, primal_value, gap, price, norm, sweeps))
+        norm = float(np.linalg.norm(mu))
+        rows.append(IterationRow(k, dual_value, primal_value, gap, price, norm, sweeps))
 
         usage = min(avg_usage, _USAGE_CLIP_FACTOR * inst.budget)
         new_price = price_update(price, usage, inst.budget, alpha0 / k)
@@ -967,7 +910,6 @@ def solve_independent(
     alpha0: float = 0.5,
     beta0: float = 1000.0,
     gap_tol: Optional[float] = None,
-    collect_trajectory: bool = True,
     grid: Optional[DecisionGrid] = None,
 ) -> SolveReport:
     """Dual solve for units with no dependencies (any graph is ignored).
@@ -1002,7 +944,7 @@ def solve_independent(
 
     return _dual_loop(
         inst, model, relax, opts, grid, False, epsilon=epsilon, max_outer=max_outer,
-        alpha0=alpha0, beta0=beta0, gap_tol=gap_tol, collect_trajectory=collect_trajectory,
+        alpha0=alpha0, beta0=beta0, gap_tol=gap_tol,
     )
 
 
@@ -1017,7 +959,6 @@ def solve_interdependent(
     alpha0: float = 0.5,
     beta0: float = 1000.0,
     gap_tol: Optional[float] = None,
-    collect_trajectory: bool = True,
     sweep_log: Optional[list] = None,
     grid: Optional[DecisionGrid] = None,
 ) -> SolveReport:
@@ -1082,7 +1023,7 @@ def solve_interdependent(
 
     return _dual_loop(
         inst, model, relax, opts, grid, True, epsilon=epsilon, max_outer=max_outer,
-        alpha0=alpha0, beta0=beta0, gap_tol=gap_tol, collect_trajectory=collect_trajectory,
+        alpha0=alpha0, beta0=beta0, gap_tol=gap_tol,
     )
 
 

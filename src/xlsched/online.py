@@ -34,8 +34,9 @@ from .offline import (
     _solve_unit_dag,
     handoff_update,
     recover_primal,
-    upper_optimization,
 )
+# unused here: perfbench/spans.py wraps this module attribute
+from .offline import upper_optimization  # noqa: F401
 
 __all__ = [
     "ValueModel",
@@ -697,8 +698,12 @@ def _solve_cycle_fixed_price(
     """Offline-style solve of one cycle with the budget price frozen.
 
     Only the handoff prices iterate; the first unit's window is floored at
-    the previous cycle's realized end. The realized schedule is the FIFO
-    recovery of the final relaxed decisions without budget rescaling (the
+    the previous cycle's realized end. Each handoff iteration sweeps the
+    units in index order through ``_solve_unit_dag``: once with
+    coefficients (1, 0) when the cycle has no graph, three times with
+    ``_dag_coeffs`` against the current decisions when it has one. The
+    realized schedule is the FIFO recovery of the final relaxed decisions on
+    an instance with an infinite budget, so no payload is rescaled (the
     budget is enforced across cycles by the frozen global price).
     """
     m = len(units)
@@ -716,20 +721,17 @@ def _solve_cycle_fixed_price(
         CrossLayerDecision(u.ready, u.deadline, u.size) for u in local_units
     ]
     for k in range(1, params.mdu_outer + 1):
-        if graph is None:
-            for i, unit in enumerate(local_units, start=1):
+        for _ in range(1 if graph is None else 3):
+            for i in range(1, m + 1):
                 hp = mu[i - 2] if i >= 2 else 0.0
                 hn = mu[i - 1] if i <= m - 1 else 0.0
-                decisions[i - 1] = upper_optimization(unit, price, hp, hn, m, model).decision
-        else:
-            for _ in range(3):
-                for i in range(1, m + 1):
-                    hp = mu[i - 2] if i >= 2 else 0.0
-                    hn = mu[i - 1] if i <= m - 1 else 0.0
+                if graph is None:
+                    a_surv, s_weight = 1.0, 0.0
+                else:
                     a_surv, s_weight = _dag_coeffs(i, local_units, decisions, graph, model)
-                    decisions[i - 1] = _solve_unit_dag(
-                        local_units[i - 1], price, hp, hn, m, model, a_surv, s_weight
-                    ).decision
+                decisions[i - 1] = _solve_unit_dag(
+                    local_units[i - 1], price, hp, hn, m, model, a_surv, s_weight
+                ).decision
         new_mu = mu.copy()
         for i in range(m - 1):
             new_mu[i] = handoff_update(
@@ -739,15 +741,7 @@ def _solve_cycle_fixed_price(
         mu = new_mu
         if delta <= params.mdu_epsilon:
             break
-    realized, _ = recover_primal(
-        inst,
-        decisions,
-        model,
-        price=price,
-        handoff_prices=mu,
-        respect_graph=graph is not None,
-        enforce_budget=False,
-    )
+    realized, _ = recover_primal(inst, decisions, model, price=price, handoff_prices=mu)
     return realized
 
 

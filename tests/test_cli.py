@@ -221,6 +221,14 @@ class TestExperiments:
         assert summary[1] == "W,policy,mean_distortion_reduction"
         assert len(summary) == 2 + 4  # (W, policy) pairs
 
+    def test_steady_start_past_the_last_cycle_fails_before_any_cell(self, tmp_path, capsys):
+        cfg = _config(tmp_path, _TINY_PLAN.replace("steady_start = 1", "steady_start = 3"))
+        out = tmp_path / "o"
+        rc = main(["--config", cfg, "--out", str(out), "experiment", "fig7"])
+        assert rc == 2
+        assert "no cycles at or after 3" in capsys.readouterr().err
+        assert not out.exists() or not any(out.rglob("*"))
+
     def test_per_cycle_curves_protocol(self, tmp_path):
         cfg = _config(tmp_path, _tiny_plan(policies="proposed,myopic,mdu",
                                    extra="dag = random\nedge_prob = 0.9"))

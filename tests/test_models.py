@@ -223,6 +223,8 @@ class TestModelProtocol:
 
 
 class TestBestPayload:
+    """The payload minimizer, the first entry of ``window_value``."""
+
     def _reference(self, model, unit, tau, lw, ew):
         # independent 1-D search over the same objective
         upper = model.payload_upper(unit, tau)
@@ -244,7 +246,7 @@ class TestBestPayload:
     def test_matches_bounded_search(self, tau, lw, ew):
         model = ShannonExpModel()
         unit = _unit()
-        a = model.best_payload(unit, tau, lw, ew)
+        a = model.window_value(unit, tau, lw, ew)[0]
         f_ref, a_ref = self._reference(model, unit, tau, lw, ew)
         f_a = lw * model.loss(unit, 0.0, tau, a) + ew * model.cost(unit, 0.0, tau, a)
         assert f_a <= f_ref + 1e-9
@@ -253,15 +255,15 @@ class TestBestPayload:
     def test_corners(self):
         model = ShannonExpModel()
         unit = _unit()
-        assert model.best_payload(unit, 0.0, 100.0, 1.0) == 0.0
-        assert model.best_payload(unit, 0.05, 0.0, 1.0) == 0.0
+        assert model.window_value(unit, 0.0, 100.0, 1.0)[0] == 0.0
+        assert model.window_value(unit, 0.05, 0.0, 1.0)[0] == 0.0
         # free energy: send everything
-        assert model.best_payload(unit, 0.05, 100.0, 0.0) == unit.size
+        assert model.window_value(unit, 0.05, 100.0, 0.0)[0] == unit.size
 
     def test_energy_cap_restricts_payload(self):
         capped = ShannonExpModel(params=ShannonEnergyParams(energy_cap=0.5))
         unit = _unit()
-        a = capped.best_payload(unit, 0.05, 1e9, 1e-9)
+        a = capped.window_value(unit, 0.05, 1e9, 1e-9)[0]
         assert capped.cost(unit, 0.0, 0.05, a) <= 0.5 + 1e-9
 
     def test_vectorized_paths_agree_with_scalar(self):
@@ -270,7 +272,7 @@ class TestBestPayload:
         taus = np.linspace(0.001, 0.05, 23)
         vec = model.best_payload_vec(unit, taus, 80.0, 1.5)
         for tau, av in zip(taus, vec):
-            assert av == pytest.approx(model.best_payload(unit, tau, 80.0, 1.5), abs=1e-12)
+            assert av == pytest.approx(model.window_value(unit, tau, 80.0, 1.5)[0], abs=1e-12)
         pls = np.linspace(0.0, 15.0, 16)
         for a, lv in zip(pls, model.loss_vec(unit, pls)):
             assert lv == pytest.approx(model.loss(unit, 0.0, 0.01, a), abs=1e-15)
@@ -288,7 +290,6 @@ class TestWindowValue:
         unit = _unit(channel=1.3)
         for tau in (0.0, 1e-6, 0.004, 0.02, 0.05):
             a, v, _ = model.window_value(unit, tau, lw, ew)
-            assert a == model.best_payload(unit, tau, lw, ew)
             assert 0.0 <= a <= model.payload_upper(unit, tau)
             ref = lw * model.loss(unit, 0.0, tau, a) + ew * model.cost(unit, 0.0, tau, a)
             assert v == pytest.approx(ref, rel=1e-12, abs=1e-12)

@@ -15,20 +15,20 @@ from xlsched import (
     DecisionGrid,
     DependencyGraph,
     Instance,
+    ShannonEnergyParams,
     ShannonExpModel,
     TraceParams,
     average_energy,
-    dag_sensitivity,
     generate_trace,
     handoff_update,
     instance_distortion,
-    lower_optimization,
     price_update,
     recover_primal,
     solve_independent,
     solve_interdependent,
     upper_optimization,
 )
+from xlsched.offline import _dag_coeffs
 from xlsched.search import golden_section
 
 MODEL = ShannonExpModel()
@@ -96,12 +96,15 @@ class TestPriceUpdates:
 
 
 class TestLowerOptimization:
+    """The payload layer: ``window_value`` at the unit's share
+    ``impact/num_units``, ``price/num_units`` of the priced objective."""
+
     def test_free_energy_sends_everything(self):
-        a, _ = lower_optimization(_unit(), 0.0, 0.0, 0.05, 4, MODEL)
+        a, _, _ = MODEL.window_value(_unit(), 0.05, 100.0 / 4, 0.0)
         assert a == _unit().size
 
     def test_degenerate_window(self):
-        a, f = lower_optimization(_unit(), 1.0, 0.02, 0.02, 4, MODEL)
+        a, f, _ = MODEL.window_value(_unit(), 0.0, 100.0 / 4, 1.0 / 4)
         assert a == 0.0
         assert f == pytest.approx(100.0 / 4)
 
@@ -117,15 +120,9 @@ class TestLowerOptimization:
         res = minimize_scalar(f, bounds=(0.0, unit.size), method="bounded",
                               options={"xatol": 1e-12})
         ref_a = min([(f(0.0), 0.0), (f(unit.size), unit.size), (res.fun, float(res.x))])[1]
-        a, val = lower_optimization(unit, lam, 0.0, tau, m, MODEL)
+        a, val, _ = MODEL.window_value(unit, tau, unit.impact / m, lam / m)
         assert a == pytest.approx(ref_a, abs=1e-6)
         assert val == pytest.approx(f(ref_a), abs=1e-9)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            lower_optimization(_unit(), 1.0, 0.05, 0.01, 4, MODEL)
-        with pytest.raises(ValueError):
-            lower_optimization(_unit(), 1.0, 0.0, 0.05, 0, MODEL)
 
 
 class TestUpperOptimization:
@@ -168,7 +165,7 @@ class TestUpperOptimization:
             for y in points:
                 if y < x:
                     continue
-                a = MODEL.best_payload(unit, y - x, unit.impact / m, lam / m)
+                a = MODEL.window_value(unit, y - x, unit.impact / m, lam / m)[0]
                 grid_best = min(grid_best, value_at(x, y, a))
         assert sol.objective <= grid_best + 1e-12
         assert grid_best - sol.objective <= 2e-3
@@ -176,6 +173,20 @@ class TestUpperOptimization:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             upper_optimization(_unit(), 1.0, 0.0, 0.0, 0, MODEL)
+
+
+def _sensitivity(index, units, decisions, graph):
+    """The distortion terms that move with unit ``index``'s decision:
+    ``impact*loss*A - (1-e)*S`` with ``(A, S)`` from ``_dag_coeffs``."""
+    unit = units[index - 1]
+    a_surv, s_weight = _dag_coeffs(index, units, decisions, graph, MODEL)
+
+    def piece(start, end, payload):
+        p = MODEL.loss(unit, start, end, payload)
+        e = MODEL.errprop(unit, start, end, payload)
+        return unit.impact * p * a_surv - (1.0 - e) * s_weight
+
+    return piece
 
 
 class TestDagSensitivity:
@@ -188,7 +199,7 @@ class TestDagSensitivity:
         units, _ = self._chain()
         graph = DependencyGraph(3, ())
         decisions = tuple(CrossLayerDecision(u.ready, u.deadline, 4.0) for u in units)
-        piece = dag_sensitivity(2, units, decisions, graph, MODEL)
+        piece = _sensitivity(2, units, decisions, graph)
         u = units[1]
         for a1, a2 in ((0.0, 4.0), (2.0, 8.0)):
             lhs = piece(u.ready, u.deadline, a1) - piece(u.ready, u.deadline, a2)
@@ -204,7 +215,7 @@ class TestDagSensitivity:
             CrossLayerDecision(0.05, 0.10, 4.0),
             CrossLayerDecision(0.10, 0.15, 4.0),
         )
-        piece = dag_sensitivity(3, units, decisions, graph, MODEL)
+        piece = _sensitivity(3, units, decisions, graph)
         u3 = units[2]
         vals = {piece(u3.ready, u3.deadline, a) for a in (0.0, 3.0, 10.0)}
         assert max(vals) - min(vals) <= 1e-12  # leaf with dead ancestor: flat
@@ -218,7 +229,7 @@ class TestDagSensitivity:
             CrossLayerDecision(u.ready, u.deadline, float(rng.uniform(1.0, 9.0)))
             for u in units
         )
-        piece = dag_sensitivity(index, units, decisions, graph, MODEL)
+        piece = _sensitivity(index, units, decisions, graph)
         u = units[index - 1]
         d = decisions[index - 1]
         base_total = 3.0 * instance_distortion(inst, decisions, MODEL)
@@ -266,7 +277,7 @@ class TestRecoverPrimal:
         )
         full = average_energy(inst0, decisions, MODEL)
         inst = self._instance(budget=full / 2.0)
-        out, _ = recover_primal(inst, decisions, MODEL, enforce_budget=True)
+        out, _ = recover_primal(inst, decisions, MODEL)
         used = average_energy(inst, out, MODEL)
         assert used <= inst.budget + 1e-9
         assert abs(used - inst.budget) / inst.budget < 1e-4
@@ -274,15 +285,14 @@ class TestRecoverPrimal:
         assert out[0].start == 0.0 and out[1].end == 0.09
         assert out[0].payload / 10.0 == pytest.approx(out[1].payload / 10.0)
 
-    def test_budget_enforcement_can_be_disabled(self):
-        inst0 = self._instance()
+    def test_infinite_budget_is_never_rescaled(self):
+        # the mdu baseline recovers each cycle on an infinite budget and
+        # relies on getting its decisions back unscaled
         decisions = (
             CrossLayerDecision(0.0, 0.04, 10.0),
             CrossLayerDecision(0.04, 0.09, 10.0),
         )
-        full = average_energy(inst0, decisions, MODEL)
-        inst = self._instance(budget=full / 2.0)
-        out, _ = recover_primal(inst, decisions, MODEL, enforce_budget=False)
+        out, _ = recover_primal(self._instance(budget=math.inf), decisions, MODEL, price=1.0)
         assert out == decisions
 
     def test_no_room_left_drops_the_unit(self):
@@ -407,6 +417,36 @@ class TestDecisionGrid:
             assert abs(a / step - round(a / step)) < 1e-6
             assert math.isfinite(w)
 
+    def test_no_end_lies_past_the_deadline(self):
+        # ready + 3 * 0.1 is 0.30000000000000004, one ulp past the deadline
+        unit = _unit(ready=0.0, deadline=0.3)
+        starts, ends = DecisionGrid(time_step=0.1, action_points=3).options(unit, MODEL)[:2]
+        assert ends.max() == unit.deadline
+        assert (starts <= ends).all() and (ends <= unit.deadline).all()
+
+    @pytest.mark.parametrize("time_step,unit", [
+        (0.1, _unit(ready=0.0, deadline=0.3)),
+        (0.01, _unit(ready=0.013, deadline=0.061, channel=0.7)),
+        (0.01, _unit(ready=1.0, deadline=1.05, size=40.0)),
+    ])
+    def test_options_follow_the_scalar_triple_loop(self, time_step, unit):
+        grid = DecisionGrid(time_step=time_step, action_points=6)
+        model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=5.0))
+        n_steps = int(math.floor((unit.deadline - unit.ready) / time_step + 1e-9))
+        times = [min(unit.ready + time_step * k, unit.deadline) for k in range(n_steps + 1)]
+        rows = []
+        for xi, x in enumerate(times):
+            for y in times[xi:]:
+                for a in np.linspace(0.0, unit.size, 6):
+                    w = model.cost(unit, x, y, a)
+                    if math.isfinite(w) and w <= 5.0 + 1e-12:
+                        rows.append((x, y, a, model.loss(unit, x, y, a),
+                                     model.errprop(unit, x, y, a), w))
+        got = grid.options(unit, model)
+        assert len(got[0]) < len(times) * (len(times) + 1) // 2 * 6  # the cap binds
+        for column, ref in zip(got, zip(*rows)):
+            assert column.tolist() == list(ref)
+
     def test_grid_solve_stays_on_lattice_and_dominates_nothing_below_oracle(self):
         from xlsched import brute_force
 
@@ -434,14 +474,11 @@ class TestSharedDualLoop:
 
     @pytest.mark.parametrize("lattice", [False, True], ids=["continuous", "lattice"])
     @pytest.mark.parametrize("solver", [solve_independent, solve_interdependent])
-    def test_trajectory_collection_changes_nothing_else(self, solver, lattice):
+    def test_trajectory_has_one_row_per_outer_iteration(self, solver, lattice):
         inst = self._instance(3 if lattice else 5, chain=solver is solve_interdependent)
         grid = DecisionGrid(time_step=0.01, action_points=11) if lattice else None
-        full = solver(inst, MODEL, max_outer=30, grid=grid)
-        bare = solver(inst, MODEL, max_outer=30, grid=grid, collect_trajectory=False)
-        assert len(full.trajectory) == full.outer_iterations
-        assert bare.trajectory == ()
-        assert bare == dataclasses.replace(full, trajectory=())
+        rep = solver(inst, MODEL, max_outer=30, grid=grid)
+        assert [r.k for r in rep.trajectory] == list(range(1, rep.outer_iterations + 1))
 
     def test_independent_rows_take_one_sweep(self):
         rep = solve_independent(self._instance(5, chain=False), MODEL, max_outer=25)

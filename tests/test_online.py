@@ -180,7 +180,7 @@ class TestSolveOnlineUnit:
             out = solve_online_unit(unit, 0.0, lam, vm, math.inf, MODEL)
 
             def f(y):
-                a = MODEL.best_payload(unit, y, unit.impact, lam)
+                a = MODEL.window_value(unit, y, unit.impact, lam)[0]
                 return (unit.impact * MODEL.loss(unit, 0.0, y, a)
                         + lam * MODEL.cost(unit, 0.0, y, a))
 

@@ -188,13 +188,16 @@ def _near_zero_impact(inst):
     return Instance(units=units, budget=inst.budget, graph=inst.graph)
 
 
-def _back_to_back(m, budget):
-    """On a 0.1 s grid unit 1's last point is 0.1 * 3 = 0.30000000000000004,
-    past unit 2's ready time 0.3, so their windows meet only through the
-    1e-12 FIFO slack; unit 3 is ready at unit 2's last point."""
+def _back_to_back(m, budget, first_deadline=0.3):
+    """Units 2 and 3 ready at 0.3 and 0.8, on a 0.1 s grid. With the
+    default ``first_deadline`` each unit is ready at the previous unit's
+    deadline, which is also that unit's last grid point (points are clamped
+    to the deadline). With 0.35, unit 1's point 0.1 * 3 = 0.30000000000000004
+    lies inside its window but past unit 2's ready time 0.3, so windows
+    ending there meet unit 2 only through the 1e-12 FIFO slack."""
     units = tuple(
         DataUnit(index=i, impact=100.0, size=10.0, ready=r, deadline=d, decay=0.5, channel=1.0)
-        for i, r, d in ((1, 0.0, 0.3), (2, 0.3, 0.8), (3, 0.8, 1.3))
+        for i, r, d in ((1, 0.0, first_deadline), (2, 0.3, 0.8), (3, 0.8, 1.3))
     )
     return Instance(units=units[:m], budget=budget)
 
@@ -242,6 +245,8 @@ def _reference_cases():
     yield "near-zero-m2-chain", _chain(_near_zero_impact(_trace(202, 2))), {}
     yield "back-to-back-m2", _back_to_back(2, 10.0), {"time_step": 0.1}
     yield "back-to-back-m3", _back_to_back(3, 2.0), {"time_step": 0.1}
+    yield "past-ready-m2", _back_to_back(2, 10.0, 0.35), {"time_step": 0.1}
+    yield "past-ready-m3", _back_to_back(3, 2.0, 0.35), {"time_step": 0.1}
     yield "three-ancestors", _three_ancestors(), coarse
     yield "tie-tol-1e-3", _trace(5, 3, 2.0), {"tie_tol": 1e-3}
     yield "tie-tol-1e-3-chain", _chain(_trace(5, 3, 2.0)), {"tie_tol": 1e-3}

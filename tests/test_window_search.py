@@ -23,7 +23,7 @@ from xlsched import (
 from xlsched.offline import _solve_unit
 from xlsched.search import brent_root, derivative_search, golden_section
 
-TOL = 1e-8
+TOL = 1e-8  # derivative_search's default, the window tolerance of every unit solve
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class TestSlopeSearchAgainstGolden:
             cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
             params = ShannonEnergyParams(energy_cap=cap)
             model = CountingModel(params=params)
-            sol = _solve_unit(unit, model, loss, err, price, hp, hn, floor, TOL)
+            sol = _solve_unit(unit, model, loss, err, price, hp, hn, floor)
             ref = _golden_reference(unit, ShannonExpModel(params=params), loss, err, price, hp, hn, floor)
             evals.append(model.calls[0])
 
