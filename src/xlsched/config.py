@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -227,10 +228,11 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
         alpha0=_as_float(raw, "solver", "alpha0"),
         beta0=_as_float(raw, "solver", "beta0"),
     )
-    if solver.epsilon <= 0 or solver.max_outer < 1 or solver.max_inner < 1:
-        raise ConfigError("[solver]: epsilon must be > 0 and iteration caps >= 1")
-    if solver.alpha0 <= 0 or solver.beta0 <= 0:
-        raise ConfigError("[solver]: step constants must be positive")
+    # written as "not ... > 0" so that NaN fails too
+    if not (solver.epsilon > 0 and solver.inner_epsilon >= 0) or min(solver.max_outer, solver.max_inner) < 1:
+        raise ConfigError("[solver]: epsilon must be > 0, inner_epsilon >= 0 and iteration caps >= 1")
+    if not (0 < solver.alpha0 < math.inf and 0 < solver.beta0 < math.inf):
+        raise ConfigError("[solver]: step constants must be positive and finite")
 
     update_mode = raw["learner"]["update_mode"]
     if update_mode not in ("verbatim", "semi_gradient", "normalized"):

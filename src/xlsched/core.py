@@ -179,6 +179,14 @@ class DependencyGraph:
                 out[a].add(n)
         return {k: frozenset(v) for k, v in out.items()}
 
+    @cached_property
+    def relatives(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Per node (slot 0 unused), its ancestors and its descendants as
+        tuples in the iteration order of ``ancestors``/``descendants``."""
+        nodes = range(1, self.num_nodes + 1)
+        return ([()] + [tuple(self._ancestor_map[n]) for n in nodes],
+                [()] + [tuple(self._descendant_map[n]) for n in nodes])
+
     def ancestors(self, index: int) -> frozenset[int]:
         """All units this one transitively depends on."""
         self._check_index(index)

@@ -151,14 +151,21 @@ def dag_distortion(
     dec = decisions[index - 1]
     p = model.loss(unit, dec.start, dec.end, dec.payload)
     anc = graph.ancestors(index) if graph is not None else ()
-    if not anc:
-        return unit.impact * p
-    survive = 1.0 - p
+    errs = []
     for k in anc:
-        ku = units[k - 1]
         kd = decisions[k - 1]
-        survive *= 1.0 - model.errprop(ku, kd.start, kd.end, kd.payload)
-    return unit.impact - unit.impact * survive
+        errs.append(model.errprop(units[k - 1], kd.start, kd.end, kd.payload))
+    return _unit_distortion(unit.impact, p, errs)
+
+
+def _unit_distortion(impact: float, loss: float, ancestor_errs: Sequence[float]) -> float:
+    """:func:`dag_distortion` from the unit's loss and its ancestors' error fractions."""
+    if not ancestor_errs:
+        return impact * loss
+    survive = 1.0 - loss
+    for e in ancestor_errs:
+        survive *= 1.0 - e
+    return impact - impact * survive
 
 
 @runtime_checkable

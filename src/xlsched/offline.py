@@ -42,7 +42,7 @@ from .core import (
     validate_instance,
     write_text_atomic,
 )
-from .models import TransmissionModel, check_model, dag_distortion
+from .models import TransmissionModel, _unit_distortion, check_model
 from .search import derivative_search
 # unused here: perfbench/spans.py wraps this module attribute
 from .search import golden_section  # noqa: F401
@@ -288,46 +288,33 @@ def _graph_coeffs(
 
     A is the product of ``1 - err(k)`` over the ancestors k; S sums, over the
     descendants j, ``kept(j)`` times the product of ``1 - err(k)`` over the
-    ancestors k of j other than ``index``. Nothing is cached: ``err`` is
-    called once per factor and ``kept`` once per descendant.
+    ancestors k of j other than ``index``, each product in the iteration order
+    of the graph's ancestor sets (``graph.relatives``). ``err`` is called once
+    per factor and ``kept`` once per descendant; the solvers pass lookups into
+    a :class:`_ScheduleValues`.
     """
+    ancestors, descendants = graph.relatives
     a_surv = 1.0
-    for k in graph.ancestors(index):
+    for k in ancestors[index]:
         a_surv *= 1.0 - err(k)
     s_weight = 0.0
-    for j in graph.descendants(index):
+    for j in descendants[index]:
         term = kept(j)
-        for k in graph.ancestors(j):
-            if k == index:
-                continue
-            term *= 1.0 - err(k)
+        for k in ancestors[j]:
+            if k != index:
+                term *= 1.0 - err(k)
         s_weight += term
     return a_surv, s_weight
 
 
-def _dag_coeffs(
-    index: int,
-    units: Sequence[DataUnit],
-    decisions: Sequence[CrossLayerDecision],
-    graph,
-    model: TransmissionModel,
-) -> tuple[float, float]:
+def _dag_coeffs(index: int, values: "_ScheduleValues") -> tuple[float, float]:
     """Coefficients (ancestor survival A, descendant weight S) for unit ``index``.
 
-    With everyone else's decisions held fixed, the terms of the total
-    distortion that vary with unit i's decision collapse to
+    With everyone else's decisions in ``values`` held fixed, the terms of the
+    total distortion that vary with unit i's decision collapse to
     ``impact_i * p_i * A - (1 - e_i) * S``.
     """
-
-    def err(k: int) -> float:
-        kd = decisions[k - 1]
-        return model.errprop(units[k - 1], kd.start, kd.end, kd.payload)
-
-    def kept(j: int) -> float:
-        ju, jd = units[j - 1], decisions[j - 1]
-        return ju.impact * (1.0 - model.loss(ju, jd.start, jd.end, jd.payload))
-
-    return _graph_coeffs(index, graph, err, kept)
+    return _graph_coeffs(index, values.graph, values.err.__getitem__, values.kept.__getitem__)
 
 
 def _solve_unit_dag(
@@ -361,21 +348,70 @@ def _solve_unit_dag(
 # -- whole-instance evaluation ----------------------------------------------
 
 
+class _ScheduleValues:
+    """The model's values of one schedule, refreshed one unit at a time.
+
+    Slot i (1-based like graph nodes; slot 0 unused) holds unit i's loss,
+    error propagation (0.0 without a graph, where its weight S is 0), kept
+    impact ``impact * (1 - loss)`` and, if ``priced``, energy, from scalar
+    model calls on ``decisions[i - 1]``; ``set`` re-values one unit. ``graph``
+    (None ignores the dependencies) is the one that the distortion and the
+    coefficients use."""
+
+    def __init__(self, units: Sequence[DataUnit], graph, decisions: Sequence[CrossLayerDecision],
+                 model: TransmissionModel, priced: bool = True):
+        self.units, self.graph, self.model = units, graph, model
+        self.decisions = list(decisions)
+        n = len(units) + 1
+        self.loss, self.err, self.kept = [0.0] * n, [0.0] * n, [0.0] * n
+        self.cost = [0.0] * n if priced else None
+        for i in range(1, n):
+            self.set(i, self.decisions[i - 1])
+
+    def measure(self, i: int, dec: CrossLayerDecision) -> tuple:
+        """Loss, error propagation and energy (None unless priced) of unit i under ``dec``."""
+        u, model = self.units[i - 1], self.model
+        p = model.loss(u, dec.start, dec.end, dec.payload)
+        e = model.errprop(u, dec.start, dec.end, dec.payload) if self.graph is not None else 0.0
+        return p, e, None if self.cost is None else model.cost(u, dec.start, dec.end, dec.payload)
+
+    def set(self, i: int, dec: CrossLayerDecision, measured: Optional[tuple] = None) -> None:
+        """Make ``dec`` unit i's decision; ``measured`` is its ``measure``, if known."""
+        p, e, w = measured or self.measure(i, dec)
+        self.decisions[i - 1] = dec
+        self.loss[i], self.err[i], self.kept[i] = p, e, self.units[i - 1].impact * (1.0 - p)
+        if self.cost is not None:
+            self.cost[i] = w
+
+    def distortion(self) -> float:
+        """Average expected distortion of the schedule."""
+        m = len(self.units)
+        ancestors = self.graph.relatives[0] if self.graph is not None else [()] * (m + 1)
+        total = 0.0
+        for i in range(1, m + 1):
+            errs = [self.err[k] for k in ancestors[i]]
+            total += _unit_distortion(self.units[i - 1].impact, self.loss[i], errs)
+        return total / m if m else 0.0
+
+    def lagrangian(self, price: float, handoffs: Sequence[float], budget: float) -> float:
+        """Distortion plus the priced budget and FIFO violations."""
+        m = len(self.units)
+        energy = sum(self.cost[1:]) / m if m else 0.0
+        val = self.distortion() + price * (energy - budget)
+        for i, mu in enumerate(handoffs):
+            val += mu * (self.decisions[i].end - self.decisions[i + 1].start)
+        return val
+
+
 def instance_distortion(
     inst: Instance,
     decisions: Sequence[CrossLayerDecision],
     model: TransmissionModel,
     respect_graph: bool = True,
 ) -> float:
-    """Average expected distortion of a full schedule."""
-    m = inst.num_units
-    if m == 0:
-        return 0.0
+    """Average expected distortion of a full schedule: :meth:`_ScheduleValues.distortion`."""
     graph = inst.graph if respect_graph else None
-    total = 0.0
-    for i in range(1, m + 1):
-        total += dag_distortion(i, inst.units, decisions, graph, model)
-    return total / m
+    return _ScheduleValues(inst.units, graph, decisions, model, priced=False).distortion()
 
 
 def average_energy(
@@ -398,11 +434,9 @@ def _lagrangian_value(
     handoffs: Sequence[float],
     model: TransmissionModel,
 ) -> float:
-    val = instance_distortion(inst, decisions, model)
-    val += price * (average_energy(inst, decisions, model) - inst.budget)
-    for i, mu in enumerate(handoffs):
-        val += mu * (decisions[i].end - decisions[i + 1].start)
-    return val
+    return _ScheduleValues(inst.units, inst.graph, decisions, model).lagrangian(
+        price, handoffs, inst.budget
+    )
 
 
 # -- primal recovery ----------------------------------------------------------
@@ -434,27 +468,24 @@ def recover_primal(
     if respect_graph is None:
         respect_graph = inst.graph is not None
     handoffs = list(handoff_prices) if handoff_prices is not None else [0.0] * max(m - 1, 0)
+    graph = inst.graph if respect_graph else None
+    # holds the final decisions of the units before pos and the given ones after
+    values = _ScheduleValues(inst.units, graph, decisions, model, priced=False)
+    out = values.decisions
 
-    out: list[CrossLayerDecision] = []
     prev_end = -math.inf
     for pos, (unit, dec) in enumerate(zip(inst.units, decisions), start=1):
         floor = max(unit.ready, prev_end)
         if dec.start >= floor and dec.end >= dec.start:
-            out.append(dec)
             prev_end = dec.end
             continue
         if floor >= unit.deadline:
             # no feasible window left: the unit is dropped
-            drop = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0)
-            out.append(drop)
+            values.set(pos, CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0))
             prev_end = unit.deadline
             continue
         hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
-        if respect_graph and inst.graph is not None:
-            work = list(out) + list(decisions[pos - 1 :])
-            a_surv, s_weight = _dag_coeffs(pos, inst.units, work, inst.graph, model)
-        else:
-            a_surv, s_weight = 1.0, 0.0
+        a_surv, s_weight = (1.0, 0.0) if graph is None else _dag_coeffs(pos, values)
         # a start coefficient hn - min(hn, 0) >= 0 keeps the start at the floor
         fixed = _solve_unit(
             unit,
@@ -466,7 +497,7 @@ def recover_primal(
             hn,
             floor,
         ).decision
-        out.append(fixed)
+        values.set(pos, fixed)
         prev_end = fixed.end
 
     # budget enforcement: uniform payload scaling, monotone in the scale
@@ -488,12 +519,10 @@ def recover_primal(
                 hi = mid
             else:
                 lo = mid
-        out = [
-            CrossLayerDecision(d.start, d.end, lo * d.payload) for d in out
-        ]
+        for i, d in enumerate(out, start=1):
+            values.set(i, CrossLayerDecision(d.start, d.end, lo * d.payload))
 
-    final = tuple(out)
-    return final, instance_distortion(inst, final, model, respect_graph)
+    return tuple(out), values.distortion()
 
 
 def _recover_primal_grid(
@@ -510,43 +539,39 @@ def _recover_primal_grid(
     repairs picked from the unit's lattice options, and the budget restored
     by shaving whole action steps, so the result stays on the lattice."""
     m = inst.num_units
-    out: list[CrossLayerDecision] = []
+    graph = inst.graph if respect_graph else None
+    values = _ScheduleValues(inst.units, graph, decisions, model)
+    out = values.decisions
     prev_end = -math.inf
     for pos, (unit, dec) in enumerate(zip(inst.units, decisions), start=1):
         floor = max(unit.ready, prev_end)
         if dec.start >= floor - _TINY and dec.end >= dec.start:
-            out.append(dec)
             prev_end = dec.end
             continue
         starts, ends, payloads, loss, err, cost = opts[pos - 1]
         feas = starts >= floor - _TINY
         if not feas.any():
-            drop = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0)
-            out.append(drop)
+            values.set(pos, CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0))
             prev_end = unit.deadline
             continue
         hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
-        if respect_graph and inst.graph is not None:
-            work = list(out) + list(decisions[pos - 1 :])
-            a_surv, s_weight = _dag_coeffs(pos, inst.units, work, inst.graph, model)
-        else:
-            a_surv, s_weight = 1.0, 0.0
+        a_surv, s_weight = (1.0, 0.0) if graph is None else _dag_coeffs(pos, values)
         vals = (unit.impact * a_surv * loss + s_weight * err + price * cost) / m + hn * ends
         vals = np.where(feas, vals, math.inf)
         j = int(np.argmin(vals))
         fixed = CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j]))
-        out.append(fixed)
+        values.set(pos, fixed)
         prev_end = fixed.end
 
     # budget restoration in whole action steps, largest spender first
     for _ in range(m * grid.action_points):
-        costs = [model.cost(u, d.start, d.end, d.payload) for u, d in zip(inst.units, out)]
+        costs = values.cost[1:]
         if sum(costs) / m <= inst.budget + _TINY:
             break
         i = max(range(m), key=lambda k: costs[k])
         d = out[i]
         step = grid.action_step(inst.units[i])
-        out[i] = CrossLayerDecision(d.start, d.end, max(d.payload - step, 0.0))
+        values.set(i + 1, CrossLayerDecision(d.start, d.end, max(d.payload - step, 0.0)))
 
     # local descent on the true objective: each unit re-picks its lattice
     # option between the neighbors' boundaries while the budget allows; the
@@ -559,15 +584,8 @@ def _recover_primal_grid(
             starts, ends, payloads, loss, err, cost = opts[i]
             lo = out[i - 1].end if i > 0 else -math.inf
             hi = out[i + 1].start if i + 1 < m else math.inf
-            spent_elsewhere = sum(
-                model.cost(u, d.start, d.end, d.payload)
-                for k, (u, d) in enumerate(zip(inst.units, out))
-                if k != i
-            )
-            if respect_graph and inst.graph is not None:
-                a_surv, s_weight = _dag_coeffs(i + 1, inst.units, out, inst.graph, model)
-            else:
-                a_surv, s_weight = 1.0, 0.0
+            spent_elsewhere = sum(values.cost[1 : i + 1] + values.cost[i + 2 :])
+            a_surv, s_weight = (1.0, 0.0) if graph is None else _dag_coeffs(i + 1, values)
             score = unit.impact * a_surv * loss + s_weight * err
             feas = (
                 (starts >= lo - _TINY)
@@ -577,19 +595,14 @@ def _recover_primal_grid(
             if not feas.any():
                 continue
             j = int(np.argmin(np.where(feas, score, math.inf)))
-            d = out[i]
-            cur = (
-                unit.impact * a_surv * model.loss(unit, d.start, d.end, d.payload)
-                + s_weight * model.errprop(unit, d.start, d.end, d.payload)
-            )
+            cur = unit.impact * a_surv * values.loss[i + 1] + s_weight * values.err[i + 1]
             if score[j] < cur - 1e-12:
-                out[i] = CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j]))
+                values.set(i + 1, CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j])))
                 improved = True
         if not improved:
             break
 
-    final = tuple(out)
-    return final, instance_distortion(inst, final, model, respect_graph)
+    return tuple(out), values.distortion()
 
 
 # the pair polish: at most this many passes over all pairs, and candidates
@@ -807,6 +820,21 @@ def _require_valid(inst: Instance) -> None:
         raise ValueError(f"invalid instance: {issue.message}{where}")
 
 
+def _require_settings(max_outer: int, alpha0: float, beta0: float, epsilon: float,
+                      gap_tol: Optional[float], max_inner: int = 1, inner_epsilon: float = 0.0) -> None:
+    """Raise ``ValueError`` unless the iteration caps are at least 1, the step
+    constants positive and finite and the tolerances non-negative (or None)."""
+    for name, value in (("max_outer", max_outer), ("max_inner", max_inner)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    for name, value in (("alpha0", alpha0), ("beta0", beta0)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    for name, value in (("epsilon", epsilon), ("inner_epsilon", inner_epsilon), ("gap_tol", gap_tol)):
+        if value is not None and not value >= 0.0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
+
+
 def _unit_solver(inst: Instance, model: TransmissionModel, opts):
     """``solve(i, price, hp, hn, a_surv=1, s_weight=0)`` for the unit at position
     ``i``: the lattice argmin over ``opts``, else the continuous solve, which
@@ -920,12 +948,12 @@ def solve_independent(
     reaches ``gap_tol``, when given). Reports the best feasible schedule and
     best dual value seen. With ``grid`` every subproblem is an exact argmin
     over the unit's lattice options and the recovered primal stays on the
-    lattice. An instance that ``validate_instance`` rejects raises
-    ``ValueError`` before any work.
+    lattice. ``ValueError`` is raised before any work for an instance that
+    ``validate_instance`` rejects, ``max_outer < 1``, a step constant that is
+    not positive and finite, or a negative or NaN tolerance.
     """
     check_model(model)
-    if max_outer < 1:
-        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
+    _require_settings(max_outer, alpha0, beta0, epsilon, gap_tol)
     _require_valid(inst)
     m = inst.num_units
     if m == 0:
@@ -968,17 +996,18 @@ def solve_interdependent(
     iteration the per-unit subproblems are swept in index order against the
     current decisions of everyone else (warm-started from the previous outer
     iteration), at most ``max_inner`` times and until the relaxed objective
-    moves by less than ``inner_epsilon``; a sweep's candidate is only
-    accepted when it does not increase the unit's local objective, so the
-    relaxed objective is non-increasing sweep over sweep. ``sweep_log``, when
-    given, receives (outer_k, sweep_index, relaxed objective) tuples. With
-    ``grid`` the subproblems are exact argmins over lattice options and the
-    recovered primal stays on the lattice. Invalid instances raise
-    ``ValueError`` as in :func:`solve_independent`.
+    moves by less than ``inner_epsilon``; a candidate is accepted only when
+    it lowers the unit's local objective, so the relaxed objective is
+    non-increasing sweep over sweep. The coefficients, local objectives and
+    relaxed objective are read from a :class:`_ScheduleValues` cache, which
+    re-values only the unit a candidate replaces. ``sweep_log``, when given,
+    receives (outer_k, sweep_index, relaxed objective) tuples. With ``grid``
+    the subproblems are exact argmins over lattice options and the recovered
+    primal stays on the lattice. Invalid arguments, ``max_inner < 1`` and a
+    negative or NaN ``inner_epsilon`` raise as in :func:`solve_independent`.
     """
     check_model(model)
-    if max_outer < 1 or max_inner < 1:
-        raise ValueError(f"max_outer and max_inner must be at least 1, got {max_outer}, {max_inner}")
+    _require_settings(max_outer, alpha0, beta0, epsilon, gap_tol, max_inner, inner_epsilon)
     _require_valid(inst)
     m = inst.num_units
     if m == 0:
@@ -993,33 +1022,33 @@ def solve_interdependent(
         # warm start must live on the lattice or it can survive the sweeps
         decisions = [solve(i, 0.0, 0.0, 0.0).decision for i in range(1, m + 1)]
 
-    def local_value(i, dec, a_surv, s_weight, price, hp, hn) -> float:
-        unit = inst.units[i - 1]
-        p = model.loss(unit, dec.start, dec.end, dec.payload)
-        e = model.errprop(unit, dec.start, dec.end, dec.payload)
-        w = model.cost(unit, dec.start, dec.end, dec.payload)
-        distortion = unit.impact * a_surv * p + s_weight * e
+    values = _ScheduleValues(inst.units, inst.graph, decisions, model)
+
+    def local_value(i, dec, p, e, w, a_surv, s_weight, price, hp, hn) -> float:
+        distortion = inst.units[i - 1].impact * a_surv * p + s_weight * e
         return (distortion + price * w) / m - hp * dec.start + hn * dec.end
 
     def relax(k, price, mu):
-        g_prev = _lagrangian_value(inst, decisions, price, mu, model)
+        g_prev = values.lagrangian(price, mu, inst.budget)
         for sweep in range(max_inner):
             for i in range(1, m + 1):
                 hp = mu[i - 2] if i >= 2 else 0.0
                 hn = mu[i - 1] if i <= m - 1 else 0.0
-                a_surv, s_weight = _dag_coeffs(i, inst.units, decisions, inst.graph, model)
+                a_surv, s_weight = _dag_coeffs(i, values)
                 cand = solve(i, price, hp, hn, a_surv, s_weight).decision
-                incumbent = local_value(i, decisions[i - 1], a_surv, s_weight, price, hp, hn)
-                if local_value(i, cand, a_surv, s_weight, price, hp, hn) < incumbent:
-                    decisions[i - 1] = cand
-            g_now = _lagrangian_value(inst, decisions, price, mu, model)
+                incumbent = local_value(i, values.decisions[i - 1], values.loss[i], values.err[i],
+                                        values.cost[i], a_surv, s_weight, price, hp, hn)
+                measured = values.measure(i, cand)
+                if local_value(i, cand, *measured, a_surv, s_weight, price, hp, hn) < incumbent:
+                    values.set(i, cand, measured)
+            g_now = values.lagrangian(price, mu, inst.budget)
             if sweep_log is not None:
                 sweep_log.append((k, sweep, g_now))
             settled = abs(g_prev - g_now) < inner_epsilon
             g_prev = g_now
             if settled:
                 break
-        return decisions, g_prev, sweep + 1
+        return values.decisions, g_prev, sweep + 1
 
     return _dual_loop(
         inst, model, relax, opts, grid, True, epsilon=epsilon, max_outer=max_outer,

@@ -31,6 +31,7 @@ from .offline import (
     _dag_coeffs,
     _graph_coeffs,
     _require_valid,
+    _ScheduleValues,
     _solve_unit_dag,
     handoff_update,
     recover_primal,
@@ -701,7 +702,8 @@ def _solve_cycle_fixed_price(
     the previous cycle's realized end. Each handoff iteration sweeps the
     units in index order through ``_solve_unit_dag``: once with
     coefficients (1, 0) when the cycle has no graph, three times with
-    ``_dag_coeffs`` against the current decisions when it has one. The
+    ``_dag_coeffs`` when it has one. Those read a value cache of the current
+    decisions, in which each solve re-values only the unit it moved. The
     realized schedule is the FIFO recovery of the final relaxed decisions on
     an instance with an infinite budget, so no payload is rescaled (the
     budget is enforced across cycles by the frozen global price).
@@ -720,18 +722,18 @@ def _solve_cycle_fixed_price(
     decisions: list[CrossLayerDecision] = [
         CrossLayerDecision(u.ready, u.deadline, u.size) for u in local_units
     ]
+    values = None if graph is None else _ScheduleValues(local_units, graph, decisions, model, priced=False)
     for k in range(1, params.mdu_outer + 1):
-        for _ in range(1 if graph is None else 3):
+        for _ in range(1 if values is None else 3):
             for i in range(1, m + 1):
                 hp = mu[i - 2] if i >= 2 else 0.0
                 hn = mu[i - 1] if i <= m - 1 else 0.0
-                if graph is None:
-                    a_surv, s_weight = 1.0, 0.0
-                else:
-                    a_surv, s_weight = _dag_coeffs(i, local_units, decisions, graph, model)
+                a_surv, s_weight = (1.0, 0.0) if values is None else _dag_coeffs(i, values)
                 decisions[i - 1] = _solve_unit_dag(
                     local_units[i - 1], price, hp, hn, m, model, a_surv, s_weight
                 ).decision
+                if values is not None:
+                    values.set(i, decisions[i - 1])
         new_mu = mu.copy()
         for i in range(m - 1):
             new_mu[i] = handoff_update(

@@ -83,6 +83,13 @@ class TestRejection:
         ("[model]\nn0 = -5\n", "model"),
         ("[solver]\nepsilon = 0\n", "epsilon"),
         ("[solver]\nalpha0 = -0.5\n", "step constants"),
+        ("[solver]\nalpha0 = nan\n", "step constants"),
+        ("[solver]\nalpha0 = inf\n", "step constants"),
+        ("[solver]\nbeta0 = nan\n", "step constants"),
+        ("[solver]\nbeta0 = inf\n", "step constants"),
+        ("[solver]\nepsilon = nan\n", "epsilon"),
+        ("[solver]\ninner_epsilon = nan\n", "inner_epsilon"),
+        ("[solver]\ninner_epsilon = -1e-6\n", "inner_epsilon"),
         ("[learner]\ngamma0 = 1.5\n", "gamma0"),
         ("[learner]\ngamma0 = 0\n", "gamma0"),
         ("[learner]\nupdate_mode = tabular\n", "update_mode"),

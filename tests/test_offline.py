@@ -28,7 +28,7 @@ from xlsched import (
     solve_interdependent,
     upper_optimization,
 )
-from xlsched.offline import _dag_coeffs
+from xlsched.offline import _dag_coeffs, _ScheduleValues
 from xlsched.search import golden_section
 
 MODEL = ShannonExpModel()
@@ -179,7 +179,7 @@ def _sensitivity(index, units, decisions, graph):
     """The distortion terms that move with unit ``index``'s decision:
     ``impact*loss*A - (1-e)*S`` with ``(A, S)`` from ``_dag_coeffs``."""
     unit = units[index - 1]
-    a_surv, s_weight = _dag_coeffs(index, units, decisions, graph, MODEL)
+    a_surv, s_weight = _dag_coeffs(index, _ScheduleValues(units, graph, decisions, MODEL))
 
     def piece(start, end, payload):
         p = MODEL.loss(unit, start, end, payload)
@@ -494,6 +494,28 @@ class TestSharedDualLoop:
     def test_rejects_max_inner_below_one(self):
         with pytest.raises(ValueError, match="max_inner"):
             solve_interdependent(self._instance(5, chain=True), MODEL, max_inner=0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("alpha0", math.nan), ("alpha0", math.inf), ("alpha0", 0.0),
+        ("beta0", math.nan), ("beta0", math.inf), ("beta0", -1.0),
+        ("epsilon", math.nan), ("epsilon", -1e-3),
+        ("gap_tol", math.nan), ("gap_tol", -0.1),
+    ])
+    @pytest.mark.parametrize("solver", [solve_independent, solve_interdependent])
+    def test_rejects_bad_solver_constant_at_entry(self, solver, name, value, fail_fast):
+        # alpha0=nan used to run every outer iteration and report price nan
+        with pytest.raises(ValueError, match=name):
+            solver(self._instance(4, chain=True), MODEL, max_outer=5, **{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-6])
+    def test_rejects_bad_inner_epsilon_at_entry(self, value, fail_fast):
+        with pytest.raises(ValueError, match="inner_epsilon"):
+            solve_interdependent(self._instance(4, chain=True), MODEL, max_outer=5, inner_epsilon=value)
+
+    @pytest.mark.parametrize("solver", [solve_independent, solve_interdependent])
+    def test_accepts_zero_tolerances(self, solver):
+        rep = solver(self._instance(4, chain=True), MODEL, max_outer=3, epsilon=0.0, gap_tol=0.0)
+        assert 1 <= rep.outer_iterations <= 3
 
     @pytest.mark.parametrize("solver", [solve_independent, solve_interdependent])
     def test_rejects_invalid_instance_at_entry(self, solver, fail_fast):
