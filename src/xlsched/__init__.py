@@ -29,7 +29,6 @@ from .models import (
     ShannonEnergyParams,
     ShannonExpModel,
     ShapeReport,
-    dag_distortion,
     energy_cost,
     error_propagation,
     loss_fraction,
@@ -99,7 +98,6 @@ __all__ = [
     "ShannonEnergyParams",
     "ShannonExpModel",
     "ShapeReport",
-    "dag_distortion",
     "energy_cost",
     "error_propagation",
     "loss_fraction",

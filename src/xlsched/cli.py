@@ -21,8 +21,9 @@ from .experiments import (
     build_model,
     run_experiment,
     run_online_sweep,
+    solve_offline,
 )
-from .offline import average_energy, report_to_csv, solve_independent, solve_interdependent
+from .offline import average_energy, report_to_csv
 from .oracle import brute_force
 from .tracegen import generate_trace
 
@@ -91,22 +92,11 @@ def _cmd_solve(cfg, out: Path, path: Path, mode: str) -> int:
     inst = _load_valid_instance(path)
     if inst is None:
         return 2
+    if mode == "dag" and inst.graph is None:
+        print("mode 'dag' needs an instance with a dependency section", file=sys.stderr)
+        return 2
     model = build_model(cfg)
-    s = cfg.solver
-    if mode == "dag":
-        if inst.graph is None:
-            print("mode 'dag' needs an instance with a dependency section", file=sys.stderr)
-            return 2
-        report = solve_interdependent(
-            inst, model, epsilon=s.epsilon, max_outer=s.max_outer,
-            max_inner=s.max_inner, inner_epsilon=s.inner_epsilon,
-            alpha0=s.alpha0, beta0=s.beta0,
-        )
-    else:
-        report = solve_independent(
-            inst, model, epsilon=s.epsilon, max_outer=s.max_outer,
-            alpha0=s.alpha0, beta0=s.beta0,
-        )
+    report = solve_offline(inst, model, cfg.solver, dag=mode == "dag")
     out.mkdir(parents=True, exist_ok=True)
     tag = config_hash(cfg)
     report_to_csv(report, out / f"solve_{mode}.csv", note=f"config={tag}")

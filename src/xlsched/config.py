@@ -5,6 +5,10 @@ configuration. Unknown sections or keys raise immediately; silently ignored
 typos in sweep definitions are much worse than a hard error. The canonical
 text rendering feeds a short hash that output CSVs embed, which is what makes
 "same config, byte-identical outputs" checkable.
+
+Each key is one row of ``_FIELDS``: its default text, the dataclass field it
+sets and its kind. The kind parses the text, names what it expected when
+parsing fails, and renders the field back into canonical text.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .models import ShannonEnergyParams
 from .online import POLICIES, OnlineParams
@@ -37,89 +41,110 @@ class ConfigError(ValueError):
     """Bad configuration file: unknown key, unparsable or out-of-range value."""
 
 
-# section -> key -> default (as the string a file would contain)
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "trace": {
-        "seed": "0",
-        "num_dus": "10000",
-        "impact_low": "50",
-        "impact_high": "150",
-        "size": "10",
-        "interarrival_ms": "50",
-        "lifetime_ms": "50",
-        "theta": "0.5",
-        "channel": "uniform:0.5,1.5",
-        "budget": "10",
-    },
-    "model": {
-        "n0": "200",
-        "bandwidth_hz": "200000",
-        "bit_unit": "1000",
+class _Kind(NamedTuple):
+    parse: Callable[[str], object]
+    render: Callable[[object], str]
+    expected: str  # what a value that fails to parse is not
+
+
+def _split(text: str) -> list[str]:
+    return [p for p in text.split(",") if p.strip()]
+
+
+_INT = _Kind(int, str, "an integer")
+_NUM = _Kind(float, repr, "a number")
+_MS = _Kind(lambda v: float(v) / 1000.0, lambda v: repr(v * 1000.0), "a number")  # stored in seconds
+_CAP = _Kind(lambda v: float(v) or None, lambda v: repr(v or 0.0), "a number")  # 0 means no cap
+_TEXT = _Kind(str, str, "text")
+_NUMS = _Kind(lambda v: tuple(float(p) for p in _split(v)), lambda v: ",".join(map(repr, v)), "a number list")
+_INTS = _Kind(lambda v: tuple(int(p) for p in _split(v)), lambda v: ",".join(map(str, v)), "an integer list")
+_NAMES = _Kind(lambda v: tuple(p.strip() for p in _split(v)), ",".join, "a name list")
+
+# section -> (key, default as a file would write it, dataclass field, kind)
+_FIELDS: dict[str, tuple[tuple[str, str, str, _Kind], ...]] = {
+    "trace": (
+        ("seed", "0", "seed", _INT),
+        ("num_dus", "10000", "num_dus", _INT),
+        ("impact_low", "50", "impact_low", _NUM),
+        ("impact_high", "150", "impact_high", _NUM),
+        ("size", "10", "size", _NUM),
+        ("interarrival_ms", "50", "mean_interarrival", _MS),
+        ("lifetime_ms", "50", "lifetime", _MS),
+        ("theta", "0.5", "decay", _NUM),
+        ("channel", "uniform:0.5,1.5", "channel", _TEXT),
+        ("budget", "10", "budget", _NUM),
+    ),
+    "model": (
+        ("n0", "200", "noise", _NUM),
+        ("bandwidth_hz", "200000", "bandwidth_hz", _NUM),
+        ("bit_unit", "1000", "bit_unit", _NUM),
         # per-transmission bound; equilibrium spends stay an order of
         # magnitude below it, but it flattens the zero-price spend cliff that
         # would otherwise poison the online running-average price loop
-        "energy_cap": "50",
-    },
-    "solver": {
-        "epsilon": "0.001",
-        "max_outer": "2000",
-        "max_inner": "50",
-        "inner_epsilon": "1e-06",
-        "alpha0": "0.5",
-        "beta0": "1000.0",
-    },
-    "learner": {
-        "features": "3",
-        "gamma0": "0.5",
-        "gamma_power": "0.6",
-        "kappa0": "1.0",
-        "update_mode": "normalized",
-        "lambda_init": "1.0",
-        "y_points": "200",
-        "refine_points": "60",
-        "dag_impact": "known",
-        "mdu_outer": "40",
-        "mdu_epsilon": "0.0001",
-    },
-    "experiment": {
-        "policies": "proposed,myopic,mdu",
-        "w_sweep": "5,10,15,20",
-        "seeds": "1,2,3,4,5",
-        "cycles": "100",
-        "cycle_len": "10",
-        "dag": "none",
-        "edge_prob": "0.5",
-        "steady_start": "31",
-        "out_dir": "out",
-    },
+        ("energy_cap", "50", "energy_cap", _CAP),
+    ),
+    "solver": (
+        ("epsilon", "0.001", "epsilon", _NUM),
+        ("max_outer", "2000", "max_outer", _INT),
+        ("max_inner", "50", "max_inner", _INT),
+        ("inner_epsilon", "1e-06", "inner_epsilon", _NUM),
+        ("alpha0", "0.5", "alpha0", _NUM),
+        ("beta0", "1000.0", "beta0", _NUM),
+    ),
+    "learner": (
+        ("features", "3", "feature_order", _INT),
+        ("gamma0", "0.5", "gamma0", _NUM),
+        ("gamma_power", "0.6", "gamma_power", _NUM),
+        ("kappa0", "1.0", "kappa0", _NUM),
+        ("update_mode", "normalized", "update_mode", _TEXT),
+        ("lambda_init", "1.0", "price_init", _NUM),
+        ("y_points", "200", "end_grid", _INT),
+        ("refine_points", "60", "refine_points", _INT),
+        ("dag_impact", "known", "impact_estimate", _TEXT),
+        ("mdu_outer", "40", "mdu_outer", _INT),
+        ("mdu_epsilon", "0.0001", "mdu_epsilon", _NUM),
+    ),
+    "experiment": (
+        ("policies", "proposed,myopic,mdu", "policies", _NAMES),
+        ("w_sweep", "5,10,15,20", "w_sweep", _NUMS),
+        ("seeds", "1,2,3,4,5", "seeds", _INTS),
+        ("cycles", "100", "cycles", _INT),
+        ("cycle_len", "10", "cycle_len", _INT),
+        ("dag", "none", "dag", _TEXT),
+        ("edge_prob", "0.5", "edge_prob", _NUM),
+        ("steady_start", "31", "steady_start", _INT),
+        ("out_dir", "out", "out_dir", _TEXT),
+    ),
 }
+# section -> the ExperimentConfig attribute that holds it
+_OWNER = {"trace": "trace", "model": "model", "solver": "solver", "learner": "learner", "experiment": "plan"}
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Knobs of the offline dual loops."""
+    """Knobs of the offline dual loops (keyword arguments of both solvers)."""
 
-    epsilon: float = 1e-3
-    max_outer: int = 2000
-    max_inner: int = 50
-    inner_epsilon: float = 1e-6
-    alpha0: float = 0.5
-    beta0: float = 1000.0
+    epsilon: float
+    max_outer: int
+    max_inner: int
+    inner_epsilon: float
+    alpha0: float
+    beta0: float
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
     """What to sweep and where to write."""
 
-    policies: tuple[str, ...] = ("proposed", "myopic", "mdu")
-    w_sweep: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0)
-    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    cycles: int = 100
-    cycle_len: int = 10
-    dag: str = "none"
-    edge_prob: float = 0.5
-    steady_start: int = 31
-    out_dir: str = "out"
+    policies: tuple[str, ...]
+    w_sweep: tuple[float, ...]
+    seeds: tuple[int, ...]
+    cycles: int
+    cycle_len: int
+    dag: str
+    edge_prob: float
+    steady_start: int
+    out_dir: str
 
 
 @dataclass(frozen=True)
@@ -132,7 +157,7 @@ class ExperimentConfig:
 
 
 def _merge(path: Optional[Union[str, Path]]) -> dict[str, dict[str, str]]:
-    raw = {s: dict(kv) for s, kv in _DEFAULTS.items()}
+    raw = {s: {key: default for key, default, _, _ in rows} for s, rows in _FIELDS.items()}
     if path is None:
         return raw
     parser = configparser.ConfigParser(interpolation=None)
@@ -156,148 +181,77 @@ def _merge(path: Optional[Union[str, Path]]) -> dict[str, dict[str, str]]:
     return raw
 
 
-def _as_int(raw, section, key) -> int:
-    v = raw[section][key]
-    try:
-        return int(v)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {v!r}: not an integer") from exc
-
-
-def _as_float(raw, section, key) -> float:
-    v = raw[section][key]
-    try:
-        return float(v)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {v!r}: not a number") from exc
-
-
-def _as_floats(raw, section, key) -> tuple[float, ...]:
-    v = raw[section][key]
-    try:
-        return tuple(float(p) for p in v.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {v!r}: not a number list") from exc
-
-
-def _as_ints(raw, section, key) -> tuple[int, ...]:
-    v = raw[section][key]
-    try:
-        return tuple(int(p) for p in v.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {v!r}: not an integer list") from exc
-
-
 def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
+    fields: dict[str, dict[str, object]] = {}
+    for section, rows in _FIELDS.items():
+        fields[section] = {}
+        for key, _, name, kind in rows:
+            v = raw[section][key]
+            try:
+                fields[section][name] = kind.parse(v)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {v!r}: not {kind.expected}") from exc
     try:
-        trace = TraceParams(
-            seed=_as_int(raw, "trace", "seed"),
-            num_dus=_as_int(raw, "trace", "num_dus"),
-            impact_low=_as_float(raw, "trace", "impact_low"),
-            impact_high=_as_float(raw, "trace", "impact_high"),
-            size=_as_float(raw, "trace", "size"),
-            mean_interarrival=_as_float(raw, "trace", "interarrival_ms") / 1000.0,
-            lifetime=_as_float(raw, "trace", "lifetime_ms") / 1000.0,
-            decay=_as_float(raw, "trace", "theta"),
-            channel=raw["trace"]["channel"],
-            budget=_as_float(raw, "trace", "budget"),
-        )
+        trace = TraceParams(**fields["trace"])
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"[trace]: {exc}") from exc
-
-    cap = _as_float(raw, "model", "energy_cap")
     try:
-        model = ShannonEnergyParams(
-            noise=_as_float(raw, "model", "n0"),
-            bandwidth_hz=_as_float(raw, "model", "bandwidth_hz"),
-            bit_unit=_as_float(raw, "model", "bit_unit"),
-            energy_cap=cap if cap > 0.0 else None,
-        )
+        model = ShannonEnergyParams(**fields["model"])
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"[model]: {exc}") from exc
 
-    solver = SolverParams(
-        epsilon=_as_float(raw, "solver", "epsilon"),
-        max_outer=_as_int(raw, "solver", "max_outer"),
-        max_inner=_as_int(raw, "solver", "max_inner"),
-        inner_epsilon=_as_float(raw, "solver", "inner_epsilon"),
-        alpha0=_as_float(raw, "solver", "alpha0"),
-        beta0=_as_float(raw, "solver", "beta0"),
-    )
+    solver = SolverParams(**fields["solver"])
     # written as "not ... > 0" so that NaN fails too
     if not (solver.epsilon > 0 and solver.inner_epsilon >= 0) or min(solver.max_outer, solver.max_inner) < 1:
         raise ConfigError("[solver]: epsilon must be > 0, inner_epsilon >= 0 and iteration caps >= 1")
     if not (0 < solver.alpha0 < math.inf and 0 < solver.beta0 < math.inf):
         raise ConfigError("[solver]: step constants must be positive and finite")
 
-    update_mode = raw["learner"]["update_mode"]
-    if update_mode not in ("verbatim", "semi_gradient", "normalized"):
-        raise ConfigError(
-            f"[learner] update_mode = {update_mode!r}: "
-            "expected 'verbatim', 'semi_gradient' or 'normalized'"
-        )
-    dag_impact = raw["learner"]["dag_impact"]
-    if dag_impact not in ("known", "mean"):
-        raise ConfigError(
-            f"[learner] dag_impact = {dag_impact!r}: expected 'known' or 'mean'"
-        )
     learner = OnlineParams(
-        feature_order=_as_int(raw, "learner", "features"),
-        gamma0=_as_float(raw, "learner", "gamma0"),
-        gamma_power=_as_float(raw, "learner", "gamma_power"),
-        kappa0=_as_float(raw, "learner", "kappa0"),
-        update_mode=update_mode,
-        price_init=_as_float(raw, "learner", "lambda_init"),
-        end_grid=_as_int(raw, "learner", "y_points"),
-        refine_points=_as_int(raw, "learner", "refine_points"),
-        impact_estimate=dag_impact,
+        **fields["learner"],
         impact_mean=0.5 * (trace.impact_low + trace.impact_high),
-        mdu_outer=_as_int(raw, "learner", "mdu_outer"),
-        mdu_epsilon=_as_float(raw, "learner", "mdu_epsilon"),
         beta0=solver.beta0,
     )
+    if learner.update_mode not in ("verbatim", "semi_gradient", "normalized"):
+        raise ConfigError(
+            f"[learner] update_mode = {learner.update_mode!r}: "
+            "expected 'verbatim', 'semi_gradient' or 'normalized'"
+        )
+    if learner.impact_estimate not in ("known", "mean"):
+        raise ConfigError(
+            f"[learner] dag_impact = {learner.impact_estimate!r}: expected 'known' or 'mean'"
+        )
     if learner.feature_order < 1:
         raise ConfigError("[learner]: features must be >= 1")
     if not 0.0 < learner.gamma0 <= 1.0:
         raise ConfigError("[learner]: gamma0 must lie in (0, 1]")
-    if learner.kappa0 < 0.0 or learner.price_init < 0.0:
-        raise ConfigError("[learner]: kappa0 and lambda_init must be nonnegative")
+    # a negative power would take the value step past gamma0, and past 1
+    if not 0.0 <= learner.gamma_power < math.inf:
+        raise ConfigError("[learner]: gamma_power must be nonnegative and finite")
+    if not (0.0 <= learner.kappa0 < math.inf and 0.0 <= learner.price_init < math.inf):
+        raise ConfigError("[learner]: kappa0 and lambda_init must be nonnegative and finite")
     if learner.end_grid < 2:
         raise ConfigError("[learner]: y_points must be >= 2")
     if learner.mdu_outer < 1:
         raise ConfigError("[learner]: mdu_outer must be >= 1")
+    if not learner.mdu_epsilon >= 0.0:
+        raise ConfigError("[learner]: mdu_epsilon must be >= 0")
 
-    policies = tuple(
-        p.strip() for p in raw["experiment"]["policies"].split(",") if p.strip()
-    )
-    for p in policies:
+    plan = ExperimentPlan(**fields["experiment"])
+    for p in plan.policies:
         if p not in POLICIES:
             raise ConfigError(
                 f"[experiment] policies: unknown policy {p!r}; "
                 f"expected from {POLICIES}"
             )
-    dag = raw["experiment"]["dag"]
-    if dag != "none" and dag not in DAG_KINDS:
+    if plan.dag != "none" and plan.dag not in DAG_KINDS:
         raise ConfigError(
-            f"[experiment] dag = {dag!r}: expected 'none' or one of {DAG_KINDS}"
+            f"[experiment] dag = {plan.dag!r}: expected 'none' or one of {DAG_KINDS}"
         )
-    plan = ExperimentPlan(
-        policies=policies,
-        w_sweep=_as_floats(raw, "experiment", "w_sweep"),
-        seeds=_as_ints(raw, "experiment", "seeds"),
-        cycles=_as_int(raw, "experiment", "cycles"),
-        cycle_len=_as_int(raw, "experiment", "cycle_len"),
-        dag=dag,
-        edge_prob=_as_float(raw, "experiment", "edge_prob"),
-        steady_start=_as_int(raw, "experiment", "steady_start"),
-        out_dir=raw["experiment"]["out_dir"],
-    )
     if not plan.policies or not plan.seeds or not plan.w_sweep:
         raise ConfigError("[experiment]: policies, seeds and w_sweep must be non-empty")
+    if not all(0.0 < w < math.inf for w in plan.w_sweep):
+        raise ConfigError("[experiment]: w_sweep entries must be positive and finite")
     if plan.cycles < 1 or plan.cycle_len < 1:
         raise ConfigError("[experiment]: cycles and cycle_len must be >= 1")
     if not 0.0 <= plan.edge_prob <= 1.0:
@@ -311,7 +265,7 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
 
 
 def default_config() -> ExperimentConfig:
-    return _build({s: dict(kv) for s, kv in _DEFAULTS.items()})
+    return _build(_merge(None))
 
 
 def load_config(path: Optional[Union[str, Path]] = None) -> ExperimentConfig:
@@ -319,63 +273,14 @@ def load_config(path: Optional[Union[str, Path]] = None) -> ExperimentConfig:
     return _build(_merge(path))
 
 
-def _format_value(section: str, key: str, cfg: ExperimentConfig) -> str:
-    t, m, s, l, p = cfg.trace, cfg.model, cfg.solver, cfg.learner, cfg.plan
-    values = {
-        ("trace", "seed"): t.seed,
-        ("trace", "num_dus"): t.num_dus,
-        ("trace", "impact_low"): t.impact_low,
-        ("trace", "impact_high"): t.impact_high,
-        ("trace", "size"): t.size,
-        ("trace", "interarrival_ms"): t.mean_interarrival * 1000.0,
-        ("trace", "lifetime_ms"): t.lifetime * 1000.0,
-        ("trace", "theta"): t.decay,
-        ("trace", "channel"): t.channel,
-        ("trace", "budget"): t.budget,
-        ("model", "n0"): m.noise,
-        ("model", "bandwidth_hz"): m.bandwidth_hz,
-        ("model", "bit_unit"): m.bit_unit,
-        ("model", "energy_cap"): m.energy_cap if m.energy_cap is not None else 0.0,
-        ("solver", "epsilon"): s.epsilon,
-        ("solver", "max_outer"): s.max_outer,
-        ("solver", "max_inner"): s.max_inner,
-        ("solver", "inner_epsilon"): s.inner_epsilon,
-        ("solver", "alpha0"): s.alpha0,
-        ("solver", "beta0"): s.beta0,
-        ("learner", "features"): l.feature_order,
-        ("learner", "gamma0"): l.gamma0,
-        ("learner", "gamma_power"): l.gamma_power,
-        ("learner", "kappa0"): l.kappa0,
-        ("learner", "update_mode"): l.update_mode,
-        ("learner", "lambda_init"): l.price_init,
-        ("learner", "y_points"): l.end_grid,
-        ("learner", "refine_points"): l.refine_points,
-        ("learner", "dag_impact"): l.impact_estimate,
-        ("learner", "mdu_outer"): l.mdu_outer,
-        ("learner", "mdu_epsilon"): l.mdu_epsilon,
-        ("experiment", "policies"): ",".join(p.policies),
-        ("experiment", "w_sweep"): ",".join(repr(w) for w in p.w_sweep),
-        ("experiment", "seeds"): ",".join(str(x) for x in p.seeds),
-        ("experiment", "cycles"): p.cycles,
-        ("experiment", "cycle_len"): p.cycle_len,
-        ("experiment", "dag"): p.dag,
-        ("experiment", "edge_prob"): p.edge_prob,
-        ("experiment", "steady_start"): p.steady_start,
-        ("experiment", "out_dir"): p.out_dir,
-    }
-    v = values[(section, key)]
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical INI rendering (fixed section and key order)."""
     buf = io.StringIO()
-    for section, keys in _DEFAULTS.items():
+    for section, rows in _FIELDS.items():
+        values = getattr(cfg, _OWNER[section])
         buf.write(f"[{section}]\n")
-        for key in keys:
-            buf.write(f"{key} = {_format_value(section, key, cfg)}\n")
+        for key, _, name, kind in rows:
+            buf.write(f"{key} = {kind.render(getattr(values, name))}\n")
         buf.write("\n")
     return buf.getvalue()
 

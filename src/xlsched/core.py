@@ -100,10 +100,6 @@ class DependencyGraph:
         self._check_index(index)
         return self._parent_map.get(index, ())
 
-    def children(self, index: int) -> tuple[int, ...]:
-        self._check_index(index)
-        return self._child_map.get(index, ())
-
     @cached_property
     def _parent_map(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}

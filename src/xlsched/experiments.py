@@ -16,15 +16,15 @@ byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, SolverParams, config_hash
 from .core import Instance, SolveReport, write_text_atomic
-from .models import ShannonExpModel
+from .models import ShannonExpModel, TransmissionModel
 from .offline import solve_independent, solve_interdependent
 from .online import CausalStream, RunResult, run_online
 from .tracegen import generate_dag, generate_trace
@@ -33,6 +33,7 @@ __all__ = [
     "EXPERIMENTS",
     "build_instance",
     "build_model",
+    "solve_offline",
     "run_online_cell",
     "steady_mean",
     "run_online_sweep",
@@ -61,6 +62,16 @@ def _write_csv(
 
 def build_model(cfg: ExperimentConfig) -> ShannonExpModel:
     return ShannonExpModel(params=cfg.model)
+
+
+def solve_offline(inst: Instance, model: TransmissionModel, params: SolverParams, dag: bool) -> SolveReport:
+    """``solve_interdependent`` (``dag``) or ``solve_independent``, with the
+    config's solver knobs as keyword arguments."""
+    kwargs = asdict(params)
+    if dag:
+        return solve_interdependent(inst, model, **kwargs)
+    del kwargs["max_inner"], kwargs["inner_epsilon"]
+    return solve_independent(inst, model, **kwargs)
 
 
 def build_instance(
@@ -206,14 +217,7 @@ def run_experiment(
         inst = build_instance(
             cfg, num_dus=plan.cycle_len, seed=base_seed, budget=cfg.trace.budget
         )
-        report = solve_independent(
-            inst,
-            model,
-            epsilon=cfg.solver.epsilon,
-            max_outer=cfg.solver.max_outer,
-            alpha0=cfg.solver.alpha0,
-            beta0=cfg.solver.beta0,
-        )
+        report = solve_offline(inst, model, cfg.solver, dag=False)
         return [
             _write_csv(
                 out / "fig5_gap.csv",
@@ -235,16 +239,7 @@ def run_experiment(
             raise ValueError(
                 "fig6 needs a dependency graph; raise edge_prob or pick another seed"
             )
-        report = solve_interdependent(
-            inst,
-            model,
-            epsilon=cfg.solver.epsilon,
-            max_outer=cfg.solver.max_outer,
-            max_inner=cfg.solver.max_inner,
-            inner_epsilon=cfg.solver.inner_epsilon,
-            alpha0=cfg.solver.alpha0,
-            beta0=cfg.solver.beta0,
-        )
+        report = solve_offline(inst, model, cfg.solver, dag=True)
         return [
             _write_csv(
                 out / "fig6_gap.csv",

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkabl
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .core import CrossLayerDecision, DataUnit, DependencyGraph
+    from .core import DataUnit
 
 __all__ = [
     "ShannonEnergyParams",
@@ -42,7 +42,6 @@ __all__ = [
     "energy_cost",
     "loss_fraction",
     "error_propagation",
-    "dag_distortion",
     "verify_shape",
     "EXP_CLAMP",
 ]
@@ -76,14 +75,15 @@ class ShannonEnergyParams:
     energy_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.noise <= 0:
-            raise ValueError(f"noise density must be positive, got {self.noise}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-        if self.bit_unit <= 0:
-            raise ValueError(f"bit_unit must be positive, got {self.bit_unit}")
-        if self.energy_cap is not None and self.energy_cap <= 0:
-            raise ValueError(f"energy cap must be positive when set, got {self.energy_cap}")
+        # written as "not 0 < v < inf" so that NaN fails too
+        if not 0 < self.noise < math.inf:
+            raise ValueError(f"noise density must be positive and finite, got {self.noise}")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_hz}")
+        if not 0 < self.bit_unit < math.inf:
+            raise ValueError(f"bit_unit must be positive and finite, got {self.bit_unit}")
+        if self.energy_cap is not None and not 0 < self.energy_cap < math.inf:
+            raise ValueError(f"energy cap must be positive and finite when set, got {self.energy_cap}")
 
 
 def energy_cost(params: ShannonEnergyParams, channel: float, start: float, end: float, payload: float) -> float:
@@ -134,32 +134,13 @@ def error_propagation(decay: float, size: float, payload: float) -> float:
     return loss_fraction(decay, size, payload)
 
 
-def dag_distortion(
-    index: int,
-    units: Sequence["DataUnit"],
-    decisions: Sequence["CrossLayerDecision"],
-    graph: Optional["DependencyGraph"],
-    model: "TransmissionModel",
-) -> float:
-    """Expected distortion of unit ``index`` (1-based) given everyone's decisions.
+def _unit_distortion(impact: float, loss: float, ancestor_errs: Sequence[float]) -> float:
+    """Expected distortion of a unit from its loss and its ancestors' error fractions.
 
     A unit is useful only if it survives its own loss and every ancestor
-    survived error propagation; otherwise its full impact is lost. Without a
-    graph (``graph=None``) or without ancestors it is ``impact * loss``.
+    survived error propagation; otherwise its full impact is lost. Without
+    ancestors it is ``impact * loss``. The fractions may be numpy arrays.
     """
-    unit = units[index - 1]
-    dec = decisions[index - 1]
-    p = model.loss(unit, dec.start, dec.end, dec.payload)
-    anc = graph.ancestors(index) if graph is not None else ()
-    errs = []
-    for k in anc:
-        kd = decisions[k - 1]
-        errs.append(model.errprop(units[k - 1], kd.start, kd.end, kd.payload))
-    return _unit_distortion(unit.impact, p, errs)
-
-
-def _unit_distortion(impact: float, loss: float, ancestor_errs: Sequence[float]) -> float:
-    """:func:`dag_distortion` from the unit's loss and its ancestors' error fractions."""
     if not ancestor_errs:
         return impact * loss
     survive = 1.0 - loss

@@ -383,14 +383,18 @@ class _ScheduleValues:
         if self.cost is not None:
             self.cost[i] = w
 
+    def unit_distortion(self, i: int) -> float:
+        """Expected distortion of unit i: its full impact unless it and every
+        ancestor survive (``impact * loss`` without a graph or ancestors)."""
+        errs = [self.err[k] for k in self.graph.relatives[0][i]] if self.graph is not None else ()
+        return _unit_distortion(self.units[i - 1].impact, self.loss[i], errs)
+
     def distortion(self) -> float:
         """Average expected distortion of the schedule."""
         m = len(self.units)
-        ancestors = self.graph.relatives[0] if self.graph is not None else [()] * (m + 1)
         total = 0.0
         for i in range(1, m + 1):
-            errs = [self.err[k] for k in ancestors[i]]
-            total += _unit_distortion(self.units[i - 1].impact, self.loss[i], errs)
+            total += self.unit_distortion(i)
         return total / m if m else 0.0
 
     def lagrangian(self, price: float, handoffs: Sequence[float], budget: float) -> float:
@@ -683,9 +687,9 @@ def _polish_grid_pairs(
     (row of i, row of k) combinations of the two option tables in a-major
     order: every row of k for the first row of i, then for the next. Units
     i and k are read from the tables, each bystander from a ladder of its
-    shave levels (:class:`_Bystander`), and the value repeats
-    ``instance_distortion``'s arithmetic in the same order, so each score is
-    bit-identical to valuing the candidate schedule alone. The first
+    shave levels (:class:`_Bystander`), and the value applies
+    ``_unit_distortion`` to those arrays in ``instance_distortion``'s order, so
+    each score is bit-identical to valuing the candidate schedule alone. The first
     candidate in scan order that beats the incumbent by more than 1e-12 is
     accepted (first improvement) and the pair's remaining candidates are
     re-scored against the new incumbent, whose bystanders may have been
@@ -755,15 +759,8 @@ def _polish_grid_pairs(
 
         total = np.zeros(a.size)
         for q in range(m):
-            impact = inst.units[q].impact
-            p = column(q, "loss", every)
-            if not ancestors[q]:
-                total = total + impact * p
-                continue
-            survive = 1.0 - p
-            for anc in ancestors[q]:
-                survive = survive * (1.0 - column(anc - 1, "err", every))
-            total = total + (impact - impact * survive)
+            errs = [column(anc - 1, "err", every) for anc in ancestors[q]]
+            total = total + _unit_distortion(inst.units[q].impact, column(q, "loss", every), errs)
         return feasible, total / m, bystanders
 
     for _ in range(_POLISH_ROUNDS):

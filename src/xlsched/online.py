@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import CrossLayerDecision, DataUnit, DependencyGraph, Instance
-from .models import TransmissionModel, check_model, dag_distortion
+from .models import TransmissionModel, check_model
 from .offline import (
     _dag_coeffs,
     _graph_coeffs,
@@ -527,13 +527,13 @@ def _cycle_rows(
     model: TransmissionModel,
 ) -> tuple[CycleRow, ...]:
     inst = stream.instance
+    values = _ScheduleValues(inst.units, inst.graph, decisions, model, priced=False)
     rows = []
     for c in range(1, stream.num_cycles + 1):
         lo, hi = (c - 1) * stream.cycle_len + 1, min(c * stream.cycle_len, stream.num_units)
         reduction = 0.0
         for i in range(lo, hi + 1):
-            q = inst.units[i - 1].impact
-            reduction += q - dag_distortion(i, inst.units, decisions, inst.graph, model)
+            reduction += inst.units[i - 1].impact - values.unit_distortion(i)
         e_avg = float(np.mean([energies[i - 1] for i in range(lo, hi + 1)]))
         rows.append(
             CycleRow(

@@ -7,6 +7,7 @@ first all interarrival gaps, then all impacts, then all channel gains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,15 +45,15 @@ class TraceParams:
     def __post_init__(self) -> None:
         if self.num_dus < 0:
             raise ValueError(f"num_dus must be nonnegative, got {self.num_dus}")
-        if not 0.0 < self.impact_low <= self.impact_high:
+        if not 0.0 < self.impact_low <= self.impact_high < math.inf:
             raise ValueError(
-                f"impact range must satisfy 0 < low <= high, got "
+                f"impact range must satisfy 0 < low <= high < inf, got "
                 f"[{self.impact_low}, {self.impact_high}]"
             )
         for name in ("size", "mean_interarrival", "lifetime", "decay", "budget"):
             v = getattr(self, name)
-            if v <= 0.0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def _channel_sampler(spec: str) -> Callable[[np.random.Generator, int], np.ndarray]:

@@ -19,7 +19,6 @@ from xlsched import (
     ShannonExpModel,
     TraceParams,
     average_energy,
-    dag_distortion,
     generate_dag,
     generate_trace,
     instance_distortion,
@@ -131,7 +130,7 @@ def test_coefficients_distortion_and_lagrangian_match_the_scalar_reference(kind,
         for i in range(1, m + 1):
             assert _dag_coeffs(i, values) == _ref_dag_coeffs(i, inst.units, decisions, inst.graph, MODEL)
     for i in range(1, m + 1):
-        assert dag_distortion(i, inst.units, decisions, inst.graph, MODEL) == _ref_unit_distortion(
+        assert values.unit_distortion(i) == _ref_unit_distortion(
             i, inst.units, decisions, inst.graph, MODEL
         )
     for respect_graph in (True, False):

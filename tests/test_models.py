@@ -12,7 +12,6 @@ from xlsched import (
     Instance,
     ShannonEnergyParams,
     ShannonExpModel,
-    dag_distortion,
     energy_cost,
     error_propagation,
     loss_fraction,
@@ -23,6 +22,7 @@ from xlsched import (
 )
 from xlsched.core import CrossLayerDecision, DependencyGraph
 from xlsched.models import TransmissionModel
+from xlsched.offline import _ScheduleValues
 
 # flattens the curve to tau * (2**(a/tau) - 1) at unit channel gain
 TEXTBOOK = ShannonEnergyParams(noise=1.0, bandwidth_hz=1.0, bit_unit=1.0)
@@ -93,13 +93,13 @@ class TestLossFraction:
 
 
 class TestIndependentDistortion:
-    """Without a graph ``dag_distortion`` is impact times the loss fraction."""
+    """Without a graph a unit's distortion is impact times the loss fraction."""
 
     @staticmethod
     def _distortion(impact, payload):
         unit = _unit(impact=impact)
         dec = CrossLayerDecision(0.0, 0.05, payload)
-        return dag_distortion(1, (unit,), (dec,), None, ShannonExpModel())
+        return _ScheduleValues((unit,), None, (dec,), ShannonExpModel()).unit_distortion(1)
 
     def test_full_loss(self):
         assert self._distortion(100.0, 0.0) == 100.0
@@ -134,24 +134,24 @@ class TestDagDistortion:
         decisions = (CrossLayerDecision(0.0, 0.01, 5.0),) * 2
         graph = DependencyGraph(num_nodes=2, edges=((2, 1),))
         model = _TableModel({1: 0.0, 2: loss2}, {1: err1, 2: 0.0})
-        return units, decisions, graph, model
+        return units, _ScheduleValues(units, graph, decisions, model)
 
     def test_perfect_reception_everywhere(self):
-        units, decisions, graph, model = self._fixture(loss2=0.0, err1=0.0)
-        assert dag_distortion(2, units, decisions, graph, model) == 0.0
+        units, values = self._fixture(loss2=0.0, err1=0.0)
+        assert values.unit_distortion(2) == 0.0
 
     def test_dead_ancestor_forfeits_everything(self):
-        units, decisions, graph, model = self._fixture(loss2=0.0, err1=1.0)
-        assert dag_distortion(2, units, decisions, graph, model) == units[1].impact
+        units, values = self._fixture(loss2=0.0, err1=1.0)
+        assert values.unit_distortion(2) == units[1].impact
 
     def test_partial_survival(self):
-        units, decisions, graph, model = self._fixture(loss2=0.25, err1=0.5)
+        units, values = self._fixture(loss2=0.25, err1=0.5)
         # 100 * (1 - 0.75 * 0.5)
-        assert dag_distortion(2, units, decisions, graph, model) == pytest.approx(62.5)
+        assert values.unit_distortion(2) == pytest.approx(62.5)
 
     def test_no_ancestors_matches_independent(self):
-        units, decisions, graph, model = self._fixture(loss2=0.25, err1=0.5)
-        assert dag_distortion(1, units, decisions, graph, model) == 0.0
+        units, values = self._fixture(loss2=0.25, err1=0.5)
+        assert values.unit_distortion(1) == 0.0
 
 
 class TestVerifyShape:
@@ -326,3 +326,10 @@ def test_params_validation():
         ShannonEnergyParams(bandwidth_hz=-1.0)
     with pytest.raises(ValueError):
         ShannonEnergyParams(energy_cap=0.0)
+
+
+@pytest.mark.parametrize("field", ["noise", "bandwidth_hz", "bit_unit", "energy_cap"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_params_reject_nan_inf_and_negative(field, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ShannonEnergyParams(**{field: value})

@@ -86,6 +86,11 @@ class TestGenerateTrace:
         {"lifetime": 0.0},
         {"decay": 0.0},
         {"budget": 0.0},
+        {"budget": float("nan")},
+        {"budget": float("inf")},
+        {"size": float("nan")},
+        {"decay": float("nan")},
+        {"impact_high": float("inf")},
     ])
     def test_bad_params(self, kw):
         with pytest.raises(ValueError):
