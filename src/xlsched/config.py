@@ -250,6 +250,8 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
         )
     if not plan.policies or not plan.seeds or not plan.w_sweep:
         raise ConfigError("[experiment]: policies, seeds and w_sweep must be non-empty")
+    if min(plan.seeds) < 0:
+        raise ConfigError("[experiment]: seeds must be nonnegative")
     if not all(0.0 < w < math.inf for w in plan.w_sweep):
         raise ConfigError("[experiment]: w_sweep entries must be positive and finite")
     if plan.cycles < 1 or plan.cycle_len < 1:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -155,11 +155,11 @@ class TransmissionModel(Protocol):
 
     The scalar trio ``loss``, ``errprop`` and ``cost`` values a decision
     (and is all :func:`verify_shape` samples). The per-unit solves use the
-    closed-form surface: ``window_value`` for the offline window search and
-    the vectorized ``best_payload_vec``, ``loss_vec`` and ``cost_vec`` for the
-    online end-grid search. Both take the payload argmin of one merged weight
-    on the loss curve (loss weight plus error weight), so a conforming model's
-    ``errprop`` must equal its ``loss``.
+    closed-form surface: ``window_fn`` for the offline window search, built
+    once per solve, and ``best_payload_vec``, ``loss_vec`` and ``cost_vec``
+    for the online end-grid search. Both take the payload argmin of one
+    merged weight on the loss curve (loss weight plus error weight), so a
+    conforming model's ``errprop`` must equal its ``loss``.
     """
 
     def loss(self, unit: "DataUnit", start: float, end: float, payload: float) -> float: ...
@@ -168,9 +168,9 @@ class TransmissionModel(Protocol):
 
     def cost(self, unit: "DataUnit", start: float, end: float, payload: float) -> float: ...
 
-    def window_value(
-        self, unit: "DataUnit", tau: float, loss_weight: float, energy_weight: float
-    ) -> tuple[float, float, float]: ...
+    def window_fn(
+        self, unit: "DataUnit", loss_weight: float, energy_weight: float
+    ) -> Callable[[float], tuple[float, float, float]]: ...
 
     def best_payload_vec(
         self, unit: "DataUnit", taus: np.ndarray, loss_weight: float, energy_weight: float
@@ -186,7 +186,7 @@ def check_model(model: object) -> None:
     if not isinstance(model, TransmissionModel):
         raise TypeError(
             f"{type(model).__name__} does not implement the TransmissionModel protocol "
-            "(loss, errprop, cost, window_value, best_payload_vec, loss_vec, cost_vec)"
+            "(loss, errprop, cost, window_fn, best_payload_vec, loss_vec, cost_vec)"
         )
 
 
@@ -196,10 +196,10 @@ class ShannonExpModel:
 
     Besides the scalar trio it exposes the window value
     ``V(tau) = min_a L * 2**(-decay*a) + E * cost(tau, a)`` in closed form
-    (``window_value``): the payload minimizer is a stationary point solvable
-    in the log domain, and the slope ``dV/dtau`` follows from the envelope
-    theorem. The solvers search the window length by a root-find on that
-    slope.
+    (``window_fn``, and ``window_value`` at a single tau): the payload
+    minimizer is a stationary point solvable in the log domain, and the slope
+    ``dV/dtau`` follows from the envelope theorem. The solvers search the
+    window length by a root-find on that slope.
     """
 
     params: ShannonEnergyParams = field(default_factory=ShannonEnergyParams)
@@ -215,78 +215,92 @@ class ShannonExpModel:
 
     # -- closed form used by the solvers -----------------------------------
 
-    def payload_upper(self, unit, tau: float) -> float:
-        """Largest feasible payload in a window of length ``tau``."""
-        if tau <= 0.0:
-            return 0.0
-        upper = unit.size
-        cap = self.params.energy_cap
-        if cap is not None:
-            # invert cost(tau, a) = cap; cost is increasing in a
-            a_cap = (
-                tau
-                * self.params.bandwidth_hz
-                / self.params.bit_unit
-                * math.log2(1.0 + cap * unit.channel / (self.params.noise * tau))
-            )
-            upper = min(upper, max(a_cap, 0.0))
-        return upper
+    def window_fn(
+        self, unit, loss_weight: float, energy_weight: float
+    ) -> Callable[[float], tuple[float, float, float]]:
+        """The window value of ``unit`` at fixed weights, as a function of tau.
+
+        Returns ``tau -> (a, V, dV/dtau)``: the payload minimizer, the window
+        value ``V(tau) = min_a L*loss(a) + E*cost(tau, a)`` over the payloads
+        ``a`` that fit the unit and the energy cap in a window of length
+        ``tau``, and its slope. Everything that does not depend on tau is
+        computed here, once per solve. By the envelope theorem the slope is
+        ``E * d cost/d tau`` at fixed ``a`` unless the energy cap binds, where
+        ``a`` moves with the cap and the slope is ``L * d loss/d a * d a_cap/d tau``
+        (energy stays at the cap). An empty payload, or an unpriced one
+        (``E = 0``) below the cap, has slope 0.
+        """
+        p = self.params
+        size, decay, channel = unit.size, unit.decay, unit.channel
+        bandwidth, bit_unit, noise, cap = p.bandwidth_hz, p.bit_unit, p.noise, p.energy_cap
+        empty = (0.0, loss_weight, 0.0)
+        if loss_weight <= 0.0:
+            return lambda tau: empty
+        log_ratio = None  # unpriced: the payload sits at its upper bound
+        if not energy_weight <= 0.0:
+            ratio = loss_weight * decay * channel * bandwidth / (energy_weight * noise * bit_unit)
+            if ratio <= 0.0:
+                return lambda tau: empty
+            log_ratio = math.log2(ratio)
+        priced = energy_weight > 0.0
+        per_gain = noise / channel
+        spend_slope = energy_weight * per_gain
+        cap_gain = None if cap is None else cap * channel
+        cap_pull = -loss_weight * decay * _LN2
+
+        # runs once per tau: min, max and _exp2's clamp are spelled out as the
+        # same comparisons, since calls to them took about a third of its time
+        def window(tau: float) -> tuple[float, float, float]:
+            if tau <= 0.0:
+                return empty
+            span = tau * bandwidth
+            upper = size
+            if cap_gain is not None:
+                # invert cost(tau, a) = cap; cost is increasing in a
+                k_tau = cap_gain / (noise * tau)
+                log_k = math.log2(1.0 + k_tau)
+                a_cap = span / bit_unit * log_k
+                a_cap = 0.0 if a_cap < 0.0 else a_cap
+                upper = a_cap if a_cap < size else size
+            if upper <= 0.0:
+                return empty
+            if log_ratio is None:
+                a = upper
+            else:
+                a = log_ratio / (decay + bit_unit / span)
+                a = 0.0 if a < 0.0 else a
+                a = upper if upper < a else a
+                if a <= 0.0:
+                    return empty
+            # a <= upper <= size, so the loss exponent needs no min with size
+            z = -decay * a
+            lost = 2.0 ** (EXP_CLAMP if z > EXP_CLAMP else -EXP_CLAMP if z < -EXP_CLAMP else z)
+            lost = 1.0 if lost > 1.0 else lost
+            value = loss_weight * lost
+            if priced:
+                z = a * bit_unit / span
+                e2z = 2.0 ** (EXP_CLAMP if z > EXP_CLAMP else -EXP_CLAMP if z < -EXP_CLAMP else z)
+                spend = per_gain * tau * (e2z - 1.0)
+                if spend == math.inf or spend == -math.inf:
+                    spend = 2.0 ** EXP_CLAMP
+                value += energy_weight * spend
+            if a == upper < size:
+                # the cap binds: a = a_cap(tau) = (tau/c) log2(1 + K/tau) with
+                # c = bit_unit/bandwidth and K = cap*channel/noise, so
+                # a_cap'(tau) = (log2(1 + K/tau) - (K/tau) / ((1 + K/tau) ln 2)) / c
+                d_cap = (log_k - k_tau / ((1.0 + k_tau) * _LN2)) * bandwidth / bit_unit
+                return a, value, cap_pull * lost * d_cap
+            if priced:
+                return a, value, spend_slope * (e2z - 1.0 - z * _LN2 * e2z)
+            return a, value, 0.0
+
+        return window
 
     def window_value(
         self, unit, tau: float, loss_weight: float, energy_weight: float
     ) -> tuple[float, float, float]:
-        """Payload minimizer, window value and its slope in the window length.
-
-        Returns ``(a, V, dV/dtau)`` for ``V(tau) = min_a L*loss(a) + E*cost(tau, a)``
-        over ``0 <= a <= payload_upper(unit, tau)``. By the envelope theorem
-        the slope is ``E * d cost/d tau`` at fixed ``a`` unless the energy cap
-        binds, where ``a`` moves with the cap and the slope is
-        ``L * d loss/d a * d a_cap/d tau`` (energy stays at the cap). An empty
-        payload, or an unpriced one (``E = 0``) below the cap, has slope 0.
-        """
-        if tau <= 0.0 or loss_weight <= 0.0:
-            return 0.0, loss_weight, 0.0
-        upper = self.payload_upper(unit, tau)
-        if upper <= 0.0:
-            return 0.0, loss_weight, 0.0
-        p = self.params
-        if energy_weight <= 0.0:
-            a = upper
-        else:
-            ratio = (
-                loss_weight * unit.decay * unit.channel * p.bandwidth_hz
-                / (energy_weight * p.noise * p.bit_unit)
-            )
-            if ratio <= 0.0:
-                return 0.0, loss_weight, 0.0
-            k = p.bit_unit / (tau * p.bandwidth_hz)
-            a = min(max(math.log2(ratio) / (unit.decay + k), 0.0), upper)
-            if a <= 0.0:
-                return 0.0, loss_weight, 0.0
-        lost = min(_exp2(-unit.decay * min(a, unit.size)), 1.0)
-        value = loss_weight * lost
-        if energy_weight > 0.0:
-            z = a * p.bit_unit / (tau * p.bandwidth_hz)
-            e2z = _exp2(z)
-            spend = (p.noise / unit.channel) * tau * (e2z - 1.0)
-            if math.isinf(spend):
-                spend = 2.0 ** EXP_CLAMP
-            value += energy_weight * spend
-        if a == upper < unit.size:
-            # the cap binds: a = a_cap(tau) = (tau/c) log2(1 + K/tau) with
-            # c = bit_unit/bandwidth and K = cap*channel/noise, so
-            # a_cap'(tau) = (log2(1 + K/tau) - (K/tau) / ((1 + K/tau) ln 2)) / c
-            k_tau = p.energy_cap * unit.channel / (p.noise * tau)
-            d_cap = (
-                (math.log2(1.0 + k_tau) - k_tau / ((1.0 + k_tau) * _LN2))
-                * p.bandwidth_hz / p.bit_unit
-            )
-            slope = -loss_weight * unit.decay * _LN2 * lost * d_cap
-        elif energy_weight > 0.0:
-            slope = energy_weight * (p.noise / unit.channel) * (e2z - 1.0 - z * _LN2 * e2z)
-        else:
-            slope = 0.0
-        return a, value, slope
+        """``(a, V, dV/dtau)`` at one window length; see :meth:`window_fn`."""
+        return self.window_fn(unit, loss_weight, energy_weight)(tau)
 
     # -- vectorized variants for the online hot path -----------------------
 

@@ -13,7 +13,8 @@ model solves it in closed form, and the remaining window search is convex in
 the window length after observing that the start time enters linearly and is
 therefore optimal at an interval endpoint. The model's window value comes
 with its slope in the window length, so the window search is a bracketed
-root-find on the slope (about eight model calls per unit).
+root-find on the slope. ``window_fn`` hoists what one solve shares, and the
+search values each window length it tries once (about eight per unit).
 
 Both solvers share one outer loop, which owns the two master problems: it
 moves the budget price and the handoff prices, recovers a feasible schedule
@@ -189,10 +190,10 @@ def _solve_unit(
 
     Minimizes loss_coeff*p + err_coeff*e + energy_coeff*w - handoff_prev*start
     + handoff_next*end over windows inside [start_floor, deadline] and their
-    payloads. One ``window_value`` call per window length tau gives the
-    payload argmin, the window value V(tau) and its slope for the merged
-    weight loss_coeff + err_coeff (a conforming model's errprop is its loss);
-    V depends on the window only through its length.
+    payloads. ``window_fn`` gives, per window length tau, the payload argmin,
+    the window value V(tau) and its slope for the merged weight
+    loss_coeff + err_coeff (a conforming model's errprop is its loss); V
+    depends on the window only through its length.
 
     For fixed tau the start time enters linearly with coefficient
     (handoff_next - handoff_prev), so it sits at an endpoint of
@@ -203,36 +204,25 @@ def _solve_unit(
     floor, end at the deadline).
     """
     # numpy scalars here would leak into every iterate and the decision
-    loss_coeff = float(loss_coeff)
-    err_coeff = float(err_coeff)
-    energy_coeff = float(energy_coeff)
-    handoff_prev = float(handoff_prev)
-    handoff_next = float(handoff_next)
-    weight = loss_coeff + err_coeff
+    handoff_prev, handoff_next = float(handoff_prev), float(handoff_next)
+    window = model.window_fn(unit, float(loss_coeff) + float(err_coeff), float(energy_coeff))
     cf = handoff_next - handoff_prev
-    cache: dict[float, tuple[float, float, float]] = {}
-
-    def evaluate(tau: float) -> tuple[float, float, float]:
-        hit = cache.get(tau)
-        if hit is None:
-            hit = cache[tau] = model.window_value(unit, tau, weight, energy_coeff)
-        return hit
-
-    def g(tau: float) -> float:
-        base = evaluate(tau)[1] + handoff_next * tau
-        if cf >= 0.0:
-            return base + cf * start_floor
-        return base + cf * (unit.deadline - tau)
-
+    deadline = unit.deadline
+    at_floor = cf * start_floor
     lam = handoff_next if cf >= 0.0 else handoff_prev
-    tau_star, obj = derivative_search(
-        g, lambda tau: evaluate(tau)[2] + lam, 0.0, unit.deadline - start_floor
-    )
-    x_star = start_floor if cf >= 0.0 else max(unit.deadline - tau_star, start_floor)
+
+    def g(tau: float) -> tuple[float, float, float]:  # with the payload argmin
+        a, value, slope = window(tau)
+        start_term = at_floor if cf >= 0.0 else cf * (deadline - tau)
+        return value + handoff_next * tau + start_term, slope + lam, a
+
+    tau_star, (obj, _, payload) = derivative_search(g, 0.0, deadline - start_floor)
+    x_star = start_floor if cf >= 0.0 else max(deadline - tau_star, start_floor)
     # rounding in start + tau must not carry the end past the deadline, and
     # the payload must fit the stored window, whose length may differ by an ulp
-    end = min(x_star + tau_star, unit.deadline)
-    payload = evaluate(end - x_star)[0]
+    end = min(x_star + tau_star, deadline)
+    if end - x_star != tau_star:
+        payload = window(end - x_star)[0]
     return UnitSolution(CrossLayerDecision(start=x_star, end=end, payload=payload), obj)
 
 

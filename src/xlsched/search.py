@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = ["golden_section", "brent_root", "derivative_search"]
 
@@ -12,16 +12,15 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = sys.float_info.epsilon
 
 
-def _with_corners(
-    lo: float, f_lo: float, hi: float, f_hi: float, x_in: float, f_in: float
-) -> tuple[float, float]:
-    """Endpoint polish: ties resolve toward hi, then lo, then the interior."""
-    best_x, best_f = x_in, f_in
-    if f_lo <= best_f:
-        best_x, best_f = lo, f_lo
-    if f_hi <= best_f:
-        best_x, best_f = hi, f_hi
-    return best_x, best_f
+def _with_corners(lo: float, at_lo, hi: float, at_hi, x_in: float, at_in):
+    """Endpoint polish over evaluations whose first entry is the objective:
+    ties resolve toward hi, then lo, then the interior. Returns ``(x, at)``."""
+    best_x, best = x_in, at_in
+    if at_lo[0] <= best[0]:
+        best_x, best = lo, at_lo
+    if at_hi[0] <= best[0]:
+        best_x, best = hi, at_hi
+    return best_x, best
 
 
 def golden_section(
@@ -64,40 +63,48 @@ def golden_section(
         x_in, f_in = c, f_c
     else:
         x_in, f_in = d, f_d
-    return _with_corners(lo, f_lo, hi, f_hi, x_in, f_in)
+    x, (fx,) = _with_corners(lo, (f_lo,), hi, (f_hi,), x_in, (f_in,))
+    return x, fx
 
 
 def brent_root(
-    f: Callable[[float], float],
+    fn: Callable[[float], Sequence[float]],
     lo: float,
     hi: float,
+    at_lo: Sequence[float],
+    at_hi: Sequence[float],
     tol: float = 1e-8,
-) -> float:
-    """Root of ``f`` in ``[lo, hi]`` to absolute argument tolerance ``tol``.
+) -> tuple[float, Sequence[float]]:
+    """Root of the slope ``fn(x)[1]`` in ``[lo, hi]`` to absolute argument tolerance ``tol``.
+
+    ``fn`` returns one evaluation per point, ``(f(x), f'(x), ...)``; the
+    caller passes its values at the ends, ``at_lo`` and ``at_hi``, and it is
+    called once per further point tried. Returns ``(x, fn(x))``.
 
     Brent's zero-in (Brent 1973, *Algorithms for Minimization without
     Derivatives*, ch. 4): inverse quadratic or secant steps while they stay
-    inside the bracket and shrink it fast enough, bisection otherwise. ``f``
-    must not have the same strict sign at both ends. Infinite values of ``f``
+    inside the bracket and shrink it fast enough, bisection otherwise. The
+    slope must not have the same strict sign at both ends. Infinite slopes
     are allowed; they only force bisection steps. A NaN or infinite bracket
     end raises ``ValueError``: the stopping test never holds on it.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket [{lo}, {hi}] must be finite")
-    a, b = lo, hi
-    fa, fb = f(a), f(b)
+    a, b, at_a, at_b = lo, hi, at_lo, at_hi
+    fa, fb = at_a[1], at_b[1]
     if (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
-        raise ValueError(f"f does not change sign on [{lo}, {hi}]")
-    c, fc = a, fa
+        raise ValueError(f"the slope does not change sign on [{lo}, {hi}]")
+    c, fc, at_c = a, fa, at_a
     d = e = b - a
     while True:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
+            at_a, at_b, at_c = at_b, at_c, at_b
         tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
-            return b
+            return b, at_b
         step_ok = False
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
@@ -120,40 +127,44 @@ def brent_root(
             e, d = d, p / q
         else:
             d = e = xm
-        a, fa = b, fb
+        a, fa, at_a = b, fb, at_b
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
+        at_b = fn(b)
+        fb = at_b[1]
         if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
+            c, fc, at_c = a, fa, at_a
             d = e = b - a
 
 
 def derivative_search(
-    f: Callable[[float], float],
-    df: Callable[[float], float],
+    fn: Callable[[float], Sequence[float]],
     lo: float,
     hi: float,
     tol: float = 1e-8,
-) -> tuple[float, float]:
-    """Minimize a convex ``f`` with (sub)derivative ``df`` on ``[lo, hi]``.
+) -> tuple[float, Sequence[float]]:
+    """Minimize a convex ``f`` on ``[lo, hi]`` given ``fn(x) = (f(x), f'(x), ...)``.
 
-    The interior candidate is ``hi`` when ``f`` still falls there, the point
-    ``tol`` above ``lo`` when it already rises there, and otherwise the root
-    of ``df`` between the two (``brent_root``). ``f`` may jump at ``lo``, so
-    the candidate is compared against both endpoints with the same tie rules
-    as :func:`golden_section`. Returns ``(x, f(x))``.
+    ``f'`` may be a subderivative. The interior candidate is ``hi`` when
+    ``f`` still falls there, the point ``tol`` above ``lo`` when it already
+    rises there, and otherwise the root of ``f'`` between the two
+    (``brent_root``). ``f`` may jump at ``lo``, so the candidate is compared
+    against both endpoints with the same tie rules as :func:`golden_section`.
+    ``fn`` is called once per point tried, and whatever it returns past the
+    slope rides along: the result is ``(x, fn(x))``.
     """
     if hi < lo:
         raise ValueError(f"empty search interval [{lo}, {hi}]")
-    f_lo = f(lo)
+    at_lo = fn(lo)
     if hi == lo:
-        return lo, f_lo
-    if df(hi) <= 0.0:
-        x_in = hi
+        return lo, at_lo
+    at_hi = fn(hi)
+    if at_hi[1] <= 0.0:
+        x_in, at_in = hi, at_hi
     else:
         x_near = lo + min(tol, 0.5 * (hi - lo))
-        if df(x_near) >= 0.0:
-            x_in = x_near
+        at_near = fn(x_near)
+        if at_near[1] >= 0.0:
+            x_in, at_in = x_near, at_near
         else:
-            x_in = brent_root(df, x_near, hi, tol)
-    return _with_corners(lo, f_lo, hi, f(hi), x_in, f(x_in))
+            x_in, at_in = brent_root(fn, x_near, hi, at_near, at_hi, tol)
+    return _with_corners(lo, at_lo, hi, at_hi, x_in, at_in)

@@ -43,6 +43,8 @@ class TraceParams:
     budget: float = 10.0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.num_dus < 0:
             raise ValueError(f"num_dus must be nonnegative, got {self.num_dus}")
         if not 0.0 < self.impact_low <= self.impact_high < math.inf:
@@ -54,6 +56,7 @@ class TraceParams:
             v = getattr(self, name)
             if not 0.0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        _channel_sampler(self.channel)  # parses the spec; draws nothing
 
 
 def _channel_sampler(spec: str) -> Callable[[np.random.Generator, int], np.ndarray]:

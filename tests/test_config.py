@@ -121,6 +121,10 @@ class TestRejection:
         ("[experiment]\nw_sweep = -5\n", "w_sweep"),
         ("[experiment]\nw_sweep = 5,inf\n", "w_sweep"),
         ("[experiment]\nw_sweep = nan\n", "w_sweep"),
+        # accepted once, and refused later by generate_trace
+        ("[trace]\nseed = -1\n", "seed"),
+        ("[experiment]\nseeds = -3\n", "seeds"),
+        ("[trace]\nchannel = bogus\n", "channel"),
     ])
     def test_bad_values(self, tmp_path, text, fragment):
         with pytest.raises(ConfigError, match=fragment):

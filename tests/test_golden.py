@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import numbers
 
+import numpy as np
 import pytest
 
 from xlsched import (
@@ -23,10 +24,15 @@ from xlsched import (
     TraceParams,
     generate_dag,
     generate_trace,
+    ShannonEnergyParams,
     recover_primal,
     run_online,
+    solve_independent,
     solve_interdependent,
 )
+from xlsched.offline import _solve_unit
+
+from test_window_search import _draw_case
 
 MODEL = ShannonExpModel()
 
@@ -79,6 +85,25 @@ def _mdu_on_ibpbp():
     return run_online(CausalStream(inst, cycle_len=5), MODEL, "mdu", OnlineParams(mdu_outer=8))
 
 
+def _unit_kernel():
+    """The per-unit solve and the window value on random kernel cases: energy
+    caps, unpriced energy, and windows of length 0 and 1e-9 included."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for _ in range(2000):
+        cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
+        model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
+        sol = _solve_unit(unit, model, loss, err, price, hp, hn, floor)
+        values = [model.window_value(unit, tau, loss + err, price) for tau in (0.0, 1e-9, 1e-4, 0.01, 0.05)]
+        out.append((sol, values))
+    return out
+
+
+def _independent_standard():
+    # the default budget binds on this trace, so the recovery rescales payloads
+    return solve_independent(generate_trace(TraceParams(seed=3, num_dus=10)), MODEL, max_outer=30)
+
+
 CASES = {
     "interdependent-sweeps-seed1": (
         lambda: _sweeps_on_random_dag(1),
@@ -103,6 +128,14 @@ CASES = {
     "mdu-ibpbp": (
         _mdu_on_ibpbp,
         "97ff2c1600c59c8a7c500cc4d4bd67d36ec8ad2fa8bd9bb2883a73231c971be4",
+    ),
+    "unit-kernel": (
+        _unit_kernel,
+        "a7c9cce49ecc852f4e9830782f04ef4271a923abf85de49889d22fcd95301c25",
+    ),
+    "independent-standard": (
+        _independent_standard,
+        "f1e9e41e01aca3e76ef74aba0fbd23852f87da1a4a37ae8d4347516b73adbdbe",
     ),
 }
 

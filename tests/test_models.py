@@ -222,12 +222,24 @@ class TestModelProtocol:
             solve(Instance(units=(), budget=1.0), ThreeFunctionModel())
 
 
+def _payload_bound(model, unit, tau):
+    """Largest payload that fits the unit and the energy cap in a window of length tau."""
+    if tau <= 0.0:
+        return 0.0
+    p = model.params
+    if p.energy_cap is None:
+        return unit.size
+    # cost(tau, a) = cap solved for a; cost is increasing in a
+    a_cap = tau * p.bandwidth_hz / p.bit_unit * math.log2(1.0 + p.energy_cap * unit.channel / (p.noise * tau))
+    return min(unit.size, max(a_cap, 0.0))
+
+
 class TestBestPayload:
     """The payload minimizer, the first entry of ``window_value``."""
 
     def _reference(self, model, unit, tau, lw, ew):
         # independent 1-D search over the same objective
-        upper = model.payload_upper(unit, tau)
+        upper = _payload_bound(model, unit, tau)
 
         def f(a):
             return lw * model.loss(unit, 0.0, tau, a) + ew * model.cost(unit, 0.0, tau, a)
@@ -290,7 +302,7 @@ class TestWindowValue:
         unit = _unit(channel=1.3)
         for tau in (0.0, 1e-6, 0.004, 0.02, 0.05):
             a, v, _ = model.window_value(unit, tau, lw, ew)
-            assert 0.0 <= a <= model.payload_upper(unit, tau)
+            assert 0.0 <= a <= _payload_bound(model, unit, tau)
             ref = lw * model.loss(unit, 0.0, tau, a) + ew * model.cost(unit, 0.0, tau, a)
             assert v == pytest.approx(ref, rel=1e-12, abs=1e-12)
 

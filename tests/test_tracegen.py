@@ -91,6 +91,9 @@ class TestGenerateTrace:
         {"size": float("nan")},
         {"decay": float("nan")},
         {"impact_high": float("inf")},
+        {"seed": -1},
+        {"channel": "bogus"},
+        {"channel": "uniform:1.5,0.5"},
     ])
     def test_bad_params(self, kw):
         with pytest.raises(ValueError):

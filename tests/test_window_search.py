@@ -23,47 +23,79 @@ from xlsched import (
 from xlsched.offline import _solve_unit
 from xlsched.search import brent_root, derivative_search, golden_section
 
+from test_models import _payload_bound
+
 TOL = 1e-8  # derivative_search's default, the window tolerance of every unit solve
 
 
 @dataclass(frozen=True)
 class CountingModel(ShannonExpModel):
-    calls: list = field(default_factory=lambda: [0], compare=False)
+    """The default model, recording each window length the solver values."""
 
-    def window_value(self, unit, tau, loss_weight, energy_weight):
-        self.calls[0] += 1
-        return super().window_value(unit, tau, loss_weight, energy_weight)
+    taus: list = field(default_factory=list, compare=False)
+
+    def window_fn(self, unit, loss_weight, energy_weight):
+        window = super().window_fn(unit, loss_weight, energy_weight)
+
+        def counted(tau):
+            self.taus.append(tau)
+            return window(tau)
+
+        return counted
+
+
+def _evaluation(f, df):
+    """``x -> (f(x), f'(x))``, the evaluation the searches take."""
+    return lambda t: (f(t), df(t))
+
+
+def _root(df, lo, hi, **kw):
+    """``brent_root`` on an evaluation with slope ``df`` and no objective."""
+    fn = _evaluation(lambda t: None, df)
+    return brent_root(fn, lo, hi, fn(lo), fn(hi), **kw)
 
 
 class TestBrentRoot:
     def test_smooth_root(self):
-        x = brent_root(lambda t: t * t - 2.0, 0.0, 2.0, tol=1e-12)
+        x, at = _root(lambda t: t * t - 2.0, 0.0, 2.0, tol=1e-12)
         assert x == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert at == (None, x * x - 2.0)
 
     def test_step_function_root_within_tol(self):
-        x = brent_root(lambda t: -1.0 if t < 0.3 else 1.0, 0.0, 1.0, tol=1e-9)
+        x, _ = _root(lambda t: -1.0 if t < 0.3 else 1.0, 0.0, 1.0, tol=1e-9)
         assert abs(x - 0.3) <= 1e-9
 
     def test_infinite_values_fall_back_to_bisection(self):
-        x = brent_root(lambda t: -math.inf if t < 0.7 else t - 0.7, 0.0, 1.0, tol=1e-10)
+        x, _ = _root(lambda t: -math.inf if t < 0.7 else t - 0.7, 0.0, 1.0, tol=1e-10)
         assert x == pytest.approx(0.7, abs=1e-10)
 
     def test_endpoint_roots_and_sign_check(self):
-        assert brent_root(lambda t: t, 0.0, 1.0) == 0.0
-        assert brent_root(lambda t: t - 1.0, 0.0, 1.0) == 1.0
+        assert _root(lambda t: t, 0.0, 1.0) == (0.0, (None, 0.0))
+        assert _root(lambda t: t - 1.0, 0.0, 1.0) == (1.0, (None, 0.0))
         with pytest.raises(ValueError):
-            brent_root(lambda t: t + 1.0, 0.0, 1.0)
+            _root(lambda t: t + 1.0, 0.0, 1.0)
+
+    def test_given_end_values_are_not_recomputed(self):
+        seen = []
+
+        def fn(t):
+            seen.append(t)
+            return None, t * t - 2.0
+
+        x, _ = brent_root(fn, 0.0, 2.0, fn(0.0), fn(2.0), 1e-12)
+        assert x == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert seen[:2] == [0.0, 2.0] and len(seen) == len(set(seen))
 
     @pytest.mark.parametrize("lo, hi", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
     def test_non_finite_bracket_raises(self, lo, hi, fail_fast):
         # a NaN bracket never meets the stopping test, so it must not start
         with pytest.raises(ValueError, match="finite"):
-            brent_root(lambda t: -1.0 if t < 0.5 else 1.0, lo, hi)
+            _root(lambda t: -1.0 if t < 0.5 else 1.0, lo, hi)
 
 
 class TestDerivativeSearch:
     def test_parabola(self):
-        x, fx = derivative_search(lambda t: (t - 0.3) ** 2, lambda t: 2 * (t - 0.3), 0.0, 1.0, 1e-10)
+        x, (fx, _) = derivative_search(_evaluation(lambda t: (t - 0.3) ** 2, lambda t: 2 * (t - 0.3)), 0.0, 1.0, 1e-10)
         assert x == pytest.approx(0.3, abs=1e-10)
         assert fx == pytest.approx(0.0, abs=1e-18)
 
@@ -73,7 +105,8 @@ class TestDerivativeSearch:
             (lambda t: -t, lambda t: -1.0),
             (lambda t: 0.0, lambda t: 0.0),
         ):
-            assert derivative_search(f, df, 0.0, 1.0) == golden_section(f, 0.0, 1.0)
+            x, (fx, _) = derivative_search(_evaluation(f, df), 0.0, 1.0)
+            assert (x, fx) == golden_section(f, 0.0, 1.0)
 
     def test_jump_at_lower_end(self):
         # f(0) is above the limit from the right, as the window value with
@@ -81,13 +114,25 @@ class TestDerivativeSearch:
         def f(t):
             return 1.0 if t == 0.0 else 0.5 + t
 
-        x, fx = derivative_search(f, lambda t: 1.0, 0.0, 1.0, 1e-8)
+        x, (fx, _) = derivative_search(_evaluation(f, lambda t: 1.0), 0.0, 1.0, 1e-8)
         assert x == 1e-8 and fx == 0.5 + 1e-8
 
     def test_degenerate_interval(self):
-        assert derivative_search(lambda t: t * t, lambda t: 2 * t, 2.0, 2.0) == (2.0, 4.0)
+        assert derivative_search(_evaluation(lambda t: t * t, lambda t: 2 * t), 2.0, 2.0) == (2.0, (4.0, 4.0))
         with pytest.raises(ValueError):
-            derivative_search(lambda t: t, lambda t: 1.0, 1.0, 0.0)
+            derivative_search(_evaluation(lambda t: t, lambda t: 1.0), 1.0, 0.0)
+
+    def test_each_point_is_valued_once_and_its_payload_rides_along(self):
+        seen = []
+
+        def fn(t):
+            seen.append(t)
+            return (t - 0.3) ** 2, 2 * (t - 0.3), f"payload at {t!r}"
+
+        x, at = derivative_search(fn, 0.0, 1.0, 1e-10)
+        assert at == fn(x)
+        seen.pop()
+        assert len(seen) == len(set(seen)) >= 4
 
 
 def _draw_case(rng):
@@ -135,11 +180,13 @@ class TestSlopeSearchAgainstGolden:
             model = CountingModel(params=params)
             sol = _solve_unit(unit, model, loss, err, price, hp, hn, floor)
             ref = _golden_reference(unit, ShannonExpModel(params=params), loss, err, price, hp, hn, floor)
-            evals.append(model.calls[0])
+            evals.append(len(model.taus))
+            # each window length is valued once
+            assert len(set(model.taus)) == len(model.taus)
 
             d = sol.decision
             assert floor <= d.start <= d.end <= unit.deadline
-            assert 0.0 <= d.payload <= model.payload_upper(unit, d.end - d.start) * (1 + 1e-12)
+            assert 0.0 <= d.payload <= _payload_bound(model, unit, d.end - d.start) * (1 + 1e-12)
             if cap is not None:
                 assert model.cost(unit, d.start, d.end, d.payload) <= cap * (1 + 1e-9)
             lam = max(hp, hn)
@@ -153,6 +200,8 @@ class TestSlopeSearchAgainstGolden:
                 + hn * d.end
             )
             assert sol.objective == pytest.approx(honest, rel=1e-9, abs=1e-9)
+        # every solve values its window through window_fn, about eight times
+        assert min(evals) > 0
         assert float(np.mean(evals)) <= 12.0
 
 
