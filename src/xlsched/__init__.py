@@ -30,7 +30,6 @@ from .models import (
     ShannonExpModel,
     ShapeReport,
     energy_cost,
-    error_propagation,
     loss_fraction,
     verify_shape,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "ShannonExpModel",
     "ShapeReport",
     "energy_cost",
-    "error_propagation",
     "loss_fraction",
     "verify_shape",
     "DecisionGrid",

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 from .models import ShannonEnergyParams
-from .online import POLICIES, OnlineParams
+from .online import IMPACT_ESTIMATES, POLICIES, UPDATE_MODES, OnlineParams
 from .tracegen import DAG_KINDS, TraceParams
 
 __all__ = [
@@ -212,15 +212,10 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
         impact_mean=0.5 * (trace.impact_low + trace.impact_high),
         beta0=solver.beta0,
     )
-    if learner.update_mode not in ("verbatim", "semi_gradient", "normalized"):
-        raise ConfigError(
-            f"[learner] update_mode = {learner.update_mode!r}: "
-            "expected 'verbatim', 'semi_gradient' or 'normalized'"
-        )
-    if learner.impact_estimate not in ("known", "mean"):
-        raise ConfigError(
-            f"[learner] dag_impact = {learner.impact_estimate!r}: expected 'known' or 'mean'"
-        )
+    for key, value, names in (("update_mode", learner.update_mode, UPDATE_MODES),
+                              ("dag_impact", learner.impact_estimate, IMPACT_ESTIMATES)):
+        if value not in names:
+            raise ConfigError(f"[learner] {key} = {value!r}: expected one of {names}")
     if learner.feature_order < 1:
         raise ConfigError("[learner]: features must be >= 1")
     if not 0.0 < learner.gamma0 <= 1.0:

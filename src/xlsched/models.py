@@ -1,12 +1,12 @@
-"""Transmission models: loss fractions, error propagation, and energy cost.
+"""Transmission models: loss fractions and energy cost.
 
 The concrete model couples an exponential loss curve with a Shannon-style
 energy cost:
 
 * a unit carrying ``size`` payload units transmitted with payload ``a`` is
   lost by the application with probability ``2**(-decay * min(a, size))``;
-* the same expression gives the fraction of descendant value destroyed when
-  the unit is a reference for later units (error propagation);
+  a unit helps only if it and every ancestor it references are received, so
+  the error a lost reference propagates to its descendants is its loss;
 * sending ``a`` payload units inside a window of length ``tau`` seconds over
   a channel with gain ``channel`` costs
   ``(noise / channel) * (2**(a * bit_unit / (tau * bandwidth_hz)) - 1) * tau``.
@@ -18,7 +18,7 @@ exponent 1. Setting ``bandwidth_hz = 1`` and ``bit_unit = 1`` recovers the
 plain textbook expression used by several unit tests.
 
 Every solver in the package only relies on two structural facts, checked by
-:func:`verify_shape` for any candidate model: the loss fractions are
+:func:`verify_shape` for any candidate model: the loss fraction is
 non-increasing in window length and payload, and loss and cost are jointly
 convex in (window length, payload).
 """
@@ -41,7 +41,6 @@ __all__ = [
     "ShapeReport",
     "energy_cost",
     "loss_fraction",
-    "error_propagation",
     "verify_shape",
     "EXP_CLAMP",
 ]
@@ -125,26 +124,17 @@ def loss_fraction(decay: float, size: float, payload: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def error_propagation(decay: float, size: float, payload: float) -> float:
-    """Fraction of dependent units' value destroyed by this unit's losses.
+def _unit_distortion(impact: float, loss: float, ancestor_losses: Sequence[float]) -> float:
+    """Expected distortion of a unit from its loss and its ancestors' losses.
 
-    The default model reuses the loss curve: a partially received reference
-    unit corrupts its descendants in the same proportion.
+    A unit is useful only if it and every ancestor are received; otherwise
+    its full impact is lost. Without ancestors it is ``impact * loss``. The
+    fractions may be numpy arrays.
     """
-    return loss_fraction(decay, size, payload)
-
-
-def _unit_distortion(impact: float, loss: float, ancestor_errs: Sequence[float]) -> float:
-    """Expected distortion of a unit from its loss and its ancestors' error fractions.
-
-    A unit is useful only if it survives its own loss and every ancestor
-    survived error propagation; otherwise its full impact is lost. Without
-    ancestors it is ``impact * loss``. The fractions may be numpy arrays.
-    """
-    if not ancestor_errs:
+    if not ancestor_losses:
         return impact * loss
     survive = 1.0 - loss
-    for e in ancestor_errs:
+    for e in ancestor_losses:
         survive *= 1.0 - e
     return impact - impact * survive
 
@@ -153,18 +143,15 @@ def _unit_distortion(impact: float, loss: float, ancestor_errs: Sequence[float])
 class TransmissionModel(Protocol):
     """What the solvers need from a physical-layer model.
 
-    The scalar trio ``loss``, ``errprop`` and ``cost`` values a decision
-    (and is all :func:`verify_shape` samples). The per-unit solves use the
-    closed-form surface: ``window_fn`` for the offline window search, built
-    once per solve, and ``best_payload_vec``, ``loss_vec`` and ``cost_vec``
-    for the online end-grid search. Both take the payload argmin of one
-    merged weight on the loss curve (loss weight plus error weight), so a
-    conforming model's ``errprop`` must equal its ``loss``.
+    The scalar pair ``loss`` and ``cost`` values a decision (and is all
+    :func:`verify_shape` samples); a unit's loss is also the error it
+    propagates to the units that reference it. The per-unit solves use the
+    closed form of the payload argmin at fixed weights on loss and energy:
+    ``window_fn`` for the offline window search, built once per solve, and
+    its array twin ``window_vec`` for the online end-grid search.
     """
 
     def loss(self, unit: "DataUnit", start: float, end: float, payload: float) -> float: ...
-
-    def errprop(self, unit: "DataUnit", start: float, end: float, payload: float) -> float: ...
 
     def cost(self, unit: "DataUnit", start: float, end: float, payload: float) -> float: ...
 
@@ -172,13 +159,9 @@ class TransmissionModel(Protocol):
         self, unit: "DataUnit", loss_weight: float, energy_weight: float
     ) -> Callable[[float], tuple[float, float, float]]: ...
 
-    def best_payload_vec(
+    def window_vec(
         self, unit: "DataUnit", taus: np.ndarray, loss_weight: float, energy_weight: float
-    ) -> np.ndarray: ...
-
-    def loss_vec(self, unit: "DataUnit", payloads: np.ndarray) -> np.ndarray: ...
-
-    def cost_vec(self, unit: "DataUnit", taus: np.ndarray, payloads: np.ndarray) -> np.ndarray: ...
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 def check_model(model: object) -> None:
@@ -186,20 +169,20 @@ def check_model(model: object) -> None:
     if not isinstance(model, TransmissionModel):
         raise TypeError(
             f"{type(model).__name__} does not implement the TransmissionModel protocol "
-            "(loss, errprop, cost, window_fn, best_payload_vec, loss_vec, cost_vec)"
+            "(loss, cost, window_fn, window_vec)"
         )
 
 
 @dataclass(frozen=True)
 class ShannonExpModel:
-    """Default model: exponential loss/error curves + Shannon-gap energy.
+    """Default model: exponential loss curve + Shannon-gap energy.
 
-    Besides the scalar trio it exposes the window value
+    Besides the scalar pair it exposes the window value
     ``V(tau) = min_a L * 2**(-decay*a) + E * cost(tau, a)`` in closed form
-    (``window_fn``, and ``window_value`` at a single tau): the payload
-    minimizer is a stationary point solvable in the log domain, and the slope
-    ``dV/dtau`` follows from the envelope theorem. The solvers search the
-    window length by a root-find on that slope.
+    (``window_fn``, and ``window_vec`` over an array of window lengths): the
+    payload minimizer is a stationary point solvable in the log domain, and
+    the slope ``dV/dtau`` follows from the envelope theorem. The solvers
+    search the window length by a root-find on that slope.
     """
 
     params: ShannonEnergyParams = field(default_factory=ShannonEnergyParams)
@@ -207,8 +190,9 @@ class ShannonExpModel:
     def loss(self, unit, start, end, payload) -> float:
         return loss_fraction(unit.decay, unit.size, payload)
 
-    def errprop(self, unit, start, end, payload) -> float:
-        return error_propagation(unit.decay, unit.size, payload)
+    # not part of the protocol: the benchmark's schedule check and its traced
+    # model still call it, and a unit's error propagation is its loss
+    errprop = loss
 
     def cost(self, unit, start, end, payload) -> float:
         return energy_cost(self.params, unit.channel, start, end, payload)
@@ -296,62 +280,46 @@ class ShannonExpModel:
 
         return window
 
-    def window_value(
-        self, unit, tau: float, loss_weight: float, energy_weight: float
-    ) -> tuple[float, float, float]:
-        """``(a, V, dV/dtau)`` at one window length; see :meth:`window_fn`."""
-        return self.window_fn(unit, loss_weight, energy_weight)(tau)
+    def window_vec(
+        self, unit, taus: np.ndarray, loss_weight: float, energy_weight: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Array twin of :meth:`window_fn`: ``(payload, loss, energy)`` per tau.
 
-    # -- vectorized variants for the online hot path -----------------------
-
-    def best_payload_vec(self, unit, taus: np.ndarray, loss_weight: float, energy_weight: float) -> np.ndarray:
+        The payload is the same argmin as ``window_fn``'s, and the loss and
+        energy are the model's at that payload; numpy may differ from the
+        scalar forms in the last ulp.
+        """
         p = self.params
         taus = np.asarray(taus, dtype=float)
-        out = np.zeros_like(taus)
+        payloads = np.zeros_like(taus)
         pos = taus > 0.0
-        if not np.any(pos):
-            return out
-        if loss_weight <= 0.0:
-            return out
-        uppers = np.full_like(taus, float(unit.size))
-        if p.energy_cap is not None:
-            with np.errstate(divide="ignore"):
-                a_cap = (
-                    taus * p.bandwidth_hz / p.bit_unit
-                    * np.log2(1.0 + p.energy_cap * unit.channel / (p.noise * np.where(pos, taus, 1.0)))
-                )
-            uppers = np.minimum(uppers, np.maximum(a_cap, 0.0))
-        if energy_weight <= 0.0:
-            out[pos] = uppers[pos]
-            return out
-        ratio = loss_weight * unit.decay * unit.channel * p.bandwidth_hz / (energy_weight * p.noise * p.bit_unit)
-        if ratio <= 0.0:
-            return out
-        k = np.where(pos, p.bit_unit / (np.where(pos, taus, 1.0) * p.bandwidth_hz), np.inf)
-        a = math.log2(ratio) / (unit.decay + k)
-        out[pos] = np.clip(a[pos], 0.0, uppers[pos])
-        return out
+        if np.any(pos) and not loss_weight <= 0.0:
+            uppers = np.full_like(taus, float(unit.size))
+            if p.energy_cap is not None:
+                with np.errstate(divide="ignore"):
+                    a_cap = (
+                        taus * p.bandwidth_hz / p.bit_unit
+                        * np.log2(1.0 + p.energy_cap * unit.channel / (p.noise * np.where(pos, taus, 1.0)))
+                    )
+                uppers = np.minimum(uppers, np.maximum(a_cap, 0.0))
+            if energy_weight <= 0.0:
+                payloads[pos] = uppers[pos]
+            else:
+                ratio = loss_weight * unit.decay * unit.channel * p.bandwidth_hz / (energy_weight * p.noise * p.bit_unit)
+                if not ratio <= 0.0:
+                    k = np.where(pos, p.bit_unit / (np.where(pos, taus, 1.0) * p.bandwidth_hz), np.inf)
+                    a = math.log2(ratio) / (unit.decay + k)
+                    payloads[pos] = np.clip(a[pos], 0.0, uppers[pos])
 
-    def loss_vec(self, unit, payloads: np.ndarray) -> np.ndarray:
         z = np.clip(-unit.decay * np.minimum(payloads, unit.size), -EXP_CLAMP, EXP_CLAMP)
-        return np.clip(np.exp2(z), 0.0, 1.0)
+        loss = np.clip(np.exp2(z), 0.0, 1.0)
 
-    def cost_vec(self, unit, taus: np.ndarray, payloads: np.ndarray) -> np.ndarray:
-        p = self.params
-        taus = np.asarray(taus, dtype=float)
-        payloads = np.asarray(payloads, dtype=float)
-        out = np.zeros(np.broadcast_shapes(taus.shape, payloads.shape))
-        taus_b, pl_b = np.broadcast_arrays(taus, payloads)
-        pos = taus_b > 0.0
-        z = np.clip(
-            pl_b[pos] * p.bit_unit / (taus_b[pos] * p.bandwidth_hz),
-            -EXP_CLAMP,
-            EXP_CLAMP,
-        )
-        vals = (p.noise / unit.channel) * taus_b[pos] * (np.exp2(z) - 1.0)
-        out[pos] = np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
-        out[~pos & (pl_b > 0.0)] = math.inf
-        return out
+        energy = np.zeros(taus.shape)
+        z = np.clip(payloads[pos] * p.bit_unit / (taus[pos] * p.bandwidth_hz), -EXP_CLAMP, EXP_CLAMP)
+        vals = (p.noise / unit.channel) * taus[pos] * (np.exp2(z) - 1.0)
+        # the payload is 0 wherever tau <= 0, so the energy is too
+        energy[pos] = np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
+        return payloads, loss, energy
 
 
 @dataclass(frozen=True)
@@ -383,8 +351,7 @@ def verify_shape(
     """Sampled check of the structural conditions the solvers rely on.
 
     Draws windows/payloads in the unit's feasible ranges and tests, pairwise,
-    that loss and error fractions are non-increasing in window length and
-    payload, that loss and cost are midpoint-convex jointly in (window,
+    that the loss fraction is non-increasing in window length and payload, that loss and cost are midpoint-convex jointly in (window,
     payload), and that ranges hold (fractions in [0,1], cost nonnegative).
     Zero samples are vacuously fine.
     """
@@ -406,16 +373,15 @@ def verify_shape(
         tau1, tau2 = sorted(rng.uniform(1e-9 * tau_max, tau_max, size=2))
         a1, a2 = sorted(rng.uniform(0.0, unit.size, size=2))
 
-        for fn, name in ((model.loss, "loss"), (model.errprop, "errprop")):
-            v11 = fn(unit, t0, t0 + tau1, a1)
-            v21 = fn(unit, t0, t0 + tau2, a1)
-            v12 = fn(unit, t0, t0 + tau1, a2)
-            if v21 > v11 + tol or v12 > v11 + tol:
-                mono += 1
-                note(f"{name} not non-increasing near tau={tau1:.6g}, a={a1:.6g}")
-            if not (-tol <= v11 <= 1.0 + tol):
-                rng_viol += 1
-                note(f"{name} out of [0,1]: {v11!r}")
+        v11 = model.loss(unit, t0, t0 + tau1, a1)
+        v21 = model.loss(unit, t0, t0 + tau2, a1)
+        v12 = model.loss(unit, t0, t0 + tau1, a2)
+        if v21 > v11 + tol or v12 > v11 + tol:
+            mono += 1
+            note(f"loss not non-increasing near tau={tau1:.6g}, a={a1:.6g}")
+        if not (-tol <= v11 <= 1.0 + tol):
+            rng_viol += 1
+            note(f"loss out of [0,1]: {v11!r}")
 
         w11 = model.cost(unit, t0, t0 + tau1, a1)
         if w11 < -tol:

@@ -14,7 +14,10 @@ the window length after observing that the start time enters linearly and is
 therefore optimal at an interval endpoint. The model's window value comes
 with its slope in the window length, so the window search is a bracketed
 root-find on the slope. ``window_fn`` hoists what one solve shares, and the
-search values each window length it tries once (about eight per unit).
+search values each window length it tries once (about eight per unit). A
+unit's loss is also the error it propagates to its descendants, so the
+dependency terms weigh the same loss curve, and every table and cache below
+holds loss and energy only.
 
 Both solvers share one outer loop, which owns the two master problems: it
 moves the budget price and the handoff prices, recovers a feasible schedule
@@ -65,7 +68,7 @@ __all__ = [
 _TINY = 1e-12
 
 # column of a DecisionGrid.options table holding each per-option value
-_OPT_COLUMN = {"payload": 2, "loss": 3, "err": 4, "cost": 5}
+_OPT_COLUMN = {"payload": 2, "loss": 3, "cost": 4}
 
 # When the budget price touches 0 while handoff prices are positive, the
 # relaxed subproblems collapse windows to zero length at full payload and the
@@ -112,8 +115,8 @@ class DecisionGrid:
     def options(self, unit: DataUnit, model: TransmissionModel):
         """All finite-cost (start, end, payload) choices of one unit.
 
-        Returns six parallel arrays: starts, ends, payloads, and the model's
-        loss, error-propagation and energy values at each choice. Choices
+        Returns five parallel arrays: starts, ends, payloads, and the model's
+        loss and energy values at each choice. Choices
         whose energy exceeds the model's per-transmission cap are removed.
         Choices run start-major, then end, then payload, and no time point
         lies past the deadline: ``ready + k*time_step`` can overshoot it by
@@ -131,11 +134,9 @@ class DecisionGrid:
 
         # scalar calls: the vector model differs from them in the last ulp
         loss = np.empty(len(starts))
-        err = np.empty(len(starts))
         cost = np.empty(len(starts))
         for idx in range(len(starts)):
             loss[idx] = model.loss(unit, starts[idx], ends[idx], payloads[idx])
-            err[idx] = model.errprop(unit, starts[idx], ends[idx], payloads[idx])
             cost[idx] = model.cost(unit, starts[idx], ends[idx], payloads[idx])
 
         keep = np.isfinite(cost)
@@ -147,7 +148,6 @@ class DecisionGrid:
             ends[keep],
             payloads[keep],
             loss[keep],
-            err[keep],
             cost[keep],
         )
 
@@ -163,11 +163,11 @@ def _solve_unit_grid(
     """Exact per-unit relaxed solve over precomputed grid options.
 
     Same objective as the continuous path:
-    loss_coeff*p + err_coeff*e + energy_coeff*w - handoff_prev*start
+    loss_coeff*p + err_coeff*p + energy_coeff*w - handoff_prev*start
     + handoff_next*end; argmin ties resolve to the earliest window.
     """
-    starts, ends, payloads, loss, err, cost = opts
-    vals = loss_coeff * loss + err_coeff * err + energy_coeff * cost
+    starts, ends, payloads, loss, cost = opts
+    vals = loss_coeff * loss + err_coeff * loss + energy_coeff * cost
     obj = vals - handoff_prev * starts + handoff_next * ends
     j = int(np.argmin(obj))
     return UnitSolution(
@@ -188,12 +188,12 @@ def _solve_unit(
 ) -> UnitSolution:
     """The continuous per-unit relaxed solve every solver path shares.
 
-    Minimizes loss_coeff*p + err_coeff*e + energy_coeff*w - handoff_prev*start
+    Minimizes loss_coeff*p + err_coeff*p + energy_coeff*w - handoff_prev*start
     + handoff_next*end over windows inside [start_floor, deadline] and their
-    payloads. ``window_fn`` gives, per window length tau, the payload argmin,
-    the window value V(tau) and its slope for the merged weight
-    loss_coeff + err_coeff (a conforming model's errprop is its loss); V
-    depends on the window only through its length.
+    payloads, where p is the unit's loss and also the error it propagates to
+    its descendants. ``window_fn`` gives, per window length tau, the payload
+    argmin, the window value V(tau) and its slope for the merged weight
+    loss_coeff + err_coeff; V depends on the window only through its length.
 
     For fixed tau the start time enters linearly with coefficient
     (handoff_next - handoff_prev), so it sits at an endpoint of
@@ -279,9 +279,10 @@ def _graph_coeffs(
     A is the product of ``1 - err(k)`` over the ancestors k; S sums, over the
     descendants j, ``kept(j)`` times the product of ``1 - err(k)`` over the
     ancestors k of j other than ``index``, each product in the iteration order
-    of the graph's ancestor sets (``graph.relatives``). ``err`` is called once
-    per factor and ``kept`` once per descendant; the solvers pass lookups into
-    a :class:`_ScheduleValues`.
+    of the graph's ancestor sets (``graph.relatives``). ``err(k)`` is the
+    error unit k propagates, its loss. ``err`` is called once per factor and
+    ``kept`` once per descendant; the solvers pass lookups into a
+    :class:`_ScheduleValues`.
     """
     ancestors, descendants = graph.relatives
     a_surv = 1.0
@@ -302,9 +303,9 @@ def _dag_coeffs(index: int, values: "_ScheduleValues") -> tuple[float, float]:
 
     With everyone else's decisions in ``values`` held fixed, the terms of the
     total distortion that vary with unit i's decision collapse to
-    ``impact_i * p_i * A - (1 - e_i) * S``.
+    ``impact_i * p_i * A - (1 - p_i) * S``, with ``p_i`` unit i's loss.
     """
-    return _graph_coeffs(index, values.graph, values.err.__getitem__, values.kept.__getitem__)
+    return _graph_coeffs(index, values.graph, values.loss.__getitem__, values.kept.__getitem__)
 
 
 def _solve_unit_dag(
@@ -320,7 +321,7 @@ def _solve_unit_dag(
     """Per-unit relaxed solve with dependency-adjusted distortion terms.
 
     Objective (up to the constant -desc_weight/num_units):
-    (impact*A*p + S*e)/M + price*w/M - handoff_prev*start + handoff_next*end.
+    (impact*A*p + S*p)/M + price*w/M - handoff_prev*start + handoff_next*end.
     """
     m = float(num_units)
     return _solve_unit(
@@ -342,9 +343,9 @@ class _ScheduleValues:
     """The model's values of one schedule, refreshed one unit at a time.
 
     Slot i (1-based like graph nodes; slot 0 unused) holds unit i's loss,
-    error propagation (0.0 without a graph, where its weight S is 0), kept
-    impact ``impact * (1 - loss)`` and, if ``priced``, energy, from scalar
-    model calls on ``decisions[i - 1]``; ``set`` re-values one unit. ``graph``
+    which is also the error it propagates to its descendants, kept impact
+    ``impact * (1 - loss)`` and, if ``priced``, energy, from scalar model
+    calls on ``decisions[i - 1]``; ``set`` re-values one unit. ``graph``
     (None ignores the dependencies) is the one that the distortion and the
     coefficients use."""
 
@@ -353,31 +354,30 @@ class _ScheduleValues:
         self.units, self.graph, self.model = units, graph, model
         self.decisions = list(decisions)
         n = len(units) + 1
-        self.loss, self.err, self.kept = [0.0] * n, [0.0] * n, [0.0] * n
+        self.loss, self.kept = [0.0] * n, [0.0] * n
         self.cost = [0.0] * n if priced else None
         for i in range(1, n):
             self.set(i, self.decisions[i - 1])
 
     def measure(self, i: int, dec: CrossLayerDecision) -> tuple:
-        """Loss, error propagation and energy (None unless priced) of unit i under ``dec``."""
+        """Loss and energy (None unless priced) of unit i under ``dec``."""
         u, model = self.units[i - 1], self.model
         p = model.loss(u, dec.start, dec.end, dec.payload)
-        e = model.errprop(u, dec.start, dec.end, dec.payload) if self.graph is not None else 0.0
-        return p, e, None if self.cost is None else model.cost(u, dec.start, dec.end, dec.payload)
+        return p, None if self.cost is None else model.cost(u, dec.start, dec.end, dec.payload)
 
     def set(self, i: int, dec: CrossLayerDecision, measured: Optional[tuple] = None) -> None:
         """Make ``dec`` unit i's decision; ``measured`` is its ``measure``, if known."""
-        p, e, w = measured or self.measure(i, dec)
+        p, w = measured or self.measure(i, dec)
         self.decisions[i - 1] = dec
-        self.loss[i], self.err[i], self.kept[i] = p, e, self.units[i - 1].impact * (1.0 - p)
+        self.loss[i], self.kept[i] = p, self.units[i - 1].impact * (1.0 - p)
         if self.cost is not None:
             self.cost[i] = w
 
     def unit_distortion(self, i: int) -> float:
         """Expected distortion of unit i: its full impact unless it and every
         ancestor survive (``impact * loss`` without a graph or ancestors)."""
-        errs = [self.err[k] for k in self.graph.relatives[0][i]] if self.graph is not None else ()
-        return _unit_distortion(self.units[i - 1].impact, self.loss[i], errs)
+        losses = [self.loss[k] for k in self.graph.relatives[0][i]] if self.graph is not None else ()
+        return _unit_distortion(self.units[i - 1].impact, self.loss[i], losses)
 
     def distortion(self) -> float:
         """Average expected distortion of the schedule."""
@@ -542,7 +542,7 @@ def _recover_primal_grid(
         if dec.start >= floor - _TINY and dec.end >= dec.start:
             prev_end = dec.end
             continue
-        starts, ends, payloads, loss, err, cost = opts[pos - 1]
+        starts, ends, payloads, loss, cost = opts[pos - 1]
         feas = starts >= floor - _TINY
         if not feas.any():
             values.set(pos, CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0))
@@ -550,7 +550,7 @@ def _recover_primal_grid(
             continue
         hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
         a_surv, s_weight = (1.0, 0.0) if graph is None else _dag_coeffs(pos, values)
-        vals = (unit.impact * a_surv * loss + s_weight * err + price * cost) / m + hn * ends
+        vals = (unit.impact * a_surv * loss + s_weight * loss + price * cost) / m + hn * ends
         vals = np.where(feas, vals, math.inf)
         j = int(np.argmin(vals))
         fixed = CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j]))
@@ -575,12 +575,12 @@ def _recover_primal_grid(
         improved = False
         for i in range(m):
             unit = inst.units[i]
-            starts, ends, payloads, loss, err, cost = opts[i]
+            starts, ends, payloads, loss, cost = opts[i]
             lo = out[i - 1].end if i > 0 else -math.inf
             hi = out[i + 1].start if i + 1 < m else math.inf
             spent_elsewhere = sum(values.cost[1 : i + 1] + values.cost[i + 2 :])
             a_surv, s_weight = (1.0, 0.0) if graph is None else _dag_coeffs(i + 1, values)
-            score = unit.impact * a_surv * loss + s_weight * err
+            score = unit.impact * a_surv * loss + s_weight * loss
             feas = (
                 (starts >= lo - _TINY)
                 & (ends <= hi + _TINY)
@@ -589,7 +589,7 @@ def _recover_primal_grid(
             if not feas.any():
                 continue
             j = int(np.argmin(np.where(feas, score, math.inf)))
-            cur = unit.impact * a_surv * values.loss[i + 1] + s_weight * values.err[i + 1]
+            cur = unit.impact * a_surv * values.loss[i + 1] + s_weight * values.loss[i + 1]
             if score[j] < cur - 1e-12:
                 values.set(i + 1, CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j])))
                 improved = True
@@ -610,8 +610,8 @@ class _Bystander:
     """A unit outside the pair being re-picked, shaved per candidate.
 
     Its payload ladder starts at the incumbent payload, and level n+1 has
-    payload ``max(p_n - step, 0.0)``. Each level keeps the model's loss, error
-    and energy from scalar calls, as valuing that decision directly would.
+    payload ``max(p_n - step, 0.0)``. Each level keeps the model's loss and
+    energy from scalar calls, as valuing that decision directly would.
     ``level`` holds every candidate's current level.
     """
 
@@ -620,7 +620,6 @@ class _Bystander:
         self.unit, self.dec, self.step, self.model = unit, dec, step, model
         self.payload: list[float] = []
         self.loss: list[float] = []
-        self.err: list[float] = []
         self.cost: list[float] = []
         self.level = np.zeros(candidates, dtype=np.intp)
         self._add(dec.payload)
@@ -629,7 +628,6 @@ class _Bystander:
         u, d, model = self.unit, self.dec, self.model
         self.payload.append(payload)
         self.loss.append(model.loss(u, d.start, d.end, payload))
-        self.err.append(model.errprop(u, d.start, d.end, payload))
         self.cost.append(model.cost(u, d.start, d.end, payload))
 
     def at(self, field: str, rows) -> np.ndarray:
@@ -749,8 +747,8 @@ def _polish_grid_pairs(
 
         total = np.zeros(a.size)
         for q in range(m):
-            errs = [column(anc - 1, "err", every) for anc in ancestors[q]]
-            total = total + _unit_distortion(inst.units[q].impact, column(q, "loss", every), errs)
+            losses = [column(anc - 1, "loss", every) for anc in ancestors[q]]
+            total = total + _unit_distortion(inst.units[q].impact, column(q, "loss", every), losses)
         return feasible, total / m, bystanders
 
     for _ in range(_POLISH_ROUNDS):
@@ -1011,8 +1009,8 @@ def solve_interdependent(
 
     values = _ScheduleValues(inst.units, inst.graph, decisions, model)
 
-    def local_value(i, dec, p, e, w, a_surv, s_weight, price, hp, hn) -> float:
-        distortion = inst.units[i - 1].impact * a_surv * p + s_weight * e
+    def local_value(i, dec, p, w, a_surv, s_weight, price, hp, hn) -> float:
+        distortion = inst.units[i - 1].impact * a_surv * p + s_weight * p
         return (distortion + price * w) / m - hp * dec.start + hn * dec.end
 
     def relax(k, price, mu):
@@ -1023,8 +1021,8 @@ def solve_interdependent(
                 hn = mu[i - 1] if i <= m - 1 else 0.0
                 a_surv, s_weight = _dag_coeffs(i, values)
                 cand = solve(i, price, hp, hn, a_surv, s_weight).decision
-                incumbent = local_value(i, values.decisions[i - 1], values.loss[i], values.err[i],
-                                        values.cost[i], a_surv, s_weight, price, hp, hn)
+                incumbent = local_value(i, values.decisions[i - 1], values.loss[i], values.cost[i],
+                                        a_surv, s_weight, price, hp, hn)
                 measured = values.measure(i, cand)
                 if local_value(i, cand, *measured, a_surv, s_weight, price, hp, hn) < incumbent:
                     values.set(i, cand, measured)

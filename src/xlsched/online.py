@@ -2,10 +2,12 @@
 
 Each arriving unit is decided immediately from (its attributes, the backlog
 caused by the previous unit's window, the current resource price, the next
-arrival time). The cost-to-go of leaving backlog behind is approximated with
-a polynomial in the backlog whose coefficients are learned on a fast
-timescale, while the resource price tracks the budget on a slow timescale
-from the running average of realized energy.
+arrival time), on a grid of window ends valued by the model's ``window_vec``;
+a transmitted unit's realized loss is the error it propagates to later ones.
+The cost-to-go of leaving backlog behind is approximated with a polynomial
+in the backlog whose coefficients are learned on a fast timescale, while the
+resource price tracks the budget on a slow timescale from the running
+average of realized energy.
 
 Three policies share the loop:
 
@@ -58,6 +60,8 @@ __all__ = [
 ]
 
 POLICIES = ("proposed", "myopic", "mdu")
+UPDATE_MODES = ("verbatim", "semi_gradient", "normalized")
+IMPACT_ESTIMATES = ("known", "mean")
 
 
 @dataclass(frozen=True)
@@ -212,22 +216,23 @@ def _solve_online_core(
 ) -> UnitOutcome:
     """Grid-plus-refinement search over the window end, payload nested inside.
 
-    ``merged`` weighs the loss curve: the unit's loss weight plus its error
-    weight (a conforming model's errprop is its loss). The payload comes from
-    the model's vectorized closed form. The end grid always contains both
-    interval endpoints and the kink of the backlog term at the next arrival
-    time.
+    ``merged`` weighs the loss curve: the unit's loss weight plus the weight
+    of the error its loss propagates to its descendants. The payload, loss
+    and energy at each end come from the model's array closed form
+    ``window_vec``; the error fraction the outcome hands to later units is
+    the scalar ``loss`` of the chosen decision. The end grid always contains
+    both interval endpoints and the kink of the backlog term at the next
+    arrival time.
     """
     d = unit.deadline
     coeffs = vm.coeffs
 
-    def eval_grid(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        taus = ys - start
-        pls = model.best_payload_vec(unit, taus, merged, price)
-        p = model.loss_vec(unit, pls)
-        w = model.cost_vec(unit, taus, pls)
+    def best_on(ys: np.ndarray) -> tuple[int, tuple[float, ...]]:
+        """The argmin over the ends ``ys`` and its (objective, end, payload, loss, energy)."""
+        pls, p, w = model.window_vec(unit, ys - start, merged, price)
         obj = merged * p + price * w + _value_vec(coeffs, np.maximum(ys - t_next, 0.0))
-        return obj, pls, p, w
+        j = int(np.argmin(obj))
+        return j, (float(obj[j]), float(ys[j]), float(pls[j]), float(p[j]), float(w[j]))
 
     if d <= start:
         ys = np.array([start])
@@ -235,25 +240,15 @@ def _solve_online_core(
         ys = np.linspace(start, d, end_grid)
         if start < t_next < d:
             ys = np.sort(np.append(ys, t_next))
-    obj, pls, p, w = eval_grid(ys)
-    j = int(np.argmin(obj))
-    best = (float(obj[j]), float(ys[j]), float(pls[j]), float(p[j]), float(w[j]))
+    j, best = best_on(ys)
 
     if len(ys) > 1 and refine_points > 1:
         lo = ys[max(j - 1, 0)]
         hi = ys[min(j + 1, len(ys) - 1)]
         if hi > lo:
-            fine = np.linspace(lo, hi, refine_points)
-            obj2, pls2, p2, w2 = eval_grid(fine)
-            j2 = int(np.argmin(obj2))
-            if float(obj2[j2]) < best[0]:
-                best = (
-                    float(obj2[j2]),
-                    float(fine[j2]),
-                    float(pls2[j2]),
-                    float(p2[j2]),
-                    float(w2[j2]),
-                )
+            _, fine = best_on(np.linspace(lo, hi, refine_points))
+            if fine[0] < best[0]:
+                best = fine
 
     objective, end, payload, loss_p, energy = best
     return UnitOutcome(
@@ -261,7 +256,7 @@ def _solve_online_core(
         objective=objective,
         energy=energy,
         loss=loss_p,
-        err=model.errprop(unit, start, end, payload),
+        err=model.loss(unit, start, end, payload),
         dropped=False,
     )
 
@@ -311,10 +306,11 @@ def solve_online_unit(
 class DagKnowledge:
     """What a dependency-aware online decision may rely on.
 
-    ``realized_err`` holds the error fractions of already transmitted units
-    (indexable by unit index - 1); ``impact_of`` estimates the impact of
-    not-yet-transmitted units in the current cycle (true values when the
-    cycle's attributes are observable, a configured mean otherwise).
+    ``realized_err`` holds the error fractions of already transmitted units,
+    which are their losses (indexable by unit index - 1); ``impact_of``
+    estimates the impact of not-yet-transmitted units in the current cycle
+    (true values when the cycle's attributes are observable, a configured
+    mean otherwise).
     """
 
     graph: DependencyGraph
@@ -339,9 +335,9 @@ def solve_online_unit_dag(
 
     The unit's own loss is weighted by the realized survival of its
     ancestors; an extra term charges the expected descendant impact the
-    unit's own error propagation erases, with untransmitted descendants
-    assumed received intact (their own loss and the losses of other
-    untransmitted references set to zero). The objective is anchored so a
+    unit's own loss erases, with untransmitted descendants assumed received
+    intact (their own loss and the losses of other untransmitted references
+    set to zero). The objective is anchored so a
     perfect transmission scores zero: the anchor is invisible to the argmin
     but keeps the realized objectives that feed the value learner free of
     per-unit graph-position offsets.
@@ -568,38 +564,39 @@ def run_online(
     bounded-slope representation. The centered fixed point is the excess cost
     of entering a backlog, which is continuous through the origin.
 
-    Raises ``ValueError`` on an invalid instance (see ``validate_instance``)
-    or a ``budget`` override that is not positive and finite.
+    A ``resume`` state (by default the price ``price_init`` and zeros) carries
+    the price, step count and cumulative energy over under every policy; the
+    learned coefficients, average cost and backlog are used by ``proposed``
+    and ``myopic``, and ``mdu`` hands them back unchanged (it learns no
+    values and leaves no backlog).
+
+    Raises ``ValueError`` on an invalid instance (see ``validate_instance``),
+    an unknown policy, ``update_mode`` or ``impact_estimate`` (under every
+    policy), or a ``budget`` override that is not positive and finite.
     """
     check_model(model)
     _require_valid(stream.instance)
     if params is None:
         params = OnlineParams()
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    for what, name, names in (("policy", policy, POLICIES),
+                              ("update_mode", params.update_mode, UPDATE_MODES),
+                              ("impact_estimate", params.impact_estimate, IMPACT_ESTIMATES)):
+        if name not in names:
+            raise ValueError(f"unknown {what} {name!r}; expected one of {names}")
     if budget is None:
         budget = stream.budget
     elif not 0 < budget < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
+    if resume is None:
+        resume = LearnerState(params.price_init, ValueModel.zero(params.feature_order).coeffs, 0, 0.0, 0.0)
     if policy == "mdu":
         if params.mdu_outer < 1:
             raise ValueError(f"mdu_outer must be at least 1, got {params.mdu_outer}")
-        return _run_mdu(stream, model, params, budget)
+        return _run_mdu(stream, model, params, budget, resume)
 
     n = stream.num_units
-    vm = ValueModel.zero(params.feature_order)
-    price = params.price_init
-    backlog = 0.0
-    cum_energy = 0.0
-    avg_cost = 0.0
-    step0 = 0
-    if resume is not None:
-        vm = ValueModel(coeffs=resume.coeffs)
-        price = resume.price
-        backlog = resume.backlog
-        cum_energy = resume.cum_energy
-        avg_cost = resume.avg_cost
-        step0 = resume.step
+    vm, price, backlog = ValueModel(coeffs=resume.coeffs), resume.price, resume.backlog
+    cum_energy, avg_cost, step0 = resume.cum_energy, resume.avg_cost, resume.step
 
     # the greedy baseline is the independent-unit optimizer even on coupled
     # streams: it transmits without considering impact on other units, while
@@ -752,10 +749,9 @@ def _run_mdu(
     model: TransmissionModel,
     params: OnlineParams,
     budget: float,
+    resume: LearnerState,
 ) -> RunResult:
-    price = params.price_init
-    cum_energy = 0.0
-    step = 0
+    price, cum_energy, step = resume.price, resume.cum_energy, resume.step
     prev_end = -math.inf
     decisions: list[CrossLayerDecision] = []
     energies: list[float] = []
@@ -787,7 +783,7 @@ def _run_mdu(
 
     rows = _cycle_rows(stream, "mdu", decisions, energies, drops, price_at, vnorm_at, model)
     state = LearnerState(
-        price=price, coeffs=(0.0,) * params.feature_order, step=step,
-        backlog=0.0, cum_energy=cum_energy,
+        price=price, coeffs=resume.coeffs, step=step, backlog=0.0,
+        cum_energy=cum_energy, avg_cost=resume.avg_cost,
     )
     return RunResult(rows=rows, state=state, decisions=tuple(decisions))

@@ -87,19 +87,19 @@ def brute_force(
     chosen: list[int] = []
 
     def survival(pos: int, last=None):
-        """Product of ancestor survival fractions of unit ``pos`` (1-based)
-        under ``chosen``, in ancestor order; an ancestor past ``chosen``
+        """Product of ancestor survival fractions ``1 - loss`` of unit ``pos``
+        (1-based) under ``chosen``, in ancestor order; an ancestor past ``chosen``
         (unit M-1 under the last block) takes its factor at each of its
         options ``last``."""
         surv = 1.0
         for k in ancestors[pos - 1]:
-            surv = surv * (1.0 - opts[k - 1][4][chosen[k - 1] if k <= len(chosen) else last])
+            surv = surv * (1.0 - opts[k - 1][3][chosen[k - 1] if k <= len(chosen) else last])
         return surv
 
     def level(pos: int, prev_end, energy, dist, bar: float):
         """The options of unit ``pos`` that follow the prefix ``chosen`` within
         the budget and ``bar``: their indices, ends, energies and distortions."""
-        starts, ends, _, loss, _, cost = opts[pos - 1]
+        starts, ends, _, loss, cost = opts[pos - 1]
         e2 = energy + cost
         d2 = dist + impacts[pos - 1] * (1.0 - (1.0 - loss) * survival(pos))
         keep = np.flatnonzero((starts >= prev_end - 1e-12) & (e2 <= budget_total) & (d2 <= bar))
@@ -108,7 +108,7 @@ def brute_force(
     def last_blocks(rows, row_end, row_energy, row_dist):
         """Yield ``(first row, feasible, totals)`` blocks of unit M's options
         after each row (an option of unit M-1, or the empty prefix if M = 1)."""
-        starts, _, _, loss, _, cost = opts[m - 1]
+        starts, _, _, loss, cost = opts[m - 1]
         surv = np.broadcast_to(survival(m, rows), row_end.shape)
         step = max(1, _BLOCK // max(1, len(starts)))
         for r0 in range(0, len(row_end), step):

@@ -63,16 +63,23 @@ def _channel_sampler(spec: str) -> Callable[[np.random.Generator, int], np.ndarr
     """Parse 'uniform:lo,hi' or 'fixed:v' into a vectorized sampler."""
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
+
+    def number(text: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"channel spec {spec!r}: {text.strip()!r} is not a number") from None
+
     if kind == "uniform":
         parts = arg.split(",")
         if len(parts) != 2:
             raise ValueError(f"channel spec {spec!r}: expected 'uniform:lo,hi'")
-        lo, hi = (float(p) for p in parts)
+        lo, hi = (number(p) for p in parts)
         if not 0.0 < lo <= hi:
             raise ValueError(f"channel spec {spec!r}: need 0 < lo <= hi")
         return lambda rng, n: rng.uniform(lo, hi, size=n)
     if kind == "fixed":
-        v = float(arg)
+        v = number(arg)
         if v <= 0.0:
             raise ValueError(f"channel spec {spec!r}: gain must be positive")
         return lambda rng, n: np.full(n, v)

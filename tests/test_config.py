@@ -125,6 +125,9 @@ class TestRejection:
         ("[trace]\nseed = -1\n", "seed"),
         ("[experiment]\nseeds = -3\n", "seeds"),
         ("[trace]\nchannel = bogus\n", "channel"),
+        # refused, but without naming the spec
+        ("[trace]\nchannel = uniform:a,b\n", "channel spec 'uniform:a,b': 'a' is not a number"),
+        ("[trace]\nchannel = fixed:x\n", "channel spec 'fixed:x': 'x' is not a number"),
     ])
     def test_bad_values(self, tmp_path, text, fragment):
         with pytest.raises(ConfigError, match=fragment):

@@ -46,7 +46,7 @@ def _ref_graph_coeffs(index, graph, err, kept):
 def _ref_dag_coeffs(index, units, decisions, graph, model):
     def err(k):
         kd = decisions[k - 1]
-        return model.errprop(units[k - 1], kd.start, kd.end, kd.payload)
+        return model.loss(units[k - 1], kd.start, kd.end, kd.payload)
 
     def kept(j):
         ju, jd = units[j - 1], decisions[j - 1]
@@ -64,7 +64,7 @@ def _ref_unit_distortion(index, units, decisions, graph, model):
     survive = 1.0 - p
     for k in anc:
         kd = decisions[k - 1]
-        survive *= 1.0 - model.errprop(units[k - 1], kd.start, kd.end, kd.payload)
+        survive *= 1.0 - model.loss(units[k - 1], kd.start, kd.end, kd.payload)
     return unit.impact - unit.impact * survive
 
 
@@ -177,7 +177,6 @@ def test_no_value_goes_stale_after_random_sets(kind, seed, priced):
     fresh = _ScheduleValues(inst.units, inst.graph, values.decisions, MODEL, priced)
     assert values.decisions == fresh.decisions
     assert values.loss == fresh.loss
-    assert values.err == fresh.err
     assert values.kept == fresh.kept
     assert values.cost == fresh.cost
     assert (values.cost is None) == (not priced)

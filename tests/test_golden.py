@@ -31,6 +31,7 @@ from xlsched import (
     solve_interdependent,
 )
 from xlsched.offline import _solve_unit
+from xlsched.oracle import brute_force
 
 from test_window_search import _draw_case
 
@@ -94,7 +95,8 @@ def _unit_kernel():
         cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
         model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
         sol = _solve_unit(unit, model, loss, err, price, hp, hn, floor)
-        values = [model.window_value(unit, tau, loss + err, price) for tau in (0.0, 1e-9, 1e-4, 0.01, 0.05)]
+        window = model.window_fn(unit, loss + err, price)
+        values = [window(tau) for tau in (0.0, 1e-9, 1e-4, 0.01, 0.05)]
         out.append((sol, values))
     return out
 
@@ -102,6 +104,26 @@ def _unit_kernel():
 def _independent_standard():
     # the default budget binds on this trace, so the recovery rescales payloads
     return solve_independent(generate_trace(TraceParams(seed=3, num_dus=10)), MODEL, max_outer=30)
+
+
+def _online_on_random_dag(policy):
+    # the array closed form and, under proposed, the realized error
+    # fractions feeding each unit's ancestor survival; the price stays finite
+    # on this trace (on seed 6 it reaches 1e305 after two units)
+    base = generate_trace(TraceParams(seed=3, num_dus=300))
+    inst = Instance(base.units, base.budget, generate_dag("random", 300, 10, seed=3, edge_prob=0.4))
+    return run_online(CausalStream(inst, cycle_len=10, expose_cycle_impacts=True), MODEL, policy)
+
+
+def _independent_on_grid():
+    base = generate_trace(TraceParams(seed=7, num_dus=6))
+    return solve_independent(base, MODEL, max_outer=25, grid=DecisionGrid(0.01, 21))
+
+
+def _oracle_chain():
+    base = generate_trace(TraceParams(seed=8, num_dus=3))
+    inst = Instance(base.units, 4.0, DependencyGraph(3, ((2, 1), (3, 2))))
+    return brute_force(inst, MODEL)
 
 
 CASES = {
@@ -136,6 +158,22 @@ CASES = {
     "independent-standard": (
         _independent_standard,
         "f1e9e41e01aca3e76ef74aba0fbd23852f87da1a4a37ae8d4347516b73adbdbe",
+    ),
+    "online-random-dag-proposed": (
+        lambda: _online_on_random_dag("proposed"),
+        "c9d838a332c953c717e185e41d7d3f1c983cb50690be06d79fdfbe3dfee08a64",
+    ),
+    "online-random-dag-myopic": (
+        lambda: _online_on_random_dag("myopic"),
+        "47ccb323aeb7d33eeb2cea3ec3c8473d0549d220a872bb6ab65fdaed00c5f6c4",
+    ),
+    "independent-grid": (
+        _independent_on_grid,
+        "194b189101e9f1bb1742c36068cb564f07ef1590527213600be71f2721d7322b",
+    ),
+    "oracle-chain": (
+        _oracle_chain,
+        "e69bc1743ec2f4f021b97569d07c66872a29d5e21fafdd15977676651440a07b",
     ),
 }
 

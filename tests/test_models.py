@@ -1,4 +1,4 @@
-"""Loss/error/energy curves: frozen point values and structural checks."""
+"""Loss/energy curves: frozen point values and structural checks."""
 
 import math
 
@@ -13,7 +13,6 @@ from xlsched import (
     ShannonEnergyParams,
     ShannonExpModel,
     energy_cost,
-    error_propagation,
     loss_fraction,
     run_online,
     solve_independent,
@@ -79,10 +78,6 @@ class TestLossFraction:
         assert loss_fraction(0.5, 10.0, 20.0) == pytest.approx(0.03125)
         assert loss_fraction(0.5, 10.0, 20.0) == loss_fraction(0.5, 10.0, 10.0)
 
-    def test_error_propagation_shares_the_curve(self):
-        for a in (0.0, 2.0, 20.0):
-            assert error_propagation(0.5, 10.0, a) == loss_fraction(0.5, 10.0, a)
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             loss_fraction(0.5, 10.0, -1.0)
@@ -112,46 +107,44 @@ class TestIndependentDistortion:
 
 
 class _TableModel:
-    """Model with per-index loss/error tables; energy is irrelevant here."""
+    """Model with a per-index loss table; energy is irrelevant here."""
 
-    def __init__(self, loss_by_index, err_by_index):
+    def __init__(self, loss_by_index):
         self._loss = loss_by_index
-        self._err = err_by_index
 
     def loss(self, unit, start, end, payload):
         return self._loss[unit.index]
-
-    def errprop(self, unit, start, end, payload):
-        return self._err[unit.index]
 
     def cost(self, unit, start, end, payload):
         return 0.0
 
 
 class TestDagDistortion:
-    def _fixture(self, loss2, err1):
+    """Unit 2 references unit 1, so unit 1's loss is the error it propagates."""
+
+    def _fixture(self, loss2, loss1):
         units = (_unit(index=1), _unit(index=2, impact=100.0))
         decisions = (CrossLayerDecision(0.0, 0.01, 5.0),) * 2
         graph = DependencyGraph(num_nodes=2, edges=((2, 1),))
-        model = _TableModel({1: 0.0, 2: loss2}, {1: err1, 2: 0.0})
+        model = _TableModel({1: loss1, 2: loss2})
         return units, _ScheduleValues(units, graph, decisions, model)
 
     def test_perfect_reception_everywhere(self):
-        units, values = self._fixture(loss2=0.0, err1=0.0)
+        units, values = self._fixture(loss2=0.0, loss1=0.0)
         assert values.unit_distortion(2) == 0.0
 
     def test_dead_ancestor_forfeits_everything(self):
-        units, values = self._fixture(loss2=0.0, err1=1.0)
+        units, values = self._fixture(loss2=0.0, loss1=1.0)
         assert values.unit_distortion(2) == units[1].impact
 
     def test_partial_survival(self):
-        units, values = self._fixture(loss2=0.25, err1=0.5)
+        units, values = self._fixture(loss2=0.25, loss1=0.5)
         # 100 * (1 - 0.75 * 0.5)
         assert values.unit_distortion(2) == pytest.approx(62.5)
 
     def test_no_ancestors_matches_independent(self):
-        units, values = self._fixture(loss2=0.25, err1=0.5)
-        assert values.unit_distortion(1) == 0.0
+        units, values = self._fixture(loss2=0.25, loss1=0.5)
+        assert values.unit_distortion(1) == units[0].impact * 0.5
 
 
 class TestVerifyShape:
@@ -187,16 +180,13 @@ class TestVerifyShape:
         assert report.samples == 0
 
 
-class ThreeFunctionModel:
-    """Only the scalar trio of the default model: not a TransmissionModel."""
+class ScalarPairModel:
+    """Only the scalar pair of the default model: not a TransmissionModel."""
 
     _inner = ShannonExpModel()
 
     def loss(self, unit, start, end, payload):
         return self._inner.loss(unit, start, end, payload)
-
-    def errprop(self, unit, start, end, payload):
-        return self._inner.errprop(unit, start, end, payload)
 
     def cost(self, unit, start, end, payload):
         return self._inner.cost(unit, start, end, payload)
@@ -205,10 +195,10 @@ class ThreeFunctionModel:
 class TestModelProtocol:
     def test_default_model_conforms(self):
         assert isinstance(ShannonExpModel(), TransmissionModel)
-        assert not isinstance(ThreeFunctionModel(), TransmissionModel)
+        assert not isinstance(ScalarPairModel(), TransmissionModel)
 
-    def test_scalar_trio_suffices_for_verify_shape(self):
-        assert verify_shape(ThreeFunctionModel(), _unit(), 50, seed=3).ok
+    def test_scalar_pair_suffices_for_verify_shape(self):
+        assert verify_shape(ScalarPairModel(), _unit(), 50, seed=3).ok
 
     @pytest.mark.parametrize("solve", [
         lambda inst, model: solve_independent(inst, model),
@@ -219,7 +209,7 @@ class TestModelProtocol:
     def test_non_conforming_model_is_rejected_at_entry(self, solve):
         # an empty instance: the check runs before any unit is looked at
         with pytest.raises(TypeError, match="TransmissionModel"):
-            solve(Instance(units=(), budget=1.0), ThreeFunctionModel())
+            solve(Instance(units=(), budget=1.0), ScalarPairModel())
 
 
 def _payload_bound(model, unit, tau):
@@ -235,7 +225,7 @@ def _payload_bound(model, unit, tau):
 
 
 class TestBestPayload:
-    """The payload minimizer, the first entry of ``window_value``."""
+    """The payload minimizer, the first entry of ``window_fn``'s value."""
 
     def _reference(self, model, unit, tau, lw, ew):
         # independent 1-D search over the same objective
@@ -258,7 +248,7 @@ class TestBestPayload:
     def test_matches_bounded_search(self, tau, lw, ew):
         model = ShannonExpModel()
         unit = _unit()
-        a = model.window_value(unit, tau, lw, ew)[0]
+        a = model.window_fn(unit, lw, ew)(tau)[0]
         f_ref, a_ref = self._reference(model, unit, tau, lw, ew)
         f_a = lw * model.loss(unit, 0.0, tau, a) + ew * model.cost(unit, 0.0, tau, a)
         assert f_a <= f_ref + 1e-9
@@ -267,30 +257,32 @@ class TestBestPayload:
     def test_corners(self):
         model = ShannonExpModel()
         unit = _unit()
-        assert model.window_value(unit, 0.0, 100.0, 1.0)[0] == 0.0
-        assert model.window_value(unit, 0.05, 0.0, 1.0)[0] == 0.0
+        assert model.window_fn(unit, 100.0, 1.0)(0.0)[0] == 0.0
+        assert model.window_fn(unit, 0.0, 1.0)(0.05)[0] == 0.0
         # free energy: send everything
-        assert model.window_value(unit, 0.05, 100.0, 0.0)[0] == unit.size
+        assert model.window_fn(unit, 100.0, 0.0)(0.05)[0] == unit.size
 
     def test_energy_cap_restricts_payload(self):
         capped = ShannonExpModel(params=ShannonEnergyParams(energy_cap=0.5))
         unit = _unit()
-        a = capped.window_value(unit, 0.05, 1e9, 1e-9)[0]
+        a = capped.window_fn(unit, 1e9, 1e-9)(0.05)[0]
         assert capped.cost(unit, 0.0, 0.05, a) <= 0.5 + 1e-9
 
     def test_vectorized_paths_agree_with_scalar(self):
         model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=50.0))
         unit = _unit(channel=1.3)
         taus = np.linspace(0.001, 0.05, 23)
-        vec = model.best_payload_vec(unit, taus, 80.0, 1.5)
-        for tau, av in zip(taus, vec):
-            assert av == pytest.approx(model.window_value(unit, tau, 80.0, 1.5)[0], abs=1e-12)
-        pls = np.linspace(0.0, 15.0, 16)
-        for a, lv in zip(pls, model.loss_vec(unit, pls)):
-            assert lv == pytest.approx(model.loss(unit, 0.0, 0.01, a), abs=1e-15)
-        costs = model.cost_vec(unit, taus, vec)
-        for tau, a, cv in zip(taus, vec, costs):
+        pls, losses, costs = model.window_vec(unit, taus, 80.0, 1.5)
+        window = model.window_fn(unit, 80.0, 1.5)
+        for tau, a, lv, cv in zip(taus, pls, losses, costs):
+            assert a == pytest.approx(window(tau)[0], abs=1e-12)
+            assert lv == pytest.approx(model.loss(unit, 0.0, tau, a), abs=1e-15)
             assert cv == pytest.approx(model.cost(unit, 0.0, tau, a), rel=1e-12)
+
+    @pytest.mark.parametrize("lw,ew", [(80.0, 1.5), (80.0, 0.0), (0.0, 1.0)])
+    def test_vectorized_empty_window_sends_nothing(self, lw, ew):
+        pls, losses, costs = ShannonExpModel().window_vec(_unit(), np.array([0.0]), lw, ew)
+        assert (pls[0], losses[0], costs[0]) == (0.0, 1.0, 0.0)
 
 
 
@@ -301,7 +293,7 @@ class TestWindowValue:
         model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
         unit = _unit(channel=1.3)
         for tau in (0.0, 1e-6, 0.004, 0.02, 0.05):
-            a, v, _ = model.window_value(unit, tau, lw, ew)
+            a, v, _ = model.window_fn(unit, lw, ew)(tau)
             assert 0.0 <= a <= _payload_bound(model, unit, tau)
             ref = lw * model.loss(unit, 0.0, tau, a) + ew * model.cost(unit, 0.0, tau, a)
             assert v == pytest.approx(ref, rel=1e-12, abs=1e-12)
@@ -312,10 +304,10 @@ class TestWindowValue:
         model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
         unit = _unit(channel=0.8)
         for tau in np.linspace(0.0007, 0.05, 37):
-            _, _, slope = model.window_value(unit, tau, lw, ew)
+            _, _, slope = model.window_fn(unit, lw, ew)(tau)
             h = 1e-6 * tau
-            fd = (model.window_value(unit, tau + h, lw, ew)[1]
-                  - model.window_value(unit, tau - h, lw, ew)[1]) / (2 * h)
+            fd = (model.window_fn(unit, lw, ew)(tau + h)[1]
+                  - model.window_fn(unit, lw, ew)(tau - h)[1]) / (2 * h)
             assert slope == pytest.approx(fd, rel=1e-5, abs=1e-6 * max(lw, 1.0))
             # a longer window never hurts
             assert slope <= 0.0
@@ -323,12 +315,12 @@ class TestWindowValue:
     def test_unpriced_and_empty_corners_have_zero_slope(self):
         model = ShannonExpModel()
         unit = _unit()
-        assert model.window_value(unit, 0.0, 100.0, 1.0) == (0.0, 100.0, 0.0)
-        assert model.window_value(unit, 0.05, 0.0, 1.0) == (0.0, 0.0, 0.0)
-        a, _, slope = model.window_value(unit, 0.05, 100.0, 0.0)
+        assert model.window_fn(unit, 100.0, 1.0)(0.0) == (0.0, 100.0, 0.0)
+        assert model.window_fn(unit, 0.0, 1.0)(0.05) == (0.0, 0.0, 0.0)
+        a, _, slope = model.window_fn(unit, 100.0, 0.0)(0.05)
         assert (a, slope) == (unit.size, 0.0)
         # an overflowing exponent stays finite or -inf, never NaN
-        _, v, slope = model.window_value(unit, 1e-9, 1e300, 1e-300)
+        _, v, slope = model.window_fn(unit, 1e300, 1e-300)(1e-9)
         assert not math.isnan(v) and not math.isnan(slope)
 
 def test_params_validation():

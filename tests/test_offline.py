@@ -96,15 +96,15 @@ class TestPriceUpdates:
 
 
 class TestLowerOptimization:
-    """The payload layer: ``window_value`` at the unit's share
+    """The payload layer: ``window_fn`` at the unit's share
     ``impact/num_units``, ``price/num_units`` of the priced objective."""
 
     def test_free_energy_sends_everything(self):
-        a, _, _ = MODEL.window_value(_unit(), 0.05, 100.0 / 4, 0.0)
+        a, _, _ = MODEL.window_fn(_unit(), 100.0 / 4, 0.0)(0.05)
         assert a == _unit().size
 
     def test_degenerate_window(self):
-        a, f, _ = MODEL.window_value(_unit(), 0.0, 100.0 / 4, 1.0 / 4)
+        a, f, _ = MODEL.window_fn(_unit(), 100.0 / 4, 1.0 / 4)(0.0)
         assert a == 0.0
         assert f == pytest.approx(100.0 / 4)
 
@@ -120,7 +120,7 @@ class TestLowerOptimization:
         res = minimize_scalar(f, bounds=(0.0, unit.size), method="bounded",
                               options={"xatol": 1e-12})
         ref_a = min([(f(0.0), 0.0), (f(unit.size), unit.size), (res.fun, float(res.x))])[1]
-        a, val, _ = MODEL.window_value(unit, tau, unit.impact / m, lam / m)
+        a, val, _ = MODEL.window_fn(unit, unit.impact / m, lam / m)(tau)
         assert a == pytest.approx(ref_a, abs=1e-6)
         assert val == pytest.approx(f(ref_a), abs=1e-9)
 
@@ -165,7 +165,7 @@ class TestUpperOptimization:
             for y in points:
                 if y < x:
                     continue
-                a = MODEL.window_value(unit, y - x, unit.impact / m, lam / m)[0]
+                a = MODEL.window_fn(unit, unit.impact / m, lam / m)(y - x)[0]
                 grid_best = min(grid_best, value_at(x, y, a))
         assert sol.objective <= grid_best + 1e-12
         assert grid_best - sol.objective <= 2e-3
@@ -177,14 +177,13 @@ class TestUpperOptimization:
 
 def _sensitivity(index, units, decisions, graph):
     """The distortion terms that move with unit ``index``'s decision:
-    ``impact*loss*A - (1-e)*S`` with ``(A, S)`` from ``_dag_coeffs``."""
+    ``impact*loss*A - (1-loss)*S`` with ``(A, S)`` from ``_dag_coeffs``."""
     unit = units[index - 1]
     a_surv, s_weight = _dag_coeffs(index, _ScheduleValues(units, graph, decisions, MODEL))
 
     def piece(start, end, payload):
         p = MODEL.loss(unit, start, end, payload)
-        e = MODEL.errprop(unit, start, end, payload)
-        return unit.impact * p * a_surv - (1.0 - e) * s_weight
+        return unit.impact * p * a_surv - (1.0 - p) * s_weight
 
     return piece
 
@@ -209,7 +208,7 @@ class TestDagSensitivity:
 
     def test_dead_ancestor_zeroes_own_term(self):
         units, graph = self._chain()
-        # unit 1 sends nothing: its error propagation hits 1
+        # unit 1 sends nothing: its loss, the error it propagates, hits 1
         decisions = (
             CrossLayerDecision(0.0, 0.05, 0.0),
             CrossLayerDecision(0.05, 0.10, 4.0),
@@ -406,7 +405,7 @@ class TestDecisionGrid:
     def test_options_live_on_the_lattice(self):
         grid = DecisionGrid(time_step=0.01, action_points=21)
         unit = _unit()
-        starts, ends, payloads, loss, err, cost = grid.options(unit, MODEL)
+        starts, ends, payloads, loss, cost = grid.options(unit, MODEL)
         assert len(starts) > 0
         step = grid.action_step(unit)
         assert step == pytest.approx(unit.size / 20.0)
@@ -440,8 +439,7 @@ class TestDecisionGrid:
                 for a in np.linspace(0.0, unit.size, 6):
                     w = model.cost(unit, x, y, a)
                     if math.isfinite(w) and w <= 5.0 + 1e-12:
-                        rows.append((x, y, a, model.loss(unit, x, y, a),
-                                     model.errprop(unit, x, y, a), w))
+                        rows.append((x, y, a, model.loss(unit, x, y, a), w))
         got = grid.options(unit, model)
         assert len(got[0]) < len(times) * (len(times) + 1) // 2 * 6  # the cap binds
         for column, ref in zip(got, zip(*rows)):

@@ -180,7 +180,7 @@ class TestSolveOnlineUnit:
             out = solve_online_unit(unit, 0.0, lam, vm, math.inf, MODEL)
 
             def f(y):
-                a = MODEL.window_value(unit, y, unit.impact, lam)[0]
+                a = MODEL.window_fn(unit, unit.impact, lam)(y)[0]
                 return (unit.impact * MODEL.loss(unit, 0.0, y, a)
                         + lam * MODEL.cost(unit, 0.0, y, a))
 
@@ -400,6 +400,41 @@ class TestRunOnline:
         assert len(result.decisions) == 10
         for a, b in zip(result.decisions, result.decisions[1:]):
             assert b.start >= a.end - 1e-9
+
+    def test_mdu_resume_matches_one_shot_on_a_spaced_stream(self):
+        # no window can reach the next cycle, so the split changes no floor
+        whole = _spaced_instance(24)
+        one_shot = run_online(CausalStream(whole, cycle_len=4), MODEL, "mdu")
+        head = Instance(units=whole.units[:12], budget=whole.budget)
+        tail_units = tuple(dataclasses.replace(u, index=i + 1) for i, u in enumerate(whole.units[12:]))
+        tail = Instance(units=tail_units, budget=whole.budget)
+        first = run_online(CausalStream(head, cycle_len=4), MODEL, "mdu")
+        second = run_online(CausalStream(tail, cycle_len=4), MODEL, "mdu", resume=first.state)
+        assert second.state == one_shot.state
+        assert first.decisions + second.decisions == one_shot.decisions
+
+    def test_mdu_starts_from_the_resumed_state(self):
+        inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
+        state = LearnerState(price=7.0, coeffs=(0.5, 0.0, 0.0), step=500, backlog=0.0,
+                             cum_energy=2500.0, avg_cost=3.0)
+        run = run_online(CausalStream(inst, 5), MODEL, "mdu", resume=state)
+        resumed = run.state
+        assert resumed.step == 510
+        total = state.cum_energy
+        for u, d in zip(inst.units, run.decisions):
+            total += MODEL.cost(u, d.start, d.end, d.payload)
+        assert resumed.cum_energy == total
+        assert resumed.price != run_online(CausalStream(inst, 5), MODEL, "mdu").state.price
+        # mdu learns no values: what it was handed comes back unchanged
+        assert (resumed.coeffs, resumed.avg_cost) == (state.coeffs, state.avg_cost)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("field,value", [("update_mode", "tabular"), ("impact_estimate", "oracle")])
+    def test_unknown_learner_names_are_rejected(self, policy, field, value):
+        inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
+        params = dataclasses.replace(OnlineParams(), **{field: value})
+        with pytest.raises(ValueError, match=f"unknown {field} {value!r}"):
+            run_online(CausalStream(inst, 5, expose_cycle_impacts=True), MODEL, policy, params)
 
     def test_mdu_rejects_no_handoff_iterations(self):
         # with no iteration no unit is solved and the warm start would ship

@@ -48,11 +48,11 @@ def reference_brute_force(inst, model, time_step=0.01, action_points=21, tie_tol
             return 1.0
         surv = 1.0
         for k in graph.ancestors(pos):
-            surv *= 1.0 - opts[k - 1][4][chosen[k - 1]]
+            surv *= 1.0 - opts[k - 1][3][chosen[k - 1]]
         return surv
 
     def assign(pos: int, prev_end: float, energy: float, dist: float, chosen: list[int]) -> None:
-        starts, ends, payloads, loss, err, cost = opts[pos - 1]
+        starts, ends, payloads, loss, cost = opts[pos - 1]
         unit = inst.units[pos - 1]
         if pos == m:
             mask = (starts >= prev_end - 1e-12) & (energy + cost <= budget_total)

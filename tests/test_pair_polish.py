@@ -58,8 +58,8 @@ def reference_polish(inst, decisions, opts, grid, model, respect_graph,
                 if ri.size == 0 or rk.size == 0:
                     continue
                 spent_elsewhere = sum(cost_of(j, out[j]) for j in range(m) if j not in (i, k))
-                si, ei, pi, _, _, ci = opts[i]
-                sk, ek, pk, _, _, ck = opts[k]
+                si, ei, pi, _, ci = opts[i]
+                sk, ek, pk, _, ck = opts[k]
                 right_bound = out[k + 1].start if k + 1 < m else math.inf
                 for a in ri:
                     for b in rk:

@@ -164,7 +164,7 @@ def _golden_reference(unit, model, loss, err, price, hp, hn, floor):
     cf = hn - hp
 
     def g(tau):
-        value = model.window_value(unit, tau, loss + err, price)[1] + hn * tau
+        value = model.window_fn(unit, loss + err, price)(tau)[1] + hn * tau
         return value + cf * (floor if cf >= 0.0 else unit.deadline - tau)
 
     return golden_section(g, 0.0, unit.deadline - floor, tol=TOL)[1]
@@ -194,7 +194,7 @@ class TestSlopeSearchAgainstGolden:
             # the reported objective is the decision's own priced value
             honest = (
                 loss * model.loss(unit, d.start, d.end, d.payload)
-                + err * model.errprop(unit, d.start, d.end, d.payload)
+                + err * model.loss(unit, d.start, d.end, d.payload)
                 + price * model.cost(unit, d.start, d.end, d.payload)
                 - hp * d.start
                 + hn * d.end
