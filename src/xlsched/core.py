@@ -116,48 +116,30 @@ class DependencyGraph:
 
     @cached_property
     def is_acyclic(self) -> bool:
-        # iterative three-color DFS; recursion would cap chain depth
-        color: dict[int, int] = {}
-        for root in range(1, self.num_nodes + 1):
-            if color.get(root, 0) != 0:
-                continue
-            stack: list[tuple[int, int]] = [(root, 0)]
-            color[root] = 1
-            while stack:
-                node, pos = stack[-1]
-                parents = self._parent_map.get(node, ())
-                if pos < len(parents):
-                    stack[-1] = (node, pos + 1)
-                    nxt = parents[pos]
-                    c = color.get(nxt, 0)
-                    if c == 1:
-                        return False
-                    if c == 0:
-                        color[nxt] = 1
-                        stack.append((nxt, 0))
-                else:
-                    color[node] = 2
-                    stack.pop()
-        return True
+        return len(self._topo_order) == max(self.num_nodes, 0)
 
     @cached_property
     def _topo_order(self) -> tuple[int, ...]:
-        if not self.is_acyclic:
-            raise GraphCycleError("dependency graph contains a cycle")
-        indeg = {n: len(self._parent_map.get(n, ())) for n in range(1, self.num_nodes + 1)}
+        """Kahn's order over the in-range nodes, counting only in-range parents
+        and children; it leaves out every node on or below a cycle."""
+        nodes = range(1, self.num_nodes + 1)
+        indeg = {n: sum(p in nodes for p in self._parent_map.get(n, ())) for n in nodes}
         ready = [n for n in indeg if indeg[n] == 0]
         order: list[int] = []
         while ready:
             node = ready.pop()
             order.append(node)
             for child in self._child_map.get(node, ()):
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    ready.append(child)
+                if child in indeg:
+                    indeg[child] -= 1
+                    if indeg[child] == 0:
+                        ready.append(child)
         return tuple(order)
 
     @cached_property
     def _ancestor_map(self) -> dict[int, frozenset[int]]:
+        if not self.is_acyclic:
+            raise GraphCycleError("dependency graph contains a cycle")
         memo: dict[int, frozenset[int]] = {}
         for node in self._topo_order:
             acc: set[int] = set()

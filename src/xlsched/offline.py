@@ -298,6 +298,11 @@ def _graph_coeffs(
     return a_surv, s_weight
 
 
+def _neighbour_prices(mu: Sequence[float], i: int) -> tuple[float, float]:
+    """The handoff prices before and after the unit at position ``i`` (0 at the ends)."""
+    return (mu[i - 2] if i >= 2 else 0.0), (mu[i - 1] if i <= len(mu) else 0.0)
+
+
 def _dag_coeffs(index: int, values: "_ScheduleValues") -> tuple[float, float]:
     """Coefficients (ancestor survival A, descendant weight S) for unit ``index``.
 
@@ -386,6 +391,18 @@ class _ScheduleValues:
         for i in range(1, m + 1):
             total += self.unit_distortion(i)
         return total / m if m else 0.0
+
+    def unit_term(self, i: int, coeffs: tuple[float, float], price: float, mu: Sequence[float],
+                  dec: Optional[CrossLayerDecision] = None, measured: Optional[tuple] = None) -> float:
+        """Unit i's term of the relaxed Lagrangian at the dependency coefficients
+        ``coeffs`` (A, S) and the prices, under its decision or under ``dec``
+        with the loss and energy ``measured``."""
+        if dec is None:
+            dec, measured = self.decisions[i - 1], (self.loss[i], self.cost[i])
+        (a_surv, s_weight), (p, w) = coeffs, measured
+        hp, hn = _neighbour_prices(mu, i)
+        distortion = self.units[i - 1].impact * a_surv * p + s_weight * p
+        return (distortion + price * w) / len(self.units) - hp * dec.start + hn * dec.end
 
     def lagrangian(self, price: float, handoffs: Sequence[float], budget: float) -> float:
         """Distortion plus the priced budget and FIFO violations."""
@@ -682,11 +699,6 @@ def _polish_grid_pairs(
     accepted (first improvement) and the pair's remaining candidates are
     re-scored against the new incumbent, whose bystanders may have been
     shaved: the result is that of scanning the candidates one by one.
-
-    ``spent_elsewhere``, the bystanders' energy in the budget test before any
-    shave, is computed once per pair and goes stale after an accepted shave.
-    A later candidate of the pair may then shave one bystander step more
-    than it needs. This is kept so that results stay bit-identical.
     """
     m = inst.num_units
     out = list(decisions)
@@ -705,13 +717,14 @@ def _polish_grid_pairs(
         keep &= np.abs(ends - d.end) <= (_TINY if fix_end else t_rad)
         return np.flatnonzero(keep)
 
-    def score(i: int, k: int, a: np.ndarray, b: np.ndarray, spent_elsewhere: float):
+    def score(i: int, k: int, a: np.ndarray, b: np.ndarray):
         """Feasibility and value of each candidate, and the shaved bystanders."""
         bystanders = {
             j: _Bystander(inst.units[j], out[j], grid.action_step(inst.units[j]), model, a.size)
             for j in range(m)
             if j not in (i, k)
         }
+        spent_elsewhere = sum(y.cost[0] for y in bystanders.values())
 
         def column(q: int, field: str, rows):
             if q == i:
@@ -760,11 +773,6 @@ def _polish_grid_pairs(
                 rk = rows_near(k, fix_start=not adjacent, fix_end=True)
                 if ri.size == 0 or rk.size == 0:
                     continue
-                spent_elsewhere = sum(
-                    model.cost(inst.units[j], out[j].start, out[j].end, out[j].payload)
-                    for j in range(m)
-                    if j not in (i, k)
-                )
                 si, ei, pi = opts[i][:3]
                 sk, ek, pk = opts[k][:3]
                 right_bound = out[k + 1].start if k + 1 < m else math.inf
@@ -774,7 +782,7 @@ def _polish_grid_pairs(
                 keep = ~(ek[b] > right_bound + _TINY) & ~(ei[a] > left_bound + _TINY)
                 a, b = a[keep], b[keep]
                 while a.size:
-                    feasible, val, bystanders = score(i, k, a, b, spent_elsewhere)
+                    feasible, val, bystanders = score(i, k, a, b)
                     hits = np.flatnonzero(feasible & (val < best - 1e-12))
                     if hits.size == 0:
                         break
@@ -821,18 +829,23 @@ def _require_settings(max_outer: int, alpha0: float, beta0: float, epsilon: floa
 
 
 def _unit_solver(inst: Instance, model: TransmissionModel, opts):
-    """``solve(i, price, hp, hn, a_surv=1, s_weight=0)`` for the unit at position
-    ``i``: the lattice argmin over ``opts``, else the continuous solve, which
-    goes through the module-level ``_solve_unit_dag`` looked up at call time."""
+    """``solve(i, price, mu, a_surv=1, s_weight=0)`` for the unit at position
+    ``i`` against the budget price and the handoff prices ``mu``, of which it
+    reads the two around the unit. Every handoff-priced sweep goes through it:
+    both solvers' relaxed steps and the ``mdu`` cycle solve. It is the lattice
+    argmin over ``opts``, else the continuous solve, which goes through the
+    module-level ``_solve_unit_dag`` looked up at call time."""
     m = inst.num_units
     if opts is None:
 
-        def solve(i, price, hp, hn, a_surv=1.0, s_weight=0.0):
+        def solve(i, price, mu, a_surv=1.0, s_weight=0.0):
+            hp, hn = _neighbour_prices(mu, i)
             return _solve_unit_dag(inst.units[i - 1], price, hp, hn, m, model, a_surv, s_weight)
 
     else:
 
-        def solve(i, price, hp, hn, a_surv=1.0, s_weight=0.0):
+        def solve(i, price, mu, a_surv=1.0, s_weight=0.0):
+            hp, hn = _neighbour_prices(mu, i)
             impact = inst.units[i - 1].impact
             return _solve_unit_grid(opts[i - 1], hp, hn, impact * a_surv / m, s_weight / m, price / m)
 
@@ -947,11 +960,7 @@ def solve_independent(
     solve = _unit_solver(inst, model, opts)
 
     def relax(k, price, mu):
-        sols = []
-        for i in range(1, m + 1):
-            hp = mu[i - 2] if i >= 2 else 0.0
-            hn = mu[i - 1] if i <= m - 1 else 0.0
-            sols.append(solve(i, price, hp, hn))
+        sols = [solve(i, price, mu) for i in range(1, m + 1)]
         dual_value = sum(s.objective for s in sols) - price * inst.budget
         return [s.decision for s in sols], dual_value, 1
 
@@ -1005,26 +1014,19 @@ def solve_interdependent(
         decisions = [CrossLayerDecision(u.ready, u.deadline, u.size) for u in inst.units]
     else:
         # warm start must live on the lattice or it can survive the sweeps
-        decisions = [solve(i, 0.0, 0.0, 0.0).decision for i in range(1, m + 1)]
+        decisions = [solve(i, 0.0, (0.0,) * (m - 1)).decision for i in range(1, m + 1)]
 
     values = _ScheduleValues(inst.units, inst.graph, decisions, model)
-
-    def local_value(i, dec, p, w, a_surv, s_weight, price, hp, hn) -> float:
-        distortion = inst.units[i - 1].impact * a_surv * p + s_weight * p
-        return (distortion + price * w) / m - hp * dec.start + hn * dec.end
 
     def relax(k, price, mu):
         g_prev = values.lagrangian(price, mu, inst.budget)
         for sweep in range(max_inner):
             for i in range(1, m + 1):
-                hp = mu[i - 2] if i >= 2 else 0.0
-                hn = mu[i - 1] if i <= m - 1 else 0.0
-                a_surv, s_weight = _dag_coeffs(i, values)
-                cand = solve(i, price, hp, hn, a_surv, s_weight).decision
-                incumbent = local_value(i, values.decisions[i - 1], values.loss[i], values.cost[i],
-                                        a_surv, s_weight, price, hp, hn)
+                coeffs = _dag_coeffs(i, values)
+                cand = solve(i, price, mu, *coeffs).decision
+                incumbent = values.unit_term(i, coeffs, price, mu)
                 measured = values.measure(i, cand)
-                if local_value(i, cand, *measured, a_surv, s_weight, price, hp, hn) < incumbent:
+                if values.unit_term(i, coeffs, price, mu, cand, measured) < incumbent:
                     values.set(i, cand, measured)
             g_now = values.lagrangian(price, mu, inst.budget)
             if sweep_log is not None:

@@ -9,13 +9,15 @@ in the backlog whose coefficients are learned on a fast timescale, while the
 resource price tracks the budget on a slow timescale from the running
 average of realized energy.
 
-Three policies share the loop:
+Three policies book their realized units with one price ledger, which owns
+the slow price step and the run's records:
 
 * ``proposed``: full objective with the learned value term;
 * ``myopic``: the same per-unit solve with the value term pinned to zero;
 * ``mdu``: buffers one cycle at a time, assumes the cycle's attributes are
-  known, and runs the offline per-unit solves with handoff-price iterations
-  at the frozen global price (explicitly exempt from the causal interface).
+  known, and sweeps the offline solvers' per-unit solve with handoff-price
+  iterations at the frozen global price (explicitly exempt from the causal
+  interface).
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from .offline import (
     _graph_coeffs,
     _require_valid,
     _ScheduleValues,
-    _solve_unit_dag,
+    _unit_solver,
     handoff_update,
     recover_primal,
 )
-# unused here: perfbench/spans.py wraps this module attribute
-from .offline import upper_optimization  # noqa: F401
+# unused here: perfbench/spans.py wraps these module attributes
+from .offline import _solve_unit_dag, upper_optimization  # noqa: F401
 
 __all__ = [
     "ValueModel",
@@ -176,7 +178,6 @@ class OnlineParams:
     gamma_power: float = 0.6
     kappa0: float = 1.0
     update_mode: str = "normalized"
-    norm_floor: float = 1e-4
     price_init: float = 1.0
     end_grid: int = 200
     refine_points: int = 60
@@ -512,34 +513,62 @@ class RunResult:
     decisions: tuple[CrossLayerDecision, ...]
 
 
-def _cycle_rows(
-    stream: CausalStream,
-    policy: str,
-    decisions: Sequence[CrossLayerDecision],
-    energies: Sequence[float],
-    dropped: Sequence[bool],
-    price_at: Sequence[float],
-    vnorm_at: Sequence[float],
-    model: TransmissionModel,
-) -> tuple[CycleRow, ...]:
-    inst = stream.instance
-    values = _ScheduleValues(inst.units, inst.graph, decisions, model, priced=False)
+class _PriceLedger:
+    """The slow-timescale price master of one run, shared by every policy.
+
+    It starts from ``resume``, by default the price ``price_init`` and zeros.
+    ``book`` takes the realized units in index order: each moves the price by
+    ``online_price_update`` against the running average of all realized
+    energies, and the ledger records the unit's decision, energy and drop, the
+    price after it and the value-coefficient norm. ``result`` turns the
+    records into the per-cycle rows and the learner state.
+    """
+
+    def __init__(self, stream: CausalStream, model: TransmissionModel, params: OnlineParams,
+                 budget: float, resume: Optional[LearnerState]):
+        if resume is None:
+            resume = LearnerState(params.price_init, ValueModel.zero(params.feature_order).coeffs, 0, 0.0, 0.0)
+        self.stream, self.model, self.params, self.budget, self.resume = stream, model, params, budget, resume
+        self.price, self.step, self.cum_energy = resume.price, resume.step, resume.cum_energy
+        self.decisions, self.energies, self.drops, self.price_at, self.vnorm_at = [], [], [], [], []
+
+    def book(self, decision: CrossLayerDecision, energy: float, dropped: bool, vnorm: float) -> None:
+        self.step += 1
+        self.cum_energy += energy
+        kap = self.params.kappa(self.step)
+        if kap > 0.0:
+            self.price = online_price_update(self.price, kap, self.cum_energy / self.step, self.budget)
+        self.decisions.append(decision)
+        self.energies.append(energy)
+        self.drops.append(dropped)
+        self.price_at.append(self.price)
+        self.vnorm_at.append(vnorm)
+
+    def result(self, policy: str, coeffs: tuple[float, ...], backlog: float, avg_cost: float) -> RunResult:
+        state = LearnerState(price=self.price, coeffs=coeffs, step=self.step, backlog=backlog,
+                             cum_energy=self.cum_energy, avg_cost=avg_cost)
+        return RunResult(rows=_cycle_rows(self, policy), state=state, decisions=tuple(self.decisions))
+
+
+def _cycle_rows(ledger: _PriceLedger, policy: str) -> tuple[CycleRow, ...]:
+    stream, inst = ledger.stream, ledger.stream.instance
+    values = _ScheduleValues(inst.units, inst.graph, ledger.decisions, ledger.model, priced=False)
     rows = []
     for c in range(1, stream.num_cycles + 1):
         lo, hi = (c - 1) * stream.cycle_len + 1, min(c * stream.cycle_len, stream.num_units)
         reduction = 0.0
         for i in range(lo, hi + 1):
             reduction += inst.units[i - 1].impact - values.unit_distortion(i)
-        e_avg = float(np.mean([energies[i - 1] for i in range(lo, hi + 1)]))
+        e_avg = float(np.mean(ledger.energies[lo - 1 : hi]))
         rows.append(
             CycleRow(
                 cycle=c,
                 policy=policy,
                 distortion_reduction=reduction,
                 energy_avg=e_avg,
-                price=price_at[hi - 1],
-                value_norm=vnorm_at[hi - 1],
-                dropped=sum(1 for i in range(lo, hi + 1) if dropped[i - 1]),
+                price=ledger.price_at[hi - 1],
+                value_norm=ledger.vnorm_at[hi - 1],
+                dropped=sum(ledger.drops[lo - 1 : hi]),
             )
         )
     return tuple(rows)
@@ -555,9 +584,12 @@ def run_online(
 ) -> RunResult:
     """Run one policy over a stream; returns per-cycle metrics and final state.
 
-    The decision, state transition, price update and value update happen in
-    that order for every unit. The price step uses the running average of all
-    realized energies. The value target is the realized minimized objective
+    Each unit is decided, hands its backlog on and, under ``proposed``, makes
+    its value update; then it is booked with the run's price ledger, whose
+    step moves the price against the running average of all realized
+    energies (``mdu`` books each cycle it solves with the same ledger). The
+    value update reads no price, so it may precede the price step it shares
+    a step index with. The value target is the realized minimized objective
     centered by a running estimate of the mean per-unit stage cost: the
     feature class pins V(0) = 0, so without centering the learned function
     would chase the absolute cost-to-idle, which jumps at 0+ and has no
@@ -587,86 +619,56 @@ def run_online(
         budget = stream.budget
     elif not 0 < budget < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
-    if resume is None:
-        resume = LearnerState(params.price_init, ValueModel.zero(params.feature_order).coeffs, 0, 0.0, 0.0)
+    ledger = _PriceLedger(stream, model, params, budget, resume)
     if policy == "mdu":
         if params.mdu_outer < 1:
             raise ValueError(f"mdu_outer must be at least 1, got {params.mdu_outer}")
-        return _run_mdu(stream, model, params, budget, resume)
+        return _run_mdu(ledger)
 
-    n = stream.num_units
-    vm, price, backlog = ValueModel(coeffs=resume.coeffs), resume.price, resume.backlog
-    cum_energy, avg_cost, step0 = resume.cum_energy, resume.avg_cost, resume.step
+    resume = ledger.resume
+    vm, backlog, avg_cost = ValueModel(coeffs=resume.coeffs), resume.backlog, resume.avg_cost
+    zero = ValueModel.zero(params.feature_order)
 
     # the greedy baseline is the independent-unit optimizer even on coupled
     # streams: it transmits without considering impact on other units, while
     # realized distortion is still scored through the graph for both policies
     use_graph = stream.graph is not None and policy == "proposed"
     realized_err: list[float] = []
-    decisions: list[CrossLayerDecision] = []
-    energies: list[float] = []
-    drops: list[bool] = []
-    price_at: list[float] = []
-    vnorm_at: list[float] = []
+    if params.impact_estimate == "known":
+        impact_of = stream.impact_hint
+    else:
+        impact_of = lambda j, _m=params.impact_mean: _m  # noqa: E731
+    knowledge = None
 
-    for i in range(1, n + 1):
+    for i in range(1, stream.num_units + 1):
         unit, t_next = stream.observe(i)
-        vm_used = vm if policy == "proposed" else ValueModel.zero(params.feature_order)
+        vm_used = vm if policy == "proposed" else zero
         if use_graph:
-            lo, hi = stream.cycle_bounds(i)
-            if params.impact_estimate == "known":
-                impact_of = stream.impact_hint
-            else:
-                mean = params.impact_mean
-                impact_of = lambda j, _m=mean: _m  # noqa: E731
-            knowledge = DagKnowledge(
-                graph=stream.graph,
-                realized_err=realized_err,
-                impact_of=impact_of,
-                cycle_lo=lo,
-                cycle_hi=hi,
-            )
+            if knowledge is None or i > knowledge.cycle_hi:
+                knowledge = DagKnowledge(stream.graph, realized_err, impact_of, *stream.cycle_bounds(i))
             outcome = solve_online_unit_dag(
-                unit, backlog, price, vm_used, t_next, knowledge, model,
+                unit, backlog, ledger.price, vm_used, t_next, knowledge, model,
                 params.end_grid, params.refine_points,
             )
         else:
             outcome = solve_online_unit(
-                unit, backlog, price, vm_used, t_next, model,
+                unit, backlog, ledger.price, vm_used, t_next, model,
                 params.end_grid, params.refine_points,
             )
 
         s_visited = backlog
         backlog = state_transition(outcome.decision.end, t_next)
-        cum_energy += outcome.energy
-        k = step0 + i
-        kap = params.kappa(k)
-        if kap > 0.0:
-            price = online_price_update(price, kap, cum_energy / k, budget)
         if policy == "proposed":
-            gam = params.gamma(k)
+            gam = params.gamma(ledger.step + 1)
             # stage cost is what the unit itself paid; the bootstrap part of
             # the objective must not leak into the average-cost estimate
             stage = outcome.objective - vm.value(backlog)
             avg_cost = (1.0 - gam) * avg_cost + gam * stage
-            vm = value_update(
-                vm, gam, s_visited, outcome.objective - avg_cost,
-                params.update_mode, params.norm_floor,
-            )
-
+            vm = value_update(vm, gam, s_visited, outcome.objective - avg_cost, params.update_mode)
         realized_err.append(outcome.err)
-        decisions.append(outcome.decision)
-        energies.append(outcome.energy)
-        drops.append(outcome.dropped)
-        price_at.append(price)
-        vnorm_at.append(float(np.linalg.norm(vm.coeffs)))
+        ledger.book(outcome.decision, outcome.energy, outcome.dropped, float(np.linalg.norm(vm.coeffs)))
 
-    rows = _cycle_rows(stream, policy, decisions, energies, drops, price_at, vnorm_at, model)
-    state = LearnerState(
-        price=price, coeffs=vm.coeffs, step=step0 + n, backlog=backlog,
-        cum_energy=cum_energy, avg_cost=avg_cost,
-    )
-    return RunResult(rows=rows, state=state, decisions=tuple(decisions))
+    return ledger.result(policy, vm.coeffs, backlog, avg_cost)
 
 
 # -- clairvoyant per-cycle baseline ---------------------------------------------
@@ -697,8 +699,8 @@ def _solve_cycle_fixed_price(
 
     Only the handoff prices iterate; the first unit's window is floored at
     the previous cycle's realized end. Each handoff iteration sweeps the
-    units in index order through ``_solve_unit_dag``: once with
-    coefficients (1, 0) when the cycle has no graph, three times with
+    units in index order through the offline solvers' ``_unit_solver``: once
+    with coefficients (1, 0) when the cycle has no graph, three times with
     ``_dag_coeffs`` when it has one. Those read a value cache of the current
     decisions, in which each solve re-values only the unit it moved. The
     realized schedule is the FIFO recovery of the final relaxed decisions on
@@ -715,6 +717,7 @@ def _solve_cycle_fixed_price(
             DataUnit(pos, u.impact, u.size, ready, max(u.deadline, ready), u.decay, u.channel)
         )
     inst = Instance(units=tuple(local_units), budget=math.inf, graph=graph)
+    solve = _unit_solver(inst, model, None)
     mu = np.zeros(max(m - 1, 0))
     decisions: list[CrossLayerDecision] = [
         CrossLayerDecision(u.ready, u.deadline, u.size) for u in local_units
@@ -723,12 +726,8 @@ def _solve_cycle_fixed_price(
     for k in range(1, params.mdu_outer + 1):
         for _ in range(1 if values is None else 3):
             for i in range(1, m + 1):
-                hp = mu[i - 2] if i >= 2 else 0.0
-                hn = mu[i - 1] if i <= m - 1 else 0.0
-                a_surv, s_weight = (1.0, 0.0) if values is None else _dag_coeffs(i, values)
-                decisions[i - 1] = _solve_unit_dag(
-                    local_units[i - 1], price, hp, hn, m, model, a_surv, s_weight
-                ).decision
+                coeffs = () if values is None else _dag_coeffs(i, values)
+                decisions[i - 1] = solve(i, price, mu, *coeffs).decision
                 if values is not None:
                     values.set(i, decisions[i - 1])
         new_mu = mu.copy()
@@ -744,46 +743,18 @@ def _solve_cycle_fixed_price(
     return realized
 
 
-def _run_mdu(
-    stream: CausalStream,
-    model: TransmissionModel,
-    params: OnlineParams,
-    budget: float,
-    resume: LearnerState,
-) -> RunResult:
-    price, cum_energy, step = resume.price, resume.cum_energy, resume.step
+def _run_mdu(ledger: _PriceLedger) -> RunResult:
+    """Solve each cycle at the ledger's price, then book its units."""
+    stream, model, params = ledger.stream, ledger.model, ledger.params
     prev_end = -math.inf
-    decisions: list[CrossLayerDecision] = []
-    energies: list[float] = []
-    drops: list[bool] = []
-    price_at: list[float] = []
-    vnorm_at: list[float] = []
-    inst = stream.instance
-
     for c in range(1, stream.num_cycles + 1):
         units = stream.take_cycle(c)
         lo = (c - 1) * stream.cycle_len + 1
         block = _block_graph(stream.graph, lo, lo + len(units) - 1)
-        cycle_dec = _solve_cycle_fixed_price(units, block, price, model, prev_end, params)
-        for local_i, dec in enumerate(cycle_dec):
-            unit = units[local_i]
-            w = model.cost(unit, dec.start, dec.end, dec.payload)
-            step += 1
-            cum_energy += w
-            kap = params.kappa(step)
-            if kap > 0.0:
-                price = online_price_update(price, kap, cum_energy / step, budget)
-            decisions.append(dec)
-            energies.append(w)
-            drops.append(dec.window == 0.0 and dec.payload == 0.0 and unit.lifetime > 0.0)
-            price_at.append(price)
-            vnorm_at.append(0.0)
+        cycle_dec = _solve_cycle_fixed_price(units, block, ledger.price, model, prev_end, params)
+        for unit, dec in zip(units, cycle_dec):
+            dropped = dec.window == 0.0 and dec.payload == 0.0 and unit.lifetime > 0.0
+            ledger.book(dec, model.cost(unit, dec.start, dec.end, dec.payload), dropped, 0.0)
         if cycle_dec:
             prev_end = cycle_dec[-1].end
-
-    rows = _cycle_rows(stream, "mdu", decisions, energies, drops, price_at, vnorm_at, model)
-    state = LearnerState(
-        price=price, coeffs=resume.coeffs, step=step, backlog=0.0,
-        cum_energy=cum_energy, avg_cost=resume.avg_cost,
-    )
-    return RunResult(rows=rows, state=state, decisions=tuple(decisions))
+    return ledger.result("mdu", ledger.resume.coeffs, 0.0, ledger.resume.avg_cost)

@@ -15,7 +15,7 @@ the tied assignments in index order until ``_MAX_TIES``, so memory is one
 block plus the ties whatever the number of near-optimal assignments.
 
 Cost still grows as (window pairs x actions)^(M-2) blocks, so the solver
-refuses instances above ``max_units`` (default 4). With the default 10 ms /
+refuses instances above ``_MAX_UNITS`` (4). With the default 10 ms /
 21-point grids on a 2-vCPU Xeon VM, M = 3 takes 0.03-0.13 s (the acceptance
 gate's cells, trace seeds 1-5) and M = 4 0.4-2.4 s (trace seeds 1-3,
 budgets 2 and 10).
@@ -35,6 +35,7 @@ from .offline import DecisionGrid, _require_valid
 __all__ = ["OracleResult", "brute_force"]
 
 _MAX_TIES = 200
+_MAX_UNITS = 4
 # elements of one (options of unit M-1) x (options of unit M) block
 _BLOCK = 1 << 16
 
@@ -55,7 +56,6 @@ def brute_force(
     model: TransmissionModel,
     time_step: float = 0.01,
     action_points: int = 21,
-    max_units: int = 4,
     tie_tol: float = 1e-9,
 ) -> OracleResult:
     """Exact optimum of the grid-restricted instance.
@@ -71,9 +71,9 @@ def brute_force(
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ValueError(f"tie_tol must be finite and non-negative, got {tie_tol!r}")
     m = inst.num_units
-    if m > max_units:
+    if m > _MAX_UNITS:
         raise ValueError(
-            f"brute force refuses {m} units (> {max_units}); cost is exponential in units"
+            f"brute force refuses {m} units (> {_MAX_UNITS}); cost is exponential in units"
         )
     if m == 0:
         return OracleResult(0.0, (), ((),), time_step, 0.0)

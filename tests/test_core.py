@@ -62,6 +62,14 @@ class TestValidation:
             for i in result.issues
         )
 
+    @pytest.mark.parametrize("bad", [((2, 3),), ((3, 1),), ((2, 0),), ((0, 1),), ((2, 3), (3, 2))])
+    def test_out_of_range_edges_are_the_only_issue(self, bad):
+        # acyclicity counts only in-range endpoints, so a cycle through a node
+        # that does not exist is not reported a second time
+        graph = DependencyGraph(num_nodes=2, edges=((2, 1),) + bad)
+        result = validate_instance(_two_unit_instance(graph=graph))
+        assert [i.message for i in result.issues] == [f"edge {e} out of range" for e in bad]
+
     def test_node_count_mismatch(self):
         graph = DependencyGraph(num_nodes=3, edges=((2, 1),))
         result = validate_instance(_two_unit_instance(graph=graph))

@@ -413,6 +413,31 @@ class TestRunOnline:
         assert second.state == one_shot.state
         assert first.decisions + second.decisions == one_shot.decisions
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_prices_replay_from_the_energies_of_the_decisions(self, policy, resumed):
+        # every policy books its units with one price master: replaying its
+        # step over the energies of the returned decisions gives every price.
+        # proposed and myopic book the energy of the array closed form, which
+        # can differ from the scalar cost in the last ulp; mdu books the latter
+        base = generate_trace(TraceParams(seed=3, num_dus=30, budget=5.0))
+        inst = Instance(base.units, base.budget, DependencyGraph(30, tuple((i, i - 1) for i in range(2, 31))))
+        params = OnlineParams()
+        state = LearnerState(price=2.0, coeffs=(0.5, 0.0, 0.0), step=40, backlog=0.0,
+                             cum_energy=180.0, avg_cost=1.0) if resumed else None
+        run = run_online(CausalStream(inst, 7, expose_cycle_impacts=True), MODEL, policy, params, resume=state)
+        price, step, total = (state.price, state.step, state.cum_energy) if resumed else (1.0, 0, 0.0)
+        prices = []
+        for u, d in zip(inst.units, run.decisions):
+            step += 1
+            total += MODEL.cost(u, d.start, d.end, d.payload)
+            price = online_price_update(price, params.kappa(step), total / step, inst.budget)
+            prices.append(price)
+        same = (lambda x: x) if policy == "mdu" else (lambda x: pytest.approx(x, rel=1e-12, abs=0.0))
+        assert [r.price for r in run.rows] == same([prices[min(7 * c, 30) - 1] for c in range(1, 6)])
+        assert (run.state.price, run.state.cum_energy) == same((price, total))
+        assert run.state.step == step
+
     def test_mdu_starts_from_the_resumed_state(self):
         inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
         state = LearnerState(price=7.0, coeffs=(0.5, 0.0, 0.0), step=500, backlog=0.0,

@@ -57,7 +57,6 @@ def reference_polish(inst, decisions, opts, grid, model, respect_graph,
                 rk = rows_near(k, fix_start=not adjacent, fix_end=True)
                 if ri.size == 0 or rk.size == 0:
                     continue
-                spent_elsewhere = sum(cost_of(j, out[j]) for j in range(m) if j not in (i, k))
                 si, ei, pi, _, ci = opts[i]
                 sk, ek, pk, _, ck = opts[k]
                 right_bound = out[k + 1].start if k + 1 < m else math.inf
@@ -69,6 +68,7 @@ def reference_polish(inst, decisions, opts, grid, model, respect_graph,
                             continue
                         if not adjacent and ei[a] > out[i + 1].start + _TINY:
                             continue
+                        spent_elsewhere = sum(cost_of(j, out[j]) for j in range(m) if j not in (i, k))
                         cand = list(out)
                         cand[i] = CrossLayerDecision(float(si[a]), float(ei[a]), float(pi[a]))
                         cand[k] = CrossLayerDecision(float(sk[b]), float(ek[b]), float(pk[b]))
@@ -156,21 +156,33 @@ def test_accepted_candidates_with_shaved_bystanders():
     assert _check_case(5, "chain", False, 2.0, False) > 0
 
 
-def test_equal_spenders_shave_the_lowest_index_first():
-    # units 3 and 4 spend exactly the same energy on little impact, so the
-    # pair (1, 2) buys payload from them and only the tie rule decides which
-    # of them pays first
+def _check_back_to_back(impacts, budget, payloads):
+    """Polish units in back-to-back windows of exactly 1/16 s, so that equal
+    payloads cost exactly the same, both ways; asserts a shaved accept."""
     units = tuple(
-        # windows of exactly 1/16 s, so that equal payloads cost exactly the same
         DataUnit(index=n + 1, ready=0.0625 * n, deadline=0.0625 * n + 0.0625, impact=impact,
                  size=10.0, decay=0.5, channel=1.0)
-        for n, impact in enumerate((100.0, 120.0, 10.0, 10.0))
+        for n, impact in enumerate(impacts)
     )
-    inst = Instance(units, 5.5, None)
+    inst = Instance(units, budget, None)
     grid = DecisionGrid(0.0125, 11)
     opts = [grid.options(u, MODEL) for u in inst.units]
-    start = tuple(CrossLayerDecision(u.ready, u.deadline, p) for u, p in zip(units, (2.0, 2.0, 10.0, 10.0)))
+    start = tuple(CrossLayerDecision(u.ready, u.deadline, p) for u, p in zip(units, payloads))
     ref_dec, ref_val, shaved = reference_polish(inst, start, opts, grid, MODEL, True)
     dec, val = _polish_grid_pairs(inst, start, opts, grid, MODEL, True)
     assert shaved > 0
     assert repr((dec, val)) == repr((ref_dec, ref_val))
+
+
+def test_equal_spenders_shave_the_lowest_index_first():
+    # units 3 and 4 spend exactly the same energy on little impact, so the
+    # pair (1, 2) buys payload from them and only the tie rule decides which
+    # of them pays first
+    _check_back_to_back((100.0, 120.0, 10.0, 10.0), 5.5, (2.0, 2.0, 10.0, 10.0))
+
+
+def test_later_candidates_budget_against_the_shaved_bystander():
+    # the pair (1, 2) buys energy by shaving unit 3 and goes on scoring: its
+    # later candidates must count unit 3's energy after that shave, not the
+    # energy unit 3 spent when the pair began, or they shave it again
+    _check_back_to_back((100.0, 120.0, 10.0), 3.0, (2.0, 2.0, 10.0))

@@ -21,6 +21,7 @@ from xlsched import (
     offline,
     online,
 )
+from xlsched.online import POLICIES
 
 _SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -79,5 +80,28 @@ def test_tracer_sees_one_polish_and_the_options_of_each_lattice_solve():
             solve(target, model, max_outer=5, grid=grid)
             assert groups["polish"] == solved
             assert groups["grid_options"] == solved * target.num_units
+    finally:
+        tracer.uninstall()
+
+
+def test_tracer_sees_each_online_layer_once_per_unit_cycle_and_run():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    model = spans.CountingModel(tracer=tracer)
+    base = generate_trace(TraceParams(seed=3, num_dus=12, budget=5.0))
+    inst = Instance(base.units, base.budget, DependencyGraph(12, tuple((i, i - 1) for i in range(2, 13))))
+    groups, calls = tracer.group_calls, tracer.calls
+
+    tracer.install()
+    try:
+        for runs, policy in enumerate(POLICIES, start=1):
+            decided, cycles = groups["decide"], groups["mdu_cycle"]
+            stream = CausalStream(inst, cycle_len=5, expose_cycle_impacts=True)
+            online.run_online(stream, model, policy, OnlineParams(mdu_outer=3))
+            mdu = policy == "mdu"
+            assert groups["decide"] - decided == (0 if mdu else inst.num_units)
+            assert groups["mdu_cycle"] - cycles == (stream.num_cycles if mdu else 0)
+            assert groups["rows"] == calls["online.run_online"] == runs
+            assert calls["online._run_mdu"] == mdu
     finally:
         tracer.uninstall()
