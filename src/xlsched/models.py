@@ -31,6 +31,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence, runtim
 
 import numpy as np
 
+from .search import one_plus_w0
+
 if TYPE_CHECKING:  # pragma: no cover
     from .core import DataUnit
 
@@ -148,7 +150,9 @@ class TransmissionModel(Protocol):
     propagates to the units that reference it. The per-unit solves use the
     closed form of the payload argmin at fixed weights on loss and energy:
     ``window_fn`` for the offline window search, built once per solve, and
-    its array twin ``window_vec`` for the online end-grid search.
+    its array twin ``window_vec`` for the online end-grid search. A window
+    may carry ``root(lam)``, the root of its slope plus ``lam`` in closed
+    form or None; the search uses it where present.
     """
 
     def loss(self, unit: "DataUnit", start: float, end: float, payload: float) -> float: ...
@@ -181,8 +185,10 @@ class ShannonExpModel:
     ``V(tau) = min_a L * 2**(-decay*a) + E * cost(tau, a)`` in closed form
     (``window_fn``, and ``window_vec`` over an array of window lengths): the
     payload minimizer is a stationary point solvable in the log domain, and
-    the slope ``dV/dtau`` follows from the envelope theorem. The solvers
-    search the window length by a root-find on that slope.
+    the slope ``dV/dtau`` follows from the envelope theorem. Below the cap
+    and with energy priced it is ``E*noise/channel*phi(z)``, where
+    ``z = a*bit_unit/(tau*bandwidth_hz)`` and ``phi(z) = 2**z (1 - z ln 2) - 1``
+    falls, so its root has a closed form in the Lambert W function.
     """
 
     params: ShannonEnergyParams = field(default_factory=ShannonEnergyParams)
@@ -213,6 +219,9 @@ class ShannonExpModel:
         ``a`` moves with the cap and the slope is ``L * d loss/d a * d a_cap/d tau``
         (energy stays at the cap). An empty payload, or an unpriced one
         (``E = 0``) below the cap, has slope 0.
+
+        The window also carries ``root(lam)``, the tau where the slope is
+        ``-lam`` in closed form, or None where that form does not hold.
         """
         p = self.params
         size, decay, channel = unit.size, unit.decay, unit.channel
@@ -278,6 +287,21 @@ class ShannonExpModel:
                 return a, value, spend_slope * (e2z - 1.0 - z * _LN2 * e2z)
             return a, value, 0.0
 
+        def root(lam: float) -> Optional[float]:
+            # phi(z) = -lam/spend_slope at z = (1 + W0((lam/spend_slope - 1)/e))/ln 2,
+            # then z = log_ratio*c/(decay*tau + c) (interior) or size*c/tau (at the size)
+            if not (lam > 0.0 and priced and log_ratio > 0.0):
+                return None
+            z = one_plus_w0(lam / spend_slope) / _LN2
+            if not z < log_ratio:
+                return None
+            c = bit_unit / bandwidth
+            tau = min(c * (log_ratio - z) / (decay * z), size * c / z)
+            if cap_gain is not None and per_gain * tau * math.expm1(z * _LN2) > cap:
+                return None
+            return tau
+
+        window.root = root
         return window
 
     def window_vec(

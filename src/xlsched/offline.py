@@ -12,12 +12,13 @@ in two layers: the payload search inside a fixed window is convex and the
 model solves it in closed form, and the remaining window search is convex in
 the window length after observing that the start time enters linearly and is
 therefore optimal at an interval endpoint. The model's window value comes
-with its slope in the window length, so the window search is a bracketed
-root-find on the slope. ``window_fn`` hoists what one solve shares, and the
-search values each window length it tries once (about eight per unit). A
-unit's loss is also the error it propagates to its descendants, so the
-dependency terms weigh the same loss curve, and every table and cache below
-holds loss and energy only.
+with its slope in the window length, and the default model gives the root of
+that slope in closed form (Lambert W): the search values the window there
+and at both ends. Elsewhere (a binding energy cap, unpriced energy) it is a
+bracketed root-find on the slope, about eight values per unit. A unit's loss
+is also the error it propagates to its descendants, so the dependency terms
+weigh the same loss curve, and every table and cache below holds loss and
+energy only.
 
 Both solvers share one outer loop, which owns the two master problems: it
 moves the budget price and the handoff prices, recovers a feasible schedule
@@ -47,7 +48,7 @@ from .core import (
     write_text_atomic,
 )
 from .models import TransmissionModel, _unit_distortion, check_model
-from .search import derivative_search
+from .search import _with_corners, derivative_search
 # unused here: perfbench/spans.py wraps this module attribute
 from .search import golden_section  # noqa: F401
 
@@ -199,9 +200,10 @@ def _solve_unit(
     (handoff_next - handoff_prev), so it sits at an endpoint of
     [start_floor, deadline - tau]; substituting the endpoint leaves a convex
     function g of tau alone, with slope V'(tau) + handoff_next (start at the
-    floor) or + handoff_prev (end at the deadline), and the window search is
-    a root-find on that slope. Ties prefer the maximal window (start at the
-    floor, end at the deadline).
+    floor) or + handoff_prev (end at the deadline). Its root is the window's
+    ``root`` where that gives one inside the window, else derivative_search's,
+    and it is compared against both ends. Ties prefer the maximal window
+    (start at the floor, end at the deadline).
     """
     # numpy scalars here would leak into every iterate and the decision
     handoff_prev, handoff_next = float(handoff_prev), float(handoff_next)
@@ -216,7 +218,13 @@ def _solve_unit(
         start_term = at_floor if cf >= 0.0 else cf * (deadline - tau)
         return value + handoff_next * tau + start_term, slope + lam, a
 
-    tau_star, (obj, _, payload) = derivative_search(g, 0.0, deadline - start_floor)
+    tau_max = deadline - start_floor
+    root = getattr(window, "root", None)
+    tau_c = None if root is None else root(lam)
+    if tau_c is not None and 0.0 < tau_c < tau_max:
+        tau_star, (obj, _, payload) = _with_corners(0.0, g(0.0), tau_max, g(tau_max), tau_c, g(tau_c))
+    else:
+        tau_star, (obj, _, payload) = derivative_search(g, 0.0, tau_max)
     x_star = start_floor if cf >= 0.0 else max(deadline - tau_star, start_floor)
     # rounding in start + tau must not carry the end past the deadline, and
     # the payload must fit the stored window, whose length may differ by an ulp
@@ -356,6 +364,8 @@ class _ScheduleValues:
 
     def __init__(self, units: Sequence[DataUnit], graph, decisions: Sequence[CrossLayerDecision],
                  model: TransmissionModel, priced: bool = True):
+        if len(decisions) != len(units):
+            raise ValueError(f"got {len(decisions)} decisions for {len(units)} units")
         self.units, self.graph, self.model = units, graph, model
         self.decisions = list(decisions)
         n = len(units) + 1
@@ -431,6 +441,8 @@ def average_energy(
     model: TransmissionModel,
 ) -> float:
     m = inst.num_units
+    if len(decisions) != m:
+        raise ValueError(f"got {len(decisions)} decisions for {m} units")
     if m == 0:
         return 0.0
     return sum(
@@ -474,8 +486,6 @@ def recover_primal(
     elsewhere, is never rescaled.
     """
     m = inst.num_units
-    if m == 0:
-        return (), 0.0
     if respect_graph is None:
         respect_graph = inst.graph is not None
     handoffs = list(handoff_prices) if handoff_prices is not None else [0.0] * max(m - 1, 0)
@@ -483,6 +493,8 @@ def recover_primal(
     # holds the final decisions of the units before pos and the given ones after
     values = _ScheduleValues(inst.units, graph, decisions, model, priced=False)
     out = values.decisions
+    if m == 0:
+        return (), 0.0
 
     prev_end = -math.inf
     for pos, (unit, dec) in enumerate(zip(inst.units, decisions), start=1):

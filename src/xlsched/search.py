@@ -6,7 +6,7 @@ import math
 import sys
 from typing import Callable, Sequence
 
-__all__ = ["golden_section", "brent_root", "derivative_search"]
+__all__ = ["golden_section", "brent_root", "derivative_search", "one_plus_w0"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = sys.float_info.epsilon
@@ -168,3 +168,30 @@ def derivative_search(
         else:
             x_in, at_in = brent_root(fn, x_near, hi, at_near, at_hi, tol)
     return _with_corners(lo, at_lo, hi, at_hi, x_in, at_in)
+
+
+def one_plus_w0(gap: float) -> float:
+    """``1 + W0(x)`` from ``gap = 1 + e*x >= 0``, W0 the principal branch of the
+    Lambert W function; neither sum is formed, as both cancel near x = -1/e.
+    Halley steps on ``(u - 1)*e^u + 1 = gap`` (Fritsch, Shafer and Crowley
+    1973) start below gap 1/2 from the branch-point series in ``sqrt(2*gap)``
+    (Corless et al. 1996), alone exact to 5e-14 below 1e-3, and above it from
+    Winitzki's (2003) log1p form.
+    """
+    if not gap >= 0.0:
+        raise ValueError(f"W0 is real only for gap = 1 + e*x >= 0, got {gap}")
+    if gap < 0.5:
+        p = math.sqrt(2.0 * gap)
+        u = p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * (43.0 / 540.0))))
+        if p < 1e-3:
+            return u
+    else:
+        ln = math.log1p((gap - 1.0) / math.e)
+        u = 1.0 + ln * (1.0 - math.log1p(ln) / (2.0 + ln))
+    for _ in range(8):
+        r = u + math.expm1(-u) - gap * math.exp(-u)  # the residual over e^u
+        step = r / (u - (u + 1.0) * r / (2.0 * u))
+        u -= step
+        if not abs(step) > 1e-6 * u:  # cubic: the error left is ~1e-18
+            break
+    return u

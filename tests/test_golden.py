@@ -129,15 +129,15 @@ def _oracle_chain():
 CASES = {
     "interdependent-sweeps-seed1": (
         lambda: _sweeps_on_random_dag(1),
-        "2d33dcd721f03d3b29d30255437a4aed58b21acb810f0829f057d161e9f4764a",
+        "2d625b0fc8552ec500a3c22a938b69a9f8640fe1486398ce00cf118a3e00b4ec",
     ),
     "interdependent-sweeps-seed2": (
         lambda: _sweeps_on_random_dag(2),
-        "570879f521471977164f129574c7c6aaaa4c203a4dbc9839f61a150f668ce02d",
+        "289d79ff1cb7a0d5250fb38b432a481509ca91bcd0f017501df73129f35cd880",
     ),
     "interdependent-sweeps-seed3": (
         lambda: _sweeps_on_random_dag(3),
-        "ce9da8af1a75a22a47dd482c8a6aa27169cf7384bc6fa2731f3d629a9f1fa7a9",
+        "950cf22fd3550557e999cc995bef717ab18201836d70960b90436391e7f5d41a",
     ),
     "lattice-chain": (
         _lattice_chain,
@@ -149,15 +149,15 @@ CASES = {
     ),
     "mdu-ibpbp": (
         _mdu_on_ibpbp,
-        "97ff2c1600c59c8a7c500cc4d4bd67d36ec8ad2fa8bd9bb2883a73231c971be4",
+        "092b5e83c531cf955a3b4ef17d911c8460abf47a381133bcc7210433cbc343d6",
     ),
     "unit-kernel": (
         _unit_kernel,
-        "a7c9cce49ecc852f4e9830782f04ef4271a923abf85de49889d22fcd95301c25",
+        "3091b4e66bbddbb76f9c9a1078800b9f52c84c5fe39b4022325852159c93b133",
     ),
     "independent-standard": (
         _independent_standard,
-        "f1e9e41e01aca3e76ef74aba0fbd23852f87da1a4a37ae8d4347516b73adbdbe",
+        "f8499e38b808b327bb473bf4c0ef8f63f081546a6ddfdbfa73dea9afde0991c7",
     ),
     "online-random-dag-proposed": (
         lambda: _online_on_random_dag("proposed"),

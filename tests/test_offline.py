@@ -305,6 +305,30 @@ class TestRecoverPrimal:
         assert out[1].start == out[1].end == inst.units[1].deadline
 
 
+class TestDecisionCount:
+    """The public evaluators take exactly one decision per unit."""
+
+    INST = generate_trace(TraceParams(seed=3, num_dus=5))
+
+    @pytest.mark.parametrize("count", [0, 3, 4, 6])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [average_energy, instance_distortion, recover_primal],
+        ids=["average_energy", "instance_distortion", "recover_primal"],
+    )
+    def test_wrong_count_raises(self, evaluate, count):
+        decisions = [CrossLayerDecision(u.ready, u.deadline, 0.5 * u.size) for u in self.INST.units]
+        decisions = (decisions * 2)[:count]
+        with pytest.raises(ValueError, match=f"got {count} decisions for 5 units"):
+            evaluate(self.INST, decisions, MODEL)
+
+    def test_empty_instance_takes_no_decisions(self):
+        empty = Instance(units=(), budget=1.0)
+        assert recover_primal(empty, (), MODEL) == ((), 0.0)
+        with pytest.raises(ValueError, match="got 1 decisions for 0 units"):
+            recover_primal(empty, (CrossLayerDecision(0.0, 0.1, 1.0),), MODEL)
+
+
 def _fifo_ok(decisions):
     return all(
         b.start >= a.end - 1e-9 for a, b in zip(decisions, decisions[1:])
