@@ -213,38 +213,25 @@ def run_experiment(
     base_seed = seed if seed is not None else plan.seeds[0]
     dag_kind = plan.dag if plan.dag != "none" else "random"
 
-    if name == "fig5":
-        inst = build_instance(
-            cfg, num_dus=plan.cycle_len, seed=base_seed, budget=cfg.trace.budget
-        )
-        report = solve_offline(inst, model, cfg.solver, dag=False)
-        return [
-            _write_csv(
-                out / "fig5_gap.csv",
-                ("iteration", "dual", "primal", "gap"),
-                _trajectory_rows(report, with_inner=False),
-                f"config={tag} seed={base_seed}",
-            )
-        ]
-
-    if name == "fig6":
+    if name in ("fig5", "fig6"):
+        dag = name == "fig6"
         inst = build_instance(
             cfg,
             num_dus=plan.cycle_len,
             seed=base_seed,
             budget=cfg.trace.budget,
-            dag_kind=dag_kind,
+            dag_kind=dag_kind if dag else "none",
         )
-        if inst.graph is None:
+        if dag and inst.graph is None:
             raise ValueError(
                 "fig6 needs a dependency graph; raise edge_prob or pick another seed"
             )
-        report = solve_offline(inst, model, cfg.solver, dag=True)
+        report = solve_offline(inst, model, cfg.solver, dag)
         return [
             _write_csv(
-                out / "fig6_gap.csv",
-                ("iteration", "dual", "primal", "gap", "inner_iterations"),
-                _trajectory_rows(report, with_inner=True),
+                out / f"{name}_gap.csv",
+                ("iteration", "dual", "primal", "gap") + (("inner_iterations",) if dag else ()),
+                _trajectory_rows(report, with_inner=dag),
                 f"config={tag} seed={base_seed}",
             )
         ]

@@ -277,31 +277,28 @@ def handoff_update(handoff: float, end_i: float, start_next: float, step: float)
 
 
 def _graph_coeffs(
-    index: int,
-    graph,
-    err: Callable[[int], float],
-    kept: Callable[[int], float],
+    index: int, graph, loss: Sequence[float], kept: Sequence[float]
 ) -> tuple[float, float]:
     """Ancestor survival A and descendant weight S of unit ``index``.
 
-    A is the product of ``1 - err(k)`` over the ancestors k; S sums, over the
-    descendants j, ``kept(j)`` times the product of ``1 - err(k)`` over the
+    ``loss`` and ``kept`` are indexed by unit (slot 0 unused), the layout of
+    :class:`_ScheduleValues`: ``loss[k]`` is unit k's loss, which is also the
+    error it propagates, and ``kept[j]`` the impact unit j keeps. A is the
+    product of ``1 - loss[k]`` over the ancestors k; S sums, over the
+    descendants j, ``kept[j]`` times the product of ``1 - loss[k]`` over the
     ancestors k of j other than ``index``, each product in the iteration order
-    of the graph's ancestor sets (``graph.relatives``). ``err(k)`` is the
-    error unit k propagates, its loss. ``err`` is called once per factor and
-    ``kept`` once per descendant; the solvers pass lookups into a
-    :class:`_ScheduleValues`.
+    of the graph's ancestor sets (``graph.relatives``).
     """
     ancestors, descendants = graph.relatives
     a_surv = 1.0
     for k in ancestors[index]:
-        a_surv *= 1.0 - err(k)
+        a_surv *= 1.0 - loss[k]
     s_weight = 0.0
     for j in descendants[index]:
-        term = kept(j)
+        term = kept[j]
         for k in ancestors[j]:
             if k != index:
-                term *= 1.0 - err(k)
+                term *= 1.0 - loss[k]
         s_weight += term
     return a_surv, s_weight
 
@@ -318,7 +315,7 @@ def _dag_coeffs(index: int, values: "_ScheduleValues") -> tuple[float, float]:
     total distortion that vary with unit i's decision collapse to
     ``impact_i * p_i * A - (1 - p_i) * S``, with ``p_i`` unit i's loss.
     """
-    return _graph_coeffs(index, values.graph, values.loss.__getitem__, values.kept.__getitem__)
+    return _graph_coeffs(index, values.graph, values.loss, values.kept)
 
 
 def _solve_unit_dag(
@@ -428,11 +425,10 @@ def instance_distortion(
     inst: Instance,
     decisions: Sequence[CrossLayerDecision],
     model: TransmissionModel,
-    respect_graph: bool = True,
 ) -> float:
-    """Average expected distortion of a full schedule: :meth:`_ScheduleValues.distortion`."""
-    graph = inst.graph if respect_graph else None
-    return _ScheduleValues(inst.units, graph, decisions, model, priced=False).distortion()
+    """Average expected distortion of a full schedule through the instance's
+    graph, if it has one: :meth:`_ScheduleValues.distortion`."""
+    return _ScheduleValues(inst.units, inst.graph, decisions, model, priced=False).distortion()
 
 
 def average_energy(
@@ -471,7 +467,6 @@ def recover_primal(
     model: TransmissionModel,
     price: float = 0.0,
     handoff_prices: Optional[Sequence[float]] = None,
-    respect_graph: Optional[bool] = None,
 ) -> tuple[tuple[CrossLayerDecision, ...], float]:
     """Turn relaxed decisions into a feasible schedule and value it.
 
@@ -483,15 +478,13 @@ def recover_primal(
     bracket is two adjacent floats) as the largest factor tried whose average
     energy does not exceed the budget. An instance with an infinite budget,
     as the ``mdu`` baseline builds for a cycle whose energy it prices
-    elsewhere, is never rescaled.
+    elsewhere, is never rescaled. Re-optimized units weigh their loss through
+    the instance's graph, if it has one, and so does the returned distortion.
     """
     m = inst.num_units
-    if respect_graph is None:
-        respect_graph = inst.graph is not None
     handoffs = list(handoff_prices) if handoff_prices is not None else [0.0] * max(m - 1, 0)
-    graph = inst.graph if respect_graph else None
     # holds the final decisions of the units before pos and the given ones after
-    values = _ScheduleValues(inst.units, graph, decisions, model, priced=False)
+    values = _ScheduleValues(inst.units, inst.graph, decisions, model, priced=False)
     out = values.decisions
     if m == 0:
         return (), 0.0
@@ -508,7 +501,7 @@ def recover_primal(
             prev_end = unit.deadline
             continue
         hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
-        a_surv, s_weight = (1.0, 0.0) if graph is None else _dag_coeffs(pos, values)
+        a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(pos, values)
         # a start coefficient hn - min(hn, 0) >= 0 keeps the start at the floor
         fixed = _solve_unit(
             unit,
@@ -556,14 +549,12 @@ def _recover_primal_grid(
     model: TransmissionModel,
     price: float,
     handoffs: Sequence[float],
-    respect_graph: bool,
 ) -> tuple[tuple[CrossLayerDecision, ...], float]:
     """Lattice counterpart of recover_primal: the same forward sweep with
     repairs picked from the unit's lattice options, and the budget restored
     by shaving whole action steps, so the result stays on the lattice."""
     m = inst.num_units
-    graph = inst.graph if respect_graph else None
-    values = _ScheduleValues(inst.units, graph, decisions, model)
+    values = _ScheduleValues(inst.units, inst.graph, decisions, model)
     out = values.decisions
     prev_end = -math.inf
     for pos, (unit, dec) in enumerate(zip(inst.units, decisions), start=1):
@@ -578,7 +569,7 @@ def _recover_primal_grid(
             prev_end = unit.deadline
             continue
         hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
-        a_surv, s_weight = (1.0, 0.0) if graph is None else _dag_coeffs(pos, values)
+        a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(pos, values)
         vals = (unit.impact * a_surv * loss + s_weight * loss + price * cost) / m + hn * ends
         vals = np.where(feas, vals, math.inf)
         j = int(np.argmin(vals))
@@ -608,7 +599,7 @@ def _recover_primal_grid(
             lo = out[i - 1].end if i > 0 else -math.inf
             hi = out[i + 1].start if i + 1 < m else math.inf
             spent_elsewhere = sum(values.cost[1 : i + 1] + values.cost[i + 2 :])
-            a_surv, s_weight = (1.0, 0.0) if graph is None else _dag_coeffs(i + 1, values)
+            a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(i + 1, values)
             score = unit.impact * a_surv * loss + s_weight * loss
             feas = (
                 (starts >= lo - _TINY)
@@ -684,7 +675,6 @@ def _polish_grid_pairs(
     opts,
     grid: DecisionGrid,
     model: TransmissionModel,
-    respect_graph: bool,
 ) -> tuple[tuple[CrossLayerDecision, ...], float]:
     """Pairwise lattice descent around an incumbent schedule.
 
@@ -715,9 +705,8 @@ def _polish_grid_pairs(
     m = inst.num_units
     out = list(decisions)
     budget_total = inst.budget * m + 1e-9
-    best = instance_distortion(inst, tuple(out), model, respect_graph)
-    graph = inst.graph if respect_graph else None
-    ancestors = [tuple(graph.ancestors(q)) if graph is not None else () for q in range(1, m + 1)]
+    best = instance_distortion(inst, tuple(out), model)
+    ancestors = inst.graph.relatives[0][1:] if inst.graph is not None else [()] * m
 
     def rows_near(idx: int, fix_start: bool, fix_end: bool):
         starts, ends, payloads = opts[idx][0], opts[idx][1], opts[idx][2]
@@ -866,7 +855,7 @@ def _unit_solver(inst: Instance, model: TransmissionModel, opts):
 
 def _dual_loop(
     inst: Instance, model: TransmissionModel, relax: Callable, opts, grid: Optional[DecisionGrid],
-    respect_graph: bool, *, epsilon: float, max_outer: int, alpha0: float, beta0: float,
+    *, epsilon: float, max_outer: int, alpha0: float, beta0: float,
     gap_tol: Optional[float],
 ) -> SolveReport:
     """The outer loop of both dual solvers: the price and handoff masters.
@@ -895,11 +884,11 @@ def _dual_loop(
         avg_usage = average_energy(inst, decisions, model)
         if opts is None:
             primal_decisions, primal_value = recover_primal(
-                inst, decisions, model, price=price, handoff_prices=mu, respect_graph=respect_graph
+                inst, decisions, model, price=price, handoff_prices=mu
             )
         else:
             primal_decisions, primal_value = _recover_primal_grid(
-                inst, decisions, opts, grid, model, price, mu, respect_graph
+                inst, decisions, opts, grid, model, price, mu
             )
         best_dual = max(best_dual, dual_value)
         if primal_value < best_primal:
@@ -921,7 +910,7 @@ def _dual_loop(
             break
 
     if opts is not None:
-        polished, pval = _polish_grid_pairs(inst, best_decisions, opts, grid, model, respect_graph)
+        polished, pval = _polish_grid_pairs(inst, best_decisions, opts, grid, model)
         if pval < best_primal:
             best_primal, best_decisions = pval, polished
 
@@ -950,7 +939,12 @@ def solve_independent(
     gap_tol: Optional[float] = None,
     grid: Optional[DecisionGrid] = None,
 ) -> SolveReport:
-    """Dual solve for units with no dependencies (any graph is ignored).
+    """Dual solve for units with no dependencies.
+
+    The instance's graph, if any, is dropped once the instance is validated,
+    so the report is that of the graph-free copy. Every other evaluator here
+    reads the instance's graph: callers who want graph-free values from them
+    pass a graph-free :class:`Instance`.
 
     Outer loop: per-unit relaxed solves at the current prices, projected
     subgradient updates with steps alpha0/k and beta0/k, stopping when the
@@ -965,6 +959,7 @@ def solve_independent(
     check_model(model)
     _require_settings(max_outer, alpha0, beta0, epsilon, gap_tol)
     _require_valid(inst)
+    inst = Instance(inst.units, inst.budget)
     m = inst.num_units
     if m == 0:
         return _EMPTY_REPORT
@@ -977,7 +972,7 @@ def solve_independent(
         return [s.decision for s in sols], dual_value, 1
 
     return _dual_loop(
-        inst, model, relax, opts, grid, False, epsilon=epsilon, max_outer=max_outer,
+        inst, model, relax, opts, grid, epsilon=epsilon, max_outer=max_outer,
         alpha0=alpha0, beta0=beta0, gap_tol=gap_tol,
     )
 
@@ -1050,7 +1045,7 @@ def solve_interdependent(
         return values.decisions, g_prev, sweep + 1
 
     return _dual_loop(
-        inst, model, relax, opts, grid, True, epsilon=epsilon, max_outer=max_outer,
+        inst, model, relax, opts, grid, epsilon=epsilon, max_outer=max_outer,
         alpha0=alpha0, beta0=beta0, gap_tol=gap_tol,
     )
 

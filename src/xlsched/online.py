@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -200,40 +200,50 @@ class UnitOutcome:
     objective: float
     energy: float
     loss: float
-    err: float
     dropped: bool = False
 
 
-def _solve_online_core(
+def _decide(
     unit: DataUnit,
-    start: float,
+    backlog: float,
     price: float,
     vm: ValueModel,
     t_next: float,
     model: TransmissionModel,
-    merged: float,
+    a_surv: float,
+    s_weight: float,
     end_grid: int,
     refine_points: int,
 ) -> UnitOutcome:
-    """Grid-plus-refinement search over the window end, payload nested inside.
+    """The one online decision: grid-plus-refinement search over the window
+    end, payload nested inside.
 
-    ``merged`` weighs the loss curve: the unit's loss weight plus the weight
-    of the error its loss propagates to its descendants. The payload, loss
-    and energy at each end come from the model's array closed form
-    ``window_vec``; the error fraction the outcome hands to later units is
-    the scalar ``loss`` of the chosen decision. The end grid always contains
-    both interval endpoints and the kink of the backlog term at the next
-    arrival time.
+    The unit's loss weighs ``impact * a_surv + s_weight``: its own impact at
+    the survival A of its ancestors plus the weight S of the error it
+    propagates to its descendants. The start is pinned at ready + backlog; a
+    unit whose start falls past its deadline is dropped (empty window at the
+    deadline, full loss, zero energy). Otherwise the payload and energy at
+    each end come from the model's array closed form ``window_vec``, and the
+    outcome's loss, which later units read as the error it propagates, is the
+    scalar ``loss`` of the chosen decision. The end grid always contains both
+    interval endpoints and the kink of the backlog term at the next arrival
+    time.
     """
-    d = unit.deadline
+    if backlog < 0:
+        raise ValueError(f"backlog must be nonnegative, got {backlog}")
+    start, d = unit.ready + backlog, unit.deadline
+    merged = unit.impact * a_surv + s_weight
+    if start > d:
+        objective = merged + vm.value(state_transition(d, t_next))
+        return UnitOutcome(CrossLayerDecision(d, d, 0.0), objective, energy=0.0, loss=1.0, dropped=True)
     coeffs = vm.coeffs
 
     def best_on(ys: np.ndarray) -> tuple[int, tuple[float, ...]]:
-        """The argmin over the ends ``ys`` and its (objective, end, payload, loss, energy)."""
+        """The argmin over the ends ``ys`` and its (objective, end, payload, energy)."""
         pls, p, w = model.window_vec(unit, ys - start, merged, price)
         obj = merged * p + price * w + _value_vec(coeffs, np.maximum(ys - t_next, 0.0))
         j = int(np.argmin(obj))
-        return j, (float(obj[j]), float(ys[j]), float(pls[j]), float(p[j]), float(w[j]))
+        return j, (float(obj[j]), float(ys[j]), float(pls[j]), float(w[j]))
 
     if d <= start:
         ys = np.array([start])
@@ -251,29 +261,12 @@ def _solve_online_core(
             if fine[0] < best[0]:
                 best = fine
 
-    objective, end, payload, loss_p, energy = best
+    objective, end, payload, energy = best
     return UnitOutcome(
         decision=CrossLayerDecision(start=start, end=end, payload=payload),
         objective=objective,
         energy=energy,
-        loss=loss_p,
-        err=model.loss(unit, start, end, payload),
-        dropped=False,
-    )
-
-
-def _dropped_outcome(
-    unit: DataUnit,
-    vm: ValueModel,
-    t_next: float,
-    loss_coeff: float | None = None,
-    err_coeff: float = 0.0,
-) -> UnitOutcome:
-    dec = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0)
-    lost = unit.impact if loss_coeff is None else loss_coeff
-    objective = lost + err_coeff + vm.value(state_transition(unit.deadline, t_next))
-    return UnitOutcome(
-        decision=dec, objective=objective, energy=0.0, loss=1.0, err=1.0, dropped=True
+        loss=model.loss(unit, start, end, payload),
     )
 
 
@@ -287,38 +280,26 @@ def solve_online_unit(
     end_grid: int = 200,
     refine_points: int = 60,
 ) -> UnitOutcome:
-    """Decide a unit with no dependents: window end and payload from backlog.
-
-    The start time is pinned at ready + backlog; a unit whose start falls
-    past its deadline is dropped (empty window at the deadline, full loss,
-    zero energy).
-    """
-    if backlog < 0:
-        raise ValueError(f"backlog must be nonnegative, got {backlog}")
-    start = unit.ready + backlog
-    if start > unit.deadline:
-        return _dropped_outcome(unit, vm, t_next)
-    return _solve_online_core(
-        unit, start, price, vm, t_next, model, unit.impact, end_grid, refine_points
-    )
+    """Decide a unit with no dependents: window end and payload from backlog
+    (:func:`_decide` at ancestor survival 1 and descendant weight 0)."""
+    return _decide(unit, backlog, price, vm, t_next, model, 1.0, 0.0, end_grid, refine_points)
 
 
 @dataclass(frozen=True)
 class DagKnowledge:
-    """What a dependency-aware online decision may rely on.
+    """What a dependency-aware online decision may rely on, in the slot
+    layout of the offline value cache: lists indexed by unit, slot 0 unused.
 
-    ``realized_err`` holds the error fractions of already transmitted units,
-    which are their losses (indexable by unit index - 1); ``impact_of``
-    estimates the impact of not-yet-transmitted units in the current cycle
-    (true values when the cycle's attributes are observable, a configured
-    mean otherwise).
+    ``loss[k]`` is the realized loss of transmitted unit k, which is the
+    error it propagates; an untransmitted unit holds 0.0, "received intact".
+    ``kept[j]`` is the impact of unit j in the current cycle (true values
+    when the cycle's attributes are observable, a configured mean otherwise)
+    and 0.0 outside it. ``run_online`` keeps both up to date.
     """
 
     graph: DependencyGraph
-    realized_err: Sequence[float]
-    impact_of: Callable[[int], float]
-    cycle_lo: int
-    cycle_hi: int
+    loss: list[float]
+    kept: list[float]
 
 
 def solve_online_unit_dag(
@@ -338,30 +319,13 @@ def solve_online_unit_dag(
     ancestors; an extra term charges the expected descendant impact the
     unit's own loss erases, with untransmitted descendants assumed received
     intact (their own loss and the losses of other untransmitted references
-    set to zero). The objective is anchored so a
+    read as zero from ``knowledge.loss``). The objective is anchored so a
     perfect transmission scores zero: the anchor is invisible to the argmin
     but keeps the realized objectives that feed the value learner free of
     per-unit graph-position offsets.
     """
-    if backlog < 0:
-        raise ValueError(f"backlog must be nonnegative, got {backlog}")
-    i = unit.index
-
-    def err(k: int) -> float:
-        # untransmitted references (k >= i) count as intact
-        return knowledge.realized_err[k - 1] if k < i else 0.0
-
-    def kept(j: int) -> float:
-        return knowledge.impact_of(j) if knowledge.cycle_lo <= j <= knowledge.cycle_hi else 0.0
-
-    a_surv, s_weight = _graph_coeffs(i, knowledge.graph, err, kept)
-    start = unit.ready + backlog
-    if start > unit.deadline:
-        return _dropped_outcome(unit, vm, t_next, unit.impact * a_surv, s_weight)
-    return _solve_online_core(
-        unit, start, price, vm, t_next, model, unit.impact * a_surv + s_weight,
-        end_grid, refine_points,
-    )
+    a_surv, s_weight = _graph_coeffs(unit.index, knowledge.graph, knowledge.loss, knowledge.kept)
+    return _decide(unit, backlog, price, vm, t_next, model, a_surv, s_weight, end_grid, refine_points)
 
 
 # -- streams -------------------------------------------------------------------
@@ -440,10 +404,9 @@ class CausalStream:
         return self._inst.units[index - 1].impact
 
     def cycle_bounds(self, index: int) -> tuple[int, int]:
-        c = (index - 1) // self._cycle_len
-        lo = c * self._cycle_len + 1
-        hi = min((c + 1) * self._cycle_len, self.num_units)
-        return lo, hi
+        """First and last unit index of the cycle that holds unit ``index``."""
+        lo = index - (index - 1) % self._cycle_len
+        return lo, min(lo + self._cycle_len - 1, self.num_units)
 
     def take_cycle(self, cycle: int) -> tuple[DataUnit, ...]:
         if cycle != self._cycle_pos + 1:
@@ -451,9 +414,8 @@ class CausalStream:
                 f"take_cycle({cycle}) out of order; next cycle is {self._cycle_pos + 1}"
             )
         self._cycle_pos = cycle
-        lo = (cycle - 1) * self._cycle_len
-        hi = min(cycle * self._cycle_len, self.num_units)
-        return self._inst.units[lo:hi]
+        lo, hi = self.cycle_bounds((cycle - 1) * self._cycle_len + 1)
+        return self._inst.units[lo - 1 : hi]
 
 
 # -- run loop --------------------------------------------------------------------
@@ -554,8 +516,8 @@ def _cycle_rows(ledger: _PriceLedger, policy: str) -> tuple[CycleRow, ...]:
     stream, inst = ledger.stream, ledger.stream.instance
     values = _ScheduleValues(inst.units, inst.graph, ledger.decisions, ledger.model, priced=False)
     rows = []
-    for c in range(1, stream.num_cycles + 1):
-        lo, hi = (c - 1) * stream.cycle_len + 1, min(c * stream.cycle_len, stream.num_units)
+    for c, first in enumerate(range(1, stream.num_units + 1, stream.cycle_len), start=1):
+        lo, hi = stream.cycle_bounds(first)
         reduction = 0.0
         for i in range(lo, hi + 1):
             reduction += inst.units[i - 1].impact - values.unit_distortion(i)
@@ -602,9 +564,17 @@ def run_online(
     and ``myopic``, and ``mdu`` hands them back unchanged (it learns no
     values and leaves no backlog).
 
+    Under ``proposed`` on a stream with a graph, the run keeps one
+    :class:`DagKnowledge`: each realized loss goes into its unit's slot, and
+    at each cycle start the previous cycle's impact slots are zeroed and the
+    new cycle's are filled from ``impact_hint`` (``known``) or
+    ``impact_mean`` (``mean``).
+
     Raises ``ValueError`` on an invalid instance (see ``validate_instance``),
-    an unknown policy, ``update_mode`` or ``impact_estimate`` (under every
-    policy), or a ``budget`` override that is not positive and finite.
+    an unknown policy, ``update_mode`` or ``impact_estimate``, a ``kappa0``
+    or ``price_init`` that is not non-negative and finite or an ``end_grid``
+    below 2 (under every policy), or a ``budget`` override that is not
+    positive and finite.
     """
     check_model(model)
     _require_valid(stream.instance)
@@ -615,6 +585,11 @@ def run_online(
                               ("impact_estimate", params.impact_estimate, IMPACT_ESTIMATES)):
         if name not in names:
             raise ValueError(f"unknown {what} {name!r}; expected one of {names}")
+    for name, value in (("kappa0", params.kappa0), ("price_init", params.price_init)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+    if params.end_grid < 2:
+        raise ValueError(f"end_grid must be at least 2, got {params.end_grid!r}")
     if budget is None:
         budget = stream.budget
     elif not 0 < budget < math.inf:
@@ -633,23 +608,27 @@ def run_online(
     # streams: it transmits without considering impact on other units, while
     # realized distortion is still scored through the graph for both policies
     use_graph = stream.graph is not None and policy == "proposed"
-    realized_err: list[float] = []
-    if params.impact_estimate == "known":
-        impact_of = stream.impact_hint
-    else:
-        impact_of = lambda j, _m=params.impact_mean: _m  # noqa: E731
-    knowledge = None
+    if use_graph:
+        slots = stream.num_units + 1
+        knowledge = DagKnowledge(stream.graph, [0.0] * slots, [0.0] * slots)
+    lo, hi = 1, 0
 
     for i in range(1, stream.num_units + 1):
         unit, t_next = stream.observe(i)
         vm_used = vm if policy == "proposed" else zero
         if use_graph:
-            if knowledge is None or i > knowledge.cycle_hi:
-                knowledge = DagKnowledge(stream.graph, realized_err, impact_of, *stream.cycle_bounds(i))
+            if i > hi:
+                knowledge.kept[lo : hi + 1] = [0.0] * (hi + 1 - lo)
+                lo, hi = stream.cycle_bounds(i)
+                known = params.impact_estimate == "known"
+                knowledge.kept[lo : hi + 1] = [
+                    stream.impact_hint(j) if known else params.impact_mean for j in range(lo, hi + 1)
+                ]
             outcome = solve_online_unit_dag(
                 unit, backlog, ledger.price, vm_used, t_next, knowledge, model,
                 params.end_grid, params.refine_points,
             )
+            knowledge.loss[i] = outcome.loss
         else:
             outcome = solve_online_unit(
                 unit, backlog, ledger.price, vm_used, t_next, model,
@@ -665,7 +644,6 @@ def run_online(
             stage = outcome.objective - vm.value(backlog)
             avg_cost = (1.0 - gam) * avg_cost + gam * stage
             vm = value_update(vm, gam, s_visited, outcome.objective - avg_cost, params.update_mode)
-        realized_err.append(outcome.err)
         ledger.book(outcome.decision, outcome.energy, outcome.dropped, float(np.linalg.norm(vm.coeffs)))
 
     return ledger.result(policy, vm.coeffs, backlog, avg_cost)
@@ -749,8 +727,7 @@ def _run_mdu(ledger: _PriceLedger) -> RunResult:
     prev_end = -math.inf
     for c in range(1, stream.num_cycles + 1):
         units = stream.take_cycle(c)
-        lo = (c - 1) * stream.cycle_len + 1
-        block = _block_graph(stream.graph, lo, lo + len(units) - 1)
+        block = _block_graph(stream.graph, *stream.cycle_bounds(units[0].index))
         cycle_dec = _solve_cycle_fixed_price(units, block, ledger.price, model, prev_end, params)
         for unit, dec in zip(units, cycle_dec):
             dropped = dec.window == 0.0 and dec.payload == 0.0 and unit.lifetime > 0.0

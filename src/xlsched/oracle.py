@@ -81,8 +81,7 @@ def brute_force(
     grid = DecisionGrid(time_step, action_points)
     opts = [grid.options(u, model) for u in inst.units]
     impacts = [u.impact for u in inst.units]
-    graph = inst.graph
-    ancestors = [() if graph is None else tuple(graph.ancestors(p)) for p in range(1, m + 1)]
+    ancestors = [()] * m if inst.graph is None else inst.graph.relatives[0][1:]
     budget_total = inst.budget * m + 1e-9
     chosen: list[int] = []
 

@@ -134,7 +134,8 @@ def test_coefficients_distortion_and_lagrangian_match_the_scalar_reference(kind,
             i, inst.units, decisions, inst.graph, MODEL
         )
     for respect_graph in (True, False):
-        assert instance_distortion(inst, decisions, MODEL, respect_graph) == _ref_distortion(
+        valued = inst if respect_graph else Instance(inst.units, inst.budget)
+        assert instance_distortion(valued, decisions, MODEL) == _ref_distortion(
             inst, decisions, MODEL, respect_graph
         )
     assert values.distortion() == _ref_distortion(inst, decisions, MODEL)
@@ -148,14 +149,14 @@ def test_coefficients_distortion_and_lagrangian_match_the_scalar_reference(kind,
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("kind", ("random", "chain", "ibpbp"))
 def test_graph_coeffs_follow_the_set_iteration_order(kind, seed):
-    """Any lookups, not only cached values: the online path passes closures."""
+    """Any slot lists, not only cached values: the online path passes its own."""
     inst, _, rng = _case(kind, seed)
     m = inst.num_units
     graph = inst.graph or _graph("chain", m, seed)  # a sparse random draw can have no edge
-    errs = {k: rng.random() for k in range(1, m + 1)}
-    kept = {j: rng.uniform(0.0, 150.0) for j in range(1, m + 1)}
+    errs = [0.0] + [rng.random() for k in range(1, m + 1)]
+    kept = [0.0] + [rng.uniform(0.0, 150.0) for j in range(1, m + 1)]
     for i in range(1, m + 1):
-        assert _graph_coeffs(i, graph, errs.__getitem__, kept.__getitem__) == _ref_graph_coeffs(
+        assert _graph_coeffs(i, graph, errs, kept) == _ref_graph_coeffs(
             i, graph, errs.__getitem__, kept.__getitem__
         )
 

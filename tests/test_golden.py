@@ -106,13 +106,23 @@ def _independent_standard():
     return solve_independent(generate_trace(TraceParams(seed=3, num_dus=10)), MODEL, max_outer=30)
 
 
-def _online_on_random_dag(policy):
+def _online_on_random_dag(policy, estimate="known"):
     # the array closed form and, under proposed, the realized error
     # fractions feeding each unit's ancestor survival; the price stays finite
     # on this trace (on seed 6 it reaches 1e305 after two units)
     base = generate_trace(TraceParams(seed=3, num_dus=300))
     inst = Instance(base.units, base.budget, generate_dag("random", 300, 10, seed=3, edge_prob=0.4))
-    return run_online(CausalStream(inst, cycle_len=10, expose_cycle_impacts=True), MODEL, policy)
+    stream = CausalStream(inst, cycle_len=10, expose_cycle_impacts=estimate == "known")
+    return run_online(stream, MODEL, policy, OnlineParams(impact_estimate=estimate))
+
+
+def _online_across_cycles():
+    # graph blocks of 15 units on stream cycles of 10: a unit's ancestors may
+    # lie in the previous cycle (their realized losses count) and its
+    # descendants in the next one (unknown impacts, so they weigh nothing)
+    base = generate_trace(TraceParams(seed=4, num_dus=120))
+    inst = Instance(base.units, base.budget, generate_dag("random", 120, 15, seed=4, edge_prob=0.3))
+    return run_online(CausalStream(inst, cycle_len=10, expose_cycle_impacts=True), MODEL, "proposed")
 
 
 def _independent_on_grid():
@@ -166,6 +176,14 @@ CASES = {
     "online-random-dag-myopic": (
         lambda: _online_on_random_dag("myopic"),
         "47ccb323aeb7d33eeb2cea3ec3c8473d0549d220a872bb6ab65fdaed00c5f6c4",
+    ),
+    "online-random-dag-proposed-mean": (
+        lambda: _online_on_random_dag("proposed", "mean"),
+        "30eaedc244ed109148e36ced865ca666bfaef4f58a342af97942cb4275637af8",
+    ),
+    "online-across-cycles-proposed": (
+        _online_across_cycles,
+        "9dbb2eb573b0976798628e850203b79f491ee0b2d2c32f8fd4dbe3763e588bf7",
     ),
     "independent-grid": (
         _independent_on_grid,

@@ -19,6 +19,7 @@ from xlsched import (
     ShannonExpModel,
     TraceParams,
     average_energy,
+    generate_dag,
     generate_trace,
     handoff_update,
     instance_distortion,
@@ -369,6 +370,14 @@ class TestSolveIndependent:
         rep = solve_independent(inst, MODEL, gap_tol=0.10)
         assert rep.gap <= 0.10
         assert rep.converged
+
+    @pytest.mark.parametrize("grid", [None, DecisionGrid(0.01, 21)])
+    def test_a_graph_changes_nothing(self, grid):
+        base = generate_trace(TraceParams(seed=7, num_dus=6, budget=2.0))
+        inst = Instance(base.units, base.budget, generate_dag("random", 6, 6, seed=7, edge_prob=0.6))
+        assert inst.graph is not None
+        with_graph = solve_independent(inst, MODEL, max_outer=25, grid=grid)
+        assert repr(with_graph) == repr(solve_independent(base, MODEL, max_outer=25, grid=grid))
 
 
 class TestSolveInterdependent:

@@ -232,8 +232,10 @@ class TestSolveOnlineUnit:
 
 class TestSolveOnlineUnitDag:
     def _knowledge(self, graph, realized_err, lo=1, hi=5, impact=100.0):
-        return DagKnowledge(graph=graph, realized_err=realized_err,
-                            impact_of=lambda j: impact, cycle_lo=lo, cycle_hi=hi)
+        slots = graph.num_nodes + 1
+        loss = [0.0] + list(realized_err) + [0.0] * (slots - 1 - len(realized_err))
+        kept = [impact if lo <= j <= hi else 0.0 for j in range(slots)]
+        return DagKnowledge(graph=graph, loss=loss, kept=kept)
 
     def test_edgeless_graph_matches_plain_solve(self):
         unit = _unit()
@@ -467,6 +469,20 @@ class TestRunOnline:
         with pytest.raises(ValueError, match="mdu_outer"):
             run_online(stream, MODEL, "mdu", OnlineParams(mdu_outer=0))
 
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("field,value", [
+        ("kappa0", -1.0), ("kappa0", math.nan), ("kappa0", math.inf),
+        ("price_init", -1.0), ("price_init", math.nan), ("price_init", math.inf),
+        ("end_grid", 0), ("end_grid", 1),
+    ])
+    def test_bad_learner_numbers_are_rejected(self, policy, field, value):
+        # a negative or NaN kappa0 froze the price, a NaN price_init made every
+        # price NaN, and end_grid 0 crashed in argmin while 1 saw only the start
+        stream = CausalStream(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
+        params = dataclasses.replace(OnlineParams(), **{field: value})
+        with pytest.raises(ValueError, match=field):
+            run_online(stream, MODEL, policy, params)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_nan_ready_time_is_rejected(self, policy):

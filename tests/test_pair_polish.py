@@ -22,7 +22,7 @@ GRID = DecisionGrid(0.02, 11)
 MODEL = ShannonExpModel()
 
 
-def reference_polish(inst, decisions, opts, grid, model, respect_graph,
+def reference_polish(inst, decisions, opts, grid, model,
                      rounds=4, time_radius=3, pay_radius=5):
     """The scalar scan: one candidate schedule at a time, valued whole.
 
@@ -32,7 +32,7 @@ def reference_polish(inst, decisions, opts, grid, model, respect_graph,
     m = inst.num_units
     out = list(decisions)
     budget_total = inst.budget * m + 1e-9
-    best = instance_distortion(inst, tuple(out), model, respect_graph)
+    best = instance_distortion(inst, tuple(out), model)
     shaved_accepts = 0
 
     def rows_near(idx, fix_start, fix_end):
@@ -92,7 +92,7 @@ def reference_polish(inst, decisions, opts, grid, model, respect_graph,
                             feasible = sum(cost_of(q, cand[q]) for q in range(m)) <= budget_total
                         if not feasible:
                             continue
-                        val = instance_distortion(inst, cand, model, respect_graph)
+                        val = instance_distortion(inst, cand, model)
                         if val < best - 1e-12:
                             best = val
                             out = cand
@@ -133,8 +133,10 @@ def _check_case(m, kind, respect_graph, budget, crude_start):
         start = tuple(CrossLayerDecision(u.ready, u.ready, 0.0) for u in inst.units)
     else:
         start = _best_schedule(inst)
-    ref_dec, ref_val, shaved = reference_polish(inst, start, opts, GRID, MODEL, respect_graph)
-    dec, val = _polish_grid_pairs(inst, start, opts, GRID, MODEL, respect_graph)
+    # without respect_graph both polish the graph-free copy
+    valued = inst if respect_graph else Instance(inst.units, inst.budget)
+    ref_dec, ref_val, shaved = reference_polish(valued, start, opts, GRID, MODEL)
+    dec, val = _polish_grid_pairs(valued, start, opts, GRID, MODEL)
     # repr tells -0.0 from 0.0 and numpy scalars from floats
     assert repr((dec, val)) == repr((ref_dec, ref_val))
     return shaved
@@ -168,8 +170,8 @@ def _check_back_to_back(impacts, budget, payloads):
     grid = DecisionGrid(0.0125, 11)
     opts = [grid.options(u, MODEL) for u in inst.units]
     start = tuple(CrossLayerDecision(u.ready, u.deadline, p) for u, p in zip(units, payloads))
-    ref_dec, ref_val, shaved = reference_polish(inst, start, opts, grid, MODEL, True)
-    dec, val = _polish_grid_pairs(inst, start, opts, grid, MODEL, True)
+    ref_dec, ref_val, shaved = reference_polish(inst, start, opts, grid, MODEL)
+    dec, val = _polish_grid_pairs(inst, start, opts, grid, MODEL)
     assert shaved > 0
     assert repr((dec, val)) == repr((ref_dec, ref_val))
 
