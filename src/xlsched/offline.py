@@ -32,6 +32,7 @@ descent) with warm starts across outer iterations.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -48,7 +49,7 @@ from .core import (
     write_text_atomic,
 )
 from .models import TransmissionModel, _unit_distortion, check_model
-from .search import _with_corners, derivative_search
+from .search import _with_corners, brent_root, derivative_search
 # unused here: perfbench/spans.py wraps this module attribute
 from .search import golden_section  # noqa: F401
 
@@ -461,6 +462,45 @@ def _lagrangian_value(
 # -- primal recovery ----------------------------------------------------------
 
 
+# non-negative floats sort like their bit patterns
+_F64, _BITS = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _largest_scale(usage: Callable[[float], float], budget: float, full: float) -> float:
+    """The largest float ``s`` with ``usage(s) <= budget < usage(nextafter(s, 1))``,
+    for ``usage`` non-decreasing on [0, 1] and ``usage(0) = 0 < budget < full = usage(1)``.
+
+    Brent's zero-in on ``usage(s) - budget`` narrows the bracket
+    ``usage(lo) <= budget < usage(hi)`` in at most 18 values, and bisection of
+    its ends' bit patterns makes them adjacent in at most 62 more (floats in
+    [0, 1] have bit patterns below 2**62).
+    """
+    lo, hi, passes = 0.0, 1.0, 0
+
+    def excess(s: float) -> tuple[float, float]:
+        nonlocal lo, hi, passes
+        passes += 1
+        if passes > 18:
+            return s, 0.0  # a zero ends Brent's search
+        over = usage(s) - budget
+        # Brent values points inside its bracket, which is this one
+        if over > 0.0:
+            hi = s
+        else:
+            lo = s
+        return s, over or -5e-324  # at usage == budget the float sought lies above
+
+    brent_root(excess, 0.0, 1.0, (0.0, -budget), (1.0, full - budget), tol=0.0)
+    lo_bits, hi_bits = (_BITS.unpack(_F64.pack(x))[0] for x in (lo, hi))
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if usage(_F64.unpack(_BITS.pack(mid))[0]) > budget:
+            hi_bits = mid
+        else:
+            lo_bits = mid
+    return _F64.unpack(_BITS.pack(lo_bits))[0]
+
+
 def recover_primal(
     inst: Instance,
     decisions: Sequence[CrossLayerDecision],
@@ -474,13 +514,16 @@ def recover_primal(
     whose window was actually moved get their end/payload re-optimized inside
     the clipped window under the current prices, everyone else passes through
     bit-exact. If the budget still binds, payloads are scaled down by one
-    common factor, found by bisection (at most 80 halvings, fewer once the
-    bracket is two adjacent floats) as the largest factor tried whose average
-    energy does not exceed the budget. An instance with an infinite budget,
+    common factor, the largest float whose average energy does not exceed
+    the budget (``_largest_scale``). An instance with an infinite budget,
     as the ``mdu`` baseline builds for a cycle whose energy it prices
     elsewhere, is never rescaled. Re-optimized units weigh their loss through
     the instance's graph, if it has one, and so does the returned distortion.
+
+    Raises ``ValueError`` on a budget that is NaN, zero or negative.
     """
+    if not inst.budget > 0.0:
+        raise ValueError(f"budget must be positive, got {inst.budget!r}")
     m = inst.num_units
     handoffs = list(handoff_prices) if handoff_prices is not None else [0.0] * max(m - 1, 0)
     # holds the final decisions of the units before pos and the given ones after
@@ -524,19 +567,10 @@ def recover_primal(
         ) / m
 
     # an infinite budget (the mdu cycle instances) is never exceeded: skip the sum
-    if math.isfinite(inst.budget) and usage(1.0) > inst.budget:
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                # adjacent floats: every further pass would leave lo unchanged
-                break
-            if usage(mid) > inst.budget:
-                hi = mid
-            else:
-                lo = mid
+    if math.isfinite(inst.budget) and (full := usage(1.0)) > inst.budget:
+        scale = _largest_scale(usage, inst.budget, full)
         for i, d in enumerate(out, start=1):
-            values.set(i, CrossLayerDecision(d.start, d.end, lo * d.payload))
+            values.set(i, CrossLayerDecision(d.start, d.end, scale * d.payload))
 
     return tuple(out), values.distortion()
 

@@ -571,10 +571,10 @@ def run_online(
     ``impact_mean`` (``mean``).
 
     Raises ``ValueError`` on an invalid instance (see ``validate_instance``),
-    an unknown policy, ``update_mode`` or ``impact_estimate``, a ``kappa0``
-    or ``price_init`` that is not non-negative and finite or an ``end_grid``
-    below 2 (under every policy), or a ``budget`` override that is not
-    positive and finite.
+    an unknown policy, ``update_mode`` or ``impact_estimate``, a ``kappa0``,
+    ``price_init`` or ``impact_mean`` that is not non-negative and finite or
+    an ``end_grid`` below 2 (under every policy), or a ``budget`` override
+    that is not positive and finite.
     """
     check_model(model)
     _require_valid(stream.instance)
@@ -585,7 +585,8 @@ def run_online(
                               ("impact_estimate", params.impact_estimate, IMPACT_ESTIMATES)):
         if name not in names:
             raise ValueError(f"unknown {what} {name!r}; expected one of {names}")
-    for name, value in (("kappa0", params.kappa0), ("price_init", params.price_init)):
+    for name, value in (("kappa0", params.kappa0), ("price_init", params.price_init),
+                        ("impact_mean", params.impact_mean)):
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
     if params.end_grid < 2:

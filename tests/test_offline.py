@@ -29,7 +29,8 @@ from xlsched import (
     solve_interdependent,
     upper_optimization,
 )
-from xlsched.offline import _dag_coeffs, _ScheduleValues
+from xlsched import offline
+from xlsched.offline import _dag_coeffs, _largest_scale, _ScheduleValues
 from xlsched.search import golden_section
 
 MODEL = ShannonExpModel()
@@ -304,6 +305,178 @@ class TestRecoverPrimal:
         out, _ = recover_primal(inst, decisions, MODEL)
         assert out[1].payload == 0.0
         assert out[1].start == out[1].end == inst.units[1].deadline
+
+    @pytest.mark.parametrize("budget", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+    def test_bad_budget_is_rejected(self, budget):
+        # NaN skipped the rescale and returned the unscaled payloads, -1 zeroed
+        # every payload after 80 halvings and 0 left payloads of 2e-16
+        base = generate_trace(TraceParams(seed=1, num_dus=10))
+        decisions = [CrossLayerDecision(u.ready, u.deadline, u.size) for u in base.units]
+        with pytest.raises(ValueError, match="budget must be positive"):
+            recover_primal(Instance(base.units, budget), decisions, MODEL)
+
+
+def reference_rescale(usage, budget):
+    """The halving loop that found recover_primal's budget scale before
+    Brent's zero-in. Returns the scale and whether the bracket ended at
+    adjacent floats rather than at the 80-halving cap."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, True
+        if usage(mid) > budget:
+            hi = mid
+        else:
+            lo = mid
+    return lo, False
+
+
+def _usage(inst, decisions, model=MODEL):
+    """recover_primal's average energy at one common payload scale."""
+    m = inst.num_units
+    return lambda scale: sum(
+        model.cost(u, d.start, d.end, scale * d.payload) for u, d in zip(inst.units, decisions)
+    ) / m
+
+
+def _rescale_case(seed):
+    """A random instance and decisions that recovery passes through untouched:
+    FIFO windows inside [ready, deadline], random payload fractions, a fixed
+    or random channel and a budget log-uniform in [1e-6, 1e3]."""
+    rng = np.random.default_rng(seed)
+    channel = "fixed:1.0" if seed % 2 else "uniform:0.2,2.0"
+    base = generate_trace(TraceParams(seed=seed, num_dus=int(rng.integers(1, 9)), channel=channel))
+    decisions, prev_end = [], -math.inf
+    for u in base.units:
+        start = max(u.ready, prev_end)
+        if start >= u.deadline:
+            decisions.append(CrossLayerDecision(u.deadline, u.deadline, 0.0))
+        else:
+            end = min(start + rng.uniform(0.02, 1.0) * (u.deadline - start), u.deadline)
+            decisions.append(CrossLayerDecision(start, end, rng.uniform(0.0, 1.0) * u.size))
+        prev_end = decisions[-1].end
+    return Instance(base.units, float(10.0 ** rng.uniform(-6.0, 3.0))), tuple(decisions)
+
+
+class _CountingModel:
+    """The default model, counting its ``cost`` calls."""
+
+    def __init__(self):
+        self.costs = 0
+
+    def loss(self, *args):
+        return MODEL.loss(*args)
+
+    def cost(self, *args):
+        self.costs += 1
+        return MODEL.cost(*args)
+
+    def window_fn(self, *args):
+        return MODEL.window_fn(*args)
+
+    def window_vec(self, *args):
+        return MODEL.window_vec(*args)
+
+
+class TestBudgetRescale:
+    """recover_primal's common payload scale: the largest float that fits."""
+
+    CASES = [_rescale_case(seed) for seed in range(240)]
+
+    @staticmethod
+    def _fits(usage, budget, scale):
+        return usage(scale) <= budget < usage(math.nextafter(scale, 1.0))
+
+    def test_matches_the_halving_loop(self):
+        rescaled = 0
+        for inst, decisions in self.CASES:
+            usage = _usage(inst, decisions)
+            full = usage(1.0)
+            out, _ = recover_primal(inst, decisions, MODEL)
+            if full <= inst.budget:
+                assert out == decisions
+                continue
+            rescaled += 1
+            scale = _largest_scale(usage, inst.budget, full)
+            ref, adjacent = reference_rescale(usage, inst.budget)
+            if adjacent:
+                assert repr(scale) == repr(ref)
+                assert repr(out) == repr(tuple(
+                    CrossLayerDecision(d.start, d.end, ref * d.payload) for d in decisions
+                ))
+            assert scale >= ref
+            assert self._fits(usage, inst.budget, scale)
+        assert rescaled >= 100
+
+    def test_passes_per_rescale(self):
+        # the halving loop valued the usage 55 times on nearly every rescale,
+        # and 81 times where it stopped at its cap
+        base = generate_trace(TraceParams(seed=1, num_dus=10))
+        full_window = tuple(CrossLayerDecision(u.ready, u.deadline, u.size) for u in base.units)
+        recovered, _ = recover_primal(Instance(base.units, math.inf), full_window, MODEL)
+        cases = list(self.CASES)
+        cases += [(Instance(base.units, b), recovered) for b in (1e-3, 1e-9, 1e-300, 5e-324)]
+        passes, reference_passes = [], []
+        for inst, decisions in cases:
+            usage = _usage(inst, decisions)
+            if usage(1.0) <= inst.budget:
+                continue
+            model = _CountingModel()
+            recover_primal(inst, decisions, model)
+            passes.append(model.costs / inst.num_units)
+            calls = []
+            reference_rescale(lambda s: calls.append(s) or usage(s), inst.budget)
+            reference_passes.append(1 + len(calls))
+        assert max(passes) <= 81
+        assert sum(passes) <= 0.5 * sum(reference_passes)
+
+    def test_passes_per_rescale_in_a_dual_solve(self, monkeypatch):
+        # the scales of a dual solve sit near 1, where Brent needs few values
+        passes = []
+
+        def counted(usage, budget, full):
+            calls = []
+            scale = _largest_scale(lambda s: calls.append(s) or usage(s), budget, full)
+            passes.append(1 + len(calls))
+            return scale
+
+        monkeypatch.setattr(offline, "_largest_scale", counted)
+        for seed in (1, 2, 3):
+            inst = generate_trace(TraceParams(seed=seed, num_dus=10))
+            dag = Instance(inst.units, inst.budget, generate_dag("random", 10, 10, seed, 0.5))
+            solve_independent(inst, MODEL, max_outer=60)
+            solve_interdependent(dag, MODEL, max_outer=60, max_inner=3)
+        assert len(passes) >= 100
+        assert max(passes) <= 81
+        assert sum(passes) / len(passes) <= 12
+
+    @pytest.mark.parametrize("budget", [1e-9, 1e-300])
+    def test_tiny_budget_gets_the_largest_scale_that_fits(self, budget):
+        # here the halving loop stopped at its cap before reaching adjacent
+        # floats, 1.5846085560033137e-09 against 1.584608556003315e-09 at 1e-9
+        base = generate_trace(TraceParams(seed=1, num_dus=10))
+        full_window = tuple(CrossLayerDecision(u.ready, u.deadline, u.size) for u in base.units)
+        decisions, _ = recover_primal(Instance(base.units, math.inf), full_window, MODEL)
+        usage = _usage(base, decisions)
+        scale = _largest_scale(usage, budget, usage(1.0))
+        ref, adjacent = reference_rescale(usage, budget)
+        assert not adjacent
+        assert scale >= ref
+        assert self._fits(usage, budget, scale)
+
+    @pytest.mark.parametrize("steps", [1, 7, 5000])
+    def test_flat_and_stepped_usage(self, steps, fail_fast):
+        # a staircase usage, flat over many floats, and one that is constant
+        # above its first step: the largest scale still sits at a riser
+        usage = lambda s: math.floor(s * steps) / steps  # noqa: E731
+        for budget in (0.3, 0.5 / steps):
+            assert self._fits(usage, budget, _largest_scale(usage, budget, 1.0))
+        plateau = lambda s: 0.0 if s < 3e-200 else 1e300  # noqa: E731
+        calls = []
+        scale = _largest_scale(lambda s: calls.append(s) or plateau(s), 1.0, 1e300)
+        assert scale == math.nextafter(3e-200, 0.0)
+        assert len(calls) <= 80
 
 
 class TestDecisionCount:

@@ -474,11 +474,13 @@ class TestRunOnline:
     @pytest.mark.parametrize("field,value", [
         ("kappa0", -1.0), ("kappa0", math.nan), ("kappa0", math.inf),
         ("price_init", -1.0), ("price_init", math.nan), ("price_init", math.inf),
+        ("impact_mean", -1.0), ("impact_mean", math.nan), ("impact_mean", math.inf),
         ("end_grid", 0), ("end_grid", 1),
     ])
     def test_bad_learner_numbers_are_rejected(self, policy, field, value):
         # a negative or NaN kappa0 froze the price, a NaN price_init made every
-        # price NaN, and end_grid 0 crashed in argmin while 1 saw only the start
+        # price NaN, a NaN impact_mean made every proposed unit on a graph send
+        # nothing, and end_grid 0 crashed in argmin while 1 saw only the start
         stream = CausalStream(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
         params = dataclasses.replace(OnlineParams(), **{field: value})
         with pytest.raises(ValueError, match=field):
