@@ -147,7 +147,9 @@ class TransmissionModel(Protocol):
 
     The scalar pair ``loss`` and ``cost`` values a decision (and is all
     :func:`verify_shape` samples); a unit's loss is also the error it
-    propagates to the units that reference it. The per-unit solves use the
+    propagates to the units that reference it. Both depend on the window
+    only through its length ``end - start``: ``window_fn``, ``window_vec``
+    and the lattice option tables rely on it. The per-unit solves use the
     closed form of the payload argmin at fixed weights on loss and energy:
     ``window_fn`` for the offline window search, built once per solve, and
     its array twin ``window_vec`` for the online end-grid search. A window

@@ -106,10 +106,11 @@ class DecisionGrid:
     action_points: int
 
     def __post_init__(self) -> None:
-        if self.time_step <= 0.0:
-            raise ValueError(f"time_step must be positive, got {self.time_step}")
-        if self.action_points < 2:
-            raise ValueError(f"action_points must be at least 2, got {self.action_points}")
+        if not 0.0 < self.time_step < math.inf:
+            raise ValueError(f"time_step must be positive and finite, got {self.time_step!r}")
+        points = self.action_points
+        if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
+            raise ValueError(f"action_points must be an integer of at least 2, got {points!r}")
 
     def action_step(self, unit: DataUnit) -> float:
         return unit.size / (self.action_points - 1)
@@ -118,11 +119,12 @@ class DecisionGrid:
         """All finite-cost (start, end, payload) choices of one unit.
 
         Returns five parallel arrays: starts, ends, payloads, and the model's
-        loss and energy values at each choice. Choices
-        whose energy exceeds the model's per-transmission cap are removed.
-        Choices run start-major, then end, then payload, and no time point
-        lies past the deadline: ``ready + k*time_step`` can overshoot it by
-        an ulp, so the points are clamped to it.
+        loss and energy values at each choice, valued once per distinct window
+        length and payload. Choices whose energy exceeds the model's
+        per-transmission cap are removed. Choices run start-major, then end,
+        then payload, and no time point lies past the deadline:
+        ``ready + k*time_step`` can overshoot it by an ulp, so the points are
+        clamped to it.
         """
         span = unit.deadline - unit.ready
         n_steps = int(math.floor(span / self.time_step + 1e-9))
@@ -134,24 +136,18 @@ class DecisionGrid:
         ends = np.repeat(times[yi], len(actions))
         payloads = np.tile(actions, len(xi))
 
-        # scalar calls: the vector model differs from them in the last ulp
-        loss = np.empty(len(starts))
-        cost = np.empty(len(starts))
-        for idx in range(len(starts)):
-            loss[idx] = model.loss(unit, starts[idx], ends[idx], payloads[idx])
-            cost[idx] = model.cost(unit, starts[idx], ends[idx], payloads[idx])
+        # scalar calls (the vector model differs from them in the last ulp),
+        # once per distinct window length at a window of that length
+        _, first, inverse = np.unique(times[yi] - times[xi], return_index=True, return_inverse=True)
+        windows = [(times[xi[w]], times[yi[w]]) for w in first]
+        loss = np.array([[model.loss(unit, x, y, a) for a in actions] for x, y in windows])[inverse].ravel()
+        cost = np.array([[model.cost(unit, x, y, a) for a in actions] for x, y in windows])[inverse].ravel()
 
         keep = np.isfinite(cost)
         cap = getattr(getattr(model, "params", None), "energy_cap", None)
         if cap is not None:
             keep &= cost <= cap + 1e-12
-        return (
-            starts[keep],
-            ends[keep],
-            payloads[keep],
-            loss[keep],
-            cost[keep],
-        )
+        return starts[keep], ends[keep], payloads[keep], loss[keep], cost[keep]
 
 
 def _solve_unit_grid(
@@ -583,10 +579,15 @@ def _recover_primal_grid(
     model: TransmissionModel,
     price: float,
     handoffs: Sequence[float],
+    memo: dict,
 ) -> tuple[tuple[CrossLayerDecision, ...], float]:
     """Lattice counterpart of recover_primal: the same forward sweep with
     repairs picked from the unit's lattice options, and the budget restored
-    by shaving whole action steps, so the result stays on the lattice."""
+    by shaving whole action steps, so the result stays on the lattice.
+
+    The restoration and the local descent read only the repaired schedule,
+    not the prices, so ``memo`` (one dict per dual solve) keeps their result
+    by the repaired decisions; the repair sweep always runs."""
     m = inst.num_units
     values = _ScheduleValues(inst.units, inst.graph, decisions, model)
     out = values.decisions
@@ -610,6 +611,9 @@ def _recover_primal_grid(
         fixed = CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j]))
         values.set(pos, fixed)
         prev_end = fixed.end
+    repaired = tuple(out)
+    if repaired in memo:
+        return memo[repaired]
 
     # budget restoration in whole action steps, largest spender first
     for _ in range(m * grid.action_points):
@@ -650,7 +654,8 @@ def _recover_primal_grid(
         if not improved:
             break
 
-    return tuple(out), values.distortion()
+    memo[repaired] = tuple(out), values.distortion()
+    return memo[repaired]
 
 
 # the pair polish: at most this many passes over all pairs, and candidates
@@ -911,6 +916,7 @@ def _dual_loop(
     rows: list[IterationRow] = []
     converged = False
     inner_total = 0
+    memo = None if opts is None else {}
 
     for k in range(1, max_outer + 1):
         decisions, dual_value, sweeps = relax(k, price, mu)
@@ -922,7 +928,7 @@ def _dual_loop(
             )
         else:
             primal_decisions, primal_value = _recover_primal_grid(
-                inst, decisions, opts, grid, model, price, mu
+                inst, decisions, opts, grid, model, price, mu, memo
             )
         best_dual = max(best_dual, dual_value)
         if primal_value < best_primal:

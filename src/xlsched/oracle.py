@@ -3,22 +3,24 @@
 Every unit's window endpoints are restricted to a uniform time grid anchored
 at its ready time and its payload to a uniform action grid; all FIFO-ordered,
 budget-feasible combinations are enumerated. Units 1..M-2 are walked depth
-first in index order, each level scored as one numpy expression over the
-unit's options; the last two units are scored together as 2-D blocks (rows:
-options of unit M-1, columns: options of unit M) of at most ``_BLOCK``
-elements each.
+first in index order, and each level, unit M-1 included, is scored as one
+numpy expression over the unit's options. Unit M is answered from a
+staircase, the least loss among its options up to a cost that start at or
+after a given point, so one row of unit M-1 needs two lookups instead of a
+pass over unit M's options.
 
 The search makes two passes. The first finds the exact minimum, pruning any
 prefix whose distortion already exceeds the running bar (distortion only
-grows downstream). The second walks again with the final bar fixed and emits
-the tied assignments in index order until ``_MAX_TIES``, so memory is one
-block plus the ties whatever the number of near-optimal assignments.
+grows downstream). The second walks again with the final bar fixed, expands
+only the rows of unit M-1 whose least total is within it, and emits the tied
+assignments in index order until ``_MAX_TIES``, so memory is the staircase
+plus the ties whatever the number of near-optimal assignments.
 
-Cost still grows as (window pairs x actions)^(M-2) blocks, so the solver
-refuses instances above ``_MAX_UNITS`` (4). With the default 10 ms /
-21-point grids on a 2-vCPU Xeon VM, M = 3 takes 0.03-0.13 s (the acceptance
-gate's cells, trace seeds 1-5) and M = 4 0.4-2.4 s (trace seeds 1-3,
-budgets 2 and 10).
+Cost still grows as (window pairs x actions)^(M-1), so the solver refuses
+instances above ``_MAX_UNITS`` (4). With the default 10 ms / 21-point grids
+on a 2-vCPU Xeon VM, M = 3 takes 0.01-0.04 s (the acceptance gate's cells,
+trace seeds 1-5, independent and chain) and M = 4 0.3-1.3 s (trace seeds
+1-3, budgets 2 and 10, independent and chain).
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ __all__ = ["OracleResult", "brute_force"]
 
 _MAX_TIES = 200
 _MAX_UNITS = 4
-# elements of one (options of unit M-1) x (options of unit M) block
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,13 @@ def brute_force(
     instance has one) and the grid assignments whose value ties the optimum
     within ``tie_tol`` (relative): the lexicographically first ``_MAX_TIES``
     of them by option index, in that order. ``decisions`` is the first tie.
-    Raises ``ValueError`` on an invalid instance or ``tie_tol`` and
+    Raises ``ValueError`` on an invalid instance, grid or ``tie_tol`` and
     ``RuntimeError`` when no grid assignment meets the budget.
     """
     _require_valid(inst)
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ValueError(f"tie_tol must be finite and non-negative, got {tie_tol!r}")
+    grid = DecisionGrid(time_step, action_points)
     m = inst.num_units
     if m > _MAX_UNITS:
         raise ValueError(
@@ -78,17 +79,26 @@ def brute_force(
     if m == 0:
         return OracleResult(0.0, (), ((),), time_step, 0.0)
 
-    grid = DecisionGrid(time_step, action_points)
     opts = [grid.options(u, model) for u in inst.units]
     impacts = [u.impact for u in inst.units]
     ancestors = [()] * m if inst.graph is None else inst.graph.relatives[0][1:]
     budget_total = inst.budget * m + 1e-9
     chosen: list[int] = []
 
+    # unit M's staircase: table[g, k] is the least loss among its options that
+    # cost at most its k-th distinct cost and start at or after its g-th
+    # distinct start (inf where there is none)
+    starts, _, _, loss, cost = opts[m - 1]
+    by_cost, firsts = np.unique(cost), np.unique(starts)
+    padded = np.concatenate(([-math.inf], by_cost, [math.inf]))
+    table = np.full((len(firsts) + 1, len(by_cost) + 1), math.inf)
+    np.minimum.at(table, (firsts.searchsorted(starts), by_cost.searchsorted(cost) + 1), loss)
+    table = np.minimum.accumulate(np.minimum.accumulate(table[::-1])[::-1], axis=1)
+
     def survival(pos: int, last=None):
         """Product of ancestor survival fractions ``1 - loss`` of unit ``pos``
         (1-based) under ``chosen``, in ancestor order; an ancestor past ``chosen``
-        (unit M-1 under the last block) takes its factor at each of its
+        (unit M-1 under the last unit) takes its factor at each of its
         options ``last``."""
         surv = 1.0
         for k in ancestors[pos - 1]:
@@ -104,32 +114,44 @@ def brute_force(
         keep = np.flatnonzero((starts >= prev_end - 1e-12) & (e2 <= budget_total) & (d2 <= bar))
         return keep, ends[keep], e2[keep], d2[keep]
 
-    def last_blocks(rows, row_end, row_energy, row_dist):
-        """Yield ``(first row, feasible, totals)`` blocks of unit M's options
-        after each row (an option of unit M-1, or the empty prefix if M = 1)."""
-        starts, _, _, loss, cost = opts[m - 1]
-        surv = np.broadcast_to(survival(m, rows), row_end.shape)
-        step = max(1, _BLOCK // max(1, len(starts)))
-        for r0 in range(0, len(row_end), step):
-            r = slice(r0, r0 + step)
-            feasible = (starts >= row_end[r, None] - 1e-12) & (
-                row_energy[r, None] + cost <= budget_total
-            )
-            totals = row_dist[r, None] + impacts[m - 1] * (1.0 - (1.0 - loss) * surv[r, None])
-            yield r0, feasible, totals
+    def affordable(row_energy):
+        """Per row, how many of unit M's distinct costs pass the budget test
+        ``row_energy + cost <= budget_total``: a prefix, because adding a
+        larger cost never rounds to a smaller sum. The guess from the
+        difference can be off where rounding moves a sum across the bound;
+        ``padded[k]`` is the k-th distinct cost and ``padded[k + 1]`` the next."""
+        k = by_cost.searchsorted(budget_total - row_energy, "right")
+        while True:
+            over = row_energy + padded[k] > budget_total
+            under = row_energy + padded[k + 1] <= budget_total
+            if not (over.any() or under.any()):
+                return k
+            k = k - over + under
+
+    def last_unit(rows, row_end, row_energy, row_dist):
+        """Per row (an option of unit M-1, or the empty prefix if M = 1): the
+        least total over unit M's options that follow it within the budget
+        (inf if none does), from the staircase, and unit M's survival. The
+        total is monotone in the loss, so the least loss gives the least total
+        bit for bit."""
+        surv = survival(m, rows)
+        least = table[firsts.searchsorted(row_end - 1e-12, "left"), affordable(row_energy)]
+        found = least < math.inf
+        totals = row_dist + impacts[m - 1] * (1.0 - (1.0 - np.where(found, least, 0.0)) * surv)
+        return np.where(found, totals, math.inf), surv
 
     def walk(bar, visit) -> bool:
         """Depth-first over the prefixes of units 1..M-2 in index order, pruned
-        at ``bar()``; ``visit(rows, blocks)`` scores the last two units after
-        each prefix and returns True to stop the walk."""
+        at ``bar()``; ``visit(rows, ends, energies, distortions)`` scores unit M
+        after the options ``rows`` of unit M-1 (None if M = 1) and returns True
+        to stop the walk."""
 
         def descend(pos: int, prev_end, energy, dist) -> bool:
             if m == 1:
-                return visit(None, last_blocks(None, np.array([prev_end]),
-                                               np.array([energy]), np.array([dist])))
+                return visit(None, np.array([prev_end]), np.array([energy]), np.array([dist]))
             keep, ends, e2, d2 = level(pos, prev_end, energy, dist, bar())
             if pos == m - 1:
-                return visit(keep, last_blocks(keep, ends, e2, d2))
+                return visit(keep, ends, e2, d2)
             for n, j in enumerate(keep):
                 if d2[n] > bar():
                     continue
@@ -149,26 +171,28 @@ def brute_force(
     # pass 1: the exact minimum
     best = math.inf
 
-    def improve(rows, blocks) -> bool:
+    def improve(*prefixes) -> bool:
         nonlocal best
-        for _, feasible, totals in blocks:
-            if feasible.any():
-                best = min(best, float(np.where(feasible, totals, math.inf).min()))
+        best = min(best, float(last_unit(*prefixes)[0].min(initial=math.inf)))
         return False
 
     walk(lambda: tie_bar(best), improve)
     if not math.isfinite(best):
         raise RuntimeError("no feasible grid assignment found")
 
-    # pass 2: the ties within the final bar, in index order
+    # pass 2: the ties within the final bar, in index order; only the rows
+    # whose least total is within the bar are expanded
     final_bar = tie_bar(best)
     ties: list[tuple[CrossLayerDecision, ...]] = []
 
-    def collect(rows, blocks) -> bool:
-        for r0, feasible, totals in blocks:
-            for h in np.flatnonzero(feasible & (totals <= final_bar)):
-                r, b = divmod(int(h), totals.shape[1])
-                combo = chosen + ([] if rows is None else [int(rows[r0 + r])]) + [b]
+    def collect(rows, row_end, row_energy, row_dist) -> bool:
+        totals, surv = last_unit(rows, row_end, row_energy, row_dist)
+        for r in np.flatnonzero(totals <= final_bar):
+            feasible = (starts >= row_end[r] - 1e-12) & (row_energy[r] + cost <= budget_total)
+            row_surv = surv[r] if isinstance(surv, np.ndarray) else surv
+            row = row_dist[r] + impacts[m - 1] * (1.0 - (1.0 - loss) * row_surv)
+            for b in np.flatnonzero(feasible & (row <= final_bar)):
+                combo = chosen + ([] if rows is None else [int(rows[r])]) + [int(b)]
                 ties.append(
                     tuple(
                         CrossLayerDecision(
@@ -188,5 +212,5 @@ def brute_force(
         decisions=ties[0],
         ties=tuple(ties),
         time_step=time_step,
-        action_step=inst.units[0].size / max(action_points - 1, 1),
+        action_step=grid.action_step(inst.units[0]),
     )

@@ -602,11 +602,34 @@ class TestSolveInterdependent:
 
 
 class TestDecisionGrid:
+    BAD = [
+        ("time_step", 0.0, 21), ("time_step", -0.01, 21), ("time_step", math.nan, 21),
+        ("time_step", math.inf, 21), ("action_points", 0.01, 1), ("action_points", 0.01, 2.5),
+        ("action_points", 0.01, 21.0), ("action_points", 0.01, True),
+        ("action_points", 0.01, np.float64(21.0)), ("action_points", 0.01, "21"),
+    ]
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DecisionGrid(time_step=0.0, action_points=21)
-        with pytest.raises(ValueError):
-            DecisionGrid(time_step=0.01, action_points=1)
+        # a NaN step used to fail inside options, an infinite one as a grid-
+        # infeasible budget, and 2.5 points with a TypeError from np.linspace
+        for field, time_step, action_points in self.BAD:
+            with pytest.raises(ValueError, match=field):
+                DecisionGrid(time_step=time_step, action_points=action_points)
+
+    @pytest.mark.parametrize("action_points", [2, np.int64(21), np.int32(3)])
+    def test_accepts_integer_points(self, action_points):
+        assert DecisionGrid(time_step=0.01, action_points=action_points).action_points == action_points
+
+    @pytest.mark.parametrize("field,time_step,action_points", BAD[2:6])
+    def test_solvers_and_oracle_pass_the_error_through(self, field, time_step, action_points):
+        from xlsched import brute_force
+
+        inst = generate_trace(TraceParams(seed=2, num_dus=2, budget=2.0))
+        with pytest.raises(ValueError, match=field):
+            brute_force(inst, MODEL, time_step=time_step, action_points=action_points)
+        for solver in (solve_independent, solve_interdependent):
+            with pytest.raises(ValueError, match=field):
+                solver(inst, MODEL, max_outer=5, grid=DecisionGrid(time_step, action_points))
 
     def test_options_live_on_the_lattice(self):
         grid = DecisionGrid(time_step=0.01, action_points=21)
@@ -650,6 +673,45 @@ class TestDecisionGrid:
         assert len(got[0]) < len(times) * (len(times) + 1) // 2 * 6  # the cap binds
         for column, ref in zip(got, zip(*rows)):
             assert column.tolist() == list(ref)
+
+    @pytest.mark.parametrize("time_step,unit", [
+        (0.1, _unit(ready=0.0, deadline=0.3)),
+        (0.01, _unit(ready=0.013, deadline=0.061, channel=0.7)),
+        (0.01, _unit(ready=1.0, deadline=1.05, size=40.0)),
+        (0.003, _unit(ready=0.7, deadline=0.79)),
+    ])
+    def test_options_value_each_window_length_once(self, time_step, unit):
+        grid = DecisionGrid(time_step=time_step, action_points=6)
+        model = _CountingModel()
+        got = grid.options(unit, model)
+        n_steps = int(math.floor((unit.deadline - unit.ready) / time_step + 1e-9))
+        times = np.minimum(unit.ready + time_step * np.arange(n_steps + 1), unit.deadline)
+        xi, yi = np.triu_indices(len(times))
+        lengths = len(set((times[yi] - times[xi]).tolist()))
+        assert lengths < len(xi)
+        assert len(got[0]) > 0
+        assert model.costs <= lengths * grid.action_points
+
+    @pytest.mark.parametrize("chain", [False, True], ids=["independent", "chain"])
+    def test_recovery_memo_skips_the_repeated_restoration_and_descent(self, chain):
+        base = generate_trace(TraceParams(seed=3, num_dus=3, budget=2.0))
+        graph = DependencyGraph(3, ((2, 1), (3, 2))) if chain else None
+        inst = Instance(base.units, base.budget, graph)
+        grid = DecisionGrid(time_step=0.01, action_points=21)
+        opts = [grid.options(u, MODEL) for u in inst.units]
+        # FIFO already holds, so the repair sweep keeps these decisions
+        decisions = tuple(CrossLayerDecision(u.ready, u.ready, 0.0) for u in inst.units)
+        memo, costs = {}, []
+        for price, handoffs in ((0.5, [0.0, 0.0]), (3.0, [1.0, 2.0])):
+            ref = offline._recover_primal_grid(inst, decisions, opts, grid, MODEL, price, handoffs, {})
+            model = _CountingModel()
+            got = offline._recover_primal_grid(inst, decisions, opts, grid, model, price, handoffs, memo)
+            assert repr(got) == repr(ref)
+            costs.append(model.costs)
+        assert len(memo) == 1
+        # the second call only builds the schedule's values: one cost per unit
+        assert costs[0] > inst.num_units
+        assert costs[1] == inst.num_units
 
     def test_grid_solve_stays_on_lattice_and_dominates_nothing_below_oracle(self):
         from xlsched import brute_force

@@ -15,6 +15,7 @@ from xlsched import (
     DependencyGraph,
     Instance,
     OracleResult,
+    ShannonEnergyParams,
     ShannonExpModel,
     TraceParams,
     average_energy,
@@ -28,6 +29,7 @@ from xlsched import (
 from xlsched.oracle import _MAX_TIES
 
 MODEL = ShannonExpModel()
+CAPPED = ShannonExpModel(params=ShannonEnergyParams(energy_cap=50.0))
 
 
 def reference_brute_force(inst, model, time_step=0.01, action_points=21, tie_tol=1e-9):
@@ -222,6 +224,15 @@ class FixedCostModel(ShannonExpModel):
         return super().cost(unit, start, end, payload) + 1.0
 
 
+@dataclasses.dataclass(frozen=True)
+class ListeningModel(ShannonExpModel):
+    """The radio also spends energy while its window is open, so the longest
+    window is no longer the cheapest for a payload."""
+
+    def cost(self, unit, start, end, payload):
+        return super().cost(unit, start, end, payload) + 40.0 * (end - start)
+
+
 def _reference_cases():
     # the lattice-oracle benchmark cells of workload seeds 3, 7 and 11: the
     # acceptance gate's criterion-2 cells, then one of each kind per seed
@@ -275,6 +286,72 @@ class TestMatchesScalarReference:
         # an empty payload is free, so the default model is never grid-infeasible
         result = brute_force(_trace(5, 2, 1e-9), MODEL)
         assert all(d.payload == 0.0 for d in result.decisions)
+
+
+def _random_cells(count=36):
+    """M = 1-3, budgets log-uniform in [1e-6, 1e3], the default model with and
+    without an energy cap or with listening energy, and no graph, a chain or
+    a random DAG in turn."""
+    rng = np.random.default_rng(16)
+    for n in range(count):
+        m = int(rng.integers(1, 4))
+        budget = float(10.0 ** rng.uniform(-6.0, 3.0))
+        inst = _trace(int(rng.integers(1, 10_000)), m, budget)
+        kind = ("none", "chain", "dag")[n % 3]
+        if kind == "chain":
+            inst = _chain(inst)
+        elif kind == "dag":
+            inst = _random_dag(inst, n)
+        name, model = (("uncapped", MODEL), ("capped", CAPPED), ("listening", ListeningModel()))[n // 3 % 3]
+        kwargs = {"time_step": float(rng.choice([0.01, 0.02])), "action_points": int(rng.choice([6, 11, 21]))}
+        yield f"{n}-m{m}-{kind}-{name}", inst, model, kwargs
+
+
+def _at_the_budget_boundary(seed):
+    """A 2-unit cell whose optimum spends the budget total ``2*budget + 1e-9``
+    exactly: the total is ``t = e + c``, the energies of the optimum's two
+    options at a looser budget, and the difference ``t - e`` that a search on
+    unit 2's costs would use is below c, so only the exact test
+    ``e + c <= t`` keeps the optimum."""
+    base = _trace(seed, 2)
+    for loose in np.geomspace(1e-3, 1e2, 60):
+        first, second = reference_brute_force(Instance(base.units, float(loose)), MODEL).decisions
+        e = MODEL.cost(base.units[0], first.start, first.end, first.payload)
+        c = MODEL.cost(base.units[1], second.start, second.end, second.payload)
+        total = e + c
+        if not (e > 0.0 and total - e < c):
+            continue
+        budget = (total - 1e-9) / 2.0
+        for _ in range(8):
+            if 2.0 * budget + 1e-9 == total:
+                return Instance(base.units, budget)
+            budget = math.nextafter(budget, math.inf if 2.0 * budget + 1e-9 < total else -math.inf)
+    raise AssertionError(f"no boundary cell on trace seed {seed}")
+
+
+def _past_ready_short(budget):
+    """Unit 1's windows ending at 0.30000000000000004 reach unit 2's start 0.3
+    only through the FIFO slack, and unit 2 can send nothing from its only
+    other start, its deadline 0.4."""
+    first, second = _back_to_back(2, budget, 0.35).units
+    return Instance((first, dataclasses.replace(second, deadline=0.4)), budget)
+
+
+PROPERTY_CASES = list(_random_cells())
+PROPERTY_CASES += [(f"boundary-{seed}", _at_the_budget_boundary(seed), MODEL, {}) for seed in (1, 2, 3)]
+PROPERTY_CASES += [
+    (f"past-ready-short-b{budget}", _past_ready_short(budget), MODEL, {"time_step": 0.1})
+    for budget in (2.0, 10.0)
+]
+
+
+class TestMatchesScalarReferenceOnRandomCells:
+    @pytest.mark.parametrize("inst,model,kwargs", [c[1:] for c in PROPERTY_CASES],
+                             ids=[c[0] for c in PROPERTY_CASES])
+    def test_bit_identical(self, inst, model, kwargs):
+        assert repr(brute_force(inst, model, **kwargs)) == repr(
+            reference_brute_force(inst, model, **kwargs)
+        )
 
 
 class TestTieMemory:
