@@ -312,39 +312,45 @@ class ShannonExpModel:
         """Array twin of :meth:`window_fn`: ``(payload, loss, energy)`` per tau.
 
         The payload is the same argmin as ``window_fn``'s, and the loss and
-        energy are the model's at that payload; numpy may differ from the
-        scalar forms in the last ulp.
+        energy are the model's at that payload. A tau that is not positive
+        (zero, negative or NaN) gives payload 0, loss 1 and energy 0. numpy's
+        ``exp2`` and ``log2`` may differ from the scalar ``cost`` and ``loss``
+        in the last ulp; that difference is kept, since the online decisions
+        are pinned to this arithmetic.
+
+        It runs twice per online decision on a few hundred taus, so it is
+        whole-array ufunc arithmetic: ``safe`` stands in for the taus that are
+        not positive, one ``where`` zeroes their payload, and the clamps that
+        cannot bind (the loss exponent is never positive, the energy exponent
+        never negative) are left out.
         """
         p = self.params
         taus = np.asarray(taus, dtype=float)
-        payloads = np.zeros_like(taus)
         pos = taus > 0.0
-        if np.any(pos) and not loss_weight <= 0.0:
-            uppers = np.full_like(taus, float(unit.size))
+        safe = np.where(pos, taus, 1.0)
+        span = safe * p.bandwidth_hz
+        payload = 0.0
+        if not loss_weight <= 0.0:
+            upper = float(unit.size)
             if p.energy_cap is not None:
                 with np.errstate(divide="ignore"):
-                    a_cap = (
-                        taus * p.bandwidth_hz / p.bit_unit
-                        * np.log2(1.0 + p.energy_cap * unit.channel / (p.noise * np.where(pos, taus, 1.0)))
-                    )
-                uppers = np.minimum(uppers, np.maximum(a_cap, 0.0))
+                    a_cap = span / p.bit_unit * np.log2(1.0 + p.energy_cap * unit.channel / (p.noise * safe))
+                upper = np.minimum(upper, np.maximum(a_cap, 0.0))
             if energy_weight <= 0.0:
-                payloads[pos] = uppers[pos]
+                payload = upper
             else:
                 ratio = loss_weight * unit.decay * unit.channel * p.bandwidth_hz / (energy_weight * p.noise * p.bit_unit)
                 if not ratio <= 0.0:
-                    k = np.where(pos, p.bit_unit / (np.where(pos, taus, 1.0) * p.bandwidth_hz), np.inf)
-                    a = math.log2(ratio) / (unit.decay + k)
-                    payloads[pos] = np.clip(a[pos], 0.0, uppers[pos])
+                    a = math.log2(ratio) / (unit.decay + p.bit_unit / span)
+                    # not np.clip: with a scalar bound it keeps a = -0.0 (a
+                    # tau near 1e-300), which np.maximum turns into +0.0
+                    payload = np.minimum(np.maximum(a, 0.0), upper)
+        payloads = np.where(pos, payload, 0.0)
 
-        z = np.clip(-unit.decay * np.minimum(payloads, unit.size), -EXP_CLAMP, EXP_CLAMP)
-        loss = np.clip(np.exp2(z), 0.0, 1.0)
-
-        energy = np.zeros(taus.shape)
-        z = np.clip(payloads[pos] * p.bit_unit / (taus[pos] * p.bandwidth_hz), -EXP_CLAMP, EXP_CLAMP)
-        vals = (p.noise / unit.channel) * taus[pos] * (np.exp2(z) - 1.0)
-        # the payload is 0 wherever tau <= 0, so the energy is too
-        energy[pos] = np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
+        # payloads lie in [0, size], so the exponent is in [-decay*size, 0]
+        loss = np.exp2(np.maximum(-unit.decay * payloads, -EXP_CLAMP))
+        vals = (p.noise / unit.channel) * safe * (np.exp2(np.minimum(payloads * p.bit_unit / span, EXP_CLAMP)) - 1.0)
+        energy = np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
         return payloads, loss, energy
 
 

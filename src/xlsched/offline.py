@@ -587,33 +587,40 @@ def _recover_primal_grid(
 
     The restoration and the local descent read only the repaired schedule,
     not the prices, so ``memo`` (one dict per dual solve) keeps their result
-    by the repaired decisions; the repair sweep always runs."""
+    by the repaired decisions. The schedule's values are built only where
+    they are read: at the first repair on a graph, whose dependency
+    coefficients read them, and otherwise after a memo miss."""
     m = inst.num_units
-    values = _ScheduleValues(inst.units, inst.graph, decisions, model)
-    out = values.decisions
+    out, values = list(decisions), None
     prev_end = -math.inf
     for pos, (unit, dec) in enumerate(zip(inst.units, decisions), start=1):
         floor = max(unit.ready, prev_end)
         if dec.start >= floor - _TINY and dec.end >= dec.start:
             prev_end = dec.end
             continue
+        if values is None and inst.graph is not None:
+            values = _ScheduleValues(inst.units, inst.graph, out, model)
         starts, ends, payloads, loss, cost = opts[pos - 1]
         feas = starts >= floor - _TINY
         if not feas.any():
-            values.set(pos, CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0))
-            prev_end = unit.deadline
-            continue
-        hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
-        a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(pos, values)
-        vals = (unit.impact * a_surv * loss + s_weight * loss + price * cost) / m + hn * ends
-        vals = np.where(feas, vals, math.inf)
-        j = int(np.argmin(vals))
-        fixed = CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j]))
-        values.set(pos, fixed)
+            fixed = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0)
+        else:
+            hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
+            a_surv, s_weight = (1.0, 0.0) if values is None else _dag_coeffs(pos, values)
+            vals = (unit.impact * a_surv * loss + s_weight * loss + price * cost) / m + hn * ends
+            vals = np.where(feas, vals, math.inf)
+            j = int(np.argmin(vals))
+            fixed = CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j]))
+        out[pos - 1] = fixed
+        if values is not None:
+            values.set(pos, fixed)
         prev_end = fixed.end
     repaired = tuple(out)
     if repaired in memo:
         return memo[repaired]
+    if values is None:
+        values = _ScheduleValues(inst.units, inst.graph, out, model)
+    out = values.decisions
 
     # budget restoration in whole action steps, largest spender first
     for _ in range(m * grid.action_points):

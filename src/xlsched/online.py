@@ -22,6 +22,7 @@ the slow price step and the run's records:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -100,11 +101,11 @@ class ValueModel:
 
 
 def _value_vec(coeffs: Sequence[float], s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    term = np.ones_like(s)
+    # the scalar starts broadcast like np.zeros_like and np.ones_like would
+    out, term = 0.0, 1.0
     for k, r in enumerate(coeffs, start=1):
         term = term * s / k
-        out += r * term
+        out = out + r * term
     return out
 
 
@@ -203,6 +204,28 @@ class UnitOutcome:
     dropped: bool = False
 
 
+@functools.lru_cache(maxsize=None)
+def _ramp(n: int) -> np.ndarray:
+    ramp = np.arange(n, dtype=float)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)``: for n >= 2 its arithmetic (the step, its
+    zero-step branch for subnormal spans, the shift by ``lo`` and the exact
+    last point) on a cached ramp instead of a fresh ``arange``."""
+    if n < 2:
+        return np.linspace(lo, hi, n)
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    y = _ramp(n) / div * delta if step == 0 else _ramp(n) * step
+    y += lo
+    y[-1] = hi
+    return y
+
+
 def _decide(
     unit: DataUnit,
     backlog: float,
@@ -227,7 +250,7 @@ def _decide(
     outcome's loss, which later units read as the error it propagates, is the
     scalar ``loss`` of the chosen decision. The end grid always contains both
     interval endpoints and the kink of the backlog term at the next arrival
-    time.
+    time. All-zero value coefficients (``myopic``) add no value term.
     """
     if backlog < 0:
         raise ValueError(f"backlog must be nonnegative, got {backlog}")
@@ -236,28 +259,31 @@ def _decide(
     if start > d:
         objective = merged + vm.value(state_transition(d, t_next))
         return UnitOutcome(CrossLayerDecision(d, d, 0.0), objective, energy=0.0, loss=1.0, dropped=True)
-    coeffs = vm.coeffs
+    coeffs = vm.coeffs if any(vm.coeffs) else None
 
     def best_on(ys: np.ndarray) -> tuple[int, tuple[float, ...]]:
         """The argmin over the ends ``ys`` and its (objective, end, payload, energy)."""
         pls, p, w = model.window_vec(unit, ys - start, merged, price)
-        obj = merged * p + price * w + _value_vec(coeffs, np.maximum(ys - t_next, 0.0))
-        j = int(np.argmin(obj))
+        obj = merged * p + price * w
+        if coeffs is not None:
+            obj += _value_vec(coeffs, np.maximum(ys - t_next, 0.0))
+        j = int(obj.argmin())
         return j, (float(obj[j]), float(ys[j]), float(pls[j]), float(w[j]))
 
     if d <= start:
         ys = np.array([start])
     else:
-        ys = np.linspace(start, d, end_grid)
+        ys = _grid(start, d, end_grid)
         if start < t_next < d:
-            ys = np.sort(np.append(ys, t_next))
+            k = int(ys.searchsorted(t_next))
+            ys = np.concatenate((ys[:k], (t_next,), ys[k:]))
     j, best = best_on(ys)
 
     if len(ys) > 1 and refine_points > 1:
         lo = ys[max(j - 1, 0)]
         hi = ys[min(j + 1, len(ys) - 1)]
         if hi > lo:
-            _, fine = best_on(np.linspace(lo, hi, refine_points))
+            _, fine = best_on(_grid(lo, hi, refine_points))
             if fine[0] < best[0]:
                 best = fine
 
@@ -482,8 +508,9 @@ class _PriceLedger:
     ``book`` takes the realized units in index order: each moves the price by
     ``online_price_update`` against the running average of all realized
     energies, and the ledger records the unit's decision, energy and drop, the
-    price after it and the value-coefficient norm. ``result`` turns the
-    records into the per-cycle rows and the learner state.
+    price after it and the value coefficients (none under ``mdu``). ``result``
+    turns the records into the per-cycle rows and the learner state; a row's
+    value norm is that of the coefficients after its cycle's last unit.
     """
 
     def __init__(self, stream: CausalStream, model: TransmissionModel, params: OnlineParams,
@@ -492,9 +519,10 @@ class _PriceLedger:
             resume = LearnerState(params.price_init, ValueModel.zero(params.feature_order).coeffs, 0, 0.0, 0.0)
         self.stream, self.model, self.params, self.budget, self.resume = stream, model, params, budget, resume
         self.price, self.step, self.cum_energy = resume.price, resume.step, resume.cum_energy
-        self.decisions, self.energies, self.drops, self.price_at, self.vnorm_at = [], [], [], [], []
+        self.decisions, self.energies, self.drops, self.price_at, self.coeffs_at = [], [], [], [], []
 
-    def book(self, decision: CrossLayerDecision, energy: float, dropped: bool, vnorm: float) -> None:
+    def book(self, decision: CrossLayerDecision, energy: float, dropped: bool,
+             coeffs: tuple[float, ...]) -> None:
         self.step += 1
         self.cum_energy += energy
         kap = self.params.kappa(self.step)
@@ -504,7 +532,7 @@ class _PriceLedger:
         self.energies.append(energy)
         self.drops.append(dropped)
         self.price_at.append(self.price)
-        self.vnorm_at.append(vnorm)
+        self.coeffs_at.append(coeffs)
 
     def result(self, policy: str, coeffs: tuple[float, ...], backlog: float, avg_cost: float) -> RunResult:
         state = LearnerState(price=self.price, coeffs=coeffs, step=self.step, backlog=backlog,
@@ -529,7 +557,7 @@ def _cycle_rows(ledger: _PriceLedger, policy: str) -> tuple[CycleRow, ...]:
                 distortion_reduction=reduction,
                 energy_avg=e_avg,
                 price=ledger.price_at[hi - 1],
-                value_norm=ledger.vnorm_at[hi - 1],
+                value_norm=float(np.linalg.norm(ledger.coeffs_at[hi - 1])),
                 dropped=sum(ledger.drops[lo - 1 : hi]),
             )
         )
@@ -572,9 +600,10 @@ def run_online(
 
     Raises ``ValueError`` on an invalid instance (see ``validate_instance``),
     an unknown policy, ``update_mode`` or ``impact_estimate``, a ``kappa0``,
-    ``price_init`` or ``impact_mean`` that is not non-negative and finite or
-    an ``end_grid`` below 2 (under every policy), or a ``budget`` override
-    that is not positive and finite.
+    ``price_init``, ``impact_mean`` or ``gamma_power`` that is not
+    non-negative and finite, a ``gamma0`` outside (0, 1] or an ``end_grid``
+    below 2 (under every policy), or a ``budget`` override that is not
+    positive and finite.
     """
     check_model(model)
     _require_valid(stream.instance)
@@ -585,10 +614,13 @@ def run_online(
                               ("impact_estimate", params.impact_estimate, IMPACT_ESTIMATES)):
         if name not in names:
             raise ValueError(f"unknown {what} {name!r}; expected one of {names}")
+    # a negative gamma_power would take the value step past gamma0, and past 1
     for name, value in (("kappa0", params.kappa0), ("price_init", params.price_init),
-                        ("impact_mean", params.impact_mean)):
+                        ("impact_mean", params.impact_mean), ("gamma_power", params.gamma_power)):
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+    if not 0.0 < params.gamma0 <= 1.0:
+        raise ValueError(f"gamma0 must lie in (0, 1], got {params.gamma0!r}")
     if params.end_grid < 2:
         raise ValueError(f"end_grid must be at least 2, got {params.end_grid!r}")
     if budget is None:
@@ -645,7 +677,7 @@ def run_online(
             stage = outcome.objective - vm.value(backlog)
             avg_cost = (1.0 - gam) * avg_cost + gam * stage
             vm = value_update(vm, gam, s_visited, outcome.objective - avg_cost, params.update_mode)
-        ledger.book(outcome.decision, outcome.energy, outcome.dropped, float(np.linalg.norm(vm.coeffs)))
+        ledger.book(outcome.decision, outcome.energy, outcome.dropped, vm.coeffs)
 
     return ledger.result(policy, vm.coeffs, backlog, avg_cost)
 
@@ -732,7 +764,7 @@ def _run_mdu(ledger: _PriceLedger) -> RunResult:
         cycle_dec = _solve_cycle_fixed_price(units, block, ledger.price, model, prev_end, params)
         for unit, dec in zip(units, cycle_dec):
             dropped = dec.window == 0.0 and dec.payload == 0.0 and unit.lifetime > 0.0
-            ledger.book(dec, model.cost(unit, dec.start, dec.end, dec.payload), dropped, 0.0)
+            ledger.book(dec, model.cost(unit, dec.start, dec.end, dec.payload), dropped, ())
         if cycle_dec:
             prev_end = cycle_dec[-1].end
     return ledger.result("mdu", ledger.resume.coeffs, 0.0, ledger.resume.avg_cost)

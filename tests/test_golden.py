@@ -30,6 +30,7 @@ from xlsched import (
     solve_independent,
     solve_interdependent,
 )
+from xlsched.config import default_config
 from xlsched.offline import _solve_unit
 from xlsched.oracle import brute_force
 
@@ -116,6 +117,17 @@ def _online_on_random_dag(policy, estimate="known"):
     return run_online(stream, MODEL, policy, OnlineParams(impact_estimate=estimate))
 
 
+def _online_capped(policy):
+    # the config's model (energy cap 50) and learner, as the CLI runs them; at
+    # budget 20 the price falls low enough that the cap bounds the payload in
+    # about half of the decisions, so window_vec's cap branch is pinned too
+    cfg = default_config()
+    base = generate_trace(TraceParams(seed=3, num_dus=300))
+    inst = Instance(base.units, 20.0, generate_dag("random", 300, 10, seed=3, edge_prob=0.4))
+    stream = CausalStream(inst, cycle_len=10, expose_cycle_impacts=True)
+    return run_online(stream, ShannonExpModel(params=cfg.model), policy, cfg.learner)
+
+
 def _online_across_cycles():
     # graph blocks of 15 units on stream cycles of 10: a unit's ancestors may
     # lie in the previous cycle (their realized losses count) and its
@@ -180,6 +192,14 @@ CASES = {
     "online-random-dag-proposed-mean": (
         lambda: _online_on_random_dag("proposed", "mean"),
         "30eaedc244ed109148e36ced865ca666bfaef4f58a342af97942cb4275637af8",
+    ),
+    "online-capped-proposed": (
+        lambda: _online_capped("proposed"),
+        "42c2004343bd43410f643419bd4299257a87c7c62c332cfce278508b3e56d11e",
+    ),
+    "online-capped-myopic": (
+        lambda: _online_capped("myopic"),
+        "5403894f9b717395a05d09a95b94e6e6fe4a9d5d66e32e82af0c64e6743a2b27",
     ),
     "online-across-cycles-proposed": (
         _online_across_cycles,

@@ -709,9 +709,30 @@ class TestDecisionGrid:
             assert repr(got) == repr(ref)
             costs.append(model.costs)
         assert len(memo) == 1
-        # the second call only builds the schedule's values: one cost per unit
+        # the second call finds the schedule in the memo before valuing it
         assert costs[0] > inst.num_units
-        assert costs[1] == inst.num_units
+        assert costs[1] == 0
+
+    @pytest.mark.parametrize("chain", [False, True], ids=["independent", "chain"])
+    def test_recovery_memo_after_a_repair(self, chain):
+        base = generate_trace(TraceParams(seed=3, num_dus=3, budget=2.0))
+        graph = DependencyGraph(3, ((2, 1), (3, 2))) if chain else None
+        inst = Instance(base.units, base.budget, graph)
+        grid = DecisionGrid(time_step=0.01, action_points=21)
+        opts = [grid.options(u, MODEL) for u in inst.units]
+        # every window runs to the deadline, so the later units are repaired;
+        # on the chain the repairs read the schedule's values
+        decisions = tuple(CrossLayerDecision(u.ready, u.deadline, 0.5 * u.size) for u in inst.units)
+        memo, costs = {}, []
+        for price, handoffs in ((0.5, [0.0, 0.0]), (0.5, [0.0, 0.0])):
+            ref = offline._recover_primal_grid(inst, decisions, opts, grid, MODEL, price, handoffs, {})
+            model = _CountingModel()
+            got = offline._recover_primal_grid(inst, decisions, opts, grid, model, price, handoffs, memo)
+            assert repr(got) == repr(ref)
+            costs.append(model.costs)
+        assert len(memo) == 1
+        assert costs[1] < costs[0]
+        assert costs[1] >= inst.num_units if chain else costs[1] == 0
 
     def test_grid_solve_stays_on_lattice_and_dominates_nothing_below_oracle(self):
         from xlsched import brute_force

@@ -476,11 +476,15 @@ class TestRunOnline:
         ("price_init", -1.0), ("price_init", math.nan), ("price_init", math.inf),
         ("impact_mean", -1.0), ("impact_mean", math.nan), ("impact_mean", math.inf),
         ("end_grid", 0), ("end_grid", 1),
+        ("gamma0", 0.0), ("gamma0", -0.5), ("gamma0", 1.5), ("gamma0", math.nan),
+        ("gamma_power", -0.5), ("gamma_power", math.nan), ("gamma_power", math.inf),
     ])
     def test_bad_learner_numbers_are_rejected(self, policy, field, value):
         # a negative or NaN kappa0 froze the price, a NaN price_init made every
         # price NaN, a NaN impact_mean made every proposed unit on a graph send
-        # nothing, and end_grid 0 crashed in argmin while 1 saw only the start
+        # nothing, and end_grid 0 crashed in argmin while 1 saw only the start;
+        # a gamma0 above 1 or a negative gamma_power failed only a few units
+        # into a proposed run, and myopic and mdu never read them
         stream = CausalStream(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
         params = dataclasses.replace(OnlineParams(), **{field: value})
         with pytest.raises(ValueError, match=field):
