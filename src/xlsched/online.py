@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -206,7 +207,8 @@ class UnitOutcome:
 
 @functools.lru_cache(maxsize=None)
 def _ramp(n: int) -> np.ndarray:
-    ramp = np.arange(n, dtype=float)
+    # operator.index refuses a float count, as np.linspace does
+    ramp = np.arange(operator.index(n), dtype=float)
     ramp.flags.writeable = False
     return ramp
 

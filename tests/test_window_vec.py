@@ -137,3 +137,11 @@ def test_grid_is_linspace():
         assert _same(_grid(lo, hi, n), np.linspace(lo, hi, n)), (lo, hi, n)
         # the refinement grid is built between two numpy floats
         assert _same(_grid(np.float64(lo), np.float64(hi), n), np.linspace(np.float64(lo), np.float64(hi), n))
+
+
+@pytest.mark.parametrize("n", [60.0, 2.5])
+def test_grid_refuses_a_float_count_like_linspace(n):
+    with pytest.raises(TypeError):
+        np.linspace(0.0, 1.0, n)
+    with pytest.raises(TypeError):
+        _grid(0.0, 1.0, n)
