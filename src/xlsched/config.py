@@ -101,8 +101,6 @@ _FIELDS: dict[str, tuple[tuple[str, str, str, _Kind], ...]] = {
         ("y_points", "200", "end_grid", _INT),
         ("refine_points", "60", "refine_points", _INT),
         ("dag_impact", "known", "impact_estimate", _TEXT),
-        ("mdu_outer", "40", "mdu_outer", _INT),
-        ("mdu_epsilon", "0.0001", "mdu_epsilon", _NUM),
     ),
     "experiment": (
         ("policies", "proposed,myopic,mdu", "policies", _NAMES),
@@ -210,7 +208,6 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
     learner = OnlineParams(
         **fields["learner"],
         impact_mean=0.5 * (trace.impact_low + trace.impact_high),
-        beta0=solver.beta0,
     )
     for key, value, names in (("update_mode", learner.update_mode, UPDATE_MODES),
                               ("dag_impact", learner.impact_estimate, IMPACT_ESTIMATES)):
@@ -227,10 +224,6 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
         raise ConfigError("[learner]: kappa0 and lambda_init must be nonnegative and finite")
     if learner.end_grid < 2:
         raise ConfigError("[learner]: y_points must be >= 2")
-    if learner.mdu_outer < 1:
-        raise ConfigError("[learner]: mdu_outer must be >= 1")
-    if not learner.mdu_epsilon >= 0.0:
-        raise ConfigError("[learner]: mdu_epsilon must be >= 0")
 
     plan = ExperimentPlan(**fields["experiment"])
     for p in plan.policies:

@@ -509,12 +509,12 @@ def recover_primal(
     Forward sweep: each start is floored at the previous (final) end; units
     whose window was actually moved get their end/payload re-optimized inside
     the clipped window under the current prices, everyone else passes through
-    bit-exact. If the budget still binds, payloads are scaled down by one
-    common factor, the largest float whose average energy does not exceed
-    the budget (``_largest_scale``). An instance with an infinite budget,
-    as the ``mdu`` baseline builds for a cycle whose energy it prices
-    elsewhere, is never rescaled. Re-optimized units weigh their loss through
-    the instance's graph, if it has one, and so does the returned distortion.
+    bit-exact. A unit with no room left before its deadline is dropped and
+    leaves the floor where it was. If the budget still binds, payloads are
+    scaled down by one common factor, the largest float whose average energy
+    does not exceed the budget (``_largest_scale``). Re-optimized units weigh
+    their loss through the instance's graph, if it has one, and so does the
+    returned distortion.
 
     Raises ``ValueError`` on a budget that is NaN, zero or negative.
     """
@@ -537,7 +537,6 @@ def recover_primal(
         if floor >= unit.deadline:
             # no feasible window left: the unit is dropped
             values.set(pos, CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0))
-            prev_end = unit.deadline
             continue
         hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
         a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(pos, values)
@@ -562,8 +561,7 @@ def recover_primal(
             for u, d in zip(inst.units, out)
         ) / m
 
-    # an infinite budget (the mdu cycle instances) is never exceeded: skip the sum
-    if math.isfinite(inst.budget) and (full := usage(1.0)) > inst.budget:
+    if (full := usage(1.0)) > inst.budget:
         scale = _largest_scale(usage, inst.budget, full)
         for i, d in enumerate(out, start=1):
             values.set(i, CrossLayerDecision(d.start, d.end, scale * d.payload))
@@ -585,11 +583,14 @@ def _recover_primal_grid(
     repairs picked from the unit's lattice options, and the budget restored
     by shaving whole action steps, so the result stays on the lattice.
 
-    The restoration and the local descent read only the repaired schedule,
-    not the prices, so ``memo`` (one dict per dual solve) keeps their result
-    by the repaired decisions. The schedule's values are built only where
-    they are read: at the first repair on a graph, whose dependency
-    coefficients read them, and otherwise after a memo miss."""
+    The floor is the latest end so far, so that a drop, whose empty window
+    sits at its deadline, never moves it back, and the local descent bounds
+    each unit by the latest earlier end and the earliest later start. The
+    restoration and the local descent read only the repaired schedule, not
+    the prices, so ``memo`` (one dict per dual solve) keeps their result by
+    the repaired decisions. The schedule's values are built only where they
+    are read: at the first repair on a graph, whose dependency coefficients
+    read them, and otherwise after a memo miss."""
     m = inst.num_units
     out, values = list(decisions), None
     prev_end = -math.inf
@@ -614,7 +615,7 @@ def _recover_primal_grid(
         out[pos - 1] = fixed
         if values is not None:
             values.set(pos, fixed)
-        prev_end = fixed.end
+        prev_end = max(prev_end, fixed.end)
     repaired = tuple(out)
     if repaired in memo:
         return memo[repaired]
@@ -633,7 +634,7 @@ def _recover_primal_grid(
         values.set(i + 1, CrossLayerDecision(d.start, d.end, max(d.payload - step, 0.0)))
 
     # local descent on the true objective: each unit re-picks its lattice
-    # option between the neighbors' boundaries while the budget allows; the
+    # option between the other units' boundaries while the budget allows; the
     # varying dual iterates feeding this sweep supply diverse starting points
     budget_total = inst.budget * m
     for _ in range(8 * m):
@@ -641,8 +642,8 @@ def _recover_primal_grid(
         for i in range(m):
             unit = inst.units[i]
             starts, ends, payloads, loss, cost = opts[i]
-            lo = out[i - 1].end if i > 0 else -math.inf
-            hi = out[i + 1].start if i + 1 < m else math.inf
+            lo = max((d.end for d in out[:i]), default=-math.inf)
+            hi = min((d.start for d in out[i + 1 :]), default=math.inf)
             spent_elsewhere = sum(values.cost[1 : i + 1] + values.cost[i + 2 :])
             a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(i + 1, values)
             score = unit.impact * a_surv * loss + s_weight * loss
@@ -728,10 +729,12 @@ def _polish_grid_pairs(
     budget), so single-unit moves stall where a handoff boundary or a payload
     budget swap must move jointly. For adjacent pairs this re-picks
     (end_i, start_{i+1}, payload_i, payload_{i+1}) with the outer endpoints
-    held fixed; distant pairs only swap payload at fixed windows. A candidate
-    over budget may still buy its way in by shaving bystander payloads one
-    action step at a time (largest spender first, ties to the lowest index,
-    at most twice as many steps as unit i has options). Candidates stay
+    held fixed, and start_{i+1} no earlier than any earlier unit's end (unit
+    i may be a drop whose empty window sits before it); distant pairs only
+    swap payload at fixed windows. A candidate over budget may still buy its
+    way in by shaving bystander payloads one action step at a time (largest
+    spender first, ties to the lowest index, at most twice as many steps as
+    unit i has options). Candidates stay
     within ``_POLISH_TIME_RADIUS`` time steps and ``_POLISH_PAY_RADIUS``
     action steps of the incumbent, scored by the true objective, for at most
     ``_POLISH_ROUNDS`` passes over all pairs.
@@ -822,11 +825,13 @@ def _polish_grid_pairs(
                     continue
                 si, ei, pi = opts[i][:3]
                 sk, ek, pk = opts[k][:3]
-                right_bound = out[k + 1].start if k + 1 < m else math.inf
+                right_bound = min((d.start for d in out[k + 1 :]), default=math.inf)
                 a = np.repeat(ri, rk.size)
                 b = np.tile(rk, ri.size)
                 left_bound = sk[b] if adjacent else out[i + 1].start
                 keep = ~(ek[b] > right_bound + _TINY) & ~(ei[a] > left_bound + _TINY)
+                if adjacent:
+                    keep &= ~(max((d.end for d in out[:i]), default=-math.inf) > sk[b] + _TINY)
                 a, b = a[keep], b[keep]
                 while a.size:
                     feasible, val, bystanders = score(i, k, a, b)
@@ -878,10 +883,9 @@ def _require_settings(max_outer: int, alpha0: float, beta0: float, epsilon: floa
 def _unit_solver(inst: Instance, model: TransmissionModel, opts):
     """``solve(i, price, mu, a_surv=1, s_weight=0)`` for the unit at position
     ``i`` against the budget price and the handoff prices ``mu``, of which it
-    reads the two around the unit. Every handoff-priced sweep goes through it:
-    both solvers' relaxed steps and the ``mdu`` cycle solve. It is the lattice
-    argmin over ``opts``, else the continuous solve, which goes through the
-    module-level ``_solve_unit_dag`` looked up at call time."""
+    reads the two around the unit. Both solvers' relaxed steps go through it.
+    It is the lattice argmin over ``opts``, else the continuous solve, which
+    goes through the module-level ``_solve_unit_dag`` looked up at call time."""
     m = inst.num_units
     if opts is None:
 

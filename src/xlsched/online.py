@@ -15,9 +15,8 @@ the slow price step and the run's records:
 * ``proposed``: full objective with the learned value term;
 * ``myopic``: the same per-unit solve with the value term pinned to zero;
 * ``mdu``: buffers one cycle at a time, assumes the cycle's attributes are
-  known, and sweeps the offline solvers' per-unit solve with handoff-price
-  iterations at the frozen global price (explicitly exempt from the causal
-  interface).
+  known, and solves it at the frozen global price by a dynamic program over
+  each unit's window ends (explicitly exempt from the causal interface).
 """
 
 from __future__ import annotations
@@ -33,17 +32,9 @@ import numpy as np
 
 from .core import CrossLayerDecision, DataUnit, DependencyGraph, Instance
 from .models import TransmissionModel, check_model
-from .offline import (
-    _dag_coeffs,
-    _graph_coeffs,
-    _require_valid,
-    _ScheduleValues,
-    _unit_solver,
-    handoff_update,
-    recover_primal,
-)
+from .offline import _dag_coeffs, _graph_coeffs, _require_valid, _ScheduleValues
 # unused here: perfbench/spans.py wraps these module attributes
-from .offline import _solve_unit_dag, upper_optimization  # noqa: F401
+from .offline import _solve_unit_dag, handoff_update, recover_primal, upper_optimization  # noqa: F401
 
 __all__ = [
     "ValueModel",
@@ -185,9 +176,6 @@ class OnlineParams:
     refine_points: int = 60
     impact_estimate: str = "known"
     impact_mean: float = 100.0
-    mdu_outer: int = 40
-    mdu_epsilon: float = 1e-4
-    beta0: float = 1000.0
 
     def gamma(self, i: int) -> float:
         return self.gamma0 / float(i) ** self.gamma_power
@@ -214,11 +202,9 @@ def _ramp(n: int) -> np.ndarray:
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n)``: for n >= 2 its arithmetic (the step, its
-    zero-step branch for subnormal spans, the shift by ``lo`` and the exact
-    last point) on a cached ramp instead of a fresh ``arange``."""
-    if n < 2:
-        return np.linspace(lo, hi, n)
+    """``np.linspace(lo, hi, n)`` for n >= 2, as every caller passes: its
+    arithmetic (the step, its zero-step branch for subnormal spans, the shift
+    by ``lo`` and the exact last point) on a cached ramp, not a fresh ``arange``."""
     div = n - 1
     delta = hi - lo
     step = delta / div
@@ -247,19 +233,23 @@ def _decide(
     the survival A of its ancestors plus the weight S of the error it
     propagates to its descendants. The start is pinned at ready + backlog; a
     unit whose start falls past its deadline is dropped (empty window at the
-    deadline, full loss, zero energy). Otherwise the payload and energy at
-    each end come from the model's array closed form ``window_vec``, and the
-    outcome's loss, which later units read as the error it propagates, is the
-    scalar ``loss`` of the chosen decision. The end grid always contains both
+    deadline, full loss, zero energy), and the link stays busy until that
+    start, which sets the backlog of its value term. Otherwise the payload
+    and energy at each end come from the model's array closed form
+    ``window_vec``, and the outcome's loss, which later units read as the
+    error it propagates, is the scalar ``loss`` of the chosen decision. The end grid always contains both
     interval endpoints and the kink of the backlog term at the next arrival
-    time. All-zero value coefficients (``myopic``) add no value term.
+    time. All-zero value coefficients (``myopic``) add no value term. An
+    ``end_grid`` below 2 is refused: it would search no end but the start.
     """
     if backlog < 0:
         raise ValueError(f"backlog must be nonnegative, got {backlog}")
+    if end_grid < 2:
+        raise ValueError(f"end_grid must be at least 2, got {end_grid!r}")
     start, d = unit.ready + backlog, unit.deadline
     merged = unit.impact * a_surv + s_weight
     if start > d:
-        objective = merged + vm.value(state_transition(d, t_next))
+        objective = merged + vm.value(state_transition(start, t_next))
         return UnitOutcome(CrossLayerDecision(d, d, 0.0), objective, energy=0.0, loss=1.0, dropped=True)
     coeffs = vm.coeffs if any(vm.coeffs) else None
 
@@ -631,8 +621,6 @@ def run_online(
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
     ledger = _PriceLedger(stream, model, params, budget, resume)
     if policy == "mdu":
-        if params.mdu_outer < 1:
-            raise ValueError(f"mdu_outer must be at least 1, got {params.mdu_outer}")
         return _run_mdu(ledger)
 
     resume = ledger.resume
@@ -671,7 +659,8 @@ def run_online(
             )
 
         s_visited = backlog
-        backlog = state_transition(outcome.decision.end, t_next)
+        # a drop's empty window sits at its deadline; the link is busy until its start
+        backlog = state_transition(unit.ready + backlog if outcome.dropped else outcome.decision.end, t_next)
         if policy == "proposed":
             gam = params.gamma(ledger.step + 1)
             # stage cost is what the unit itself paid; the bootstrap part of
@@ -686,87 +675,96 @@ def run_online(
 
 # -- clairvoyant per-cycle baseline ---------------------------------------------
 
+# window ends per unit in the cycle DP, and its fixed-coefficient passes on a graph
+_CYCLE_ENDS = 51
+_DAG_PASSES = 3
+
 
 def _block_graph(graph: Optional[DependencyGraph], lo: int, hi: int) -> Optional[DependencyGraph]:
-    if graph is None:
-        return None
-    edges = [
-        (i - lo + 1, j - lo + 1)
-        for i, j in graph.edges
-        if lo <= i <= hi and lo <= j <= hi
-    ]
-    if not edges:
-        return None
-    return DependencyGraph(num_nodes=hi - lo + 1, edges=tuple(edges))
+    """The edges of ``graph`` among units ``lo..hi``, renumbered from 1; None if there are none."""
+    edges = () if graph is None else tuple(
+        (i - lo + 1, j - lo + 1) for i, j in graph.edges if lo <= i <= hi and lo <= j <= hi)
+    return DependencyGraph(num_nodes=hi - lo + 1, edges=edges) if edges else None
 
 
-def _solve_cycle_fixed_price(
-    units: Sequence[DataUnit],
-    graph: Optional[DependencyGraph],
-    price: float,
-    model: TransmissionModel,
-    start_floor: float,
-    params: OnlineParams,
-) -> tuple[CrossLayerDecision, ...]:
-    """Offline-style solve of one cycle with the budget price frozen.
+def _cycle_dp(units: Sequence[DataUnit], weights: Sequence[float], price: float, model: TransmissionModel,
+              floor: float, points: int = _CYCLE_ENDS) -> tuple[tuple[CrossLayerDecision, ...], float]:
+    """The cheapest FIFO schedule of one cycle at fixed loss weights and price.
 
-    Only the handoff prices iterate; the first unit's window is floored at
-    the previous cycle's realized end. Each handoff iteration sweeps the
-    units in index order through the offline solvers' ``_unit_solver``: once
-    with coefficients (1, 0) when the cycle has no graph, three times with
-    ``_dag_coeffs`` when it has one. Those read a value cache of the current
-    decisions, in which each solve re-values only the unit it moved. The
-    realized schedule is the FIFO recovery of the final relaxed decisions on
-    an instance with an infinite budget, so no payload is rescaled (the
-    budget is enforced across cycles by the frozen global price).
+    Minimizes the sum of ``weights[i] * loss + price * energy``. Each unit
+    sends nothing, or ends on one of ``points`` evenly spaced times from
+    ``max(ready, floor)`` to its deadline, starts at ``max(ready, link-free
+    time)`` and sends ``window_vec``'s payload. The state is the time the link
+    becomes free: one ``window_vec`` call per unit values every (state, end)
+    pair, sending nothing keeps the state (with an empty window there, or at
+    the deadline if that has passed), and a state free no earlier than another
+    at no lower cost is pruned, so the last state kept is the optimum. Returns
+    the decisions and the time the link becomes free after them.
     """
-    m = len(units)
-    local_units = []
-    for pos, u in enumerate(units, start=1):
-        ready = u.ready
-        if pos == 1 and start_floor > ready:
-            ready = min(start_floor, u.deadline)
-        local_units.append(
-            DataUnit(pos, u.impact, u.size, ready, max(u.deadline, ready), u.decay, u.channel)
-        )
-    inst = Instance(units=tuple(local_units), budget=math.inf, graph=graph)
-    solve = _unit_solver(inst, model, None)
-    mu = np.zeros(max(m - 1, 0))
-    decisions: list[CrossLayerDecision] = [
-        CrossLayerDecision(u.ready, u.deadline, u.size) for u in local_units
-    ]
-    values = None if graph is None else _ScheduleValues(local_units, graph, decisions, model, priced=False)
-    for k in range(1, params.mdu_outer + 1):
-        for _ in range(1 if values is None else 3):
-            for i in range(1, m + 1):
-                coeffs = () if values is None else _dag_coeffs(i, values)
-                decisions[i - 1] = solve(i, price, mu, *coeffs).decision
-                if values is not None:
-                    values.set(i, decisions[i - 1])
-        new_mu = mu.copy()
-        for i in range(m - 1):
-            new_mu[i] = handoff_update(
-                mu[i], decisions[i].end, decisions[i + 1].start, params.beta0 / k
-            )
-        delta = float(np.linalg.norm(new_mu - mu))
-        mu = new_mu
-        if delta <= params.mdu_epsilon:
+    times, costs, steps = np.array([floor]), np.array([0.0]), []
+    for unit, w in zip(units, weights):
+        # ready times do not decrease, so of the states free by this ready
+        # time the last, cheapest one stands for all, for every later unit too
+        live = np.arange(max(int(times.searchsorted(unit.ready, "right")) - 1, 0), len(times))
+        starts, base = np.maximum(times[live], unit.ready), costs[live]
+        idle = np.minimum(starts, unit.deadline)
+        parts = [(starts, base + w, live, idle, idle, np.zeros(len(live)))]
+        lo = max(unit.ready, floor)
+        if lo < unit.deadline:
+            ends = _grid(lo, unit.deadline, points)
+            taus = ends - starts[:, None]
+            payloads, loss, energy = model.window_vec(unit, taus, w, price)
+            vals = base[:, None] + (w * loss + price * energy)
+            vals[taus <= 0.0] = math.inf
+            best, cols = vals.argmin(axis=0), np.arange(len(ends))
+            parts.append((ends, vals[best, cols], live[best], starts[best], ends, payloads[best, cols]))
+        t, c, parent, start, end, payload = (np.concatenate(x) for x in zip(*parts))
+        order = np.lexsort((c, t))
+        keep = order[c[order] < np.minimum.accumulate(np.concatenate(([math.inf], c[order][:-1])))]
+        times, costs = t[keep], c[keep]
+        steps.append((parent[keep], start[keep], end[keep], payload[keep]))
+    decisions, state = [], len(times) - 1
+    for parent, start, end, payload in reversed(steps):
+        decisions.append(CrossLayerDecision(float(start[state]), float(end[state]), float(payload[state])))
+        state = parent[state]
+    return tuple(reversed(decisions)), float(times[-1])
+
+
+def _solve_cycle_fixed_price(units: Sequence[DataUnit], graph: Optional[DependencyGraph], price: float,
+                             model: TransmissionModel, start_floor: float):
+    """Clairvoyant solve of one cycle at the frozen budget price, starting no
+    earlier than ``start_floor``: one :func:`_cycle_dp` at the units' impacts.
+    With a graph that schedule seeds up to ``_DAG_PASSES`` passes, each at the
+    weights ``impact * A + S`` that ``_dag_coeffs`` reads from the previous
+    schedule, and the schedule with the lowest cycle Lagrangian (distortion
+    through the graph plus the priced energy) is kept. Returns the decisions
+    and the time the link becomes free after them."""
+    best = solved = _cycle_dp(units, [u.impact for u in units], price, model, start_floor)
+    if graph is None:
+        return best
+    values = _ScheduleValues(units, graph, solved[0], model)
+    best_value = values.lagrangian(price, (), 0.0)
+    for _ in range(_DAG_PASSES):
+        coeffs = [_dag_coeffs(i, values) for i in range(1, len(units) + 1)]
+        again = _cycle_dp(units, [u.impact * a + s for u, (a, s) in zip(units, coeffs)], price, model, start_floor)
+        if again[0] == solved[0]:
             break
-    realized, _ = recover_primal(inst, decisions, model, price=price, handoff_prices=mu)
-    return realized
+        solved, values = again, _ScheduleValues(units, graph, again[0], model)
+        if (value := values.lagrangian(price, (), 0.0)) < best_value:
+            best, best_value = solved, value
+    return best
 
 
 def _run_mdu(ledger: _PriceLedger) -> RunResult:
-    """Solve each cycle at the ledger's price, then book its units."""
-    stream, model, params = ledger.stream, ledger.model, ledger.params
-    prev_end = -math.inf
+    """Solve each cycle at the ledger's price, then book its units; the next
+    cycle starts no earlier than the time this one leaves the link free."""
+    stream, model = ledger.stream, ledger.model
+    free = -math.inf
     for c in range(1, stream.num_cycles + 1):
         units = stream.take_cycle(c)
         block = _block_graph(stream.graph, *stream.cycle_bounds(units[0].index))
-        cycle_dec = _solve_cycle_fixed_price(units, block, ledger.price, model, prev_end, params)
+        cycle_dec, free = _solve_cycle_fixed_price(units, block, ledger.price, model, free)
         for unit, dec in zip(units, cycle_dec):
             dropped = dec.window == 0.0 and dec.payload == 0.0 and unit.lifetime > 0.0
             ledger.book(dec, model.cost(unit, dec.start, dec.end, dec.payload), dropped, ())
-        if cycle_dec:
-            prev_end = cycle_dec[-1].end
     return ledger.result("mdu", ledger.resume.coeffs, 0.0, ledger.resume.avg_cost)

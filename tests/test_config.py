@@ -41,7 +41,6 @@ class TestDefaults:
         assert cfg.learner.update_mode == "normalized"
         assert cfg.learner.feature_order == 3
         assert cfg.learner.impact_mean == 100.0  # midpoint of the impact range
-        assert cfg.learner.beta0 == cfg.solver.beta0
         assert cfg.plan.w_sweep == (5.0, 10.0, 15.0, 20.0)
         assert cfg.plan.policies == ("proposed", "myopic", "mdu")
 
@@ -99,7 +98,9 @@ class TestRejection:
         ("[learner]\nupdate_mode = tabular\n", "update_mode"),
         ("[learner]\ndag_impact = oracle\n", "dag_impact"),
         ("[learner]\ny_points = 1\n", "y_points"),
-        ("[learner]\nmdu_outer = 0\n", "mdu_outer"),
+        # the mdu cycle solve has no iterations to set since it became a DP
+        ("[learner]\nmdu_outer = 40\n", "unknown key 'mdu_outer'"),
+        ("[learner]\nmdu_epsilon = 0.0001\n", "unknown key 'mdu_epsilon'"),
         ("[experiment]\npolicies = proposed,greedy\n", "unknown policy"),
         ("[experiment]\npolicies =\n", "non-empty"),
         ("[experiment]\nw_sweep = 5,ten\n", "not a number list"),
@@ -112,7 +113,6 @@ class TestRejection:
         ("[learner]\nlambda_init = nan\n", "lambda_init"),
         ("[learner]\ngamma_power = -0.5\n", "gamma_power"),
         ("[learner]\ngamma_power = nan\n", "gamma_power"),
-        ("[learner]\nmdu_epsilon = nan\n", "mdu_epsilon"),
         ("[model]\nenergy_cap = -5\n", "energy cap"),
         ("[model]\nenergy_cap = nan\n", "energy cap"),
         ("[trace]\nbudget = nan\n", "budget"),
@@ -210,8 +210,6 @@ lambda_init = 0.5
 y_points = 100
 refine_points = 30
 dag_impact = mean
-mdu_outer = 20
-mdu_epsilon = 0.001
 [experiment]
 policies = mdu,proposed
 w_sweep = 7.5, 12
@@ -230,14 +228,14 @@ class TestGoldenText:
 
     def test_default_config(self):
         text = config_to_text(default_config())
-        assert config_hash(default_config()) == "038536acd99c"
+        assert config_hash(default_config()) == "904b2d1d3f35"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "038536acd99c0675f6ad3f37f68da6bbf6dbd15d8b3bf1afd439dad441e42379"
+            "904b2d1d3f3573008923d684b4215713f87efef079e13bb8534f57822c3618e1"
         )
 
     def test_every_key_changed(self, tmp_path):
         cfg = load_config(_write(tmp_path, _EVERY_KEY_CHANGED))
-        assert config_hash(cfg) == "9bf2e5cc874b"
+        assert config_hash(cfg) == "46a77b256135"
         assert config_to_text(cfg) == (
             "[trace]\nseed = 3\nnum_dus = 250\nimpact_low = 20.0\nimpact_high = 180.5\n"
             "size = 12.0\ninterarrival_ms = 40.0\nlifetime_ms = 70.0\ntheta = 0.25\n"
@@ -248,7 +246,7 @@ class TestGoldenText:
             "inner_epsilon = 1e-07\nalpha0 = 0.25\nbeta0 = 500.0\n\n"
             "[learner]\nfeatures = 2\ngamma0 = 0.75\ngamma_power = 0.7\nkappa0 = 2.0\n"
             "update_mode = semi_gradient\nlambda_init = 0.5\ny_points = 100\n"
-            "refine_points = 30\ndag_impact = mean\nmdu_outer = 20\nmdu_epsilon = 0.001\n\n"
+            "refine_points = 30\ndag_impact = mean\n\n"
             "[experiment]\npolicies = mdu,proposed\nw_sweep = 7.5,12.0\nseeds = 4,9\n"
             "cycles = 40\ncycle_len = 5\ndag = ibpbp\nedge_prob = 0.25\n"
             "steady_start = 11\nout_dir = results/run1\n\n"

@@ -84,7 +84,7 @@ def _recovery_with_graph():
 def _mdu_on_ibpbp():
     base = generate_trace(TraceParams(seed=5, num_dus=20))
     inst = Instance(base.units, base.budget, generate_dag("ibpbp", 20, 5))
-    return run_online(CausalStream(inst, cycle_len=5), MODEL, "mdu", OnlineParams(mdu_outer=8))
+    return run_online(CausalStream(inst, cycle_len=5), MODEL, "mdu")
 
 
 def _unit_kernel():
@@ -171,7 +171,7 @@ CASES = {
     ),
     "mdu-ibpbp": (
         _mdu_on_ibpbp,
-        "092b5e83c531cf955a3b4ef17d911c8460abf47a381133bcc7210433cbc343d6",
+        "91db015b42efa116aad84361e6a1831a679d77f2799e9a5eddad0fc1d92af66c",
     ),
     "unit-kernel": (
         _unit_kernel,

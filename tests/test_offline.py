@@ -287,8 +287,6 @@ class TestRecoverPrimal:
         assert out[0].payload / 10.0 == pytest.approx(out[1].payload / 10.0)
 
     def test_infinite_budget_is_never_rescaled(self):
-        # the mdu baseline recovers each cycle on an infinite budget and
-        # relies on getting its decisions back unscaled
         decisions = (
             CrossLayerDecision(0.0, 0.04, 10.0),
             CrossLayerDecision(0.04, 0.09, 10.0),

@@ -229,6 +229,12 @@ class TestSolveOnlineUnit:
         with pytest.raises(ValueError):
             solve_online_unit(_unit(), -0.01, 1.0, ValueModel.zero(3), math.inf, MODEL)
 
+    @pytest.mark.parametrize("end_grid", [1, 0, -2])
+    def test_rejects_an_end_grid_below_two(self, end_grid):
+        # 1 returned an empty window at the start, 0 failed in numpy's argmin
+        with pytest.raises(ValueError, match="end_grid must be at least 2"):
+            solve_online_unit(_unit(), 0.0, 1.0, ValueModel.zero(3), math.inf, MODEL, end_grid=end_grid)
+
 
 class TestSolveOnlineUnitDag:
     def _knowledge(self, graph, realized_err, lo=1, hi=5, impact=100.0):
@@ -267,6 +273,13 @@ class TestSolveOnlineUnitDag:
             payloads.append(out.decision.payload)
         assert payloads[0] >= payloads[1] >= payloads[2]
         assert payloads[2] == 0.0  # nothing left to protect, energy only hurts
+
+    @pytest.mark.parametrize("end_grid", [1, 0, -2])
+    def test_rejects_an_end_grid_below_two(self, end_grid):
+        know = self._knowledge(DependencyGraph(5, ((2, 1),)), [])
+        with pytest.raises(ValueError, match="end_grid must be at least 2"):
+            solve_online_unit_dag(_unit(), 0.0, 1.0, ValueModel.zero(3), math.inf, know, MODEL,
+                                  end_grid=end_grid)
 
 
 class TestCausalStream:
@@ -462,12 +475,6 @@ class TestRunOnline:
         params = dataclasses.replace(OnlineParams(), **{field: value})
         with pytest.raises(ValueError, match=f"unknown {field} {value!r}"):
             run_online(CausalStream(inst, 5, expose_cycle_impacts=True), MODEL, policy, params)
-
-    def test_mdu_rejects_no_handoff_iterations(self):
-        # with no iteration no unit is solved and the warm start would ship
-        stream = CausalStream(generate_trace(TraceParams(seed=6, num_dus=10, budget=1.0)), 5)
-        with pytest.raises(ValueError, match="mdu_outer"):
-            run_online(stream, MODEL, "mdu", OnlineParams(mdu_outer=0))
 
 
     @pytest.mark.parametrize("policy", POLICIES)

@@ -2,7 +2,7 @@
 
 ``perfbench/spans.py`` wraps module attributes of the package between
 ``install`` and ``uninstall``; the solvers must call their unit solves,
-coefficient updates and ``mdu`` handoff steps through those attributes, or
+coefficient updates and ``mdu`` cycle solves through those attributes, or
 the traced counters read 0.
 """
 
@@ -15,7 +15,6 @@ from xlsched import (
     DecisionGrid,
     DependencyGraph,
     Instance,
-    OnlineParams,
     TraceParams,
     generate_trace,
     offline,
@@ -34,7 +33,7 @@ def _load_spans():
     return module
 
 
-def test_tracer_counts_unit_solves_coefficients_and_mdu_steps():
+def test_tracer_counts_unit_solves_coefficients_and_mdu_cycles():
     spans = _load_spans()
     wrapped = [(owner, attr, getattr(owner, attr)) for owner, attr, _, _ in spans._WRAPPED]
     wrapped.append((offline.DecisionGrid, "options", offline.DecisionGrid.options))
@@ -51,14 +50,17 @@ def test_tracer_counts_unit_solves_coefficients_and_mdu_steps():
         assert groups["dag_coeffs"] == 0
         offline.solve_interdependent(chain, model, max_outer=5, max_inner=2)
         assert groups["dag_coeffs"] > 0
-        solves_before_mdu = groups["unit_solve"]
-        online.run_online(CausalStream(chain, cycle_len=4), model, "mdu", OnlineParams(mdu_outer=3))
+        solves_before_mdu, coeffs_before_mdu = groups["unit_solve"], groups["dag_coeffs"]
+        online.run_online(CausalStream(chain, cycle_len=4), model, "mdu")
     finally:
         tracer.uninstall()
 
-    assert groups["unit_solve"] > solves_before_mdu
+    # the mdu cycle solve is a dynamic program over window ends: it makes no
+    # per-unit solve and no handoff step, and reads the graph's coefficients
+    assert groups["unit_solve"] == solves_before_mdu
     assert groups["mdu_cycle"] == 1
-    assert groups["mdu_handoff"] > 0
+    assert groups["mdu_handoff"] == 0
+    assert groups["dag_coeffs"] > coeffs_before_mdu
     for owner, attr, fn in wrapped:
         assert getattr(owner, attr) is fn
 
@@ -97,10 +99,11 @@ def test_tracer_sees_each_online_layer_once_per_unit_cycle_and_run():
         for runs, policy in enumerate(POLICIES, start=1):
             decided, cycles = groups["decide"], groups["mdu_cycle"]
             stream = CausalStream(inst, cycle_len=5, expose_cycle_impacts=True)
-            online.run_online(stream, model, policy, OnlineParams(mdu_outer=3))
+            online.run_online(stream, model, policy)
             mdu = policy == "mdu"
             assert groups["decide"] - decided == (0 if mdu else inst.num_units)
             assert groups["mdu_cycle"] - cycles == (stream.num_cycles if mdu else 0)
+            assert groups["mdu_handoff"] == 0
             assert groups["rows"] == calls["online.run_online"] == runs
             assert calls["online._run_mdu"] == mdu
     finally:

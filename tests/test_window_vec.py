@@ -122,7 +122,7 @@ def test_grid_is_linspace():
     rng = np.random.default_rng(5)
     tiny = 5e-324
     cases = [(0.0, 0.0, 7), (1.5, 1.5, 200), (0.0, 3 * tiny, 200), (0.0, 1e-320, 60),
-             (1.0, math.nextafter(1.0, 2.0), 200), (2.0, 1.0, 5), (0.3, 0.7, 2), (0.3, 0.7, 1), (0.3, 0.7, 0)]
+             (1.0, math.nextafter(1.0, 2.0), 200), (2.0, 1.0, 5), (0.3, 0.7, 2)]
     for _ in range(3000):
         lo = float(rng.choice([0.0, rng.uniform(0.0, 1e4), 10.0 ** rng.uniform(-320, 3)]))
         kind = rng.integers(4)
