@@ -318,11 +318,12 @@ class ShannonExpModel:
         in the last ulp; that difference is kept, since the online decisions
         are pinned to this arithmetic.
 
-        It runs twice per online decision on a few hundred taus, so it is
-        whole-array ufunc arithmetic: ``safe`` stands in for the taus that are
-        not positive, one ``where`` zeroes their payload, and the clamps that
-        cannot bind (the loss exponent is never positive, the energy exponent
-        never negative) are left out.
+        It runs twice per online decision on a few hundred taus, and once per
+        unit of an ``mdu`` cycle on a table of (link-free time, end) pairs, so
+        it is whole-array ufunc arithmetic: ``safe`` stands in for the taus
+        that are not positive, one ``where`` zeroes their payload, and the
+        clamps that cannot bind (the loss exponent is never positive, the
+        energy exponent never negative) are left out.
         """
         p = self.params
         taus = np.asarray(taus, dtype=float)

@@ -156,8 +156,8 @@ def test_dp_matches_brute_force_on_small_cycles(cap):
 
 def test_dag_passes_never_end_worse_than_the_graph_free_schedule():
     # a pass at the previous schedule's coefficients can raise the cycle
-    # Lagrangian (on the first of these cycles the third pass does), so the
-    # solve keeps the best schedule it has seen
+    # Lagrangian (in the thirteenth draw the last pass ends above the
+    # graph-free schedule), so the solve keeps the best schedule it has seen
     rng = np.random.default_rng(0)
     for _ in range(40):
         m = int(rng.integers(2, 7))
@@ -178,7 +178,7 @@ def test_dag_passes_never_end_worse_than_the_graph_free_schedule():
 
 def test_a_dropped_last_unit_does_not_pull_the_next_cycle_back():
     # unit 2, the last of cycle 1, expires at 0.02 and is worth almost
-    # nothing, so the DP drops it and keeps unit 1 sending until near 0.05:
+    # nothing, so the DP drops it and keeps unit 1 sending until about 0.05:
     # cycle 2 must start after unit 1, not at unit 2's deadline
     spans = ((0.0, 0.05, 100.0), (0.01, 0.02, 1e-3), (0.015, 0.06, 100.0))
     inst = Instance(tuple(DataUnit(i, impact, 10.0, r, d, 0.5, 1.0)
