@@ -91,6 +91,13 @@ class UnitSolution:
 
 
 @dataclass(frozen=True)
+class _GridSolution(UnitSolution):
+    """A lattice solve's result with the index of its option row."""
+
+    row: int
+
+
+@dataclass(frozen=True)
 class DecisionGrid:
     """Uniform decision lattice: per-unit window endpoints on a time grid
     anchored at the unit's ready time, payloads on an evenly spaced action
@@ -157,7 +164,7 @@ def _solve_unit_grid(
     loss_coeff: float,
     err_coeff: float,
     energy_coeff: float,
-) -> UnitSolution:
+) -> _GridSolution:
     """Exact per-unit relaxed solve over precomputed grid options.
 
     Same objective as the continuous path:
@@ -168,9 +175,10 @@ def _solve_unit_grid(
     vals = loss_coeff * loss + err_coeff * loss + energy_coeff * cost
     obj = vals - handoff_prev * starts + handoff_next * ends
     j = int(np.argmin(obj))
-    return UnitSolution(
+    return _GridSolution(
         decision=CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j])),
         objective=float(obj[j]),
+        row=j,
     )
 
 
@@ -920,7 +928,8 @@ def _dual_loop(
     """
     m = inst.num_units
     price = 0.0
-    mu = np.zeros(max(m - 1, 0))
+    # plain floats: numpy scalars would leak into the Lagrangian and the report
+    mu = (0.0,) * max(m - 1, 0)
     best_dual = -math.inf
     best_primal = math.inf
     best_decisions = tuple(CrossLayerDecision(u.deadline, u.deadline, 0.0) for u in inst.units)
@@ -951,10 +960,11 @@ def _dual_loop(
 
         usage = min(avg_usage, _USAGE_CLIP_FACTOR * inst.budget)
         new_price = price_update(price, usage, inst.budget, alpha0 / k)
-        new_mu = mu.copy()
-        for i in range(m - 1):
-            new_mu[i] = handoff_update(mu[i], decisions[i].end, decisions[i + 1].start, beta0 / k)
-        delta = abs(new_price - price) + float(np.linalg.norm(new_mu - mu))
+        new_mu = tuple(
+            handoff_update(mu[i], decisions[i].end, decisions[i + 1].start, beta0 / k)
+            for i in range(m - 1)
+        )
+        delta = abs(new_price - price) + float(np.linalg.norm(np.subtract(new_mu, mu)))
         price, mu = new_price, new_mu
         if (gap_tol is not None and gap <= gap_tol) or delta <= epsilon:
             converged = True
@@ -974,7 +984,7 @@ def _dual_loop(
         inner_iterations=inner_total,
         converged=converged,
         price=price,
-        handoff_prices=tuple(mu),
+        handoff_prices=mu,
         trajectory=tuple(rows),
     )
 
@@ -1069,7 +1079,11 @@ def solve_interdependent(
     opts = None if grid is None else [grid.options(u, model) for u in inst.units]
     solve = _unit_solver(inst, model, opts)
     if opts is None:
-        decisions = [CrossLayerDecision(u.ready, u.deadline, u.size) for u in inst.units]
+        # an empty window can send nothing: its full payload would cost infinite energy
+        decisions = [
+            CrossLayerDecision(u.ready, u.deadline, u.size if u.deadline > u.ready else 0.0)
+            for u in inst.units
+        ]
     else:
         # warm start must live on the lattice or it can survive the sweeps
         decisions = [solve(i, 0.0, (0.0,) * (m - 1)).decision for i in range(1, m + 1)]
@@ -1081,9 +1095,14 @@ def solve_interdependent(
         for sweep in range(max_inner):
             for i in range(1, m + 1):
                 coeffs = _dag_coeffs(i, values)
-                cand = solve(i, price, mu, *coeffs).decision
+                sol = solve(i, price, mu, *coeffs)
+                cand = sol.decision
                 incumbent = values.unit_term(i, coeffs, price, mu)
-                measured = values.measure(i, cand)
+                if opts is None:
+                    measured = values.measure(i, cand)
+                else:  # a lattice candidate's loss and energy are in its option row
+                    _, _, _, loss, cost = opts[i - 1]
+                    measured = float(loss[sol.row]), float(cost[sol.row])
                 if values.unit_term(i, coeffs, price, mu, cand, measured) < incumbent:
                     values.set(i, cand, measured)
             g_now = values.lagrangian(price, mu, inst.budget)

@@ -2,24 +2,28 @@
 
 Every unit's window endpoints are restricted to a uniform time grid anchored
 at its ready time and its payload to a uniform action grid; all FIFO-ordered,
-budget-feasible combinations are enumerated. Units 1..M-2 are walked depth
-first in index order, and each level, unit M-1 included, is scored as one
-numpy expression over the unit's options. Unit M is answered from a
+budget-feasible combinations are enumerated. Units 1..M-3 are walked depth
+first in index order, each level scored as one numpy expression over the
+unit's options. Units M-2 and M-1 are scored together as one block, the
+surviving options of unit M-2 times all options of unit M-1, whose kept pairs
+come out in row-major order, the order of the walk. Unit M is answered from a
 staircase, the least loss among its options up to a cost that start at or
-after a given point, so one row of unit M-1 needs two lookups instead of a
-pass over unit M's options.
+after a given point, so one pair needs two lookups instead of a pass over
+unit M's options. (M = 2 scores unit 1 as one level and M = 1 unit 1 alone.)
 
 The search makes two passes. The first finds the exact minimum, pruning any
 prefix whose distortion already exceeds the running bar (distortion only
 grows downstream). The second walks again with the final bar fixed, expands
-only the rows of unit M-1 whose least total is within it, and emits the tied
-assignments in index order until ``_MAX_TIES``, so memory is the staircase
-plus the ties whatever the number of near-optimal assignments.
+only the pairs whose least total is within it, and emits the tied
+assignments in index order until ``_MAX_TIES``. Blocks are cut by rows of
+unit M-2 to about ``_BLOCK_PAIRS`` pairs, so memory is the staircase plus one
+block plus the ties whatever the grid or the number of near-optimal
+assignments.
 
 Cost still grows as (window pairs x actions)^(M-1), so the solver refuses
 instances above ``_MAX_UNITS`` (4). With the default 10 ms / 21-point grids
-on a 2-vCPU Xeon VM, M = 3 takes 0.01-0.04 s (the acceptance gate's cells,
-trace seeds 1-5, independent and chain) and M = 4 0.3-1.3 s (trace seeds
+on a 2-vCPU Xeon VM, M = 3 takes 0.005-0.008 s (the acceptance gate's cells,
+trace seeds 1-5, independent and chain) and M = 4 0.05-0.24 s (trace seeds
 1-3, budgets 2 and 10, independent and chain).
 """
 
@@ -37,6 +41,7 @@ from .offline import DecisionGrid, _require_valid
 __all__ = ["OracleResult", "brute_force"]
 
 _MAX_TIES = 200
+_BLOCK_PAIRS = 16_384
 _MAX_UNITS = 4
 
 
@@ -64,6 +69,13 @@ def brute_force(
     instance has one) and the grid assignments whose value ties the optimum
     within ``tie_tol`` (relative): the lexicographically first ``_MAX_TIES``
     of them by option index, in that order. ``decisions`` is the first tie.
+
+    Units 1..M-3 are walked depth first, units M-2 and M-1 are scored as one
+    pair block and unit M is read from a staircase, so memory is the
+    staircase, one block of about ``_BLOCK_PAIRS`` pairs and the ties. With
+    the default grids on a 2-vCPU Xeon VM, M = 3 takes 0.005-0.008 s and
+    M = 4 0.05-0.24 s (the cells of the module docstring).
+
     Raises ``ValueError`` on an invalid instance, grid or ``tie_tol`` and
     ``RuntimeError`` when no grid assignment meets the budget.
     """
@@ -95,14 +107,15 @@ def brute_force(
     np.minimum.at(table, (firsts.searchsorted(starts), by_cost.searchsorted(cost) + 1), loss)
     table = np.minimum.accumulate(np.minimum.accumulate(table[::-1])[::-1], axis=1)
 
-    def survival(pos: int, last=None):
+    def survival(pos: int, picks=()):
         """Product of ancestor survival fractions ``1 - loss`` of unit ``pos``
-        (1-based) under ``chosen``, in ancestor order; an ancestor past ``chosen``
-        (unit M-1 under the last unit) takes its factor at each of its
-        options ``last``."""
+        (1-based) under ``chosen``, in ancestor order; an ancestor past
+        ``chosen`` takes its factor at per-row option picks, ``picks[0]`` for
+        the first unit past ``chosen`` and ``picks[1]`` for the next."""
         surv = 1.0
+        depth = len(chosen)
         for k in ancestors[pos - 1]:
-            surv = surv * (1.0 - opts[k - 1][3][chosen[k - 1] if k <= len(chosen) else last])
+            surv = surv * (1.0 - opts[k - 1][3][chosen[k - 1] if k <= depth else picks[k - depth - 1]])
         return surv
 
     def level(pos: int, prev_end, energy, dist, bar: float):
@@ -128,30 +141,51 @@ def brute_force(
                 return k
             k = k - over + under
 
-    def last_unit(rows, row_end, row_energy, row_dist):
-        """Per row (an option of unit M-1, or the empty prefix if M = 1): the
-        least total over unit M's options that follow it within the budget
-        (inf if none does), from the staircase, and unit M's survival. The
-        total is monotone in the loss, so the least loss gives the least total
-        bit for bit."""
-        surv = survival(m, rows)
+    def last_unit(picks, row_end, row_energy, row_dist):
+        """Per row (the options ``picks`` of the units past ``chosen``, none if
+        M = 1): the least total over unit M's options that follow it within the
+        budget (inf if none does), from the staircase, and unit M's survival.
+        The total is monotone in the loss, so the least loss gives the least
+        total bit for bit."""
+        surv = survival(m, picks)
         least = table[firsts.searchsorted(row_end - 1e-12, "left"), affordable(row_energy)]
         found = least < math.inf
         totals = row_dist + impacts[m - 1] * (1.0 - (1.0 - np.where(found, least, 0.0)) * surv)
         return np.where(found, totals, math.inf), surv
 
+    def block(rows, row_end, row_energy, row_dist, bar, visit) -> bool:
+        """Units M-2 and M-1 as one broadcast: the options ``rows`` of unit M-2
+        times all options of unit M-1, kept by the FIFO, budget and ``bar()``
+        tests of ``level`` and passed to ``visit`` in row-major (index) order,
+        at most about ``_BLOCK_PAIRS`` pairs at a time."""
+        starts, ends, _, loss, cost = opts[m - 2]
+        step = max(1, _BLOCK_PAIRS // max(len(starts), 1))
+        for lo in range(0, len(rows), step):
+            part = slice(lo, lo + step)
+            e2 = row_energy[part, None] + cost
+            surv = survival(m - 1, (rows[part, None],))
+            d2 = row_dist[part, None] + impacts[m - 2] * (1.0 - (1.0 - loss) * surv)
+            fifo = starts >= row_end[part, None] - 1e-12
+            r, b = np.nonzero(fifo & (e2 <= budget_total) & (d2 <= bar()))
+            if visit((rows[part][r], b), ends[b], e2[r, b], d2[r, b]):
+                return True
+        return False
+
     def walk(bar, visit) -> bool:
-        """Depth-first over the prefixes of units 1..M-2 in index order, pruned
-        at ``bar()``; ``visit(rows, ends, energies, distortions)`` scores unit M
-        after the options ``rows`` of unit M-1 (None if M = 1) and returns True
+        """Depth-first over the prefixes of units 1..M-3 in index order, pruned
+        at ``bar()``; ``visit(picks, ends, energies, distortions)`` scores unit
+        M after the per-row options ``picks`` of the units past the prefix
+        (units M-2 and M-1, unit 1 if M = 2, none if M = 1) and returns True
         to stop the walk."""
 
         def descend(pos: int, prev_end, energy, dist) -> bool:
             if m == 1:
-                return visit(None, np.array([prev_end]), np.array([energy]), np.array([dist]))
+                return visit((), np.array([prev_end]), np.array([energy]), np.array([dist]))
             keep, ends, e2, d2 = level(pos, prev_end, energy, dist, bar())
             if pos == m - 1:
-                return visit(keep, ends, e2, d2)
+                return visit((keep,), ends, e2, d2)
+            if pos == m - 2:
+                return block(keep, ends, e2, d2, bar, visit)
             for n, j in enumerate(keep):
                 if d2[n] > bar():
                     continue
@@ -185,14 +219,14 @@ def brute_force(
     final_bar = tie_bar(best)
     ties: list[tuple[CrossLayerDecision, ...]] = []
 
-    def collect(rows, row_end, row_energy, row_dist) -> bool:
-        totals, surv = last_unit(rows, row_end, row_energy, row_dist)
+    def collect(picks, row_end, row_energy, row_dist) -> bool:
+        totals, surv = last_unit(picks, row_end, row_energy, row_dist)
         for r in np.flatnonzero(totals <= final_bar):
             feasible = (starts >= row_end[r] - 1e-12) & (row_energy[r] + cost <= budget_total)
             row_surv = surv[r] if isinstance(surv, np.ndarray) else surv
             row = row_dist[r] + impacts[m - 1] * (1.0 - (1.0 - loss) * row_surv)
             for b in np.flatnonzero(feasible & (row <= final_bar)):
-                combo = chosen + ([] if rows is None else [int(rows[r])]) + [int(b)]
+                combo = chosen + [int(p[r]) for p in picks] + [int(b)]
                 ties.append(
                     tuple(
                         CrossLayerDecision(

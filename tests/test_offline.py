@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from xlsched import (
     instance_distortion,
     price_update,
     recover_primal,
+    report_to_csv,
     solve_independent,
     solve_interdependent,
     upper_optimization,
@@ -811,3 +813,39 @@ class TestSharedDualLoop:
         bad = Instance(units=tuple(units), budget=inst.budget, graph=inst.graph)
         with pytest.raises(ValueError, match=r"invalid instance: ready time nan .* \(unit 2\)"):
             solver(bad, MODEL, max_outer=5)
+
+
+class TestReportValues:
+    @staticmethod
+    def _chain(n, seed=1):
+        inst = generate_trace(TraceParams(seed=seed, num_dus=n))
+        graph = DependencyGraph(n, tuple((i, i - 1) for i in range(2, n + 1)))
+        return Instance(units=inst.units, budget=inst.budget, graph=graph)
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["continuous", "lattice"])
+    @pytest.mark.parametrize("solver", [solve_independent, solve_interdependent])
+    def test_reports_hold_plain_floats(self, solver, lattice, tmp_path):
+        # numpy scalars from the handoff prices once reached the report and
+        # the CSV as np.float64(...)
+        grid = DecisionGrid(time_step=0.01, action_points=21) if lattice else None
+        rep = solver(self._chain(6), MODEL, max_outer=3, grid=grid)
+        values = [rep.dual_value, rep.primal_value, rep.gap, rep.price, *rep.handoff_prices]
+        for r in rep.trajectory:
+            values += [r.dual_value, r.primal_value, r.gap, r.price, r.handoff_norm]
+        assert all(type(v) is float for v in values)
+        report_to_csv(rep, tmp_path / "trajectory.csv")
+        assert "np." not in (tmp_path / "trajectory.csv").read_text()
+
+    def test_unit_with_an_empty_window_warm_starts_with_nothing(self):
+        # its full payload in a window of length 0 would cost infinite energy,
+        # making the first relaxed Lagrangian 0 * inf at price 0
+        inst = self._chain(4)
+        units = list(inst.units)
+        units[1] = dataclasses.replace(units[1], deadline=units[1].ready)
+        inst = Instance(units=tuple(units), budget=inst.budget, graph=inst.graph)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_interdependent(inst, MODEL, max_outer=3)
+        first = rep.trajectory[0]
+        assert math.isfinite(first.dual_value) and math.isfinite(first.gap)
+        assert first.inner_iterations < 50

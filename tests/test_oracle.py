@@ -26,6 +26,7 @@ from xlsched import (
     solve_independent,
     solve_interdependent,
 )
+from xlsched import oracle
 from xlsched.oracle import _MAX_TIES
 
 MODEL = ShannonExpModel()
@@ -291,7 +292,9 @@ class TestMatchesScalarReference:
 def _random_cells(count=36):
     """M = 1-3, budgets log-uniform in [1e-6, 1e3], the default model with and
     without an energy cap or with listening energy, and no graph, a chain or
-    a random DAG in turn."""
+    a random DAG in turn; then M = 4 on the coarse grid, where units 2 and 3
+    are scored as one pair block, with no graph, a chain, a random DAG and a
+    DAG in which unit 4 depends directly on both block units."""
     rng = np.random.default_rng(16)
     for n in range(count):
         m = int(rng.integers(1, 4))
@@ -305,6 +308,19 @@ def _random_cells(count=36):
         name, model = (("uncapped", MODEL), ("capped", CAPPED), ("listening", ListeningModel()))[n // 3 % 3]
         kwargs = {"time_step": float(rng.choice([0.01, 0.02])), "action_points": int(rng.choice([6, 11, 21]))}
         yield f"{n}-m{m}-{kind}-{name}", inst, model, kwargs
+    coarse = {"time_step": 0.025, "action_points": 5}
+    both = DependencyGraph(4, ((3, 1), (4, 2), (4, 3)))
+    for n, kind in enumerate(("none", "chain", "dag", "both")):
+        budget = float(10.0 ** rng.uniform(-6.0, 3.0))
+        inst = _trace(int(rng.integers(1, 10_000)), 4, budget)
+        if kind == "chain":
+            inst = _chain(inst)
+        elif kind == "dag":
+            inst = _random_dag(inst, n)
+        elif kind == "both":
+            inst = Instance(units=inst.units, budget=inst.budget, graph=both)
+        name, model = (("uncapped", MODEL), ("capped", CAPPED), ("listening", ListeningModel()))[n % 3]
+        yield f"m4-{n}-{kind}-{name}", inst, model, coarse
 
 
 def _at_the_budget_boundary(seed):
@@ -384,6 +400,39 @@ class TestTieMemory:
             assert average_energy(inst, tie, MODEL) <= inst.budget + 1e-9
             for a, b in zip(tie, tie[1:]):
                 assert b.start >= a.end - 1e-9
+
+
+class TestPairBlock:
+    """Units M-2 and M-1 are scored as one block, chunked by rows of unit M-2."""
+
+    CASES = {name: (inst, kwargs) for name, inst, kwargs in REFERENCE_CASES}
+    CASES.update({name: (inst, kwargs) for name, inst, model, kwargs in PROPERTY_CASES
+                  if name.startswith("m4-") and model is MODEL})
+    CASES["near-zero-m3-coarse"] = (_near_zero_impact(_trace(201, 3)), {"time_step": 0.025, "action_points": 5})
+    SPLIT = ("cell-m3-ind-1", "cell-m3-chain-2", "dag-m3-b2.0", "back-to-back-m3", "past-ready-m3",
+             "three-ancestors", "tie-tol-1e-3-chain", "m4-chain-1", "m4-0-none-uncapped",
+             "m4-3-both-uncapped", "near-zero-m3-coarse")
+
+    @pytest.mark.parametrize("pairs", [1, 40])
+    @pytest.mark.parametrize("name", SPLIT)
+    def test_rows_split_across_blocks_match_the_reference(self, name, pairs, monkeypatch):
+        # a block of one row (or a few) of unit M-2, so the bar, the ties and
+        # the tie cap all cross block boundaries
+        inst, kwargs = self.CASES[name]
+        monkeypatch.setattr(oracle, "_BLOCK_PAIRS", pairs)
+        assert repr(brute_force(inst, MODEL, **kwargs)) == repr(reference_brute_force(inst, MODEL, **kwargs))
+
+    def test_default_grid_m4_memory_is_one_block(self):
+        # 321 options per unit: one unchunked block of units 2 and 3 would
+        # hold 103 041 pairs and peak at about 9 MB
+        inst = _trace(1, 4, 10.0)
+        tracemalloc.start()
+        try:
+            brute_force(inst, MODEL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestOracleInputValidation:
