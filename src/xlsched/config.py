@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 from .models import ShannonEnergyParams
-from .online import IMPACT_ESTIMATES, POLICIES, UPDATE_MODES, OnlineParams
+from .online import IMPACT_ESTIMATES, POLICIES, OnlineParams
 from .tracegen import DAG_KINDS, TraceParams
 
 __all__ = [
@@ -96,7 +96,6 @@ _FIELDS: dict[str, tuple[tuple[str, str, str, _Kind], ...]] = {
         ("gamma0", "0.5", "gamma0", _NUM),
         ("gamma_power", "0.6", "gamma_power", _NUM),
         ("kappa0", "1.0", "kappa0", _NUM),
-        ("update_mode", "normalized", "update_mode", _TEXT),
         ("lambda_init", "1.0", "price_init", _NUM),
         ("y_points", "200", "end_grid", _INT),
         ("refine_points", "60", "refine_points", _INT),
@@ -209,10 +208,8 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
         **fields["learner"],
         impact_mean=0.5 * (trace.impact_low + trace.impact_high),
     )
-    for key, value, names in (("update_mode", learner.update_mode, UPDATE_MODES),
-                              ("dag_impact", learner.impact_estimate, IMPACT_ESTIMATES)):
-        if value not in names:
-            raise ConfigError(f"[learner] {key} = {value!r}: expected one of {names}")
+    if learner.impact_estimate not in IMPACT_ESTIMATES:
+        raise ConfigError(f"[learner] dag_impact = {learner.impact_estimate!r}: expected one of {IMPACT_ESTIMATES}")
     if learner.feature_order < 1:
         raise ConfigError("[learner]: features must be >= 1")
     if not 0.0 < learner.gamma0 <= 1.0:

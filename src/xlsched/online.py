@@ -55,8 +55,9 @@ __all__ = [
 ]
 
 POLICIES = ("proposed", "myopic", "mdu")
-UPDATE_MODES = ("verbatim", "semi_gradient", "normalized")
 IMPACT_ESTIMATES = ("known", "mean")
+# the floor under the squared feature norm in value_update's step
+_VALUE_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,6 @@ class ValueModel:
         if order < 1:
             raise ValueError(f"feature order must be >= 1, got {order}")
         return cls(coeffs=(0.0,) * order)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
 
     def features(self, s: float) -> tuple[float, ...]:
         if s < 0:
@@ -106,51 +103,32 @@ def state_transition(end: float, t_next: float) -> float:
     return max(end - t_next, 0.0)
 
 
-def value_update(
-    vm: ValueModel,
-    gamma: float,
-    s: float,
-    target: float,
-    mode: str = "verbatim",
-    floor: float = 1e-4,
-) -> ValueModel:
-    """One stochastic value-coefficient update at visited backlog ``s``.
+def value_update(vm: ValueModel, gamma: float, s: float, target: float) -> ValueModel:
+    """One normalized temporal-difference step of the value coefficients at
+    visited backlog ``s``: ``r <- r + gamma * (target - V(s)) * v(s) / (floor
+    + |v(s)|^2)``.
 
-    ``verbatim`` keeps the running-average form
-    ``r <- (1-gamma) r + gamma * target * v(s)`` (note that at s = 0 this
-    shrinks the coefficients, since the features vanish there). The
-    ``semi_gradient`` mode applies the temporal-difference step
-    ``r <- r + gamma * (target - V(s)) * v(s)``, whose fixed point matches the
-    target scale, but with backlogs measured in seconds the features are tiny
-    and the per-visit contraction gamma*|v(s)|^2 is ~1e-4, far too slow to
-    reach that fixed point inside a run. ``normalized`` divides the same step
-    by ``floor + |v(s)|^2``, which restores the per-state averaging speed of a
-    tabular update while staying inside the feature class; the floor bounds
-    the 1/s gain for visits with near-zero backlog, whose noisy targets would
-    otherwise whipsaw the linear coefficient. It is the mode the shipped
-    experiment configs use, fed with average-cost-centered targets (see
-    ``run_online``).
+    With backlogs measured in seconds the features v(s) are tiny, so the plain
+    step's per-visit contraction gamma*|v(s)|^2 is ~1e-4, far too slow to reach
+    the target scale inside a run. Dividing by the squared feature norm
+    restores the per-state averaging speed of a tabular update while staying
+    inside the feature class; the floor ``_VALUE_FLOOR`` bounds the 1/s gain
+    for visits with near-zero backlog, whose noisy targets would otherwise
+    whipsaw the linear coefficient. At s = 0 the features vanish and the
+    coefficients are returned unchanged, as they are for ``gamma == 0``.
+    ``run_online`` feeds it average-cost-centered targets.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     if gamma == 0.0:
         return vm
     feats = vm.features(s)
-    if mode == "verbatim":
-        new = tuple((1.0 - gamma) * r + gamma * target * v for r, v in zip(vm.coeffs, feats))
-    elif mode == "semi_gradient":
-        delta = target - vm.value(s)
-        new = tuple(r + gamma * delta * v for r, v in zip(vm.coeffs, feats))
-    elif mode == "normalized":
-        norm_sq = sum(v * v for v in feats)
-        if norm_sq == 0.0:
-            return vm
-        delta = target - vm.value(s)
-        step = gamma * delta / (floor + norm_sq)
-        new = tuple(r + step * v for r, v in zip(vm.coeffs, feats))
-    else:
-        raise ValueError(f"unknown update mode {mode!r}")
-    return ValueModel(coeffs=new)
+    norm_sq = sum(v * v for v in feats)
+    if norm_sq == 0.0:
+        return vm
+    delta = target - vm.value(s)
+    step = gamma * delta / (_VALUE_FLOOR + norm_sq)
+    return ValueModel(coeffs=tuple(r + step * v for r, v in zip(vm.coeffs, feats)))
 
 
 def online_price_update(price: float, kappa: float, running_avg: float, budget: float) -> float:
@@ -164,13 +142,17 @@ def online_price_update(price: float, kappa: float, running_avg: float, budget: 
 
 @dataclass(frozen=True)
 class OnlineParams:
-    """Knobs of the online loop (defaults match the experiment configs)."""
+    """Knobs of the online loop (defaults match the experiment configs).
+
+    The value step of unit i is ``gamma0 / i**gamma_power`` in
+    :func:`value_update`'s normalized rule, the only one; the price step is
+    ``kappa0 / i``.
+    """
 
     feature_order: int = 3
     gamma0: float = 0.5
     gamma_power: float = 0.6
     kappa0: float = 1.0
-    update_mode: str = "normalized"
     price_init: float = 1.0
     end_grid: int = 200
     refine_points: int = 60
@@ -465,14 +447,17 @@ class LearnerState:
     @classmethod
     def from_json(cls, text: str) -> "LearnerState":
         d = json.loads(text)
-        return cls(
-            price=float(d["price"]),
-            coeffs=tuple(float(c) for c in d["coeffs"]),
-            step=int(d["step"]),
-            backlog=float(d["backlog"]),
-            cum_energy=float(d["cum_energy"]),
-            avg_cost=float(d.get("avg_cost", 0.0)),
-        )
+        try:
+            return cls(
+                price=float(d["price"]),
+                coeffs=tuple(float(c) for c in d["coeffs"]),
+                step=int(d["step"]),
+                backlog=float(d["backlog"]),
+                cum_energy=float(d["cum_energy"]),
+                avg_cost=float(d.get("avg_cost", 0.0)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"learner state has no {exc.args[0]!r} key") from exc
 
 
 @dataclass(frozen=True)
@@ -567,7 +552,8 @@ def run_online(
     """Run one policy over a stream; returns per-cycle metrics and final state.
 
     Each unit is decided, hands its backlog on and, under ``proposed``, makes
-    its value update; then it is booked with the run's price ledger, whose
+    its value update (:func:`value_update` at the backlog it was decided
+    from); then it is booked with the run's price ledger, whose
     step moves the price against the running average of all realized
     energies (``mdu`` books each cycle it solves with the same ledger). The
     value update reads no price, so it may precede the price step it shares
@@ -591,18 +577,19 @@ def run_online(
     ``impact_mean`` (``mean``).
 
     Raises ``ValueError`` on an invalid instance (see ``validate_instance``),
-    an unknown policy, ``update_mode`` or ``impact_estimate``, a ``kappa0``,
-    ``price_init``, ``impact_mean`` or ``gamma_power`` that is not
-    non-negative and finite, a ``gamma0`` outside (0, 1] or an ``end_grid``
-    below 2 (under every policy), or a ``budget`` override that is not
-    positive and finite.
+    an unknown policy or ``impact_estimate``, a ``kappa0``, ``price_init``,
+    ``impact_mean`` or ``gamma_power`` that is not non-negative and finite, a
+    ``gamma0`` outside (0, 1] or an ``end_grid`` below 2 (under every policy),
+    a ``budget`` override that is not positive and finite, or a ``resume``
+    state with a non-finite ``avg_cost`` or coefficient or a ``price``,
+    ``cum_energy``, ``backlog`` or ``step`` that is not non-negative and
+    finite. All are checked before any unit is decided.
     """
     check_model(model)
     _require_valid(stream.instance)
     if params is None:
         params = OnlineParams()
     for what, name, names in (("policy", policy, POLICIES),
-                              ("update_mode", params.update_mode, UPDATE_MODES),
                               ("impact_estimate", params.impact_estimate, IMPACT_ESTIMATES)):
         if name not in names:
             raise ValueError(f"unknown {what} {name!r}; expected one of {names}")
@@ -619,6 +606,12 @@ def run_online(
         budget = stream.budget
     elif not 0 < budget < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget!r}")
+    if resume is not None:
+        for name in ("price", "cum_energy", "backlog", "step"):
+            if not 0 <= (value := getattr(resume, name)) < math.inf:
+                raise ValueError(f"resume {name} must be non-negative and finite, got {value!r}")
+        if not all(map(math.isfinite, (resume.avg_cost, *resume.coeffs))):
+            raise ValueError(f"resume avg_cost and coeffs must be finite, got {resume!r}")
     ledger = _PriceLedger(stream, model, params, budget, resume)
     if policy == "mdu":
         return _run_mdu(ledger)
@@ -667,7 +660,7 @@ def run_online(
             # the objective must not leak into the average-cost estimate
             stage = outcome.objective - vm.value(backlog)
             avg_cost = (1.0 - gam) * avg_cost + gam * stage
-            vm = value_update(vm, gam, s_visited, outcome.objective - avg_cost, params.update_mode)
+            vm = value_update(vm, gam, s_visited, outcome.objective - avg_cost)
         ledger.book(outcome.decision, outcome.energy, outcome.dropped, vm.coeffs)
 
     return ledger.result(policy, vm.coeffs, backlog, avg_cost)

@@ -1,6 +1,8 @@
 """Configuration loading, validation, canonical rendering and hashing."""
 
+import dataclasses
 import hashlib
+import inspect
 import re
 from pathlib import Path
 
@@ -8,11 +10,15 @@ import pytest
 
 from xlsched import (
     ConfigError,
+    OnlineParams,
     config_hash,
     config_to_text,
     default_config,
     load_config,
+    solve_independent,
+    solve_interdependent,
 )
+from xlsched.config import _FIELDS
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -38,7 +44,6 @@ class TestDefaults:
         assert cfg.model.energy_cap == 50.0
         assert cfg.solver.alpha0 == 0.5
         assert cfg.solver.beta0 == 1000.0
-        assert cfg.learner.update_mode == "normalized"
         assert cfg.learner.feature_order == 3
         assert cfg.learner.impact_mean == 100.0  # midpoint of the impact range
         assert cfg.plan.w_sweep == (5.0, 10.0, 15.0, 20.0)
@@ -95,12 +100,14 @@ class TestRejection:
         ("[solver]\ninner_epsilon = -1e-6\n", "inner_epsilon"),
         ("[learner]\ngamma0 = 1.5\n", "gamma0"),
         ("[learner]\ngamma0 = 0\n", "gamma0"),
-        ("[learner]\nupdate_mode = tabular\n", "update_mode"),
         ("[learner]\ndag_impact = oracle\n", "dag_impact"),
         ("[learner]\ny_points = 1\n", "y_points"),
         # the mdu cycle solve has no iterations to set since it became a DP
         ("[learner]\nmdu_outer = 40\n", "unknown key 'mdu_outer'"),
         ("[learner]\nmdu_epsilon = 0.0001\n", "unknown key 'mdu_epsilon'"),
+        # one value-update rule is left, so there is no rule to select
+        ("[learner]\nupdate_mode = normalized\n", "unknown key 'update_mode'"),
+        ("[learner]\nupdate_mode = tabular\n", "unknown key 'update_mode'"),
         ("[experiment]\npolicies = proposed,greedy\n", "unknown policy"),
         ("[experiment]\npolicies =\n", "non-empty"),
         ("[experiment]\nw_sweep = 5,ten\n", "not a number list"),
@@ -137,6 +144,19 @@ class TestRejection:
         assert issubclass(ConfigError, ValueError)
 
 
+def test_sections_match_the_parameters_they_set():
+    # a knob removed on one side only fails here, not in a user's config
+    def names(section):
+        return {name for _, _, name, _ in _FIELDS[section]}
+
+    def keywords(fn):
+        return {p.name for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY}
+
+    assert names("learner") == {f.name for f in dataclasses.fields(OnlineParams)} - {"impact_mean"}
+    assert names("solver") <= keywords(solve_interdependent)
+    assert names("solver") - {"max_inner", "inner_epsilon"} <= keywords(solve_independent)
+
+
 class TestCanonicalText:
     def test_round_trip_preserves_the_hash(self, tmp_path):
         cfg = default_config()
@@ -171,7 +191,7 @@ cycle_len = 8
         text = config_to_text(default_config())
         for key in ("seed", "num_dus", "interarrival_ms", "theta", "n0",
                     "energy_cap", "epsilon", "alpha0", "beta0", "gamma0",
-                    "update_mode", "policies", "w_sweep", "out_dir"):
+                    "dag_impact", "policies", "w_sweep", "out_dir"):
             assert f"\n{key} = " in text or text.startswith(f"{key} = ")
 
 
@@ -205,7 +225,6 @@ features = 2
 gamma0 = 0.75
 gamma_power = 0.7
 kappa0 = 2
-update_mode = semi_gradient
 lambda_init = 0.5
 y_points = 100
 refine_points = 30
@@ -228,14 +247,14 @@ class TestGoldenText:
 
     def test_default_config(self):
         text = config_to_text(default_config())
-        assert config_hash(default_config()) == "904b2d1d3f35"
+        assert config_hash(default_config()) == "61e911bc2c50"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "904b2d1d3f3573008923d684b4215713f87efef079e13bb8534f57822c3618e1"
+            "61e911bc2c50bbb61cced80c0894090cfbaf21f2d19acfc774440bbc30688fb7"
         )
 
     def test_every_key_changed(self, tmp_path):
         cfg = load_config(_write(tmp_path, _EVERY_KEY_CHANGED))
-        assert config_hash(cfg) == "46a77b256135"
+        assert config_hash(cfg) == "6583ba778d6d"
         assert config_to_text(cfg) == (
             "[trace]\nseed = 3\nnum_dus = 250\nimpact_low = 20.0\nimpact_high = 180.5\n"
             "size = 12.0\ninterarrival_ms = 40.0\nlifetime_ms = 70.0\ntheta = 0.25\n"
@@ -245,7 +264,7 @@ class TestGoldenText:
             "[solver]\nepsilon = 0.002\nmax_outer = 300\nmax_inner = 20\n"
             "inner_epsilon = 1e-07\nalpha0 = 0.25\nbeta0 = 500.0\n\n"
             "[learner]\nfeatures = 2\ngamma0 = 0.75\ngamma_power = 0.7\nkappa0 = 2.0\n"
-            "update_mode = semi_gradient\nlambda_init = 0.5\ny_points = 100\n"
+            "lambda_init = 0.5\ny_points = 100\n"
             "refine_points = 30\ndag_impact = mean\n\n"
             "[experiment]\npolicies = mdu,proposed\nw_sweep = 7.5,12.0\nseeds = 4,9\n"
             "cycles = 40\ncycle_len = 5\ndag = ibpbp\nedge_prob = 0.25\n"

@@ -88,47 +88,28 @@ class TestValueModel:
 
 
 class TestValueUpdate:
-    def test_verbatim_shrinks_at_origin(self):
-        vm = ValueModel(coeffs=(2.0, 4.0))
-        out = value_update(vm, 0.25, 0.0, 99.0, mode="verbatim")
-        assert out.coeffs == pytest.approx((1.5, 3.0))
-
-    def test_verbatim_single_feature(self):
-        vm = ValueModel(coeffs=(2.0,))
-        out = value_update(vm, 0.5, 1.0, 4.0, mode="verbatim")
-        assert out.coeffs == pytest.approx((3.0,))
-
     def test_zero_step_is_identity(self):
         vm = ValueModel(coeffs=(2.0, -1.0))
-        assert value_update(vm, 0.0, 1.3, 7.0, mode="verbatim") is vm
-        assert value_update(vm, 0.0, 1.3, 7.0, mode="normalized") is vm
-
-    def test_semi_gradient_step(self):
-        vm = ValueModel(coeffs=(1.0,))
-        # delta = 4 - V(2) = 2, feature = 2
-        out = value_update(vm, 0.1, 2.0, 4.0, mode="semi_gradient")
-        assert out.coeffs == pytest.approx((1.4,))
+        assert value_update(vm, 0.0, 1.3, 7.0) is vm
 
     def test_normalized_step(self):
         vm = ValueModel(coeffs=(0.0,))
-        out = value_update(vm, 0.5, 1.0, 4.0, mode="normalized", floor=1e-4)
+        out = value_update(vm, 0.5, 1.0, 4.0)
         assert out.coeffs == pytest.approx((0.5 * 4.0 / (1.0 + 1e-4),))
 
     def test_normalized_is_inert_at_origin(self):
         vm = ValueModel(coeffs=(2.0, 3.0))
-        assert value_update(vm, 0.5, 0.0, 9.0, mode="normalized") is vm
+        assert value_update(vm, 0.5, 0.0, 9.0) is vm
 
     def test_normalized_reaches_target_scale_fast(self):
         # repeated visits to the same state pin V there like a running average
         vm = ValueModel.zero(3)
         for i in range(1, 200):
-            vm = value_update(vm, 0.5 / i**0.6, 2.0, 10.0, mode="normalized")
+            vm = value_update(vm, 0.5 / i**0.6, 2.0, 10.0)
         assert vm.value(2.0) == pytest.approx(10.0, rel=1e-2)
 
-    def test_rejects_bad_mode_and_gamma(self):
+    def test_rejects_gamma_outside_the_unit_interval(self):
         vm = ValueModel.zero(2)
-        with pytest.raises(ValueError):
-            value_update(vm, 0.5, 1.0, 1.0, mode="bogus")
         with pytest.raises(ValueError):
             value_update(vm, 1.5, 1.0, 1.0)
         with pytest.raises(ValueError):
@@ -406,6 +387,10 @@ class TestRunOnline:
         assert set(payload) == {"price", "coeffs", "step", "backlog",
                                 "cum_energy", "avg_cost"}
 
+    def test_state_json_missing_key_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no 'coeffs' key"):
+            LearnerState.from_json('{"price": 1}')
+
     def test_mdu_produces_cycle_rows_without_exposed_impacts(self):
         inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
         stream = CausalStream(inst, cycle_len=5)
@@ -469,11 +454,10 @@ class TestRunOnline:
         assert (resumed.coeffs, resumed.avg_cost) == (state.coeffs, state.avg_cost)
 
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("field,value", [("update_mode", "tabular"), ("impact_estimate", "oracle")])
-    def test_unknown_learner_names_are_rejected(self, policy, field, value):
+    def test_unknown_impact_estimate_is_rejected(self, policy):
         inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
-        params = dataclasses.replace(OnlineParams(), **{field: value})
-        with pytest.raises(ValueError, match=f"unknown {field} {value!r}"):
+        params = dataclasses.replace(OnlineParams(), impact_estimate="oracle")
+        with pytest.raises(ValueError, match="unknown impact_estimate 'oracle'"):
             run_online(CausalStream(inst, 5, expose_cycle_impacts=True), MODEL, policy, params)
 
 
@@ -513,10 +497,42 @@ class TestRunOnline:
         with pytest.raises(ValueError, match="budget must be positive and finite"):
             run_online(stream, MODEL, policy, budget=budget)
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("field,value", [
+        ("price", math.nan), ("price", math.inf), ("price", -1.0),
+        ("cum_energy", math.nan), ("cum_energy", math.inf), ("cum_energy", -1.0),
+        ("backlog", math.nan), ("backlog", math.inf), ("backlog", -0.5),
+        ("avg_cost", math.nan), ("avg_cost", -math.inf),
+        ("coeffs", (math.nan, 0.0, 0.0)), ("coeffs", (0.0, math.inf, 0.0)),
+        ("step", -1),
+    ])
+    def test_bad_resume_state_is_rejected_before_any_unit(self, policy, field, value):
+        # a NaN price ran to the end sending nothing, NaN coefficients made
+        # proposed send nothing, an infinite cum_energy drove the price to
+        # inf, step -1 divided by zero after the first unit, and a negative
+        # price was refused only after a unit (under mdu a cycle) was decided
+        class Untouched(CausalStream):
+            def observe(self, index):
+                raise AssertionError("a unit was decided")
+
+            def take_cycle(self, cycle):
+                raise AssertionError("a cycle was decided")
+
+        stream = Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
+        state = dataclasses.replace(LearnerState(1.0, (0.0, 0.0, 0.0), 0, 0.0, 0.0), **{field: value})
+        with pytest.raises(ValueError, match=f"resume .*{field}"):
+            run_online(stream, MODEL, policy, resume=state)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_negative_avg_cost_and_coefficients_resume(self, policy):
+        inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
+        state = LearnerState(price=0.0, coeffs=(-0.5, 2.0, -1.0), step=3, backlog=0.0,
+                             cum_energy=0.0, avg_cost=-4.0)
+        assert run_online(CausalStream(inst, 5), MODEL, policy, resume=state).state.step == 13
+
 
 class TestLearnedValueShape:
-    @pytest.mark.parametrize("mode", ["normalized", "verbatim", "semi_gradient"])
-    def test_origin_pin_and_monotonicity_after_training(self, mode):
+    def test_origin_pin_and_monotonicity_after_training(self):
         # balanced load: arrivals keep pace with lifetimes, so backlog is
         # frequent but the queue never diverges
         inst = generate_trace(
@@ -527,8 +543,7 @@ class TestLearnedValueShape:
             params=MODEL.params.__class__(noise=200.0, bandwidth_hz=200000.0,
                                           bit_unit=1000.0, energy_cap=50.0)
         )
-        params = OnlineParams(update_mode=mode)
-        result = run_online(CausalStream(inst), model, "proposed", params=params)
+        result = run_online(CausalStream(inst), model, "proposed")
         vm = ValueModel(coeffs=result.state.coeffs)
         assert vm.value(0.0) == 0.0
         assert any(c != 0.0 for c in vm.coeffs)  # backlog did occur
