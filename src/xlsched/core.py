@@ -165,6 +165,22 @@ class DependencyGraph:
         return ([()] + [tuple(self._ancestor_map[n]) for n in nodes],
                 [()] + [tuple(self._descendant_map[n]) for n in nodes])
 
+    @cached_property
+    def descendant_terms(self) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
+        """Per node (slot 0 unused), each of its descendants paired with that
+        descendant's other ancestors (all but the node), both in the order of
+        ``relatives``."""
+        ancestors, descendants = self.relatives
+        terms: list[tuple[tuple[int, tuple[int, ...]], ...]] = [()]
+        for n in range(1, self.num_nodes + 1):
+            row = []
+            for j in descendants[n]:
+                others = ancestors[j]
+                at = others.index(n)
+                row.append((j, others[:at] + others[at + 1:]))
+            terms.append(tuple(row))
+        return terms
+
     def ancestors(self, index: int) -> frozenset[int]:
         """All units this one transitively depends on."""
         self._check_index(index)

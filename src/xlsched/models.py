@@ -122,8 +122,12 @@ def loss_fraction(decay: float, size: float, payload: float) -> float:
         raise ValueError(f"payload must be nonnegative, got {payload}")
     if decay <= 0 or size <= 0:
         raise ValueError(f"decay and size must be positive, got {decay}, {size}")
-    p = _exp2(-decay * min(payload, size))
-    return min(max(p, 0.0), 1.0)
+    # min, max and _exp2's clamp spelled out as the same comparisons: the
+    # calls took about two thirds of its time
+    z = -decay * (size if size < payload else payload)
+    p = 2.0 ** (EXP_CLAMP if z > EXP_CLAMP else -EXP_CLAMP if z < -EXP_CLAMP else z)
+    p = 0.0 if 0.0 > p else p
+    return 1.0 if 1.0 < p else p
 
 
 def _unit_distortion(impact: float, loss: float, ancestor_losses: Sequence[float]) -> float:
@@ -329,29 +333,32 @@ class ShannonExpModel:
         taus = np.asarray(taus, dtype=float)
         pos = taus > 0.0
         safe = np.where(pos, taus, 1.0)
-        span = safe * p.bandwidth_hz
-        payload = 0.0
-        if not loss_weight <= 0.0:
-            upper = float(unit.size)
-            if p.energy_cap is not None:
-                with np.errstate(divide="ignore"):
+        # a subnormal tau overflows energy_cap*channel/(noise*tau), bit_unit/span
+        # and payload*bit_unit/span, and a huge one the energy product; each
+        # inf stands for the bound it exceeds, as the clamps below expect
+        with np.errstate(divide="ignore", over="ignore"):
+            span = safe * p.bandwidth_hz
+            payload = 0.0
+            if not loss_weight <= 0.0:
+                upper = float(unit.size)
+                if p.energy_cap is not None:
                     a_cap = span / p.bit_unit * np.log2(1.0 + p.energy_cap * unit.channel / (p.noise * safe))
-                upper = np.minimum(upper, np.maximum(a_cap, 0.0))
-            if energy_weight <= 0.0:
-                payload = upper
-            else:
-                ratio = loss_weight * unit.decay * unit.channel * p.bandwidth_hz / (energy_weight * p.noise * p.bit_unit)
-                if not ratio <= 0.0:
-                    a = math.log2(ratio) / (unit.decay + p.bit_unit / span)
-                    # not np.clip: with a scalar bound it keeps a = -0.0 (a
-                    # tau near 1e-300), which np.maximum turns into +0.0
-                    payload = np.minimum(np.maximum(a, 0.0), upper)
-        payloads = np.where(pos, payload, 0.0)
+                    upper = np.minimum(upper, np.maximum(a_cap, 0.0))
+                if energy_weight <= 0.0:
+                    payload = upper
+                else:
+                    ratio = loss_weight * unit.decay * unit.channel * p.bandwidth_hz / (energy_weight * p.noise * p.bit_unit)
+                    if not ratio <= 0.0:
+                        a = math.log2(ratio) / (unit.decay + p.bit_unit / span)
+                        # not np.clip: with a scalar bound it keeps a = -0.0 (a
+                        # tau near 1e-300), which np.maximum turns into +0.0
+                        payload = np.minimum(np.maximum(a, 0.0), upper)
+            payloads = np.where(pos, payload, 0.0)
 
-        # payloads lie in [0, size], so the exponent is in [-decay*size, 0]
-        loss = np.exp2(np.maximum(-unit.decay * payloads, -EXP_CLAMP))
-        vals = (p.noise / unit.channel) * safe * (np.exp2(np.minimum(payloads * p.bit_unit / span, EXP_CLAMP)) - 1.0)
-        energy = np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
+            # payloads lie in [0, size], so the exponent is in [-decay*size, 0]
+            loss = np.exp2(np.maximum(-unit.decay * payloads, -EXP_CLAMP))
+            vals = (p.noise / unit.channel) * safe * (np.exp2(np.minimum(payloads * p.bit_unit / span, EXP_CLAMP)) - 1.0)
+            energy = np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
         return payloads, loss, energy
 
 

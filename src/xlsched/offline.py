@@ -27,6 +27,15 @@ only its relaxed step. Independent units are solved once each per outer
 iteration; interdependent units couple through the dependency graph, so
 there the per-unit subproblems are swept in index order (block coordinate
 descent) with warm starts across outer iterations.
+
+Each decision is valued once, where it is made. The per-unit kernel returns
+a plain (start, end, payload, objective) tuple; a relaxed step values each
+of its decisions with one ``loss`` and one ``cost`` call (a lattice step
+reads both from the option row) and hands the outer loop the per-unit loss
+and energy with the decisions. The price step sums those energies, and the
+recovery starts from them and values only the units it moves and the
+payloads it scales. ``CrossLayerDecision`` objects are built only for the
+decisions a step returns or a sweep accepts.
 """
 
 from __future__ import annotations
@@ -88,13 +97,6 @@ class UnitSolution:
 
     decision: CrossLayerDecision
     objective: float
-
-
-@dataclass(frozen=True)
-class _GridSolution(UnitSolution):
-    """A lattice solve's result with the index of its option row."""
-
-    row: int
 
 
 @dataclass(frozen=True)
@@ -164,25 +166,23 @@ def _solve_unit_grid(
     loss_coeff: float,
     err_coeff: float,
     energy_coeff: float,
-) -> _GridSolution:
+) -> tuple[float, float, float, float, float, float]:
     """Exact per-unit relaxed solve over precomputed grid options.
 
     Same objective as the continuous path:
     loss_coeff*p + err_coeff*p + energy_coeff*w - handoff_prev*start
-    + handoff_next*end; argmin ties resolve to the earliest window.
+    + handoff_next*end; argmin ties resolve to the earliest window. Returns
+    the option row's (start, end, payload), its objective, loss and energy.
     """
     starts, ends, payloads, loss, cost = opts
     vals = loss_coeff * loss + err_coeff * loss + energy_coeff * cost
     obj = vals - handoff_prev * starts + handoff_next * ends
     j = int(np.argmin(obj))
-    return _GridSolution(
-        decision=CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j])),
-        objective=float(obj[j]),
-        row=j,
-    )
+    return (float(starts[j]), float(ends[j]), float(payloads[j]), float(obj[j]),
+            float(loss[j]), float(cost[j]))
 
 
-def _solve_unit(
+def _unit_kernel(
     unit: DataUnit,
     model: TransmissionModel,
     loss_coeff: float,
@@ -191,8 +191,9 @@ def _solve_unit(
     handoff_prev: float,
     handoff_next: float,
     start_floor: float,
-) -> UnitSolution:
-    """The continuous per-unit relaxed solve every solver path shares.
+) -> tuple[float, float, float, float]:
+    """The continuous per-unit relaxed solve every solver path shares, as a
+    plain (start, end, payload, objective) tuple.
 
     Minimizes loss_coeff*p + err_coeff*p + energy_coeff*w - handoff_prev*start
     + handoff_next*end over windows inside [start_floor, deadline] and their
@@ -236,7 +237,24 @@ def _solve_unit(
     end = min(x_star + tau_star, deadline)
     if end - x_star != tau_star:
         payload = window(end - x_star)[0]
-    return UnitSolution(CrossLayerDecision(start=x_star, end=end, payload=payload), obj)
+    return x_star, end, payload, obj
+
+
+def _solve_unit(
+    unit: DataUnit,
+    model: TransmissionModel,
+    loss_coeff: float,
+    err_coeff: float,
+    energy_coeff: float,
+    handoff_prev: float,
+    handoff_next: float,
+    start_floor: float,
+) -> UnitSolution:
+    """:func:`_unit_kernel` with its result as a :class:`UnitSolution`."""
+    start, end, payload, obj = _unit_kernel(
+        unit, model, loss_coeff, err_coeff, energy_coeff, handoff_prev, handoff_next, start_floor
+    )
+    return UnitSolution(CrossLayerDecision(start, end, payload), obj)
 
 
 def upper_optimization(
@@ -292,18 +310,17 @@ def _graph_coeffs(
     product of ``1 - loss[k]`` over the ancestors k; S sums, over the
     descendants j, ``kept[j]`` times the product of ``1 - loss[k]`` over the
     ancestors k of j other than ``index``, each product in the iteration order
-    of the graph's ancestor sets (``graph.relatives``).
+    of the graph's ancestor sets (``graph.relatives``), as the graph's
+    ``descendant_terms`` table lists them.
     """
-    ancestors, descendants = graph.relatives
     a_surv = 1.0
-    for k in ancestors[index]:
+    for k in graph.relatives[0][index]:
         a_surv *= 1.0 - loss[k]
     s_weight = 0.0
-    for j in descendants[index]:
+    for j, others in graph.descendant_terms[index]:
         term = kept[j]
-        for k in ancestors[j]:
-            if k != index:
-                term *= 1.0 - loss[k]
+        for k in others:
+            term *= 1.0 - loss[k]
         s_weight += term
     return a_surv, s_weight
 
@@ -332,14 +349,15 @@ def _solve_unit_dag(
     model: TransmissionModel,
     anc_survival: float,
     desc_weight: float,
-) -> UnitSolution:
-    """Per-unit relaxed solve with dependency-adjusted distortion terms.
+) -> tuple[float, float, float, float]:
+    """Per-unit relaxed solve with dependency-adjusted distortion terms, as
+    :func:`_unit_kernel`'s (start, end, payload, objective).
 
     Objective (up to the constant -desc_weight/num_units):
     (impact*A*p + S*p)/M + price*w/M - handoff_prev*start + handoff_next*end.
     """
     m = float(num_units)
-    return _solve_unit(
+    return _unit_kernel(
         unit,
         model,
         unit.impact * anc_survival / m,
@@ -360,12 +378,15 @@ class _ScheduleValues:
     Slot i (1-based like graph nodes; slot 0 unused) holds unit i's loss,
     which is also the error it propagates to its descendants, kept impact
     ``impact * (1 - loss)`` and, if ``priced``, energy, from scalar model
-    calls on ``decisions[i - 1]``; ``set`` re-values one unit. ``graph``
-    (None ignores the dependencies) is the one that the distortion and the
-    coefficients use."""
+    calls on ``decisions[i - 1]``, or from ``measured``, the per-unit
+    (losses, energies) of those decisions when the caller already has them;
+    ``set`` re-values one unit. ``graph`` (None ignores the dependencies) is
+    the one that the distortion and the coefficients use. The distortion is
+    kept until the next ``set``."""
 
     def __init__(self, units: Sequence[DataUnit], graph, decisions: Sequence[CrossLayerDecision],
-                 model: TransmissionModel, priced: bool = True):
+                 model: TransmissionModel, priced: bool = True,
+                 measured: Optional[tuple[Sequence[float], Sequence[float]]] = None):
         if len(decisions) != len(units):
             raise ValueError(f"got {len(decisions)} decisions for {len(units)} units")
         self.units, self.graph, self.model = units, graph, model
@@ -373,8 +394,10 @@ class _ScheduleValues:
         n = len(units) + 1
         self.loss, self.kept = [0.0] * n, [0.0] * n
         self.cost = [0.0] * n if priced else None
-        for i in range(1, n):
-            self.set(i, self.decisions[i - 1])
+        self._distortion = None
+        pairs = zip(*measured) if measured is not None else [None] * len(units)
+        for i, pair in enumerate(pairs, start=1):
+            self.set(i, self.decisions[i - 1], pair)
 
     def measure(self, i: int, dec: CrossLayerDecision) -> tuple:
         """Loss and energy (None unless priced) of unit i under ``dec``."""
@@ -389,6 +412,7 @@ class _ScheduleValues:
         self.loss[i], self.kept[i] = p, self.units[i - 1].impact * (1.0 - p)
         if self.cost is not None:
             self.cost[i] = w
+        self._distortion = None
 
     def unit_distortion(self, i: int) -> float:
         """Expected distortion of unit i: its full impact unless it and every
@@ -398,23 +422,13 @@ class _ScheduleValues:
 
     def distortion(self) -> float:
         """Average expected distortion of the schedule."""
-        m = len(self.units)
-        total = 0.0
-        for i in range(1, m + 1):
-            total += self.unit_distortion(i)
-        return total / m if m else 0.0
-
-    def unit_term(self, i: int, coeffs: tuple[float, float], price: float, mu: Sequence[float],
-                  dec: Optional[CrossLayerDecision] = None, measured: Optional[tuple] = None) -> float:
-        """Unit i's term of the relaxed Lagrangian at the dependency coefficients
-        ``coeffs`` (A, S) and the prices, under its decision or under ``dec``
-        with the loss and energy ``measured``."""
-        if dec is None:
-            dec, measured = self.decisions[i - 1], (self.loss[i], self.cost[i])
-        (a_surv, s_weight), (p, w) = coeffs, measured
-        hp, hn = _neighbour_prices(mu, i)
-        distortion = self.units[i - 1].impact * a_surv * p + s_weight * p
-        return (distortion + price * w) / len(self.units) - hp * dec.start + hn * dec.end
+        if self._distortion is None:
+            m = len(self.units)
+            total = 0.0
+            for i in range(1, m + 1):
+                total += self.unit_distortion(i)
+            self._distortion = total / m if m else 0.0
+        return self._distortion
 
     def lagrangian(self, price: float, handoffs: Sequence[float], budget: float) -> float:
         """Distortion plus the priced budget and FIFO violations."""
@@ -524,14 +538,33 @@ def recover_primal(
     their loss through the instance's graph, if it has one, and so does the
     returned distortion.
 
+    Each given decision is valued once (loss and energy), each re-optimized
+    or dropped one once more, and every scaled one once (loss); the energy at
+    scale 1 is the sum of those energies. The dual loop hands over the values
+    its relaxed step already has (``_recover``), so there a unit that passes
+    through is not valued again.
+
     Raises ``ValueError`` on a budget that is NaN, zero or negative.
     """
     if not inst.budget > 0.0:
         raise ValueError(f"budget must be positive, got {inst.budget!r}")
+    handoffs = tuple(handoff_prices) if handoff_prices is not None else (0.0,) * max(inst.num_units - 1, 0)
+    return _recover(inst, decisions, model, price, handoffs)
+
+
+def _recover(
+    inst: Instance,
+    decisions: Sequence[CrossLayerDecision],
+    model: TransmissionModel,
+    price: float,
+    handoffs: Sequence[float],
+    measured: Optional[tuple[Sequence[float], Sequence[float]]] = None,
+) -> tuple[tuple[CrossLayerDecision, ...], float]:
+    """:func:`recover_primal` on a positive budget, with ``measured`` the
+    per-unit (losses, energies) of ``decisions`` when they are known."""
     m = inst.num_units
-    handoffs = list(handoff_prices) if handoff_prices is not None else [0.0] * max(m - 1, 0)
     # holds the final decisions of the units before pos and the given ones after
-    values = _ScheduleValues(inst.units, inst.graph, decisions, model, priced=False)
+    values = _ScheduleValues(inst.units, inst.graph, decisions, model, measured=measured)
     out = values.decisions
     if m == 0:
         return (), 0.0
@@ -549,18 +582,11 @@ def recover_primal(
         hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
         a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(pos, values)
         # a start coefficient hn - min(hn, 0) >= 0 keeps the start at the floor
-        fixed = _solve_unit(
-            unit,
-            model,
-            unit.impact * a_surv / m,
-            s_weight / m,
-            price / m,
-            min(hn, 0.0),
-            hn,
-            floor,
-        ).decision
-        values.set(pos, fixed)
-        prev_end = fixed.end
+        start, end, payload, _ = _unit_kernel(
+            unit, model, unit.impact * a_surv / m, s_weight / m, price / m, min(hn, 0.0), hn, floor
+        )
+        values.set(pos, CrossLayerDecision(start, end, payload))
+        prev_end = end
 
     # budget enforcement: uniform payload scaling, monotone in the scale
     def usage(scale: float) -> float:
@@ -569,12 +595,13 @@ def recover_primal(
             for u, d in zip(inst.units, out)
         ) / m
 
-    if (full := usage(1.0)) > inst.budget:
+    # usage(1.0), summed in its order from the energies already at hand
+    if (full := sum(values.cost[1:]) / m) > inst.budget:
         scale = _largest_scale(usage, inst.budget, full)
-        for i, d in enumerate(out, start=1):
-            values.set(i, CrossLayerDecision(d.start, d.end, scale * d.payload))
+        scaled = [CrossLayerDecision(d.start, d.end, scale * d.payload) for d in out]
+        values = _ScheduleValues(inst.units, inst.graph, scaled, model, priced=False)
 
-    return tuple(out), values.distortion()
+    return tuple(values.decisions), values.distortion()
 
 
 def _recover_primal_grid(
@@ -892,14 +919,19 @@ def _unit_solver(inst: Instance, model: TransmissionModel, opts):
     """``solve(i, price, mu, a_surv=1, s_weight=0)`` for the unit at position
     ``i`` against the budget price and the handoff prices ``mu``, of which it
     reads the two around the unit. Both solvers' relaxed steps go through it.
-    It is the lattice argmin over ``opts``, else the continuous solve, which
-    goes through the module-level ``_solve_unit_dag`` looked up at call time."""
+    It returns a plain (start, end, payload, objective, loss, energy) tuple:
+    the lattice argmin over ``opts`` with the loss and energy of its option
+    row, else the continuous solve, which goes through the module-level
+    ``_solve_unit_dag`` looked up at call time, with its decision valued once
+    by the model's ``loss`` and ``cost``."""
     m = inst.num_units
     if opts is None:
 
         def solve(i, price, mu, a_surv=1.0, s_weight=0.0):
             hp, hn = _neighbour_prices(mu, i)
-            return _solve_unit_dag(inst.units[i - 1], price, hp, hn, m, model, a_surv, s_weight)
+            unit = inst.units[i - 1]
+            x, y, a, obj = _solve_unit_dag(unit, price, hp, hn, m, model, a_surv, s_weight)
+            return x, y, a, obj, model.loss(unit, x, y, a), model.cost(unit, x, y, a)
 
     else:
 
@@ -919,12 +951,17 @@ def _dual_loop(
     """The outer loop of both dual solvers: the price and handoff masters.
 
     Each iteration takes the relaxed step ``relax(k, price, mu)`` ->
-    (decisions, dual value, sweeps), recovers a feasible schedule from its
-    decisions, keeps the best primal and dual values, then moves the budget
-    price and the handoff prices by projected subgradient steps alpha0/k and
-    beta0/k. It stops when the multipliers move by at most ``epsilon`` or the
-    best relative gap reaches ``gap_tol``, when given. On a lattice the best
-    schedule is finally polished by pairwise lattice descent.
+    (decisions, dual value, sweeps, (losses, energies)), the last pair the
+    per-unit loss and energy of the decisions, so that nothing here values a
+    decision again: the price step's usage is the energies summed in unit
+    order (``average_energy``'s sum), and the continuous recovery
+    (``_recover``) takes both and values only the units it moves. It then
+    recovers a feasible schedule from the decisions, keeps the best primal
+    and dual values, and moves the budget price and the handoff prices by
+    projected subgradient steps alpha0/k and beta0/k. It stops when the
+    multipliers move by at most ``epsilon`` or the best relative gap reaches
+    ``gap_tol``, when given. On a lattice the best schedule is finally
+    polished by pairwise lattice descent.
     """
     m = inst.num_units
     price = 0.0
@@ -939,13 +976,11 @@ def _dual_loop(
     memo = None if opts is None else {}
 
     for k in range(1, max_outer + 1):
-        decisions, dual_value, sweeps = relax(k, price, mu)
+        decisions, dual_value, sweeps, measured = relax(k, price, mu)
         inner_total += sweeps
-        avg_usage = average_energy(inst, decisions, model)
+        avg_usage = sum(measured[1]) / m
         if opts is None:
-            primal_decisions, primal_value = recover_primal(
-                inst, decisions, model, price=price, handoff_prices=mu
-            )
+            primal_decisions, primal_value = _recover(inst, decisions, model, price, mu, measured)
         else:
             primal_decisions, primal_value = _recover_primal_grid(
                 inst, decisions, opts, grid, model, price, mu, memo
@@ -1028,9 +1063,9 @@ def solve_independent(
     solve = _unit_solver(inst, model, opts)
 
     def relax(k, price, mu):
-        sols = [solve(i, price, mu) for i in range(1, m + 1)]
-        dual_value = sum(s.objective for s in sols) - price * inst.budget
-        return [s.decision for s in sols], dual_value, 1
+        starts, ends, payloads, objs, losses, energies = zip(*[solve(i, price, mu) for i in range(1, m + 1)])
+        decisions = list(map(CrossLayerDecision, starts, ends, payloads))
+        return decisions, sum(objs) - price * inst.budget, 1, (losses, energies)
 
     return _dual_loop(
         inst, model, relax, opts, grid, epsilon=epsilon, max_outer=max_outer,
@@ -1086,25 +1121,23 @@ def solve_interdependent(
         ]
     else:
         # warm start must live on the lattice or it can survive the sweeps
-        decisions = [solve(i, 0.0, (0.0,) * (m - 1)).decision for i in range(1, m + 1)]
+        decisions = [CrossLayerDecision(*solve(i, 0.0, (0.0,) * (m - 1))[:3]) for i in range(1, m + 1)]
 
     values = _ScheduleValues(inst.units, inst.graph, decisions, model)
+    units, loss, cost, current = inst.units, values.loss, values.cost, values.decisions
 
     def relax(k, price, mu):
         g_prev = values.lagrangian(price, mu, inst.budget)
         for sweep in range(max_inner):
             for i in range(1, m + 1):
-                coeffs = _dag_coeffs(i, values)
-                sol = solve(i, price, mu, *coeffs)
-                cand = sol.decision
-                incumbent = values.unit_term(i, coeffs, price, mu)
-                if opts is None:
-                    measured = values.measure(i, cand)
-                else:  # a lattice candidate's loss and energy are in its option row
-                    _, _, _, loss, cost = opts[i - 1]
-                    measured = float(loss[sol.row]), float(cost[sol.row])
-                if values.unit_term(i, coeffs, price, mu, cand, measured) < incumbent:
-                    values.set(i, cand, measured)
+                a_surv, s_weight = _dag_coeffs(i, values)
+                x, y, a, _, p, w = solve(i, price, mu, a_surv, s_weight)
+                hp, hn = _neighbour_prices(mu, i)
+                impact, inc, p0 = units[i - 1].impact, current[i - 1], loss[i]
+                # the unit's term of the relaxed Lagrangian under the candidate and the incumbent
+                term = (impact * a_surv * p + s_weight * p + price * w) / m - hp * x + hn * y
+                if term < (impact * a_surv * p0 + s_weight * p0 + price * cost[i]) / m - hp * inc.start + hn * inc.end:
+                    values.set(i, CrossLayerDecision(x, y, a), (p, w))
             g_now = values.lagrangian(price, mu, inst.budget)
             if sweep_log is not None:
                 sweep_log.append((k, sweep, g_now))
@@ -1112,7 +1145,7 @@ def solve_interdependent(
             g_prev = g_now
             if settled:
                 break
-        return values.decisions, g_prev, sweep + 1
+        return current, g_prev, sweep + 1, (loss[1:], cost[1:])
 
     return _dual_loop(
         inst, model, relax, opts, grid, epsilon=epsilon, max_outer=max_outer,

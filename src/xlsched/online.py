@@ -446,7 +446,12 @@ class LearnerState:
 
     @classmethod
     def from_json(cls, text: str) -> "LearnerState":
+        """The state ``to_json`` wrote. Raises ``ValueError`` on text that is
+        not a JSON object with these keys, each holding a number (``coeffs``
+        a list of numbers)."""
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"learner state must be a JSON object, got {type(d).__name__}")
         try:
             return cls(
                 price=float(d["price"]),
@@ -458,6 +463,8 @@ class LearnerState:
             )
         except KeyError as exc:
             raise ValueError(f"learner state has no {exc.args[0]!r} key") from exc
+        except TypeError as exc:
+            raise ValueError(f"learner state holds a value of the wrong type: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -581,9 +588,10 @@ def run_online(
     ``impact_mean`` or ``gamma_power`` that is not non-negative and finite, a
     ``gamma0`` outside (0, 1] or an ``end_grid`` below 2 (under every policy),
     a ``budget`` override that is not positive and finite, or a ``resume``
-    state with a non-finite ``avg_cost`` or coefficient or a ``price``,
-    ``cum_energy``, ``backlog`` or ``step`` that is not non-negative and
-    finite. All are checked before any unit is decided.
+    state with a non-finite ``avg_cost`` or coefficient, other than
+    ``feature_order`` coefficients, or a ``price``, ``cum_energy``,
+    ``backlog`` or ``step`` that is not non-negative and finite. All are
+    checked before any unit is decided.
     """
     check_model(model)
     _require_valid(stream.instance)
@@ -612,6 +620,10 @@ def run_online(
                 raise ValueError(f"resume {name} must be non-negative and finite, got {value!r}")
         if not all(map(math.isfinite, (resume.avg_cost, *resume.coeffs))):
             raise ValueError(f"resume avg_cost and coeffs must be finite, got {resume!r}")
+        # another length runs, but not the configured learner: () learns nothing
+        if len(resume.coeffs) != params.feature_order:
+            raise ValueError(f"resume coeffs must hold feature_order = {params.feature_order} values, "
+                             f"got {len(resume.coeffs)}")
     ledger = _PriceLedger(stream, model, params, budget, resume)
     if policy == "mdu":
         return _run_mdu(ledger)

@@ -56,7 +56,7 @@ def reference_solve_cycle_fixed_price(units, graph, price, model, start_floor,
         for _ in range(1 if values is None else 3):
             for i in range(1, m + 1):
                 coeffs = () if values is None else offline._dag_coeffs(i, values)
-                decisions[i - 1] = solve(i, price, mu, *coeffs).decision
+                decisions[i - 1] = CrossLayerDecision(*solve(i, price, mu, *coeffs)[:3])
                 if values is not None:
                     values.set(i, decisions[i - 1])
         new_mu = mu.copy()

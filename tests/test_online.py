@@ -310,6 +310,16 @@ class TestCausalStream:
             self._stream(cycle_len=0)
 
 
+class _Untouched(CausalStream):
+    """A stream whose units and cycles must not be asked for."""
+
+    def observe(self, index):
+        raise AssertionError("a unit was decided")
+
+    def take_cycle(self, cycle):
+        raise AssertionError("a cycle was decided")
+
+
 class TestRunOnline:
     def test_unknown_policy(self):
         stream = CausalStream(_spaced_instance(4), cycle_len=2)
@@ -390,6 +400,17 @@ class TestRunOnline:
     def test_state_json_missing_key_is_a_value_error(self):
         with pytest.raises(ValueError, match="no 'coeffs' key"):
             LearnerState.from_json('{"price": 1}')
+
+    @pytest.mark.parametrize("text", [
+        "[1]", "1", "null", '"state"',
+        '{"price": 1, "coeffs": 1, "step": 0, "backlog": 0, "cum_energy": 0}',
+        '{"price": null, "coeffs": [], "step": 0, "backlog": 0, "cum_energy": 0}',
+        '{"price": 1, "coeffs": [[0.5]], "step": 0, "backlog": 0, "cum_energy": 0}',
+    ])
+    def test_state_json_of_the_wrong_shape_is_a_value_error(self, text):
+        # each raised TypeError before
+        with pytest.raises(ValueError, match="learner state"):
+            LearnerState.from_json(text)
 
     def test_mdu_produces_cycle_rows_without_exposed_impacts(self):
         inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
@@ -511,17 +532,23 @@ class TestRunOnline:
         # proposed send nothing, an infinite cum_energy drove the price to
         # inf, step -1 divided by zero after the first unit, and a negative
         # price was refused only after a unit (under mdu a cycle) was decided
-        class Untouched(CausalStream):
-            def observe(self, index):
-                raise AssertionError("a unit was decided")
-
-            def take_cycle(self, cycle):
-                raise AssertionError("a cycle was decided")
-
-        stream = Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
+        stream = _Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
         state = dataclasses.replace(LearnerState(1.0, (0.0, 0.0, 0.0), 0, 0.0, 0.0), **{field: value})
         with pytest.raises(ValueError, match=f"resume .*{field}"):
             run_online(stream, MODEL, policy, resume=state)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("coeffs", [(), (0.5,), (0.5, 0.0, 0.0, 0.0)])
+    def test_resume_coefficients_of_another_order_are_rejected_before_any_unit(self, policy, coeffs):
+        # () ran proposed without learning, and a longer tuple learned a
+        # value function of another order than feature_order
+        stream = _Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
+        state = LearnerState(1.0, coeffs, 0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"resume coeffs must hold feature_order = 3 values, got {len(coeffs)}"):
+            run_online(stream, MODEL, policy, resume=state)
+        params = dataclasses.replace(OnlineParams(), feature_order=max(len(coeffs), 1))
+        if coeffs:
+            assert run_online(CausalStream(stream.instance, 5), MODEL, policy, params, resume=state).state.step == 10
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_negative_avg_cost_and_coefficients_resume(self, policy):

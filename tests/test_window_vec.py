@@ -145,3 +145,21 @@ def test_grid_refuses_a_float_count_like_linspace(n):
         np.linspace(0.0, 1.0, n)
     with pytest.raises(TypeError):
         _grid(0.0, 1.0, n)
+
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", MODELS, ids=["uncapped", "cap0.5", "cap50"])
+@pytest.mark.parametrize("lw,ew", [(80.0, 1.5), (80.0, 0.0), (1e-300, 1e300)])
+def test_subnormal_taus_warn_nothing(model, lw, ew):
+    # such taus overflow energy_cap*channel/(noise*tau) and bit_unit/span;
+    # the infinities are the values, so the results stay the reference's
+    unit = DataUnit(index=1, impact=50.0, size=10.0, ready=0.0, deadline=0.05, decay=0.5, channel=1.3)
+    taus = np.array([5e-324, 1e-320, 1e-315, 1e-310, 2e-308, 0.02])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference_window_vec(model, unit, taus, lw, ew)
+    for g, r in zip(model.window_vec(unit, taus, lw, ew), ref):
+        assert _same(g, r)
+    for i, tau in enumerate(taus):
+        for g, r in zip(model.window_vec(unit, np.array(tau), lw, ew), ref):
+            assert _same(g, r[i])
