@@ -52,14 +52,6 @@ EXP_CLAMP = 1023.0
 _LN2 = math.log(2.0)
 
 
-def _exp2(z: float) -> float:
-    if z > EXP_CLAMP:
-        z = EXP_CLAMP
-    elif z < -EXP_CLAMP:
-        z = -EXP_CLAMP
-    return 2.0 ** z
-
-
 @dataclass(frozen=True)
 class ShannonEnergyParams:
     """Parameters of the Shannon-gap energy curve.
@@ -94,11 +86,13 @@ def energy_cost(params: ShannonEnergyParams, channel: float, start: float, end: 
     otherwise; the infinity is the sentinel all optimizers treat as "never
     selectable".
     """
-    if payload < 0:
+    # float zeros and the exponent clamp spelled out: the recovery's budget search
+    # calls this about a hundred times per solve and outer iteration
+    if payload < 0.0:
         raise ValueError(f"payload must be nonnegative, got {payload}")
     if end < start:
         raise ValueError(f"window end {end} precedes start {start}")
-    if channel <= 0:
+    if channel <= 0.0:
         raise ValueError(f"channel gain must be positive, got {channel}")
     tau = end - start
     if tau == 0.0:
@@ -106,7 +100,8 @@ def energy_cost(params: ShannonEnergyParams, channel: float, start: float, end: 
     z = payload * params.bit_unit / (tau * params.bandwidth_hz)
     # multiply the small factors first; a clamped exponential times noise/channel
     # can overflow even though the full product is representable
-    val = (params.noise / channel) * tau * (_exp2(z) - 1.0)
+    e2z = 2.0 ** (EXP_CLAMP if z > EXP_CLAMP else -EXP_CLAMP if z < -EXP_CLAMP else z)
+    val = (params.noise / channel) * tau * (e2z - 1.0)
     if math.isinf(val):
         val = 2.0 ** EXP_CLAMP
     return val
@@ -118,12 +113,12 @@ def loss_fraction(decay: float, size: float, payload: float) -> float:
     Exponential in the transmitted payload, saturating at the full size:
     sending more than ``size`` buys nothing.
     """
-    if payload < 0:
+    # float zeros, min, max and the exponent clamp spelled out as comparisons:
+    # the calls took about two thirds of its time
+    if payload < 0.0:
         raise ValueError(f"payload must be nonnegative, got {payload}")
-    if decay <= 0 or size <= 0:
+    if decay <= 0.0 or size <= 0.0:
         raise ValueError(f"decay and size must be positive, got {decay}, {size}")
-    # min, max and _exp2's clamp spelled out as the same comparisons: the
-    # calls took about two thirds of its time
     z = -decay * (size if size < payload else payload)
     p = 2.0 ** (EXP_CLAMP if z > EXP_CLAMP else -EXP_CLAMP if z < -EXP_CLAMP else z)
     p = 0.0 if 0.0 > p else p
@@ -247,7 +242,7 @@ class ShannonExpModel:
         cap_gain = None if cap is None else cap * channel
         cap_pull = -loss_weight * decay * _LN2
 
-        # runs once per tau: min, max and _exp2's clamp are spelled out as the
+        # runs once per tau: min, max and the exponent clamp are spelled out as the
         # same comparisons, since calls to them took about a third of its time
         def window(tau: float) -> tuple[float, float, float]:
             if tau <= 0.0:

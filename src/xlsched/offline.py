@@ -588,15 +588,14 @@ def _recover(
         values.set(pos, CrossLayerDecision(start, end, payload))
         prev_end = end
 
-    # budget enforcement: uniform payload scaling, monotone in the scale
-    def usage(scale: float) -> float:
-        return sum(
-            model.cost(u, d.start, d.end, scale * d.payload)
-            for u, d in zip(inst.units, out)
-        ) / m
-
-    # usage(1.0), summed in its order from the energies already at hand
+    # budget enforcement: uniform payload scaling, monotone in the scale; the
+    # average energy at scale 1 is the sum of the energies already at hand
     if (full := sum(values.cost[1:]) / m) > inst.budget:
+        cost, rows = model.cost, [(u, d.start, d.end, d.payload) for u, d in zip(inst.units, out)]
+
+        def usage(scale: float) -> float:
+            return sum([cost(u, start, end, scale * payload) for u, start, end, payload in rows]) / m
+
         scale = _largest_scale(usage, inst.budget, full)
         scaled = [CrossLayerDecision(d.start, d.end, scale * d.payload) for d in out]
         values = _ScheduleValues(inst.units, inst.graph, scaled, model, priced=False)
