@@ -319,10 +319,18 @@ class ShannonExpModel:
 
         It runs twice per online decision on a few hundred taus, and once per
         unit of an ``mdu`` cycle on a table of (link-free time, end) pairs, so
-        it is whole-array ufunc arithmetic: ``safe`` stands in for the taus
-        that are not positive, one ``where`` zeroes their payload, and the
-        clamps that cannot bind (the loss exponent is never positive, the
-        energy exponent never negative) are left out.
+        it is whole-array ufunc arithmetic, and on such arrays its time goes
+        mostly to the number of numpy calls: ``safe`` stands in for the taus
+        that are not positive, one ``where`` zeroes their payload, and only
+        clamps that can bind are applied. The energy exponent keeps its
+        upper clamp (a subnormal span sends it past ``EXP_CLAMP``); its lower
+        one and the loss exponent's upper one never bind, since payloads lie
+        in [0, size]. The cap ``a_cap`` is never negative, so it needs no
+        lower clamp. The loss exponent's lower clamp is applied only when
+        ``decay * size`` exceeds ``EXP_CLAMP``, and the payload's lower clamp
+        only when ``log2(ratio)`` is not positive: otherwise the stationary
+        point is never negative. An infinite energy is read as ``2**EXP_CLAMP``;
+        one max test finds that none is there (a NaN also takes the ``where``).
         """
         p = self.params
         taus = np.asarray(taus, dtype=float)
@@ -337,23 +345,29 @@ class ShannonExpModel:
             if not loss_weight <= 0.0:
                 upper = float(unit.size)
                 if p.energy_cap is not None:
+                    # span and the log2 of 1 plus a positive are not negative, so
+                    # neither is a_cap; a NaN would pass a max with 0 unchanged
                     a_cap = span / p.bit_unit * np.log2(1.0 + p.energy_cap * unit.channel / (p.noise * safe))
-                    upper = np.minimum(upper, np.maximum(a_cap, 0.0))
+                    upper = np.minimum(upper, a_cap)
                 if energy_weight <= 0.0:
                     payload = upper
                 else:
                     ratio = loss_weight * unit.decay * unit.channel * p.bandwidth_hz / (energy_weight * p.noise * p.bit_unit)
                     if not ratio <= 0.0:
-                        a = math.log2(ratio) / (unit.decay + p.bit_unit / span)
+                        log_ratio = math.log2(ratio)
+                        a = log_ratio / (unit.decay + p.bit_unit / span)
+                        # a positive over a positive is not negative; otherwise
                         # not np.clip: with a scalar bound it keeps a = -0.0 (a
                         # tau near 1e-300), which np.maximum turns into +0.0
-                        payload = np.minimum(np.maximum(a, 0.0), upper)
+                        payload = np.minimum(a if log_ratio > 0.0 else np.maximum(a, 0.0), upper)
             payloads = np.where(pos, payload, 0.0)
 
             # payloads lie in [0, size], so the exponent is in [-decay*size, 0]
-            loss = np.exp2(np.maximum(-unit.decay * payloads, -EXP_CLAMP))
+            z = -unit.decay * payloads
+            loss = np.exp2(z if unit.decay * unit.size <= EXP_CLAMP else np.maximum(z, -EXP_CLAMP))
             vals = (p.noise / unit.channel) * safe * (np.exp2(np.minimum(payloads * p.bit_unit / span, EXP_CLAMP)) - 1.0)
-            energy = np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
+            # vals are not negative, so a max below inf rules out inf and NaN
+            energy = vals if vals.size and vals.max() < math.inf else np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
         return payloads, loss, energy
 
 

@@ -90,9 +90,10 @@ class ValueModel:
 
 
 def _value_vec(coeffs: Sequence[float], s: np.ndarray) -> np.ndarray:
-    # the scalar starts broadcast like np.zeros_like and np.ones_like would
-    out, term = 0.0, 1.0
-    for k, r in enumerate(coeffs, start=1):
+    # the first feature is s itself; adding 0.0 turns a first term of -0.0
+    # into +0.0, as a sum from zero (ValueModel.value's too) does
+    out, term = coeffs[0] * s + 0.0, s
+    for k, r in enumerate(coeffs[1:], start=2):
         term = term * s / k
         out = out + r * term
     return out
@@ -685,11 +686,17 @@ _CYCLE_ENDS = 51
 _DAG_PASSES = 3
 
 
-def _block_graph(graph: Optional[DependencyGraph], lo: int, hi: int) -> Optional[DependencyGraph]:
-    """The edges of ``graph`` among units ``lo..hi``, renumbered from 1; None if there are none."""
-    edges = () if graph is None else tuple(
-        (i - lo + 1, j - lo + 1) for i, j in graph.edges if lo <= i <= hi and lo <= j <= hi)
-    return DependencyGraph(num_nodes=hi - lo + 1, edges=edges) if edges else None
+def _cycle_edges(graph: Optional[DependencyGraph], cycle_len: int) -> dict[int, list[tuple[int, int]]]:
+    """The edges of ``graph`` between units of one cycle of ``cycle_len``
+    units, by cycle, renumbered from 1 within it and in the graph's order;
+    cycles without such edges are left out. One pass over the edges serves a
+    whole run."""
+    blocks: dict[int, list[tuple[int, int]]] = {}
+    for i, j in () if graph is None else graph.edges:
+        c = (i - 1) // cycle_len
+        if (j - 1) // cycle_len == c:
+            blocks.setdefault(c + 1, []).append((i - c * cycle_len, j - c * cycle_len))
+    return blocks
 
 
 def _cycle_dp(units: Sequence[DataUnit], weights: Sequence[float], price: float, model: TransmissionModel,
@@ -705,33 +712,47 @@ def _cycle_dp(units: Sequence[DataUnit], weights: Sequence[float], price: float,
     the deadline if that has passed), and a state free no earlier than another
     at no lower cost is pruned, so the last state kept is the optimum. Returns
     the decisions and the time the link becomes free after them.
+
+    A unit's candidates are its live states, which keep their time (sending
+    nothing), then its ends, each reached from the state of least cost (the
+    row argmin of the value table). Only their times and costs are
+    concatenated and pruned; the unit keeps its first live state, starts,
+    idle times, ends, row argmins, payload table and kept indices, and the
+    backtrack resolves the parent, window and payload of the one candidate
+    it picks per unit.
     """
     times, costs, steps = np.array([floor]), np.array([0.0]), []
     for unit, w in zip(units, weights):
         # ready times do not decrease, so of the states free by this ready
         # time the last, cheapest one stands for all, for every later unit too
-        live = np.arange(max(int(times.searchsorted(unit.ready, "right")) - 1, 0), len(times))
-        starts, base = np.maximum(times[live], unit.ready), costs[live]
-        idle = np.minimum(starts, unit.deadline)
-        parts = [(starts, base + w, live, idle, idle, np.zeros(len(live)))]
+        first = max(int(times.searchsorted(unit.ready, "right")) - 1, 0)
+        starts, base = np.maximum(times[first:], unit.ready), costs[first:]
+        t, c, ends, rows, payloads = starts, base + w, None, None, None
         lo = max(unit.ready, floor)
         if lo < unit.deadline:
             ends = _grid(lo, unit.deadline, points)
             taus = ends - starts[:, None]
             payloads, loss, energy = model.window_vec(unit, taus, w, price)
             vals = base[:, None] + (w * loss + price * energy)
-            vals[taus <= 0.0] = math.inf
-            best, cols = vals.argmin(axis=0), np.arange(len(ends))
-            parts.append((ends, vals[best, cols], live[best], starts[best], ends, payloads[best, cols]))
-        t, c, parent, start, end, payload = (np.concatenate(x) for x in zip(*parts))
+            np.putmask(vals, taus <= 0.0, math.inf)
+            rows = vals.argmin(axis=0)
+            t, c = np.concatenate((t, ends)), np.concatenate((c, vals.min(axis=0)))
         order = np.lexsort((c, t))
-        keep = order[c[order] < np.minimum.accumulate(np.concatenate(([math.inf], c[order][:-1])))]
+        ordered = c[order]
+        keep = order[ordered < np.minimum.accumulate(np.concatenate(((math.inf,), ordered[:-1])))]
         times, costs = t[keep], c[keep]
-        steps.append((parent[keep], start[keep], end[keep], payload[keep]))
+        steps.append((first, starts, np.minimum(starts, unit.deadline), ends, rows, payloads, keep))
     decisions, state = [], len(times) - 1
-    for parent, start, end, payload in reversed(steps):
-        decisions.append(CrossLayerDecision(float(start[state]), float(end[state]), float(payload[state])))
-        state = parent[state]
+    for first, starts, idle, ends, rows, payloads, keep in reversed(steps):
+        j = int(keep[state])
+        if j < len(starts):
+            decisions.append(CrossLayerDecision(float(idle[j]), float(idle[j]), 0.0))
+            state = first + j
+        else:
+            j -= len(starts)
+            row = int(rows[j])
+            decisions.append(CrossLayerDecision(float(starts[row]), float(ends[j]), float(payloads[row, j])))
+            state = first + row
     return tuple(reversed(decisions)), float(times[-1])
 
 
@@ -764,10 +785,10 @@ def _run_mdu(ledger: _PriceLedger) -> RunResult:
     """Solve each cycle at the ledger's price, then book its units; the next
     cycle starts no earlier than the time this one leaves the link free."""
     stream, model = ledger.stream, ledger.model
-    free = -math.inf
+    free, edges = -math.inf, _cycle_edges(stream.graph, stream.cycle_len)
     for c in range(1, stream.num_cycles + 1):
         units = stream.take_cycle(c)
-        block = _block_graph(stream.graph, *stream.cycle_bounds(units[0].index))
+        block = DependencyGraph(num_nodes=len(units), edges=tuple(edges[c])) if c in edges else None
         cycle_dec, free = _solve_cycle_fixed_price(units, block, ledger.price, model, free)
         for unit, dec in zip(units, cycle_dec):
             dropped = dec.window == 0.0 and dec.payload == 0.0 and unit.lifetime > 0.0

@@ -70,6 +70,52 @@ def reference_solve_cycle_fixed_price(units, graph, price, model, start_floor,
     return realized
 
 
+def reference_cycle_dp(units, weights, price, model, floor, points=online._CYCLE_ENDS):
+    """``online._cycle_dp`` before it backtracked by index: each unit's
+    candidates (skip and window parts) are gathered and concatenated whole,
+    parent, start, end and payload columns included, and the backtrack reads
+    them by state."""
+    times, costs, steps = np.array([floor]), np.array([0.0]), []
+    for unit, w in zip(units, weights):
+        live = np.arange(max(int(times.searchsorted(unit.ready, "right")) - 1, 0), len(times))
+        starts, base = np.maximum(times[live], unit.ready), costs[live]
+        idle = np.minimum(starts, unit.deadline)
+        parts = [(starts, base + w, live, idle, idle, np.zeros(len(live)))]
+        lo = max(unit.ready, floor)
+        if lo < unit.deadline:
+            ends = online._grid(lo, unit.deadline, points)
+            taus = ends - starts[:, None]
+            payloads, loss, energy = model.window_vec(unit, taus, w, price)
+            vals = base[:, None] + (w * loss + price * energy)
+            vals[taus <= 0.0] = math.inf
+            best, cols = vals.argmin(axis=0), np.arange(len(ends))
+            parts.append((ends, vals[best, cols], live[best], starts[best], ends, payloads[best, cols]))
+        t, c, parent, start, end, payload = (np.concatenate(x) for x in zip(*parts))
+        order = np.lexsort((c, t))
+        keep = order[c[order] < np.minimum.accumulate(np.concatenate(([math.inf], c[order][:-1])))]
+        times, costs = t[keep], c[keep]
+        steps.append((parent[keep], start[keep], end[keep], payload[keep]))
+    decisions, state = [], len(times) - 1
+    for parent, start, end, payload in reversed(steps):
+        decisions.append(CrossLayerDecision(float(start[state]), float(end[state]), float(payload[state])))
+        state = parent[state]
+    return tuple(reversed(decisions)), float(times[-1])
+
+
+def reference_block_graph(graph, lo, hi):
+    """The block graph of units ``lo..hi`` as ``_run_mdu`` built it before it
+    grouped the edges by cycle: a scan of every edge of the graph."""
+    edges = () if graph is None else tuple(
+        (i - lo + 1, j - lo + 1) for i, j in graph.edges if lo <= i <= hi and lo <= j <= hi)
+    return DependencyGraph(num_nodes=hi - lo + 1, edges=edges) if edges else None
+
+
+def _bits(result):
+    """A DP result as hex strings: equal only when every float is the same bits."""
+    decisions, free = result
+    return [tuple(float.hex(x) for x in (d.start, d.end, d.payload)) for d in decisions], float.hex(free)
+
+
 def _cycle_lagrangian(units, graph, decisions, price):
     """Distortion through the graph plus the priced energy, over one cycle."""
     values = offline._ScheduleValues(units, graph, decisions, MODEL)
@@ -81,10 +127,10 @@ def _cycle_pairs(inst, cycle_len):
     the reference solve, which the price ledger books as ``mdu`` books."""
     stream = CausalStream(inst, cycle_len=cycle_len, expose_cycle_impacts=inst.graph is not None)
     ledger = online._PriceLedger(stream, MODEL, CFG.learner, inst.budget, None)
-    floor, pairs = -math.inf, []
+    floor, pairs, edges = -math.inf, [], online._cycle_edges(inst.graph, cycle_len)
     for c in range(1, stream.num_cycles + 1):
         units = stream.take_cycle(c)
-        block = online._block_graph(inst.graph, *stream.cycle_bounds(units[0].index))
+        block = DependencyGraph(len(units), tuple(edges[c])) if c in edges else None
         ref = reference_solve_cycle_fixed_price(units, block, ledger.price, MODEL, floor)
         dp, _ = online._solve_cycle_fixed_price(units, block, ledger.price, MODEL, floor)
         pairs.append((_cycle_lagrangian(units, block, ref, ledger.price),
@@ -216,3 +262,68 @@ def test_cycle_lagrangian_is_no_worse_than_the_reference_loop(name):
           f"(mean {np.mean(excess):+.3%}, worst cycle {max(excess):+.4%})")
     assert dp_total < ref_total
     assert max(excess) <= worst_excess
+
+
+def _random_cycle(rng):
+    """A cycle, its weights, a price and a floor, drawn to reach the DP's corners:
+    capped and uncapped models, floors from -inf to past the deadlines, prices
+    from 0 to 5, zero weights, units with ready == deadline and runs of expired
+    units that collapse the states to one."""
+    m = int(rng.integers(1, 9))
+    units, ready = [], float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+    for i in range(1, m + 1):
+        ready += float(rng.choice([0.0, rng.exponential(0.01), rng.exponential(0.03)]))
+        life = float(rng.choice([0.0, 0.0, rng.uniform(0.0, 0.01), rng.uniform(0.01, 0.08), 0.05]))
+        units.append(DataUnit(i, float(rng.uniform(1.0, 150.0)), float(rng.choice([10.0, rng.uniform(0.5, 40.0)])),
+                              ready, ready + life, float(10.0 ** rng.uniform(-1.0, 0.5)),
+                              float(10.0 ** rng.uniform(-1.0, 0.5))))
+    weights = [u.impact * float(rng.choice([0.0, 0.01, 1.0, 1.5, rng.uniform(0.0, 2.0)]))
+               + float(rng.choice([0.0, rng.uniform(0.0, 50.0)])) for u in units]
+    price = float(rng.choice([0.0, 0.01, 0.3, 1.0, 5.0, rng.uniform(0.0, 5.0)]))
+    last = units[-1].deadline
+    floor = float(rng.choice([-math.inf, units[0].ready - 0.01, units[0].ready, rng.uniform(units[0].ready, last + 0.01),
+                              last, last + 0.05]))
+    cap = rng.choice([None, 0.5, 50.0])
+    model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=None if cap is None else float(cap)))
+    return units, weights, price, model, floor, int(rng.choice([online._CYCLE_ENDS, 2, 3, 7]))
+
+
+def test_dp_matches_the_gathering_dp_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    collapsed = sent = 0
+    for _ in range(400):
+        units, weights, price, model, floor, points = _random_cycle(rng)
+        got = online._cycle_dp(units, weights, price, model, floor, points)
+        assert _bits(got) == _bits(reference_cycle_dp(units, weights, price, model, floor, points)), (
+            units, weights, price, model.params.energy_cap, floor, points)
+        collapsed += all(d.payload == 0.0 for d in got[0])
+        sent += any(d.payload > 0.0 for d in got[0])
+    # the draws reach both all-idle cycles and sending ones
+    assert collapsed > 20 and sent > 200
+
+
+def test_dp_matches_the_gathering_dp_on_a_whole_trace():
+    units = generate_trace(TraceParams(seed=3, num_dus=1000, budget=10.0)).units
+    for weights, price in [([u.impact for u in units], 1.0), ([0.0 if i % 7 == 0 else u.impact for i, u in enumerate(units)], 0.2)]:
+        got = online._cycle_dp(units, weights, price, MODEL, -math.inf)
+        assert _bits(got) == _bits(reference_cycle_dp(units, weights, price, MODEL, -math.inf))
+
+
+@pytest.mark.parametrize("cycle_len", [1, 3, 5, 7, 10, 150])
+@pytest.mark.parametrize("kind", ["ibpbp", "random"])
+def test_cycle_edges_match_the_per_cycle_scan(cycle_len, kind):
+    # the same edges in the same order, so relatives and every product read
+    # through them stay bit-identical
+    stream = CausalStream(_mdu_dag_input(1), cycle_len=cycle_len)
+    # the graph's own cycles (5 or 10 units) need not be the stream's
+    graph = generate_dag(kind, stream.num_units, 5 if kind == "ibpbp" else 10, seed=4, edge_prob=0.5)
+    # generate_dag lists its edges sorted; shuffled, the order is the graph's own
+    order = np.random.default_rng(cycle_len).permutation(len(graph.edges))
+    graph = DependencyGraph(graph.num_nodes, tuple(graph.edges[k] for k in order))
+    edges = online._cycle_edges(graph, cycle_len)
+    assert set(edges) <= set(range(1, stream.num_cycles + 1))
+    for c in range(1, stream.num_cycles + 1):
+        lo, hi = stream.cycle_bounds((c - 1) * cycle_len + 1)
+        ref = reference_block_graph(graph, lo, hi)
+        assert (ref.edges if ref is not None else None) == (tuple(edges[c]) if c in edges else None)
+    assert online._cycle_edges(None, cycle_len) == {}

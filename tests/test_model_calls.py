@@ -1,20 +1,26 @@
-"""How often one continuous outer iteration of the dual solvers asks the
-model for a value: each decision is valued once where it is made, and the
-outer loop, the price step and the recovery reuse those values.
+"""How often the solvers ask the model for a value. In one continuous outer
+iteration of the dual solvers each decision is valued once where it is made,
+and the outer loop, the price step and the recovery reuse those values. An
+online decision values its end grid and its refinement grid, one
+``window_vec`` call each, and an ``mdu`` cycle DP one call per unit.
 
-The counts are pinned on one fixed 10-unit trace, so a change that values a
-decision twice again fails here even while every number stays the same.
+The counts are pinned on fixed 10-unit traces, so a change that values a
+decision or a window twice again fails here even while every number stays
+the same.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 
 from xlsched import (
+    CausalStream,
     Instance,
     ShannonExpModel,
     TraceParams,
     generate_dag,
     generate_trace,
+    online,
+    run_online,
     solve_independent,
     solve_interdependent,
 )
@@ -38,6 +44,10 @@ class CountingModel(ShannonExpModel):
     def window_fn(self, unit, loss_weight, energy_weight):
         self.calls["window_fn"] += 1
         return super().window_fn(unit, loss_weight, energy_weight)
+
+    def window_vec(self, unit, taus, loss_weight, energy_weight):
+        self.calls["window_vec"] += 1
+        return super().window_vec(unit, taus, loss_weight, energy_weight)
 
 
 INST = generate_trace(TraceParams(seed=11, num_dus=10, budget=10.0))
@@ -65,3 +75,42 @@ def test_one_interdependent_iteration_values_each_decision_once():
     # iteration took 47 losses and 120 costs
     calls = _calls(solve_interdependent, DAG, max_inner=1)
     assert calls == {"window_fn": 17, "loss": 10 + 10 + 7 + 10, "cost": 10 + 10 + 7 + 80}
+
+
+# two I-B-P-B-P cycles; every unit's window is open past the previous cycle
+TWO_CYCLES = Instance(generate_trace(TraceParams(seed=12, num_dus=10, budget=10.0)).units, 10.0,
+                  generate_dag("ibpbp", 10, 5, seed=12, edge_prob=0.5))
+
+
+def _online_calls(policy, monkeypatch):
+    """The model calls of one run and the cycle DP's passes, by first unit."""
+    model, passes = CountingModel(params=default_config().model), Counter()
+    dp = online._cycle_dp
+
+    def counted_dp(units, *args, **kwargs):
+        passes[units[0].index] += 1
+        return dp(units, *args, **kwargs)
+
+    monkeypatch.setattr(online, "_cycle_dp", counted_dp)
+    run_online(CausalStream(TWO_CYCLES, cycle_len=5, expose_cycle_impacts=True), model, policy)
+    return dict(model.calls), dict(passes)
+
+
+def test_mdu_values_each_unit_once_per_dp_pass(monkeypatch):
+    # cycle 1 runs the graph-free DP and all three weighted passes; in cycle 2
+    # the first weighted pass returns the same schedule, which ends the passes
+    calls, passes = _online_calls("mdu", monkeypatch)
+    assert passes == {1: 4, 6: 2}
+    assert calls["window_vec"] == 5 * sum(passes.values()) == 30
+    # each of the 5 distinct schedules is valued once for its Lagrangian (loss
+    # and cost per unit); booking costs each unit and the rows value its loss
+    assert calls == {"window_vec": 30, "loss": 5 * 5 + 10, "cost": 5 * 5 + 10}
+
+
+def test_each_online_decision_values_two_grids(monkeypatch):
+    # the end grid and the refinement between the best end's neighbours, and
+    # the scalar loss of the chosen decision, which the per-cycle rows value
+    # again; no unit of this stream is dropped
+    for policy in ("proposed", "myopic"):
+        calls, passes = _online_calls(policy, monkeypatch)
+        assert calls == {"window_vec": 2 * 10, "loss": 10 + 10} and passes == {}

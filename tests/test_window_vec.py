@@ -8,6 +8,7 @@ import pytest
 
 from xlsched import DataUnit, ShannonEnergyParams, ShannonExpModel
 from xlsched.models import EXP_CLAMP
+from xlsched import online
 from xlsched.online import _grid
 
 
@@ -163,3 +164,121 @@ def test_subnormal_taus_warn_nothing(model, lw, ew):
     for i, tau in enumerate(taus):
         for g, r in zip(model.window_vec(unit, np.array(tau), lw, ew), ref):
             assert _same(g, r[i])
+
+
+# -- the clamps window_vec leaves out or guards, each where it would bind -------------
+
+def _check_against_reference(model, unit, taus, lw, ew):
+    """``window_vec`` and the reference on ``taus``, as arrays and one 0-d tau at a
+    time, bit for bit; returns the reference's arrays."""
+    taus = np.asarray(taus, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ref = reference_window_vec(model, unit, taus, lw, ew)
+        for g, r in zip(model.window_vec(unit, taus, lw, ew), ref):
+            assert _same(g, r), (unit, taus.tolist(), lw, ew)
+        for i, tau in enumerate(taus.ravel()):
+            for g, r in zip(model.window_vec(unit, np.array(tau), lw, ew), ref):
+                assert _same(g, r.ravel()[i]), (unit, tau, lw, ew)
+    return ref
+
+
+TAUS = np.array([5e-324, 1e-310, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 1.0, 1e6])
+
+
+@pytest.mark.parametrize("model", MODELS, ids=["uncapped", "cap0.5", "cap50"])
+def test_loss_exponent_beyond_the_clamp(model):
+    # decay*size = 1200 > EXP_CLAMP: an unpriced payload at the size (or near it)
+    # sends the loss exponent below -EXP_CLAMP, where the clamp gives 2**-1023
+    unit = DataUnit(index=1, impact=50.0, size=40.0, ready=0.0, deadline=0.05, decay=30.0, channel=1.3)
+    assert unit.decay * unit.size > EXP_CLAMP
+    bound = 0
+    for lw, ew in [(80.0, 0.0), (80.0, 1e-12), (80.0, 1.5), (1e300, 1e-300)]:
+        _, loss, _ = _check_against_reference(model, unit, TAUS, lw, ew)
+        bound += int((loss == 2.0 ** -EXP_CLAMP).sum())
+    if model.params.energy_cap is None:
+        assert bound > 0
+
+
+@pytest.mark.parametrize("model", MODELS, ids=["uncapped", "cap0.5", "cap50"])
+@pytest.mark.parametrize("lw,side", [(1.0, "below"), (2.0, "equal"), (4.0, "above")])
+def test_payload_clamp_on_each_side_of_ratio_one(model, lw, side):
+    # with the default parameters ratio = lw*decay*channel/ew, exactly 0.5, 1 and 2
+    unit = DataUnit(index=1, impact=50.0, size=10.0, ready=0.0, deadline=0.05, decay=0.5, channel=1.0)
+    p = model.params
+    ratio = lw * unit.decay * unit.channel * p.bandwidth_hz / (1.0 * p.noise * p.bit_unit)
+    assert ratio == {"below": 0.5, "equal": 1.0, "above": 2.0}[side]
+    taus = np.concatenate((TAUS, [0.0, -1.0, math.nan]))
+    payloads, _, _ = _check_against_reference(model, unit, taus, lw, 1.0)
+    if side == "above":
+        # a positive over a positive: +0.0 only where it underflows (tau 5e-324)
+        assert (payloads[1:len(TAUS)] > 0.0).all() and not np.signbit(payloads).any()
+    else:
+        # log2(ratio) <= 0: every stationary point is -0.0 or below, clamped to +0.0
+        assert payloads.tolist() == [0.0] * len(taus) and not np.signbit(payloads).any()
+
+
+def test_energy_that_overflows_to_inf_reads_the_clamp():
+    # bandwidth 1 and bit_unit 1: size/tau puts the exponent at the clamp, and
+    # (noise/channel)*tau*2**1023 overflows for tau = 1e-3 and above
+    model = ShannonExpModel(params=ShannonEnergyParams(noise=200.0, bandwidth_hz=1.0, bit_unit=1.0))
+    unit = DataUnit(index=1, impact=50.0, size=1e4, ready=0.0, deadline=0.05, decay=1e-3, channel=0.01)
+    taus = np.array([1e-6, 1e-3, 0.01, 0.05])
+    for lw, ew in [(80.0, 0.0), (1e300, 1e-300)]:
+        _, _, energy = _check_against_reference(model, unit, taus, lw, ew)
+        assert (energy == 2.0 ** EXP_CLAMP).any()
+    # a NaN weight makes NaN energies, which the fallback keeps as they are
+    _, _, energy = _check_against_reference(model, unit, taus, math.nan, 1.0)
+    assert np.isnan(energy).all()
+
+
+def test_finite_energy_above_the_clamp_is_kept():
+    # (noise/channel)*tau*(2**1023 - 1) with noise = channel = 1 and tau = 1.5 is
+    # 1.35e308: finite, above 2**EXP_CLAMP, and not replaced by it
+    model = ShannonExpModel(params=ShannonEnergyParams(noise=1.0, bandwidth_hz=1.0, bit_unit=1.0))
+    unit = DataUnit(index=1, impact=50.0, size=1e4, ready=0.0, deadline=2.0, decay=1e-3, channel=1.0)
+    _, _, energy = _check_against_reference(model, unit, np.array([0.5, 1.5, 1.9]), 80.0, 0.0)
+    assert energy[1] > 2.0 ** EXP_CLAMP and np.isfinite(energy).all()
+
+
+@pytest.mark.parametrize("model", MODELS, ids=["uncapped", "cap0.5", "cap50"])
+@pytest.mark.parametrize("taus", [
+    np.array([math.nan, 0.02, math.nan]),
+    np.array([5e-324, 1e-320, 2e-308, 0.02]),
+    np.array([]),
+    np.empty((0, 51)),
+    np.empty((3, 0)),
+], ids=["nan", "subnormal", "empty", "empty-rows", "empty-cols"])
+@pytest.mark.parametrize("lw,ew", [(80.0, 1.5), (80.0, 0.0), (1.0, 1.0), (1e-300, 1e300)])
+def test_nan_subnormal_and_empty_taus(model, taus, lw, ew):
+    unit = DataUnit(index=1, impact=50.0, size=40.0, ready=0.0, deadline=0.05, decay=30.0, channel=1.3)
+    _check_against_reference(model, unit, taus, lw, ew)
+
+
+# -- the value term of the online objective --------------------------------------
+
+def reference_value_vec(coeffs, s):
+    """``online._value_vec`` before it started from its first term: the sum from
+    0.0 of r_k * s^k / k!, each power built from 1.0."""
+    out, term = 0.0, 1.0
+    for k, r in enumerate(coeffs, start=1):
+        term = term * s / k
+        out = out + r * term
+    return out
+
+
+def test_value_vec_matches_the_loop_it_replaced():
+    rng = np.random.default_rng(23)
+    special = [0.0, -0.0, -1.0, 1.0, -1e300, 5e-324, -5e-324, 1e-300]
+    backlogs = np.concatenate(([0.0, 0.0, 5e-324, 1e-300, 1e-3, 0.02, 1.0, 7.5, 1e100, math.inf, math.nan],
+                               np.maximum(rng.uniform(-0.05, 0.1, size=40), 0.0)))
+    for _ in range(2000):
+        n = int(rng.integers(1, 5))
+        coeffs = tuple(float(rng.choice(special)) if rng.random() < 0.3 else float(rng.normal(0.0, 10.0 ** rng.uniform(-3, 3)))
+                       for _ in range(n))
+        s = backlogs[rng.permutation(len(backlogs))[:int(rng.integers(1, 20))]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = online._value_vec(coeffs, s), reference_value_vec(coeffs, s)
+        assert _same(got, ref), (coeffs, s.tolist())
+    # a negative first coefficient at backlog 0 makes -0.0, which the sum from 0.0 made +0.0
+    got = online._value_vec((-1.0,), np.array([0.0, 0.5]))
+    assert _same(got, [0.0, -0.5]) and not np.signbit(got[0])
