@@ -154,9 +154,9 @@ def run_online_sweep(
     name: str,
     dag_kind: str,
     out: Path,
-    seeds: Optional[Sequence[int]] = None,
 ) -> list[Path]:
-    """Policy x budget x seed grid: per-cell cycle CSVs plus a summary.
+    """Policy x budget x seed grid over the plan's seeds: per-cell cycle CSVs
+    plus a summary.
 
     The summary holds the per-(budget, policy) mean over seeds of the
     steady-state distortion reduction. A ``steady_start`` past the last
@@ -166,14 +166,12 @@ def run_online_sweep(
     if plan.steady_start > plan.cycles:
         raise ValueError(f"no cycles at or after {plan.steady_start} (the plan runs {plan.cycles})")
     tag = config_hash(cfg)
-    if seeds is None:
-        seeds = plan.seeds
     written = []
     summary = []
     for w in plan.w_sweep:
         for policy in plan.policies:
             per_seed = []
-            for seed in seeds:
+            for seed in plan.seeds:
                 result = run_online_cell(cfg, policy, w, seed, dag_kind)
                 cell = out / "cells" / f"{name}_{policy}_W{w:g}_seed{seed}.csv"
                 written.append(
@@ -191,7 +189,7 @@ def run_online_sweep(
             out / f"{name}_summary.csv",
             ("W", "policy", "mean_distortion_reduction"),
             summary,
-            f"config={tag} seeds={','.join(str(s) for s in seeds)}",
+            f"config={tag} seeds={','.join(str(s) for s in plan.seeds)}",
         )
     )
     return written

@@ -50,6 +50,8 @@ __all__ = [
 # |exponent| bound keeping 2**z finite in IEEE double precision
 EXP_CLAMP = 1023.0
 _LN2 = math.log(2.0)
+# the slack verify_shape allows each sampled comparison for rounding
+_SHAPE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -395,14 +397,13 @@ def verify_shape(
     unit: "DataUnit",
     sample_count: int,
     seed: int,
-    tol: float = 1e-9,
 ) -> ShapeReport:
     """Sampled check of the structural conditions the solvers rely on.
 
     Draws windows/payloads in the unit's feasible ranges and tests, pairwise,
     that the loss fraction is non-increasing in window length and payload, that loss and cost are midpoint-convex jointly in (window,
-    payload), and that ranges hold (fractions in [0,1], cost nonnegative).
-    Zero samples are vacuously fine.
+    payload), and that ranges hold (fractions in [0,1], cost nonnegative),
+    each up to ``_SHAPE_TOL``. Zero samples are vacuously fine.
     """
     rng = np.random.default_rng(seed)
     tau_max = unit.deadline - unit.ready
@@ -425,15 +426,15 @@ def verify_shape(
         v11 = model.loss(unit, t0, t0 + tau1, a1)
         v21 = model.loss(unit, t0, t0 + tau2, a1)
         v12 = model.loss(unit, t0, t0 + tau1, a2)
-        if v21 > v11 + tol or v12 > v11 + tol:
+        if v21 > v11 + _SHAPE_TOL or v12 > v11 + _SHAPE_TOL:
             mono += 1
             note(f"loss not non-increasing near tau={tau1:.6g}, a={a1:.6g}")
-        if not (-tol <= v11 <= 1.0 + tol):
+        if not (-_SHAPE_TOL <= v11 <= 1.0 + _SHAPE_TOL):
             rng_viol += 1
             note(f"loss out of [0,1]: {v11!r}")
 
         w11 = model.cost(unit, t0, t0 + tau1, a1)
-        if w11 < -tol:
+        if w11 < -_SHAPE_TOL:
             rng_viol += 1
             note(f"cost negative: {w11!r}")
 
@@ -443,7 +444,7 @@ def verify_shape(
             f1 = fn(unit, t0, t0 + tau1, a1)
             f2 = fn(unit, t0, t0 + tau2, a2)
             fm = fn(unit, t0, t0 + tm, am)
-            if fm > 0.5 * (f1 + f2) + tol:
+            if fm > 0.5 * (f1 + f2) + _SHAPE_TOL:
                 conv += 1
                 note(
                     f"{name} not midpoint-convex at tau=({tau1:.6g},{tau2:.6g}), a=({a1:.6g},{a2:.6g})"

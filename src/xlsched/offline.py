@@ -611,6 +611,7 @@ def _recover_primal_grid(
     model: TransmissionModel,
     price: float,
     handoffs: Sequence[float],
+    measured: tuple[Sequence[float], Sequence[float]],
     memo: dict,
 ) -> tuple[tuple[CrossLayerDecision, ...], float]:
     """Lattice counterpart of recover_primal: the same forward sweep with
@@ -620,42 +621,38 @@ def _recover_primal_grid(
     The floor is the latest end so far, so that a drop, whose empty window
     sits at its deadline, never moves it back, and the local descent bounds
     each unit by the latest earlier end and the earliest later start. The
+    schedule's values start from ``measured``, the per-unit (losses,
+    energies) of ``decisions``, and a repair or a descent move takes those
+    of its option row, so only drops and shaved payloads call the model. The
     restoration and the local descent read only the repaired schedule, not
     the prices, so ``memo`` (one dict per dual solve) keeps their result by
-    the repaired decisions. The schedule's values are built only where they
-    are read: at the first repair on a graph, whose dependency coefficients
-    read them, and otherwise after a memo miss."""
+    the repaired decisions."""
     m = inst.num_units
-    out, values = list(decisions), None
+    values = _ScheduleValues(inst.units, inst.graph, decisions, model, measured=measured)
+    out = values.decisions
     prev_end = -math.inf
     for pos, (unit, dec) in enumerate(zip(inst.units, decisions), start=1):
         floor = max(unit.ready, prev_end)
         if dec.start >= floor - _TINY and dec.end >= dec.start:
             prev_end = dec.end
             continue
-        if values is None and inst.graph is not None:
-            values = _ScheduleValues(inst.units, inst.graph, out, model)
         starts, ends, payloads, loss, cost = opts[pos - 1]
         feas = starts >= floor - _TINY
         if not feas.any():
-            fixed = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0)
+            fixed, pair = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0), None
         else:
             hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
-            a_surv, s_weight = (1.0, 0.0) if values is None else _dag_coeffs(pos, values)
+            a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(pos, values)
             vals = (unit.impact * a_surv * loss + s_weight * loss + price * cost) / m + hn * ends
             vals = np.where(feas, vals, math.inf)
             j = int(np.argmin(vals))
             fixed = CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j]))
-        out[pos - 1] = fixed
-        if values is not None:
-            values.set(pos, fixed)
+            pair = float(loss[j]), float(cost[j])
+        values.set(pos, fixed, pair)
         prev_end = max(prev_end, fixed.end)
     repaired = tuple(out)
     if repaired in memo:
         return memo[repaired]
-    if values is None:
-        values = _ScheduleValues(inst.units, inst.graph, out, model)
-    out = values.decisions
 
     # budget restoration in whole action steps, largest spender first
     for _ in range(m * grid.action_points):
@@ -691,7 +688,8 @@ def _recover_primal_grid(
             j = int(np.argmin(np.where(feas, score, math.inf)))
             cur = unit.impact * a_surv * values.loss[i + 1] + s_weight * values.loss[i + 1]
             if score[j] < cur - 1e-12:
-                values.set(i + 1, CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j])))
+                values.set(i + 1, CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j])),
+                           (float(loss[j]), float(cost[j])))
                 improved = True
         if not improved:
             break
@@ -982,7 +980,7 @@ def _dual_loop(
             primal_decisions, primal_value = _recover(inst, decisions, model, price, mu, measured)
         else:
             primal_decisions, primal_value = _recover_primal_grid(
-                inst, decisions, opts, grid, model, price, mu, memo
+                inst, decisions, opts, grid, model, price, mu, measured, memo
             )
         best_dual = max(best_dual, dual_value)
         if primal_value < best_primal:

@@ -22,7 +22,6 @@ the slow price step and the run's records:
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -424,7 +423,7 @@ class CausalStream:
 
 @dataclass(frozen=True)
 class LearnerState:
-    """Resumable snapshot of the online learner."""
+    """The learner at the end of a run."""
 
     price: float
     coeffs: tuple[float, ...]
@@ -432,40 +431,6 @@ class LearnerState:
     backlog: float
     cum_energy: float
     avg_cost: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "price": self.price,
-                "coeffs": list(self.coeffs),
-                "step": self.step,
-                "backlog": self.backlog,
-                "cum_energy": self.cum_energy,
-                "avg_cost": self.avg_cost,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LearnerState":
-        """The state ``to_json`` wrote. Raises ``ValueError`` on text that is
-        not a JSON object with these keys, each holding a number (``coeffs``
-        a list of numbers)."""
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise ValueError(f"learner state must be a JSON object, got {type(d).__name__}")
-        try:
-            return cls(
-                price=float(d["price"]),
-                coeffs=tuple(float(c) for c in d["coeffs"]),
-                step=int(d["step"]),
-                backlog=float(d["backlog"]),
-                cum_energy=float(d["cum_energy"]),
-                avg_cost=float(d.get("avg_cost", 0.0)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"learner state has no {exc.args[0]!r} key") from exc
-        except TypeError as exc:
-            raise ValueError(f"learner state holds a value of the wrong type: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -489,24 +454,22 @@ class RunResult:
 class _PriceLedger:
     """The slow-timescale price master of one run, shared by every policy.
 
-    It starts from ``resume``, by default the price ``price_init`` and zeros.
-    ``book`` takes the realized units in index order: each moves the price by
-    ``online_price_update`` against the running average of all realized
-    energies, and the ledger records the unit's decision, energy and drop, the
-    price after it and the value coefficients (none under ``mdu``). ``result``
-    turns the records into the per-cycle rows and the learner state; a row's
-    value norm is that of the coefficients after its cycle's last unit.
+    It starts from the price ``price_init``, step 0 and zero energy, and
+    tracks the stream's budget. ``book`` takes the realized units in index
+    order: each moves the price by ``online_price_update`` against the
+    running average of all realized energies, and the ledger records the
+    unit's decision, loss, energy and drop, the price after it and the value
+    coefficients (none under ``mdu``). ``result`` turns the records into the
+    per-cycle rows and the learner state; a row's value norm is that of the
+    coefficients after its cycle's last unit.
     """
 
-    def __init__(self, stream: CausalStream, model: TransmissionModel, params: OnlineParams,
-                 budget: float, resume: Optional[LearnerState]):
-        if resume is None:
-            resume = LearnerState(params.price_init, ValueModel.zero(params.feature_order).coeffs, 0, 0.0, 0.0)
-        self.stream, self.model, self.params, self.budget, self.resume = stream, model, params, budget, resume
-        self.price, self.step, self.cum_energy = resume.price, resume.step, resume.cum_energy
-        self.decisions, self.energies, self.drops, self.price_at, self.coeffs_at = [], [], [], [], []
+    def __init__(self, stream: CausalStream, model: TransmissionModel, params: OnlineParams):
+        self.stream, self.model, self.params, self.budget = stream, model, params, stream.budget
+        self.price, self.step, self.cum_energy = params.price_init, 0, 0.0
+        self.decisions, self.losses, self.energies, self.drops, self.price_at, self.coeffs_at = [], [], [], [], [], []
 
-    def book(self, decision: CrossLayerDecision, energy: float, dropped: bool,
+    def book(self, decision: CrossLayerDecision, loss: float, energy: float, dropped: bool,
              coeffs: tuple[float, ...]) -> None:
         self.step += 1
         self.cum_energy += energy
@@ -514,6 +477,7 @@ class _PriceLedger:
         if kap > 0.0:
             self.price = online_price_update(self.price, kap, self.cum_energy / self.step, self.budget)
         self.decisions.append(decision)
+        self.losses.append(loss)
         self.energies.append(energy)
         self.drops.append(dropped)
         self.price_at.append(self.price)
@@ -527,7 +491,8 @@ class _PriceLedger:
 
 def _cycle_rows(ledger: _PriceLedger, policy: str) -> tuple[CycleRow, ...]:
     stream, inst = ledger.stream, ledger.stream.instance
-    values = _ScheduleValues(inst.units, inst.graph, ledger.decisions, ledger.model, priced=False)
+    values = _ScheduleValues(inst.units, inst.graph, ledger.decisions, ledger.model,
+                             measured=(ledger.losses, ledger.energies))
     rows = []
     for c, first in enumerate(range(1, stream.num_units + 1, stream.cycle_len), start=1):
         lo, hi = stream.cycle_bounds(first)
@@ -554,8 +519,6 @@ def run_online(
     model: TransmissionModel,
     policy: str,
     params: Optional[OnlineParams] = None,
-    budget: Optional[float] = None,
-    resume: Optional[LearnerState] = None,
 ) -> RunResult:
     """Run one policy over a stream; returns per-cycle metrics and final state.
 
@@ -572,11 +535,9 @@ def run_online(
     bounded-slope representation. The centered fixed point is the excess cost
     of entering a backlog, which is continuous through the origin.
 
-    A ``resume`` state (by default the price ``price_init`` and zeros) carries
-    the price, step count and cumulative energy over under every policy; the
-    learned coefficients, average cost and backlog are used by ``proposed``
-    and ``myopic``, and ``mdu`` hands them back unchanged (it learns no
-    values and leaves no backlog).
+    A run starts from the price ``price_init``, zero value coefficients, no
+    backlog and a zero average cost. ``mdu`` learns no values and leaves no
+    backlog, so its final state holds those zeros.
 
     Under ``proposed`` on a stream with a graph, the run keeps one
     :class:`DagKnowledge`: each realized loss goes into its unit's slot, and
@@ -587,12 +548,8 @@ def run_online(
     Raises ``ValueError`` on an invalid instance (see ``validate_instance``),
     an unknown policy or ``impact_estimate``, a ``kappa0``, ``price_init``,
     ``impact_mean`` or ``gamma_power`` that is not non-negative and finite, a
-    ``gamma0`` outside (0, 1] or an ``end_grid`` below 2 (under every policy),
-    a ``budget`` override that is not positive and finite, or a ``resume``
-    state with a non-finite ``avg_cost`` or coefficient, other than
-    ``feature_order`` coefficients, or a ``price``, ``cum_energy``,
-    ``backlog`` or ``step`` that is not non-negative and finite. All are
-    checked before any unit is decided.
+    ``gamma0`` outside (0, 1], an ``end_grid`` below 2 or a ``feature_order``
+    below 1, under every policy. All are checked before any unit is decided.
     """
     check_model(model)
     _require_valid(stream.instance)
@@ -611,27 +568,12 @@ def run_online(
         raise ValueError(f"gamma0 must lie in (0, 1], got {params.gamma0!r}")
     if params.end_grid < 2:
         raise ValueError(f"end_grid must be at least 2, got {params.end_grid!r}")
-    if budget is None:
-        budget = stream.budget
-    elif not 0 < budget < math.inf:
-        raise ValueError(f"budget must be positive and finite, got {budget!r}")
-    if resume is not None:
-        for name in ("price", "cum_energy", "backlog", "step"):
-            if not 0 <= (value := getattr(resume, name)) < math.inf:
-                raise ValueError(f"resume {name} must be non-negative and finite, got {value!r}")
-        if not all(map(math.isfinite, (resume.avg_cost, *resume.coeffs))):
-            raise ValueError(f"resume avg_cost and coeffs must be finite, got {resume!r}")
-        # another length runs, but not the configured learner: () learns nothing
-        if len(resume.coeffs) != params.feature_order:
-            raise ValueError(f"resume coeffs must hold feature_order = {params.feature_order} values, "
-                             f"got {len(resume.coeffs)}")
-    ledger = _PriceLedger(stream, model, params, budget, resume)
-    if policy == "mdu":
-        return _run_mdu(ledger)
-
-    resume = ledger.resume
-    vm, backlog, avg_cost = ValueModel(coeffs=resume.coeffs), resume.backlog, resume.avg_cost
     zero = ValueModel.zero(params.feature_order)
+    ledger = _PriceLedger(stream, model, params)
+    if policy == "mdu":
+        return _run_mdu(ledger, zero.coeffs)
+
+    vm, backlog, avg_cost = zero, 0.0, 0.0
 
     # the greedy baseline is the independent-unit optimizer even on coupled
     # streams: it transmits without considering impact on other units, while
@@ -674,7 +616,7 @@ def run_online(
             stage = outcome.objective - vm.value(backlog)
             avg_cost = (1.0 - gam) * avg_cost + gam * stage
             vm = value_update(vm, gam, s_visited, outcome.objective - avg_cost)
-        ledger.book(outcome.decision, outcome.energy, outcome.dropped, vm.coeffs)
+        ledger.book(outcome.decision, outcome.loss, outcome.energy, outcome.dropped, vm.coeffs)
 
     return ledger.result(policy, vm.coeffs, backlog, avg_cost)
 
@@ -781,9 +723,10 @@ def _solve_cycle_fixed_price(units: Sequence[DataUnit], graph: Optional[Dependen
     return best
 
 
-def _run_mdu(ledger: _PriceLedger) -> RunResult:
+def _run_mdu(ledger: _PriceLedger, coeffs: tuple[float, ...]) -> RunResult:
     """Solve each cycle at the ledger's price, then book its units; the next
-    cycle starts no earlier than the time this one leaves the link free."""
+    cycle starts no earlier than the time this one leaves the link free. The
+    run's state holds the value coefficients ``coeffs`` it was handed."""
     stream, model = ledger.stream, ledger.model
     free, edges = -math.inf, _cycle_edges(stream.graph, stream.cycle_len)
     for c in range(1, stream.num_cycles + 1):
@@ -792,5 +735,6 @@ def _run_mdu(ledger: _PriceLedger) -> RunResult:
         cycle_dec, free = _solve_cycle_fixed_price(units, block, ledger.price, model, free)
         for unit, dec in zip(units, cycle_dec):
             dropped = dec.window == 0.0 and dec.payload == 0.0 and unit.lifetime > 0.0
-            ledger.book(dec, model.cost(unit, dec.start, dec.end, dec.payload), dropped, ())
-    return ledger.result("mdu", ledger.resume.coeffs, 0.0, ledger.resume.avg_cost)
+            x, y, a = dec.start, dec.end, dec.payload
+            ledger.book(dec, model.loss(unit, x, y, a), model.cost(unit, x, y, a), dropped, ())
+    return ledger.result("mdu", coeffs, 0.0, 0.0)

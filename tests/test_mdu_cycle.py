@@ -126,7 +126,7 @@ def _cycle_pairs(inst, cycle_len):
     """(reference, DP) cycle Lagrangians at the prices and floors of a run of
     the reference solve, which the price ledger books as ``mdu`` books."""
     stream = CausalStream(inst, cycle_len=cycle_len, expose_cycle_impacts=inst.graph is not None)
-    ledger = online._PriceLedger(stream, MODEL, CFG.learner, inst.budget, None)
+    ledger = online._PriceLedger(stream, MODEL, CFG.learner)
     floor, pairs, edges = -math.inf, [], online._cycle_edges(inst.graph, cycle_len)
     for c in range(1, stream.num_cycles + 1):
         units = stream.take_cycle(c)
@@ -136,7 +136,8 @@ def _cycle_pairs(inst, cycle_len):
         pairs.append((_cycle_lagrangian(units, block, ref, ledger.price),
                       _cycle_lagrangian(units, block, dp, ledger.price)))
         for u, d in zip(units, ref):
-            ledger.book(d, MODEL.cost(u, d.start, d.end, d.payload), False, ())
+            ledger.book(d, MODEL.loss(u, d.start, d.end, d.payload), MODEL.cost(u, d.start, d.end, d.payload),
+                        False, ())
         floor = ref[-1].end
     return pairs
 

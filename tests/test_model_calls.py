@@ -103,14 +103,15 @@ def test_mdu_values_each_unit_once_per_dp_pass(monkeypatch):
     assert passes == {1: 4, 6: 2}
     assert calls["window_vec"] == 5 * sum(passes.values()) == 30
     # each of the 5 distinct schedules is valued once for its Lagrangian (loss
-    # and cost per unit); booking costs each unit and the rows value its loss
+    # and cost per unit); booking values each unit's loss and cost once, and
+    # the rows read them from the booking
     assert calls == {"window_vec": 30, "loss": 5 * 5 + 10, "cost": 5 * 5 + 10}
 
 
 def test_each_online_decision_values_two_grids(monkeypatch):
     # the end grid and the refinement between the best end's neighbours, and
-    # the scalar loss of the chosen decision, which the per-cycle rows value
-    # again; no unit of this stream is dropped
+    # the scalar loss of the chosen decision, which the per-cycle rows read
+    # from the booking; no unit of this stream is dropped
     for policy in ("proposed", "myopic"):
         calls, passes = _online_calls(policy, monkeypatch)
-        assert calls == {"window_vec": 2 * 10, "loss": 10 + 10} and passes == {}
+        assert calls == {"window_vec": 2 * 10, "loss": 10} and passes == {}

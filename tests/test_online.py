@@ -1,7 +1,6 @@
 """Online learner: value model, per-unit decisions, streams, full runs."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -14,12 +13,12 @@ from xlsched import (
     DataUnit,
     DependencyGraph,
     Instance,
-    LearnerState,
     LookaheadError,
     OnlineParams,
     ShannonExpModel,
     TraceParams,
     ValueModel,
+    generate_dag,
     generate_trace,
     online_price_update,
     run_online,
@@ -29,6 +28,7 @@ from xlsched import (
     upper_optimization,
     value_update,
 )
+from xlsched.offline import _ScheduleValues
 from xlsched.online import POLICIES
 
 MODEL = ShannonExpModel()
@@ -371,47 +371,6 @@ class TestRunOnline:
         dropped = result.decisions[1]
         assert dropped.payload == 0.0
 
-    def test_resume_matches_one_shot_on_a_spaced_stream(self):
-        whole = _spaced_instance(24)
-        one_shot = run_online(CausalStream(whole, cycle_len=4), MODEL, "proposed")
-
-        head = Instance(units=whole.units[:12], budget=whole.budget)
-        tail_units = tuple(
-            DataUnit(index=i + 1, impact=u.impact, size=u.size, ready=u.ready,
-                     deadline=u.deadline, decay=u.decay, channel=u.channel)
-            for i, u in enumerate(whole.units[12:])
-        )
-        tail = Instance(units=tail_units, budget=whole.budget)
-        first = run_online(CausalStream(head, cycle_len=4), MODEL, "proposed")
-        second = run_online(CausalStream(tail, cycle_len=4), MODEL, "proposed",
-                            resume=first.state)
-        assert second.state == one_shot.state
-        assert first.decisions + second.decisions == one_shot.decisions
-
-    def test_state_json_round_trip(self):
-        inst = generate_trace(TraceParams(seed=3, num_dus=30, budget=5.0))
-        state = run_online(CausalStream(inst), MODEL, "proposed").state
-        back = LearnerState.from_json(state.to_json())
-        assert back == state
-        payload = json.loads(state.to_json())
-        assert set(payload) == {"price", "coeffs", "step", "backlog",
-                                "cum_energy", "avg_cost"}
-
-    def test_state_json_missing_key_is_a_value_error(self):
-        with pytest.raises(ValueError, match="no 'coeffs' key"):
-            LearnerState.from_json('{"price": 1}')
-
-    @pytest.mark.parametrize("text", [
-        "[1]", "1", "null", '"state"',
-        '{"price": 1, "coeffs": 1, "step": 0, "backlog": 0, "cum_energy": 0}',
-        '{"price": null, "coeffs": [], "step": 0, "backlog": 0, "cum_energy": 0}',
-        '{"price": 1, "coeffs": [[0.5]], "step": 0, "backlog": 0, "cum_energy": 0}',
-    ])
-    def test_state_json_of_the_wrong_shape_is_a_value_error(self, text):
-        # each raised TypeError before
-        with pytest.raises(ValueError, match="learner state"):
-            LearnerState.from_json(text)
-
     def test_mdu_produces_cycle_rows_without_exposed_impacts(self):
         inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
         stream = CausalStream(inst, cycle_len=5)
@@ -422,21 +381,8 @@ class TestRunOnline:
         for a, b in zip(result.decisions, result.decisions[1:]):
             assert b.start >= a.end - 1e-9
 
-    def test_mdu_resume_matches_one_shot_on_a_spaced_stream(self):
-        # no window can reach the next cycle, so the split changes no floor
-        whole = _spaced_instance(24)
-        one_shot = run_online(CausalStream(whole, cycle_len=4), MODEL, "mdu")
-        head = Instance(units=whole.units[:12], budget=whole.budget)
-        tail_units = tuple(dataclasses.replace(u, index=i + 1) for i, u in enumerate(whole.units[12:]))
-        tail = Instance(units=tail_units, budget=whole.budget)
-        first = run_online(CausalStream(head, cycle_len=4), MODEL, "mdu")
-        second = run_online(CausalStream(tail, cycle_len=4), MODEL, "mdu", resume=first.state)
-        assert second.state == one_shot.state
-        assert first.decisions + second.decisions == one_shot.decisions
-
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("resumed", [False, True])
-    def test_prices_replay_from_the_energies_of_the_decisions(self, policy, resumed):
+    def test_prices_replay_from_the_energies_of_the_decisions(self, policy):
         # every policy books its units with one price master: replaying its
         # step over the energies of the returned decisions gives every price.
         # proposed and myopic book the energy of the array closed form, which
@@ -444,10 +390,8 @@ class TestRunOnline:
         base = generate_trace(TraceParams(seed=3, num_dus=30, budget=5.0))
         inst = Instance(base.units, base.budget, DependencyGraph(30, tuple((i, i - 1) for i in range(2, 31))))
         params = OnlineParams()
-        state = LearnerState(price=2.0, coeffs=(0.5, 0.0, 0.0), step=40, backlog=0.0,
-                             cum_energy=180.0, avg_cost=1.0) if resumed else None
-        run = run_online(CausalStream(inst, 7, expose_cycle_impacts=True), MODEL, policy, params, resume=state)
-        price, step, total = (state.price, state.step, state.cum_energy) if resumed else (1.0, 0, 0.0)
+        run = run_online(CausalStream(inst, 7, expose_cycle_impacts=True), MODEL, policy, params)
+        price, step, total = params.price_init, 0, 0.0
         prices = []
         for u, d in zip(inst.units, run.decisions):
             step += 1
@@ -459,20 +403,22 @@ class TestRunOnline:
         assert (run.state.price, run.state.cum_energy) == same((price, total))
         assert run.state.step == step
 
-    def test_mdu_starts_from_the_resumed_state(self):
-        inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
-        state = LearnerState(price=7.0, coeffs=(0.5, 0.0, 0.0), step=500, backlog=0.0,
-                             cum_energy=2500.0, avg_cost=3.0)
-        run = run_online(CausalStream(inst, 5), MODEL, "mdu", resume=state)
-        resumed = run.state
-        assert resumed.step == 510
-        total = state.cum_energy
-        for u, d in zip(inst.units, run.decisions):
-            total += MODEL.cost(u, d.start, d.end, d.payload)
-        assert resumed.cum_energy == total
-        assert resumed.price != run_online(CausalStream(inst, 5), MODEL, "mdu").state.price
-        # mdu learns no values: what it was handed comes back unchanged
-        assert (resumed.coeffs, resumed.avg_cost) == (state.coeffs, state.avg_cost)
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("dag", [False, True], ids=["graph-free", "dag"])
+    def test_rows_match_the_decisions_valued_afresh(self, policy, dag):
+        # the rows read the losses booked with each unit; valuing the returned
+        # decisions again by scalar model calls gives the same reductions
+        base = generate_trace(TraceParams(seed=4, num_dus=30, budget=5.0))
+        graph = generate_dag("random", 30, 7, seed=4, edge_prob=0.5) if dag else None
+        inst = Instance(base.units, base.budget, graph)
+        run = run_online(CausalStream(inst, 7, expose_cycle_impacts=dag), MODEL, policy)
+        values = _ScheduleValues(inst.units, inst.graph, run.decisions, MODEL, priced=False)
+        rows = []
+        for row in run.rows:
+            lo, hi = 7 * row.cycle - 6, min(7 * row.cycle, 30)
+            reduction = sum((inst.units[i - 1].impact - values.unit_distortion(i) for i in range(lo, hi + 1)), 0.0)
+            rows.append(dataclasses.replace(row, distortion_reduction=reduction))
+        assert len(rows) == 5 and tuple(rows) == run.rows
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_unknown_impact_estimate_is_rejected(self, policy):
@@ -512,50 +458,19 @@ class TestRunOnline:
             run_online(stream, MODEL, policy)
 
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_budget_override_is_rejected(self, policy, budget):
-        stream = CausalStream(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
-        with pytest.raises(ValueError, match="budget must be positive and finite"):
-            run_online(stream, MODEL, policy, budget=budget)
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("field,value", [
-        ("price", math.nan), ("price", math.inf), ("price", -1.0),
-        ("cum_energy", math.nan), ("cum_energy", math.inf), ("cum_energy", -1.0),
-        ("backlog", math.nan), ("backlog", math.inf), ("backlog", -0.5),
-        ("avg_cost", math.nan), ("avg_cost", -math.inf),
-        ("coeffs", (math.nan, 0.0, 0.0)), ("coeffs", (0.0, math.inf, 0.0)),
-        ("step", -1),
-    ])
-    def test_bad_resume_state_is_rejected_before_any_unit(self, policy, field, value):
-        # a NaN price ran to the end sending nothing, NaN coefficients made
-        # proposed send nothing, an infinite cum_energy drove the price to
-        # inf, step -1 divided by zero after the first unit, and a negative
-        # price was refused only after a unit (under mdu a cycle) was decided
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_feature_order_below_one_is_rejected_before_any_unit(self, policy, order):
         stream = _Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
-        state = dataclasses.replace(LearnerState(1.0, (0.0, 0.0, 0.0), 0, 0.0, 0.0), **{field: value})
-        with pytest.raises(ValueError, match=f"resume .*{field}"):
-            run_online(stream, MODEL, policy, resume=state)
+        params = dataclasses.replace(OnlineParams(), feature_order=order)
+        with pytest.raises(ValueError, match="feature order must be >= 1"):
+            run_online(stream, MODEL, policy, params)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("coeffs", [(), (0.5,), (0.5, 0.0, 0.0, 0.0)])
-    def test_resume_coefficients_of_another_order_are_rejected_before_any_unit(self, policy, coeffs):
-        # () ran proposed without learning, and a longer tuple learned a
-        # value function of another order than feature_order
-        stream = _Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
-        state = LearnerState(1.0, coeffs, 0, 0.0, 0.0)
-        with pytest.raises(ValueError, match=f"resume coeffs must hold feature_order = 3 values, got {len(coeffs)}"):
-            run_online(stream, MODEL, policy, resume=state)
-        params = dataclasses.replace(OnlineParams(), feature_order=max(len(coeffs), 1))
-        if coeffs:
-            assert run_online(CausalStream(stream.instance, 5), MODEL, policy, params, resume=state).state.step == 10
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_negative_avg_cost_and_coefficients_resume(self, policy):
+    def test_mdu_ends_with_zero_values_of_the_feature_order(self):
+        # mdu learns no values and leaves no backlog
+        params = dataclasses.replace(OnlineParams(), feature_order=2)
         inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
-        state = LearnerState(price=0.0, coeffs=(-0.5, 2.0, -1.0), step=3, backlog=0.0,
-                             cum_energy=0.0, avg_cost=-4.0)
-        assert run_online(CausalStream(inst, 5), MODEL, policy, resume=state).state.step == 13
+        state = run_online(CausalStream(inst, 5), MODEL, "mdu", params).state
+        assert (state.coeffs, state.backlog, state.avg_cost, state.step) == ((0.0, 0.0), 0.0, 0.0, 10)
 
 
 class TestLearnedValueShape:
