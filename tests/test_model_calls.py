@@ -12,6 +12,8 @@ the same.
 from collections import Counter
 from dataclasses import dataclass, field
 
+import pytest
+
 from xlsched import (
     CausalStream,
     Instance,
@@ -108,10 +110,10 @@ def test_mdu_values_each_unit_once_per_dp_pass(monkeypatch):
     assert calls == {"window_vec": 30, "loss": 5 * 5 + 10, "cost": 5 * 5 + 10}
 
 
-def test_each_online_decision_values_two_grids(monkeypatch):
+@pytest.mark.parametrize("policy", ["proposed", "myopic"])
+def test_each_online_decision_values_two_grids(policy, monkeypatch):
     # the end grid and the refinement between the best end's neighbours, and
     # the scalar loss of the chosen decision, which the per-cycle rows read
     # from the booking; no unit of this stream is dropped
-    for policy in ("proposed", "myopic"):
-        calls, passes = _online_calls(policy, monkeypatch)
-        assert calls == {"window_vec": 2 * 10, "loss": 10} and passes == {}
+    calls, passes = _online_calls(policy, monkeypatch)
+    assert calls == {"window_vec": 2 * 10, "loss": 10} and passes == {}

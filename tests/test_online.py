@@ -28,6 +28,7 @@ from xlsched import (
     upper_optimization,
     value_update,
 )
+from xlsched import online
 from xlsched.offline import _ScheduleValues
 from xlsched.online import POLICIES
 
@@ -382,14 +383,16 @@ class TestRunOnline:
             assert b.start >= a.end - 1e-9
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_prices_replay_from_the_energies_of_the_decisions(self, policy):
+    @pytest.mark.parametrize("price_init", [1.0, 2.0])
+    def test_prices_replay_from_the_energies_of_the_decisions(self, policy, price_init):
         # every policy books its units with one price master: replaying its
-        # step over the energies of the returned decisions gives every price.
-        # proposed and myopic book the energy of the array closed form, which
-        # can differ from the scalar cost in the last ulp; mdu books the latter
+        # step from price_init over the energies of the returned decisions
+        # gives every price. proposed and myopic book the energy of the array
+        # closed form, which can differ from the scalar cost in the last ulp;
+        # mdu books the latter
         base = generate_trace(TraceParams(seed=3, num_dus=30, budget=5.0))
         inst = Instance(base.units, base.budget, DependencyGraph(30, tuple((i, i - 1) for i in range(2, 31))))
-        params = OnlineParams()
+        params = dataclasses.replace(OnlineParams(), price_init=price_init)
         run = run_online(CausalStream(inst, 7, expose_cycle_impacts=True), MODEL, policy, params)
         price, step, total = params.price_init, 0, 0.0
         prices = []
@@ -402,6 +405,40 @@ class TestRunOnline:
         assert [r.price for r in run.rows] == same([prices[min(7 * c, 30) - 1] for c in range(1, 6)])
         assert (run.state.price, run.state.cum_energy) == same((price, total))
         assert run.state.step == step
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("price_init", [0.0, 1.0, 4.0])
+    def test_first_decisions_start_from_the_initial_state(self, policy, price_init):
+        # a run starts from price_init, zero value coefficients and no
+        # backlog: its first unit (under mdu its first cycle) is decided as a
+        # lone solve from that state decides it
+        inst = generate_trace(TraceParams(seed=5, num_dus=12, budget=5.0))
+        params = dataclasses.replace(OnlineParams(), price_init=price_init)
+        run = run_online(CausalStream(inst, 4), MODEL, policy, params)
+        if policy == "mdu":
+            first, _ = online._solve_cycle_fixed_price(inst.units[:4], None, price_init, MODEL, -math.inf)
+            assert run.decisions[:4] == tuple(first)
+        else:
+            alone = solve_online_unit(inst.units[0], 0.0, price_init, ValueModel.zero(params.feature_order),
+                                      inst.units[1].ready, MODEL, params.end_grid, params.refine_points)
+            assert run.decisions[0] == alone.decision
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("dag", [False, True], ids=["graph-free", "dag"])
+    def test_a_run_leaves_nothing_to_the_next(self, policy, dag):
+        # each run starts afresh: a run between two runs of one stream
+        # changes nothing in the second
+        base = generate_trace(TraceParams(seed=8, num_dus=20, budget=5.0))
+        graph = generate_dag("random", 20, 5, seed=8, edge_prob=0.5) if dag else None
+        inst = Instance(base.units, base.budget, graph)
+        other = generate_trace(TraceParams(seed=9, num_dus=15, budget=2.0))
+
+        def run(instance):
+            return run_online(CausalStream(instance, 5, expose_cycle_impacts=dag), MODEL, policy)
+
+        first = run(inst)
+        run(other)
+        assert repr(run(inst)) == repr(first)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("dag", [False, True], ids=["graph-free", "dag"])
@@ -430,12 +467,13 @@ class TestRunOnline:
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("field,value", [
-        ("kappa0", -1.0), ("kappa0", math.nan), ("kappa0", math.inf),
-        ("price_init", -1.0), ("price_init", math.nan), ("price_init", math.inf),
-        ("impact_mean", -1.0), ("impact_mean", math.nan), ("impact_mean", math.inf),
-        ("end_grid", 0), ("end_grid", 1),
+        ("kappa0", -1.0), ("kappa0", math.nan), ("kappa0", math.inf), ("kappa0", -math.inf),
+        ("price_init", -1.0), ("price_init", math.nan), ("price_init", math.inf), ("price_init", -math.inf),
+        ("impact_mean", -1.0), ("impact_mean", math.nan), ("impact_mean", math.inf), ("impact_mean", -math.inf),
+        ("end_grid", 0), ("end_grid", 1), ("end_grid", -1),
         ("gamma0", 0.0), ("gamma0", -0.5), ("gamma0", 1.5), ("gamma0", math.nan),
-        ("gamma_power", -0.5), ("gamma_power", math.nan), ("gamma_power", math.inf),
+        ("gamma0", math.inf), ("gamma0", -math.inf),
+        ("gamma_power", -0.5), ("gamma_power", math.nan), ("gamma_power", math.inf), ("gamma_power", -math.inf),
     ])
     def test_bad_learner_numbers_are_rejected(self, policy, field, value):
         # a negative or NaN kappa0 froze the price, a NaN price_init made every
@@ -443,7 +481,7 @@ class TestRunOnline:
         # nothing, and end_grid 0 crashed in argmin while 1 saw only the start;
         # a gamma0 above 1 or a negative gamma_power failed only a few units
         # into a proposed run, and myopic and mdu never read them
-        stream = CausalStream(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
+        stream = _Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
         params = dataclasses.replace(OnlineParams(), **{field: value})
         with pytest.raises(ValueError, match=field):
             run_online(stream, MODEL, policy, params)
@@ -458,6 +496,15 @@ class TestRunOnline:
             run_online(stream, MODEL, policy)
 
     @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_stream_budget_is_rejected_before_any_unit(self, policy, budget):
+        # the ledger's price step reads the stream's budget, its only source
+        inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
+        stream = _Untouched(Instance(inst.units, budget), 5)
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            run_online(stream, MODEL, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("order", [0, -1])
     def test_feature_order_below_one_is_rejected_before_any_unit(self, policy, order):
         stream = _Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
@@ -465,12 +512,13 @@ class TestRunOnline:
         with pytest.raises(ValueError, match="feature order must be >= 1"):
             run_online(stream, MODEL, policy, params)
 
-    def test_mdu_ends_with_zero_values_of_the_feature_order(self):
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_mdu_ends_with_zero_values_of_the_feature_order(self, order):
         # mdu learns no values and leaves no backlog
-        params = dataclasses.replace(OnlineParams(), feature_order=2)
+        params = dataclasses.replace(OnlineParams(), feature_order=order)
         inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
         state = run_online(CausalStream(inst, 5), MODEL, "mdu", params).state
-        assert (state.coeffs, state.backlog, state.avg_cost, state.step) == ((0.0, 0.0), 0.0, 0.0, 10)
+        assert (state.coeffs, state.backlog, state.avg_cost, state.step) == ((0.0,) * order, 0.0, 0.0, 10)
 
 
 class TestLearnedValueShape:

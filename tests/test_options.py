@@ -12,6 +12,8 @@ import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import xlsched
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,8 +65,9 @@ def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
-def _passed(functions):
-    """The (function, parameter) pairs some call in the scanned trees passes.
+def _passed(functions, modules):
+    """The (function, parameter) pairs some call in the parsed ``modules``
+    passes; ``functions`` maps a name to its optional parameters' positions.
 
     A direct call passes its keywords and its first positional parameters
     (all of them after a ``*`` argument). A call that takes the function as
@@ -72,22 +75,21 @@ def _passed(functions):
     **kwargs)``, passes it its keywords. A ``**`` argument passes nothing.
     """
     passed = set()
-    for tree in SCANNED:
-        for path in sorted(tree.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if not isinstance(node, ast.Call):
-                    continue
-                named = {k.arg for k in node.keywords}
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                name = _name(node.func)
-                for param, position in functions.get(name, {}).items():
-                    by_position = position is not None and (starred or position < len(node.args))
-                    if by_position or param in named:
-                        passed.add((name, param))
-                for arg in node.args:
-                    for param in functions.get(_name(arg), {}):
-                        if param in named:
-                            passed.add((_name(arg), param))
+    for module in modules:
+        for node in ast.walk(module):
+            if not isinstance(node, ast.Call):
+                continue
+            named = {k.arg for k in node.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            name = _name(node.func)
+            for param, position in functions.get(name, {}).items():
+                by_position = position is not None and (starred or position < len(node.args))
+                if by_position or param in named:
+                    passed.add((name, param))
+            for arg in node.args:
+                for param in functions.get(_name(arg), {}):
+                    if param in named:
+                        passed.add((_name(arg), param))
     return passed
 
 
@@ -96,5 +98,26 @@ def test_every_unpassed_option_is_kept_for_a_reason():
     functions = {}
     for (fn, param), position in optional.items():
         functions.setdefault(fn, {})[param] = position
-    unpassed = set(optional) - _passed(functions)
+    modules = [ast.parse(path.read_text(), str(path)) for tree in SCANNED for path in sorted(tree.rglob("*.py"))]
+    unpassed = set(optional) - _passed(functions, modules)
     assert sorted(unpassed) == sorted(KEPT)
+
+
+# f(x, a=..., *, b=...): ``a`` is the second positional parameter, ``b`` keyword-only
+_F = {"f": {"a": 1, "b": None}}
+
+
+@pytest.mark.parametrize("call,passed", [
+    ("f(x)", set()),
+    ("f(x, y)", {"a"}),
+    ("f(x, a=1)", {"a"}),
+    ("f(x, b=2)", {"b"}),
+    ("mod.f(x, y, b=2)", {"a", "b"}),
+    ("f(*args)", {"a"}),
+    ("f(x, **kwargs)", set()),
+    ("attempt(rnd, f, x, b=2)", {"b"}),
+    ("attempt(rnd, f, x, y)", set()),
+    ("g(x, y, a=1, b=2)", set()),
+])
+def test_the_scan_counts_a_call_as_its_docstring_says(call, passed):
+    assert _passed(_F, [ast.parse(call)]) == {("f", p) for p in passed}
