@@ -78,8 +78,11 @@ __all__ = [
 
 _TINY = 1e-12
 
-# column of a DecisionGrid.options table holding each per-option value
-_OPT_COLUMN = {"payload": 2, "loss": 3, "cost": 4}
+# The most rows one DecisionGrid.options table may hold (window pairs times
+# action points). The default grid builds at most 441 rows per unit (6 time
+# points on a 50 ms lifetime, 21 action points); one of 992 838 rows took
+# 0.12 s and 74 MB of peak memory to build on a 2-vCPU Xeon.
+_MAX_OPTION_ROWS = 1_000_000
 
 # When the budget price touches 0 while handoff prices are positive, the
 # relaxed subproblems collapse windows to zero length at full payload and the
@@ -131,12 +134,26 @@ class DecisionGrid:
         loss and energy values at each choice, valued once per distinct window
         length and payload. Choices whose energy exceeds the model's
         per-transmission cap are removed. Choices run start-major, then end,
-        then payload, and no time point lies past the deadline:
-        ``ready + k*time_step`` can overshoot it by an ulp, so the points are
-        clamped to it.
+        then payload, so the starts never decrease, and no time point lies
+        past the deadline: ``ready + k*time_step`` can overshoot it by an
+        ulp, so the points are clamped to it.
+
+        The model is called with plain floats (``tolist``), not numpy scalars:
+        the values are the same bits, and float arithmetic in the model costs
+        about half as much. A unit whose table would hold more than
+        ``_MAX_OPTION_ROWS`` rows (window pairs times action points, before
+        the cap removes any) raises ``ValueError`` before any array is built.
         """
         span = unit.deadline - unit.ready
-        n_steps = int(math.floor(span / self.time_step + 1e-9))
+        steps = span / self.time_step + 1e-9
+        n_steps = int(math.floor(steps)) if math.isfinite(steps) else None
+        rows = math.inf if n_steps is None else (n_steps + 1) * (n_steps + 2) // 2 * int(self.action_points)
+        if rows > _MAX_OPTION_ROWS:
+            raise ValueError(
+                f"unit {unit.index}: its lattice table would hold {rows} option rows "
+                f"(time step {self.time_step!r}, {self.action_points} action points), "
+                f"more than the limit of {_MAX_OPTION_ROWS}"
+            )
         times = np.minimum(unit.ready + self.time_step * np.arange(n_steps + 1), unit.deadline)
         actions = np.linspace(0.0, unit.size, self.action_points)
 
@@ -148,9 +165,10 @@ class DecisionGrid:
         # scalar calls (the vector model differs from them in the last ulp),
         # once per distinct window length at a window of that length
         _, first, inverse = np.unique(times[yi] - times[xi], return_index=True, return_inverse=True)
-        windows = [(times[xi[w]], times[yi[w]]) for w in first]
-        loss = np.array([[model.loss(unit, x, y, a) for a in actions] for x, y in windows])[inverse].ravel()
-        cost = np.array([[model.cost(unit, x, y, a) for a in actions] for x, y in windows])[inverse].ravel()
+        points, amounts = times.tolist(), actions.tolist()
+        windows = [(points[x], points[y]) for x, y in zip(xi[first].tolist(), yi[first].tolist())]
+        loss = np.array([[model.loss(unit, x, y, a) for a in amounts] for x, y in windows])[inverse].ravel()
+        cost = np.array([[model.cost(unit, x, y, a) for a in amounts] for x, y in windows])[inverse].ravel()
 
         keep = np.isfinite(cost)
         cap = getattr(getattr(model, "params", None), "energy_cap", None)
@@ -173,13 +191,26 @@ def _solve_unit_grid(
     loss_coeff*p + err_coeff*p + energy_coeff*w - handoff_prev*start
     + handoff_next*end; argmin ties resolve to the earliest window. Returns
     the option row's (start, end, payload), its objective, loss and energy.
+
+    A term whose coefficient is zero (either sign) is skipped. This is
+    exact: its product with a finite column is ±0.0, and adding ±0.0
+    changes only a -0.0, which the running sum never is. Its first term
+    ``loss_coeff * loss`` is not -0.0 (``loss_coeff`` is not negative and
+    losses lie in [0, 1]), and a sum or difference of a value other than
+    -0.0 with anything is not -0.0 either.
     """
     starts, ends, payloads, loss, cost = opts
-    vals = loss_coeff * loss + err_coeff * loss + energy_coeff * cost
-    obj = vals - handoff_prev * starts + handoff_next * ends
-    j = int(np.argmin(obj))
-    return (float(starts[j]), float(ends[j]), float(payloads[j]), float(obj[j]),
-            float(loss[j]), float(cost[j]))
+    obj = loss_coeff * loss
+    if err_coeff:
+        obj += err_coeff * loss
+    if energy_coeff:
+        obj += energy_coeff * cost
+    if handoff_prev:
+        obj -= handoff_prev * starts
+    if handoff_next:
+        obj += handoff_next * ends
+    j = int(obj.argmin())
+    return starts.item(j), ends.item(j), payloads.item(j), obj.item(j), loss.item(j), cost.item(j)
 
 
 def _unit_kernel(
@@ -626,33 +657,61 @@ def _recover_primal_grid(
     of its option row, so only drops and shaved payloads call the model. The
     restoration and the local descent read only the repaired schedule, not
     the prices, so ``memo`` (one dict per dual solve) keeps their result by
-    the repaired decisions."""
+    the repaired decisions. The schedule's values are built at the first
+    repair on a graph, whose coefficients read them, and otherwise only
+    after a memo miss, with the repairs replayed into them in order.
+
+    ``opts`` are :meth:`DecisionGrid.options` tables, whose starts never
+    decrease, so the rows that start at or after a bound are a suffix, found
+    by ``searchsorted``; an infinite bound (no earlier or later unit) masks
+    nothing and is not tested. A repair skips its descendant-weight, energy
+    and next-handoff terms and the descent its descendant-weight term where
+    the weight is zero (either sign). As in :func:`_solve_unit_grid` this is
+    exact: each skipped product is ±0.0, and the running sum, which starts
+    from the impact times the survival times a loss, all non-negative, is
+    never -0.0."""
     m = inst.num_units
-    values = _ScheduleValues(inst.units, inst.graph, decisions, model, measured=measured)
-    out = values.decisions
+    values, out, repairs = None, list(decisions), []
     prev_end = -math.inf
     for pos, (unit, dec) in enumerate(zip(inst.units, decisions), start=1):
         floor = max(unit.ready, prev_end)
         if dec.start >= floor - _TINY and dec.end >= dec.start:
             prev_end = dec.end
             continue
+        if values is None and inst.graph is not None:
+            values = _ScheduleValues(inst.units, inst.graph, decisions, model, measured=measured)
         starts, ends, payloads, loss, cost = opts[pos - 1]
-        feas = starts >= floor - _TINY
-        if not feas.any():
+        first = int(starts.searchsorted(floor - _TINY))
+        if first == len(starts):
             fixed, pair = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0), None
         else:
             hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
-            a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(pos, values)
-            vals = (unit.impact * a_surv * loss + s_weight * loss + price * cost) / m + hn * ends
-            vals = np.where(feas, vals, math.inf)
-            j = int(np.argmin(vals))
-            fixed = CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j]))
-            pair = float(loss[j]), float(cost[j])
-        values.set(pos, fixed, pair)
+            a_surv, s_weight = (1.0, 0.0) if values is None else _dag_coeffs(pos, values)
+            vals = unit.impact * a_surv * loss[first:]
+            if s_weight:
+                vals += s_weight * loss[first:]
+            if price:
+                vals += price * cost[first:]
+            vals /= m
+            if hn:
+                vals += hn * ends[first:]
+            j = first + int(vals.argmin())
+            fixed = CrossLayerDecision(starts.item(j), ends.item(j), payloads.item(j))
+            pair = loss.item(j), cost.item(j)
+        out[pos - 1] = fixed
+        if values is None:
+            repairs.append((pos, fixed, pair))
+        else:
+            values.set(pos, fixed, pair)
         prev_end = max(prev_end, fixed.end)
     repaired = tuple(out)
     if repaired in memo:
         return memo[repaired]
+    if values is None:
+        values = _ScheduleValues(inst.units, inst.graph, decisions, model, measured=measured)
+        for pos, fixed, pair in repairs:
+            values.set(pos, fixed, pair)
+    out = values.decisions
 
     # budget restoration in whole action steps, largest spender first
     for _ in range(m * grid.action_points):
@@ -666,32 +725,46 @@ def _recover_primal_grid(
 
     # local descent on the true objective: each unit re-picks its lattice
     # option between the other units' boundaries while the budget allows; the
-    # varying dual iterates feeding this sweep supply diverse starting points
+    # varying dual iterates feeding this sweep supply diverse starting points.
+    # A unit's pick reads only the other units, so a unit that just moved, or
+    # found nothing better, keeps its pick until another unit moves: the
+    # descent ends once all m units in a row have been settled that way,
+    # where a whole pass more would move nothing.
     budget_total = inst.budget * m
+    settled = 0
     for _ in range(8 * m):
-        improved = False
         for i in range(m):
+            if settled == m:
+                break
+            settled += 1
             unit = inst.units[i]
             starts, ends, payloads, loss, cost = opts[i]
             lo = max((d.end for d in out[:i]), default=-math.inf)
             hi = min((d.start for d in out[i + 1 :]), default=math.inf)
             spent_elsewhere = sum(values.cost[1 : i + 1] + values.cost[i + 2 :])
             a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(i + 1, values)
-            score = unit.impact * a_surv * loss + s_weight * loss
-            feas = (
-                (starts >= lo - _TINY)
-                & (ends <= hi + _TINY)
-                & (cost <= budget_total - spent_elsewhere + _TINY)
-            )
-            if not feas.any():
+            first = 0 if lo == -math.inf else int(starts.searchsorted(lo - _TINY))
+            if first == len(starts):
                 continue
-            j = int(np.argmin(np.where(feas, score, math.inf)))
+            feas = cost[first:] <= budget_total - spent_elsewhere + _TINY
+            if hi != math.inf:
+                feas &= ends[first:] <= hi + _TINY
+            score = unit.impact * a_surv * loss[first:]
+            if s_weight:
+                score += s_weight * loss[first:]
+            # the scores are finite, so an infinite least one means no feasible row
+            score = np.where(feas, score, math.inf)
+            j = int(score.argmin())
+            best = score.item(j)
+            if best == math.inf:
+                continue
             cur = unit.impact * a_surv * values.loss[i + 1] + s_weight * values.loss[i + 1]
-            if score[j] < cur - 1e-12:
-                values.set(i + 1, CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j])),
-                           (float(loss[j]), float(cost[j])))
-                improved = True
-        if not improved:
+            if best < cur - 1e-12:
+                j += first
+                values.set(i + 1, CrossLayerDecision(starts.item(j), ends.item(j), payloads.item(j)),
+                           (loss.item(j), cost.item(j)))
+                settled = 1
+        if settled == m:
             break
 
     memo[repaired] = tuple(out), values.distortion()
@@ -711,16 +784,15 @@ class _Bystander:
     Its payload ladder starts at the incumbent payload, and level n+1 has
     payload ``max(p_n - step, 0.0)``. Each level keeps the model's loss and
     energy from scalar calls, as valuing that decision directly would.
-    ``level`` holds every candidate's current level.
+    ``level`` holds every candidate's level once the shaves are known.
     """
 
-    def __init__(self, unit: DataUnit, dec: CrossLayerDecision, step: float,
-                 model: TransmissionModel, candidates: int):
+    def __init__(self, unit: DataUnit, dec: CrossLayerDecision, step: float, model: TransmissionModel):
         self.unit, self.dec, self.step, self.model = unit, dec, step, model
         self.payload: list[float] = []
         self.loss: list[float] = []
         self.cost: list[float] = []
-        self.level = np.zeros(candidates, dtype=np.intp)
+        self.level: Optional[np.ndarray] = None
         self._add(dec.payload)
 
     def _add(self, payload: float) -> None:
@@ -729,17 +801,14 @@ class _Bystander:
         self.loss.append(model.loss(u, d.start, d.end, payload))
         self.cost.append(model.cost(u, d.start, d.end, payload))
 
-    def at(self, field: str, rows) -> np.ndarray:
-        """``field`` at the current level of the candidates in ``rows``."""
-        return np.asarray(getattr(self, field))[self.level[rows]]
+    def spend(self, level: int) -> float:
+        """The energy at ``level``, or -inf where the payload is 0 and nothing is left to shave."""
+        return self.cost[level] if self.payload[level] > 0.0 else -math.inf
 
-    def shave(self, rows: np.ndarray) -> None:
-        """One action step off the payload of the candidates in ``rows``."""
-        if rows.size:
-            self.level[rows] += 1
-            deepest = int(self.level[rows].max())
-            while len(self.payload) <= deepest:
-                self._add(max(self.payload[-1] - self.step, 0.0))
+    def reach(self, level: int) -> None:
+        """Extend the ladder down to ``level``."""
+        while len(self.payload) <= level:
+            self._add(max(self.payload[-1] - self.step, 0.0))
 
     def decision(self, row: int) -> CrossLayerDecision:
         level = int(self.level[row])
@@ -771,13 +840,17 @@ def _polish_grid_pairs(
     action steps of the incumbent, scored by the true objective, for at most
     ``_POLISH_ROUNDS`` passes over all pairs.
 
-    Each pair (i, k) is scored in one numpy pass. Its candidates are the
-    (row of i, row of k) combinations of the two option tables in a-major
-    order: every row of k for the first row of i, then for the next. Units
-    i and k are read from the tables, each bystander from a ladder of its
-    shave levels (:class:`_Bystander`), and the value applies
-    ``_unit_distortion`` to those arrays in ``instance_distortion``'s order, so
-    each score is bit-identical to valuing the candidate schedule alone. The first
+    Each pair (i, k) is scored over all its candidates at once. Its
+    candidates are the (row of i, row of k) combinations of the two option
+    tables in a-major order: every row of k for the first row of i, then for
+    the next. Units i and k are read from the tables, each bystander from a
+    ladder of its shave levels (:class:`_Bystander`). Every candidate starts
+    from the incumbent bystanders and the shave rule reads only their
+    levels, so the candidates over budget share one shave sequence, and each
+    stops at the first step whose energy, summed in unit order, fits. The
+    value applies ``_unit_distortion`` to those arrays in
+    ``instance_distortion``'s order, so each score is bit-identical to
+    valuing the candidate schedule alone. The first
     candidate in scan order that beats the incumbent by more than 1e-12 is
     accepted (first improvement) and the pair's remaining candidates are
     re-scored against the new incumbent, whose bystanders may have been
@@ -802,48 +875,52 @@ def _polish_grid_pairs(
     def score(i: int, k: int, a: np.ndarray, b: np.ndarray):
         """Feasibility and value of each candidate, and the shaved bystanders."""
         bystanders = {
-            j: _Bystander(inst.units[j], out[j], grid.action_step(inst.units[j]), model, a.size)
+            j: _Bystander(inst.units[j], out[j], grid.action_step(inst.units[j]), model)
             for j in range(m)
             if j not in (i, k)
         }
         spent_elsewhere = sum(y.cost[0] for y in bystanders.values())
+        pair_cost = {i: opts[i][4][a], k: opts[k][4][b]}
+        feasible = spent_elsewhere + pair_cost[i] + pair_cost[k] <= budget_total
 
-        def column(q: int, field: str, rows):
-            if q == i:
-                return opts[i][_OPT_COLUMN[field]][a[rows]]
-            if q == k:
-                return opts[k][_OPT_COLUMN[field]][b[rows]]
-            return bystanders[q].at(field, rows)
-
-        every = slice(None)
-        feasible = spent_elsewhere + column(i, "cost", every) + column(k, "cost", every) <= budget_total
-        pending = ~feasible
+        # the candidates over budget share one shave sequence: ``steps[n]``
+        # holds the bystanders' levels after n shaves, and ``stop`` the step
+        # at which each candidate fits (or the last one)
+        levels = dict.fromkeys(bystanders, 0)
+        steps = [tuple(levels.values())]
+        stop = np.zeros(a.size, dtype=np.intp)
+        rows = (~feasible).nonzero()[0]
         # without bystanders nothing can be shaved
-        for _ in range(2 * len(opts[i][2]) if bystanders else 0):
-            rows = np.flatnonzero(pending)
+        for n in range(1, 2 * len(opts[i][2]) + 1 if bystanders else 0):
             if rows.size == 0:
                 break
-            cost = np.column_stack([y.at("cost", rows) for y in bystanders.values()])
-            shavable = np.column_stack([y.at("payload", rows) > 0.0 for y in bystanders.values()])
-            stuck = ~shavable.any(axis=1)
-            pending[rows[stuck]] = False
-            rows, cost, shavable = rows[~stuck], cost[~stuck], shavable[~stuck]
-            if rows.size == 0:
+            # largest spender first, ties to the lowest index; none once every payload is 0
+            spends = {j: y.spend(levels[j]) for j, y in bystanders.items()}
+            j = max(spends, key=spends.get)
+            if spends[j] == -math.inf:
                 break
-            # largest spender first; argmax keeps the lowest index on ties
-            pick = np.argmax(np.where(shavable, cost, -np.inf), axis=1)
-            for c, y in enumerate(bystanders.values()):
-                y.shave(rows[pick == c])
+            levels[j] += 1
+            bystanders[j].reach(levels[j])
+            steps.append(tuple(levels.values()))
             total = np.zeros(rows.size)
             for q in range(m):
-                total = total + column(q, "cost", rows)
-            feasible[rows] = total <= budget_total
-            pending[rows] = ~feasible[rows]
+                total += pair_cost[q][rows] if q in pair_cost else bystanders[q].cost[levels[q]]
+            fits = total <= budget_total
+            feasible[rows[fits]] = True
+            stop[rows[fits]] = n
+            rows = rows[~fits]
+        # a candidate that never fits keeps the last levels
+        stop[rows] = len(steps) - 1
 
+        losses = [None] * m
+        for c, (j, y) in enumerate(bystanders.items()):
+            y.level = np.array([lv[c] for lv in steps])[stop]
+            losses[j] = np.array(y.loss)[y.level]
+        losses[i], losses[k] = opts[i][3][a], opts[k][3][b]
         total = np.zeros(a.size)
         for q in range(m):
-            losses = [column(anc - 1, "loss", every) for anc in ancestors[q]]
-            total = total + _unit_distortion(inst.units[q].impact, column(q, "loss", every), losses)
+            above = [losses[anc - 1] for anc in ancestors[q]]
+            total += _unit_distortion(inst.units[q].impact, losses[q], above)
         return feasible, total / m, bystanders
 
     for _ in range(_POLISH_ROUNDS):
@@ -861,9 +938,13 @@ def _polish_grid_pairs(
                 a = np.repeat(ri, rk.size)
                 b = np.tile(rk, ri.size)
                 left_bound = sk[b] if adjacent else out[i + 1].start
-                keep = ~(ek[b] > right_bound + _TINY) & ~(ei[a] > left_bound + _TINY)
-                if adjacent:
-                    keep &= ~(max((d.end for d in out[:i]), default=-math.inf) > sk[b] + _TINY)
+                keep = ~(ei[a] > left_bound + _TINY)
+                # an infinite bound (no unit after k, or none before an adjacent i) keeps every row
+                if right_bound != math.inf:
+                    keep &= ~(ek[b] > right_bound + _TINY)
+                floor = max((d.end for d in out[:i]), default=-math.inf)
+                if adjacent and floor != -math.inf:
+                    keep &= ~(floor > sk[b] + _TINY)
                 a, b = a[keep], b[keep]
                 while a.size:
                     feasible, val, bystanders = score(i, k, a, b)

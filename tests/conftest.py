@@ -2,6 +2,7 @@
 
 import signal
 
+import numpy as np
 import pytest
 
 
@@ -22,3 +23,15 @@ def fail_fast():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def no_table_arrays(monkeypatch):
+    """Make the numpy calls that build a lattice table raise, so that a
+    refused table is seen to be refused before any array is built."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a refused lattice table built an array")
+
+    for name in ("arange", "linspace", "triu_indices"):
+        monkeypatch.setattr(np, name, boom)

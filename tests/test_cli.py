@@ -155,6 +155,14 @@ class TestOracle:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "refuses" in err
 
+    def test_refuses_an_oversized_lattice_table(self, tmp_path, capsys, no_table_arrays):
+        # 50 001 time points per 50 ms unit; no array may be built before the refusal
+        inst = _small_instance_file(tmp_path, n=2)
+        rc = main(["--out", str(tmp_path / "o"), "oracle", inst, "--time-step", "1e-6"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unit 1:") and "option rows" in err and "limit of" in err
+
     def test_invalid_instance_is_rejected(self, tmp_path, capsys):
         inst = generate_trace(TraceParams(seed=1, num_dus=2))
         path = tmp_path / "bad.txt"

@@ -8,7 +8,9 @@ a change must re-record these digests on purpose and say so.
 
 import dataclasses
 import hashlib
+import math
 import numbers
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,13 +32,19 @@ from xlsched import (
     solve_independent,
     solve_interdependent,
 )
+from xlsched import offline
 from xlsched.config import default_config
 from xlsched.offline import _solve_unit
 from xlsched.oracle import brute_force
 
+from test_pair_polish import reference_polish
 from test_window_search import _draw_case
 
 MODEL = ShannonExpModel()
+# the model and lattice of the acceptance gate's criterion-2 cells and of the
+# benchmark's lattice workload: the config's energy cap of 50 binds there
+CAPPED = ShannonExpModel(params=default_config().model)
+LATTICE = DecisionGrid(0.01, 21)
 
 
 def _plain(obj):
@@ -148,6 +156,23 @@ def _oracle_chain():
     return brute_force(inst, MODEL)
 
 
+def _capped_cell(chain):
+    # an M = 3 cell of the gate's kind whose repairs meet non-zero next
+    # handoff prices and whose polish accepts a candidate that shaved a
+    # bystander (test_capped_cells_repair_and_shave)
+    base = generate_trace(TraceParams(seed=6, num_dus=3))
+    return Instance(base.units, base.budget, DependencyGraph(3, ((2, 1), (3, 2))) if chain else None)
+
+
+def _capped_lattice(chain):
+    solve = solve_interdependent if chain else solve_independent
+    return solve(_capped_cell(chain), CAPPED, max_outer=100, grid=LATTICE)
+
+
+def _capped_oracle(chain):
+    return brute_force(_capped_cell(chain), CAPPED, LATTICE.time_step, LATTICE.action_points)
+
+
 CASES = {
     "interdependent-sweeps-seed1": (
         lambda: _sweeps_on_random_dag(1),
@@ -213,6 +238,22 @@ CASES = {
         _oracle_chain,
         "e69bc1743ec2f4f021b97569d07c66872a29d5e21fafdd15977676651440a07b",
     ),
+    "lattice-capped-independent": (
+        lambda: _capped_lattice(False),
+        "e74b03af89ea139928f024cf7140c73ed1863092e4c4fa459a83b104f4e6f93f",
+    ),
+    "lattice-capped-chain": (
+        lambda: _capped_lattice(True),
+        "1881e8663daed436dbc9b82f1ca16ae0bf406284998493a32ca5171581cc9d9a",
+    ),
+    "oracle-capped-independent": (
+        lambda: _capped_oracle(False),
+        "af9a01497fbb8b57cb449e9e7766d2a87908169cdc99e3caf3b35c28a4350753",
+    ),
+    "oracle-capped-chain": (
+        lambda: _capped_oracle(True),
+        "068f070e967c67f7600f2566fea8d5cda6d645edf5588a89d89e7d3e31315928",
+    ),
 }
 
 
@@ -220,3 +261,32 @@ CASES = {
 def test_digest_is_unchanged(name):
     run, expected = CASES[name]
     assert _digest(run()) == expected
+
+
+@pytest.mark.parametrize("chain", [False, True], ids=["independent", "chain"])
+def test_capped_cells_repair_and_shave(chain, monkeypatch):
+    """The capped lattice digests pin the repairs' handoff terms and the
+    polish's shaves: some repair meets a non-zero next handoff price, and the
+    polish accepts a candidate that shaved a bystander (counted by the scalar
+    reference scan on the polish's own input)."""
+    recover, polish, seen = offline._recover_primal_grid, offline._polish_grid_pairs, Counter()
+
+    def recorded_recover(inst, decisions, opts, grid, model, price, handoffs, *rest):
+        # the first unit that the forward sweep repairs, found by its rule
+        prev_end = -math.inf
+        for pos, (u, d) in enumerate(zip(inst.units, decisions), start=1):
+            if d.start >= max(u.ready, prev_end) - offline._TINY and d.end >= d.start:
+                prev_end = d.end
+                continue
+            seen["priced repairs"] += pos <= len(handoffs) and handoffs[pos - 1] != 0.0
+            break
+        return recover(inst, decisions, opts, grid, model, price, handoffs, *rest)
+
+    def recorded_polish(inst, decisions, opts, grid, model):
+        seen["shaved accepts"] += reference_polish(inst, decisions, opts, grid, model)[2]
+        return polish(inst, decisions, opts, grid, model)
+
+    monkeypatch.setattr(offline, "_recover_primal_grid", recorded_recover)
+    monkeypatch.setattr(offline, "_polish_grid_pairs", recorded_polish)
+    _capped_lattice(chain)
+    assert seen["priced repairs"] > 0 and seen["shaved accepts"] > 0

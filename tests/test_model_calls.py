@@ -2,7 +2,9 @@
 iteration of the dual solvers each decision is valued once where it is made,
 and the outer loop, the price step and the recovery reuse those values. An
 online decision values its end grid and its refinement grid, one
-``window_vec`` call each, and an ``mdu`` cycle DP one call per unit.
+``window_vec`` call each, and an ``mdu`` cycle DP one call per unit. A
+lattice option table makes one ``loss`` and one ``cost`` call per distinct
+window length and action point, on plain floats.
 
 The counts are pinned on fixed 10-unit traces, so a change that values a
 decision or a window twice again fails here even while every number stays
@@ -12,10 +14,12 @@ the same.
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from xlsched import (
     CausalStream,
+    DecisionGrid,
     Instance,
     ShannonExpModel,
     TraceParams,
@@ -34,13 +38,16 @@ class CountingModel(ShannonExpModel):
     """The default model, counting its scalar values and window functions."""
 
     calls: Counter = field(default_factory=Counter, compare=False, repr=False)
+    arg_types: Counter = field(default_factory=Counter, compare=False, repr=False)
 
     def loss(self, unit, start, end, payload):
         self.calls["loss"] += 1
+        self.arg_types["loss", type(start), type(end), type(payload)] += 1
         return super().loss(unit, start, end, payload)
 
     def cost(self, unit, start, end, payload):
         self.calls["cost"] += 1
+        self.arg_types["cost", type(start), type(end), type(payload)] += 1
         return super().cost(unit, start, end, payload)
 
     def window_fn(self, unit, loss_weight, energy_weight):
@@ -60,6 +67,22 @@ def _calls(solve, inst, **kwargs):
     model = CountingModel(params=default_config().model)
     solve(inst, model, max_outer=1, **kwargs)
     return dict(model.calls)
+
+
+@pytest.mark.parametrize("time_step,action_points", [(0.01, 21), (0.003, 6), (0.0125, 11)])
+def test_an_option_table_values_each_window_length_once_on_floats(time_step, action_points):
+    # one loss and one cost call per distinct window length and action point,
+    # on plain floats: numpy scalars would double the cost of every call
+    unit = INST.units[3]
+    grid = DecisionGrid(time_step, action_points)
+    model = CountingModel(params=default_config().model)
+    grid.options(unit, model)
+    n_steps = int(np.floor((unit.deadline - unit.ready) / time_step + 1e-9))
+    times = np.minimum(unit.ready + time_step * np.arange(n_steps + 1), unit.deadline)
+    xi, yi = np.triu_indices(len(times))
+    calls = len(set((times[yi] - times[xi]).tolist())) * action_points
+    assert model.calls == {"loss": calls, "cost": calls}
+    assert model.arg_types == {("loss", float, float, float): calls, ("cost", float, float, float): calls}
 
 
 def test_one_independent_iteration_values_each_decision_once():

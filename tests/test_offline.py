@@ -36,6 +36,8 @@ from xlsched import offline
 from xlsched.offline import _dag_coeffs, _largest_scale, _ScheduleValues
 from xlsched.search import golden_section
 
+from test_lattice_kernels import _weight
+
 MODEL = ShannonExpModel()
 
 
@@ -602,10 +604,12 @@ class TestSolveInterdependent:
         assert float(np.median(inner)) <= 10.0
 
 
-def reference_recover_primal_grid(inst, decisions, opts, grid, model, price, handoffs, memo):
+def reference_recover_primal_grid(inst, decisions, opts, grid, model, price, handoffs, memo, seen=None):
     """``offline._recover_primal_grid`` before it took the relaxed step's
     values: it values the units it keeps by scalar model calls, on a graph
-    from the first repair on and otherwise after a memo miss."""
+    from the first repair on and otherwise after a memo miss. It forms every
+    term and mask, zero weight or infinite bound alike. ``seen``, if given,
+    counts the repairs and descent steps that meet a zero weight."""
     m = inst.num_units
     out, values = list(decisions), None
     prev_end = -math.inf
@@ -623,6 +627,10 @@ def reference_recover_primal_grid(inst, decisions, opts, grid, model, price, han
         else:
             hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
             a_surv, s_weight = (1.0, 0.0) if values is None else _dag_coeffs(pos, values)
+            if seen is not None:
+                seen["repair, zero next handoff price"] += hn == 0.0
+                seen["repair, zero descendant weight"] += s_weight == 0.0
+                seen["repair, zero price"] += price == 0.0
             vals = (unit.impact * a_surv * loss + s_weight * loss + price * cost) / m + hn * ends
             vals = np.where(feas, vals, math.inf)
             j = int(np.argmin(vals))
@@ -661,6 +669,9 @@ def reference_recover_primal_grid(inst, decisions, opts, grid, model, price, han
             hi = min((d.start for d in out[i + 1 :]), default=math.inf)
             spent_elsewhere = sum(values.cost[1 : i + 1] + values.cost[i + 2 :])
             a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(i + 1, values)
+            if seen is not None:
+                seen["descent, zero descendant weight"] += s_weight == 0.0
+                seen["descent, infinite bound"] += lo == -math.inf or hi == math.inf
             score = unit.impact * a_surv * loss + s_weight * loss
             feas = (
                 (starts >= lo - offline._TINY)
@@ -779,6 +790,45 @@ class TestDecisionGrid:
         assert len(got[0]) > 0
         assert model.costs <= lengths * grid.action_points
 
+    @pytest.mark.parametrize("time_step,action_points,rows", [
+        # 50 001 time points on a 50 ms lifetime: 1.25e9 windows
+        (1e-6, 21, None),
+        # 21 windows times ten million payloads
+        (0.01, 10_000_000, 21 * 10_000_000),
+        # the time points overflow a float
+        (1e-320, 2, math.inf),
+    ])
+    @pytest.mark.usefixtures("no_table_arrays")
+    def test_oversized_table_is_refused_before_any_array(self, time_step, action_points, rows):
+        unit = _unit(index=7, ready=0.0, deadline=0.05)
+        if rows is None:
+            n = int(math.floor(0.05 / time_step + 1e-9)) + 1
+            rows = n * (n + 1) // 2 * action_points
+        with pytest.raises(ValueError) as err:
+            DecisionGrid(time_step, action_points).options(unit, MODEL)
+        message = str(err.value)
+        assert message.startswith("unit 7:") and f" {rows} option rows" in message
+        assert f"limit of {offline._MAX_OPTION_ROWS}" in message
+
+    def test_the_row_limit_is_inclusive(self, monkeypatch):
+        # 21 windows on a 50 ms lifetime at 10 ms: 441 rows at 21 action points
+        unit = _unit(deadline=0.05)
+        monkeypatch.setattr(offline, "_MAX_OPTION_ROWS", 441)
+        assert len(DecisionGrid(0.01, 21).options(unit, MODEL)[0]) > 0
+        with pytest.raises(ValueError, match="462 option rows"):
+            DecisionGrid(0.01, 22).options(unit, MODEL)
+
+    def test_solvers_and_oracle_refuse_an_oversized_table(self, no_table_arrays):
+        from xlsched import brute_force
+
+        base = generate_trace(TraceParams(seed=2, num_dus=2, budget=2.0))
+        inst = Instance(base.units, base.budget, DependencyGraph(2, ((2, 1),)))
+        with pytest.raises(ValueError, match="unit 1: .* option rows"):
+            brute_force(inst, MODEL, time_step=1e-6)
+        for solver in (solve_independent, solve_interdependent):
+            with pytest.raises(ValueError, match="unit 1: .* option rows"):
+                solver(inst, MODEL, max_outer=5, grid=DecisionGrid(1e-6, 21))
+
     @pytest.mark.parametrize("chain", [False, True], ids=["independent", "chain"])
     def test_recovery_memo_skips_the_repeated_restoration_and_descent(self, chain):
         base = generate_trace(TraceParams(seed=3, num_dus=3, budget=2.0))
@@ -830,8 +880,10 @@ class TestDecisionGrid:
     def test_recovery_matches_the_reference_on_random_cells(self, m, chain, monkeypatch):
         # random lattice rows on crowded traces of m units with random
         # lifetimes, handed over with the values of their option rows as a
-        # relaxed lattice step hands them; the model values drops and shaves
-        kinds, set_ = Counter(), _ScheduleValues.set
+        # relaxed lattice step hands them; the model values drops and shaves.
+        # Prices and handoff prices are often 0 or -0.0 (a projected step
+        # gives either), so the recovery skips their terms
+        kinds, seen, set_ = Counter(), Counter(), _ScheduleValues.set
 
         def counted_set(values, i, dec, measured=None):
             if measured is None:
@@ -856,14 +908,16 @@ class TestDecisionGrid:
             measured = tuple(map(tuple, zip(*((float(o[3][j]), float(o[4][j])) for o, j in zip(opts, rows)))))
             assert measured == _measured(inst, decisions)
             kinds["repair"] += not _fifo_ok(decisions)
-            price, handoffs = float(rng.uniform(0.0, 5.0)), [float(x) for x in rng.uniform(-1.0, 1.0, m - 1)]
-            ref = reference_recover_primal_grid(inst, decisions, opts, grid, MODEL, price, handoffs, {})
+            price, handoffs = _weight(rng, 5.0), [_weight(rng, 1.0, signed=True) for _ in range(m - 1)]
+            ref = reference_recover_primal_grid(inst, decisions, opts, grid, MODEL, price, handoffs, {}, seen)
             with monkeypatch.context() as patch:
                 patch.setattr(_ScheduleValues, "set", counted_set)
                 got = offline._recover_primal_grid(inst, decisions, opts, grid, MODEL, price, handoffs,
                                                    measured, {})
             assert repr(got) == repr(ref)
         assert min(kinds[k] for k in ("repair", "drop", "shave")) > 0
+        # the reference walks the same repairs and descent steps
+        assert len(seen) == 5 and min(seen.values()) > 0
 
     def test_grid_solve_stays_on_lattice_and_dominates_nothing_below_oracle(self):
         from xlsched import brute_force

@@ -179,8 +179,11 @@ def _check_back_to_back(impacts, budget, payloads):
 def test_equal_spenders_shave_the_lowest_index_first():
     # units 3 and 4 spend exactly the same energy on little impact, so the
     # pair (1, 2) buys payload from them and only the tie rule decides which
-    # of them pays first
-    _check_back_to_back((100.0, 120.0, 10.0, 10.0), 5.5, (2.0, 2.0, 10.0, 10.0))
+    # of them pays first. At budget 5.5 the accepted candidates shave both
+    # units equally, so either order gives the same schedule; at 3.5 and 5.0
+    # the other order does not
+    for budget in (3.5, 5.0, 5.5):
+        _check_back_to_back((100.0, 120.0, 10.0, 10.0), budget, (2.0, 2.0, 10.0, 10.0))
 
 
 def test_later_candidates_budget_against_the_shaved_bystander():
