@@ -97,8 +97,6 @@ _FIELDS: dict[str, tuple[tuple[str, str, str, _Kind], ...]] = {
         ("gamma_power", "0.6", "gamma_power", _NUM),
         ("kappa0", "1.0", "kappa0", _NUM),
         ("lambda_init", "1.0", "price_init", _NUM),
-        ("y_points", "200", "end_grid", _INT),
-        ("refine_points", "60", "refine_points", _INT),
         ("dag_impact", "known", "impact_estimate", _TEXT),
     ),
     "experiment": (
@@ -219,8 +217,6 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
         raise ConfigError("[learner]: gamma_power must be nonnegative and finite")
     if not (0.0 <= learner.kappa0 < math.inf and 0.0 <= learner.price_init < math.inf):
         raise ConfigError("[learner]: kappa0 and lambda_init must be nonnegative and finite")
-    if learner.end_grid < 2:
-        raise ConfigError("[learner]: y_points must be >= 2")
 
     plan = ExperimentPlan(**fields["experiment"])
     for p in plan.policies:

@@ -96,10 +96,6 @@ class DependencyGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple((int(i), int(j)) for i, j in self.edges))
 
-    def parents(self, index: int) -> tuple[int, ...]:
-        self._check_index(index)
-        return self._parent_map.get(index, ())
-
     @cached_property
     def _parent_map(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}

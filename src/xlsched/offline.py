@@ -271,23 +271,6 @@ def _unit_kernel(
     return x_star, end, payload, obj
 
 
-def _solve_unit(
-    unit: DataUnit,
-    model: TransmissionModel,
-    loss_coeff: float,
-    err_coeff: float,
-    energy_coeff: float,
-    handoff_prev: float,
-    handoff_next: float,
-    start_floor: float,
-) -> UnitSolution:
-    """:func:`_unit_kernel` with its result as a :class:`UnitSolution`."""
-    start, end, payload, obj = _unit_kernel(
-        unit, model, loss_coeff, err_coeff, energy_coeff, handoff_prev, handoff_next, start_floor
-    )
-    return UnitSolution(CrossLayerDecision(start, end, payload), obj)
-
-
 def upper_optimization(
     unit: DataUnit,
     price: float,
@@ -304,9 +287,10 @@ def upper_optimization(
     if num_units <= 0:
         raise ValueError(f"num_units must be positive, got {num_units}")
     m = float(num_units)
-    return _solve_unit(
+    start, end, payload, obj = _unit_kernel(
         unit, model, unit.impact / m, 0.0, price / m, handoff_prev, handoff_next, unit.ready
     )
+    return UnitSolution(CrossLayerDecision(start, end, payload), obj)
 
 
 def price_update(price: float, avg_usage: float, budget: float, step: float) -> float:

@@ -57,6 +57,11 @@ POLICIES = ("proposed", "myopic", "mdu")
 IMPACT_ESTIMATES = ("known", "mean")
 # the floor under the squared feature norm in value_update's step
 _VALUE_FLOOR = 1e-4
+# window ends per unit: a proposed or myopic decision's end grid and its
+# refinement between the best end's neighbours, and the mdu cycle DP's ends
+_END_GRID = 200
+_REFINE_POINTS = 60
+_CYCLE_ENDS = 51
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,8 @@ class OnlineParams:
 
     The value step of unit i is ``gamma0 / i**gamma_power`` in
     :func:`value_update`'s normalized rule, the only one; the price step is
-    ``kappa0 / i``.
+    ``kappa0 / i``. The decision's grid sizes are not knobs: see
+    ``_END_GRID``, ``_REFINE_POINTS`` and ``_CYCLE_ENDS``.
     """
 
     feature_order: int = 3
@@ -154,8 +160,6 @@ class OnlineParams:
     gamma_power: float = 0.6
     kappa0: float = 1.0
     price_init: float = 1.0
-    end_grid: int = 200
-    refine_points: int = 60
     impact_estimate: str = "known"
     impact_mean: float = 100.0
 
@@ -205,11 +209,10 @@ def _decide(
     model: TransmissionModel,
     a_surv: float,
     s_weight: float,
-    end_grid: int,
-    refine_points: int,
 ) -> UnitOutcome:
     """The one online decision: grid-plus-refinement search over the window
-    end, payload nested inside.
+    end, payload nested inside: ``_END_GRID`` ends from the start to the
+    deadline, then ``_REFINE_POINTS`` ends between the best end's neighbours.
 
     The unit's loss weighs ``impact * a_surv + s_weight``: its own impact at
     the survival A of its ancestors plus the weight S of the error it
@@ -219,15 +222,13 @@ def _decide(
     start, which sets the backlog of its value term. Otherwise the payload
     and energy at each end come from the model's array closed form
     ``window_vec``, and the outcome's loss, which later units read as the
-    error it propagates, is the scalar ``loss`` of the chosen decision. The end grid always contains both
-    interval endpoints and the kink of the backlog term at the next arrival
-    time. All-zero value coefficients (``myopic``) add no value term. An
-    ``end_grid`` below 2 is refused: it would search no end but the start.
+    error it propagates, is the scalar ``loss`` of the chosen decision. The
+    end grid always contains both interval endpoints and the kink of the
+    backlog term at the next arrival time. All-zero value coefficients
+    (``myopic``) add no value term.
     """
     if backlog < 0:
         raise ValueError(f"backlog must be nonnegative, got {backlog}")
-    if end_grid < 2:
-        raise ValueError(f"end_grid must be at least 2, got {end_grid!r}")
     start, d = unit.ready + backlog, unit.deadline
     merged = unit.impact * a_surv + s_weight
     if start > d:
@@ -247,17 +248,17 @@ def _decide(
     if d <= start:
         ys = np.array([start])
     else:
-        ys = _grid(start, d, end_grid)
+        ys = _grid(start, d, _END_GRID)
         if start < t_next < d:
             k = int(ys.searchsorted(t_next))
             ys = np.concatenate((ys[:k], (t_next,), ys[k:]))
     j, best = best_on(ys)
 
-    if len(ys) > 1 and refine_points > 1:
+    if len(ys) > 1:
         lo = ys[max(j - 1, 0)]
         hi = ys[min(j + 1, len(ys) - 1)]
         if hi > lo:
-            _, fine = best_on(_grid(lo, hi, refine_points))
+            _, fine = best_on(_grid(lo, hi, _REFINE_POINTS))
             if fine[0] < best[0]:
                 best = fine
 
@@ -277,12 +278,10 @@ def solve_online_unit(
     vm: ValueModel,
     t_next: float,
     model: TransmissionModel,
-    end_grid: int = 200,
-    refine_points: int = 60,
 ) -> UnitOutcome:
     """Decide a unit with no dependents: window end and payload from backlog
     (:func:`_decide` at ancestor survival 1 and descendant weight 0)."""
-    return _decide(unit, backlog, price, vm, t_next, model, 1.0, 0.0, end_grid, refine_points)
+    return _decide(unit, backlog, price, vm, t_next, model, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -310,8 +309,6 @@ def solve_online_unit_dag(
     t_next: float,
     knowledge: DagKnowledge,
     model: TransmissionModel,
-    end_grid: int = 200,
-    refine_points: int = 60,
 ) -> UnitOutcome:
     """Dependency-aware online decision.
 
@@ -325,7 +322,7 @@ def solve_online_unit_dag(
     per-unit graph-position offsets.
     """
     a_surv, s_weight = _graph_coeffs(unit.index, knowledge.graph, knowledge.loss, knowledge.kept)
-    return _decide(unit, backlog, price, vm, t_next, model, a_surv, s_weight, end_grid, refine_points)
+    return _decide(unit, backlog, price, vm, t_next, model, a_surv, s_weight)
 
 
 # -- streams -------------------------------------------------------------------
@@ -548,8 +545,8 @@ def run_online(
     Raises ``ValueError`` on an invalid instance (see ``validate_instance``),
     an unknown policy or ``impact_estimate``, a ``kappa0``, ``price_init``,
     ``impact_mean`` or ``gamma_power`` that is not non-negative and finite, a
-    ``gamma0`` outside (0, 1], an ``end_grid`` below 2 or a ``feature_order``
-    below 1, under every policy. All are checked before any unit is decided.
+    ``gamma0`` outside (0, 1] or a ``feature_order`` below 1, under every
+    policy. All are checked before any unit is decided.
     """
     check_model(model)
     _require_valid(stream.instance)
@@ -566,13 +563,12 @@ def run_online(
             raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
     if not 0.0 < params.gamma0 <= 1.0:
         raise ValueError(f"gamma0 must lie in (0, 1], got {params.gamma0!r}")
-    if params.end_grid < 2:
-        raise ValueError(f"end_grid must be at least 2, got {params.end_grid!r}")
     zero = ValueModel.zero(params.feature_order)
     ledger = _PriceLedger(stream, model, params)
     if policy == "mdu":
         return _run_mdu(ledger, zero.coeffs)
 
+    # only proposed updates vm, so myopic decides every unit at zero values
     vm, backlog, avg_cost = zero, 0.0, 0.0
 
     # the greedy baseline is the independent-unit optimizer even on coupled
@@ -586,7 +582,6 @@ def run_online(
 
     for i in range(1, stream.num_units + 1):
         unit, t_next = stream.observe(i)
-        vm_used = vm if policy == "proposed" else zero
         if use_graph:
             if i > hi:
                 knowledge.kept[lo : hi + 1] = [0.0] * (hi + 1 - lo)
@@ -595,16 +590,10 @@ def run_online(
                 knowledge.kept[lo : hi + 1] = [
                     stream.impact_hint(j) if known else params.impact_mean for j in range(lo, hi + 1)
                 ]
-            outcome = solve_online_unit_dag(
-                unit, backlog, ledger.price, vm_used, t_next, knowledge, model,
-                params.end_grid, params.refine_points,
-            )
+            outcome = solve_online_unit_dag(unit, backlog, ledger.price, vm, t_next, knowledge, model)
             knowledge.loss[i] = outcome.loss
         else:
-            outcome = solve_online_unit(
-                unit, backlog, ledger.price, vm_used, t_next, model,
-                params.end_grid, params.refine_points,
-            )
+            outcome = solve_online_unit(unit, backlog, ledger.price, vm, t_next, model)
 
         s_visited = backlog
         # a drop's empty window sits at its deadline; the link is busy until its start
@@ -623,8 +612,7 @@ def run_online(
 
 # -- clairvoyant per-cycle baseline ---------------------------------------------
 
-# window ends per unit in the cycle DP, and its fixed-coefficient passes on a graph
-_CYCLE_ENDS = 51
+# the cycle DP's fixed-coefficient passes on a graph
 _DAG_PASSES = 3
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from xlsched import DataUnit, ShannonEnergyParams, ShannonExpModel
-from xlsched.offline import _solve_unit
+from xlsched import CrossLayerDecision, DataUnit, ShannonEnergyParams, ShannonExpModel
+from xlsched.offline import _unit_kernel
 from xlsched.search import one_plus_w0
 
 from test_models import _payload_bound
@@ -73,7 +73,7 @@ class RootCountingModel(ShannonExpModel):
 @dataclass(frozen=True)
 class BrentOnlyModel(ShannonExpModel):
     """The default model with its window stripped of the closed form, so
-    that ``_solve_unit`` searches with ``derivative_search`` alone."""
+    that ``_unit_kernel`` searches with ``derivative_search`` alone."""
 
     def window_fn(self, unit, loss_weight, energy_weight):
         window = super().window_fn(unit, loss_weight, energy_weight)
@@ -81,7 +81,7 @@ class BrentOnlyModel(ShannonExpModel):
 
 
 def _closed_form_tau(model, unit, loss, err, price, hp, hn, floor):
-    """The closed form's window length if ``_solve_unit`` takes it, else None."""
+    """The closed form's window length if ``_unit_kernel`` takes it, else None."""
     root = getattr(model.window_fn(unit, loss + err, price), "root", None)
     tau = None if root is None else root(hn if hn - hp >= 0.0 else hp)
     return tau if tau is not None and 0.0 < tau < unit.deadline - floor else None
@@ -97,11 +97,11 @@ class TestClosedFormAgainstBrent:
             cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
             params = ShannonEnergyParams(energy_cap=cap)
             model = RootCountingModel(params=params)
-            sol = _solve_unit(unit, model, loss, err, price, hp, hn, floor)
-            brent = _solve_unit(unit, BrentOnlyModel(params=params), loss, err, price, hp, hn, floor)
-            assert sol.objective <= brent.objective + 1e-9 * max(1.0, abs(brent.objective))
+            start, end, payload, objective = _unit_kernel(unit, model, loss, err, price, hp, hn, floor)
+            brent = _unit_kernel(unit, BrentOnlyModel(params=params), loss, err, price, hp, hn, floor)[3]
+            assert objective <= brent + 1e-9 * max(1.0, abs(brent))
 
-            d = sol.decision
+            d = CrossLayerDecision(start, end, payload)
             assert floor <= d.start <= d.end <= unit.deadline
             assert 0.0 <= d.payload <= _payload_bound(model, unit, d.end - d.start) * (1 + 1e-12)
             if cap is not None:
@@ -112,7 +112,7 @@ class TestClosedFormAgainstBrent:
             if tau_c is not None:
                 in_regime += 1
                 ref = _golden_reference(unit, ShannonExpModel(params=params), loss, err, price, hp, hn, floor)
-                assert sol.objective <= ref + 1e-9 * max(1.0, abs(ref)) + max(hp, hn) * TOL
+                assert objective <= ref + 1e-9 * max(1.0, abs(ref)) + max(hp, hn) * TOL
                 # both corners and the closed form's point; a fourth value only
                 # refits the payload to the stored window's length
                 assert model.taus[:3] == [0.0, unit.deadline - floor, tau_c]
@@ -128,6 +128,5 @@ class TestClosedFormAgainstBrent:
         spend = ShannonExpModel().cost(unit, 0.0, free, a)
         capped = ShannonExpModel(params=ShannonEnergyParams(energy_cap=0.5 * spend))
         assert capped.window_fn(unit, 25.0, 0.05).root(30.0) is None
-        sol = _solve_unit(unit, capped, 25.0, 0.0, 0.05, 0.0, 30.0, 0.0)
-        d = sol.decision
+        d = CrossLayerDecision(*_unit_kernel(unit, capped, 25.0, 0.0, 0.05, 0.0, 30.0, 0.0)[:3])
         assert capped.cost(unit, d.start, d.end, d.payload) <= 0.5 * spend * (1 + 1e-9)

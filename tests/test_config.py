@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -19,6 +20,20 @@ from xlsched import (
     solve_interdependent,
 )
 from xlsched.config import _FIELDS
+
+
+# the learner rules that the config and run_online both check, as (OnlineParams
+# field, INI key, a value both refuse): a rule changed on one side only fails
+LEARNER_REFUSALS = [
+    (field, key, value)
+    for field, key, values in (
+        ("kappa0", "kappa0", (-1.0, math.nan, math.inf, -math.inf)),
+        ("price_init", "lambda_init", (-1.0, math.nan, math.inf, -math.inf)),
+        ("gamma0", "gamma0", (0.0, -0.5, 1.5, math.nan, math.inf, -math.inf)),
+        ("gamma_power", "gamma_power", (-0.5, math.nan, math.inf, -math.inf)),
+    )
+    for value in values
+]
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -98,10 +113,10 @@ class TestRejection:
         ("[solver]\nepsilon = nan\n", "epsilon"),
         ("[solver]\ninner_epsilon = nan\n", "inner_epsilon"),
         ("[solver]\ninner_epsilon = -1e-6\n", "inner_epsilon"),
-        ("[learner]\ngamma0 = 1.5\n", "gamma0"),
-        ("[learner]\ngamma0 = 0\n", "gamma0"),
         ("[learner]\ndag_impact = oracle\n", "dag_impact"),
-        ("[learner]\ny_points = 1\n", "y_points"),
+        # the online decision's grid sizes are fixed since nothing set them
+        ("[learner]\ny_points = 200\n", "unknown key 'y_points'"),
+        ("[learner]\nrefine_points = 60\n", "unknown key 'refine_points'"),
         # the mdu cycle solve has no iterations to set since it became a DP
         ("[learner]\nmdu_outer = 40\n", "unknown key 'mdu_outer'"),
         ("[learner]\nmdu_epsilon = 0.0001\n", "unknown key 'mdu_epsilon'"),
@@ -116,10 +131,6 @@ class TestRejection:
         ("[experiment]\ncycles = 0\n", "cycles"),
         ("[experiment]\nsteady_start = 0\n", "steady_start"),
         # accepted once, and each broke a run
-        ("[learner]\nkappa0 = nan\n", "kappa0"),
-        ("[learner]\nlambda_init = nan\n", "lambda_init"),
-        ("[learner]\ngamma_power = -0.5\n", "gamma_power"),
-        ("[learner]\ngamma_power = nan\n", "gamma_power"),
         ("[model]\nenergy_cap = -5\n", "energy cap"),
         ("[model]\nenergy_cap = nan\n", "energy cap"),
         ("[trace]\nbudget = nan\n", "budget"),
@@ -139,6 +150,11 @@ class TestRejection:
     def test_bad_values(self, tmp_path, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
             load_config(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("key,value", [(key, value) for _, key, value in LEARNER_REFUSALS])
+    def test_bad_learner_values(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(_write(tmp_path, f"[learner]\n{key} = {value}\n"))
 
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
@@ -226,8 +242,6 @@ gamma0 = 0.75
 gamma_power = 0.7
 kappa0 = 2
 lambda_init = 0.5
-y_points = 100
-refine_points = 30
 dag_impact = mean
 [experiment]
 policies = mdu,proposed
@@ -247,14 +261,14 @@ class TestGoldenText:
 
     def test_default_config(self):
         text = config_to_text(default_config())
-        assert config_hash(default_config()) == "61e911bc2c50"
+        assert config_hash(default_config()) == "497ac631eabc"
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "61e911bc2c50bbb61cced80c0894090cfbaf21f2d19acfc774440bbc30688fb7"
+            "497ac631eabc067f7f8b75d2b53a66b3b313a0f470cc84ad0e4e342e3edb0738"
         )
 
     def test_every_key_changed(self, tmp_path):
         cfg = load_config(_write(tmp_path, _EVERY_KEY_CHANGED))
-        assert config_hash(cfg) == "6583ba778d6d"
+        assert config_hash(cfg) == "b86ec05906cf"
         assert config_to_text(cfg) == (
             "[trace]\nseed = 3\nnum_dus = 250\nimpact_low = 20.0\nimpact_high = 180.5\n"
             "size = 12.0\ninterarrival_ms = 40.0\nlifetime_ms = 70.0\ntheta = 0.25\n"
@@ -264,8 +278,7 @@ class TestGoldenText:
             "[solver]\nepsilon = 0.002\nmax_outer = 300\nmax_inner = 20\n"
             "inner_epsilon = 1e-07\nalpha0 = 0.25\nbeta0 = 500.0\n\n"
             "[learner]\nfeatures = 2\ngamma0 = 0.75\ngamma_power = 0.7\nkappa0 = 2.0\n"
-            "lambda_init = 0.5\ny_points = 100\n"
-            "refine_points = 30\ndag_impact = mean\n\n"
+            "lambda_init = 0.5\ndag_impact = mean\n\n"
             "[experiment]\npolicies = mdu,proposed\nw_sweep = 7.5,12.0\nseeds = 4,9\n"
             "cycles = 40\ncycle_len = 5\ndag = ibpbp\nedge_prob = 0.25\n"
             "steady_start = 11\nout_dir = results/run1\n\n"

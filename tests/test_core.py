@@ -136,12 +136,12 @@ class TestDependencyGraph:
             desc = g.descendants(i)
             assert not anc & desc
             assert i not in anc and i not in desc
-            # closure agrees with one-step parent recursion
-            expanded = set(g.parents(i))
+            # closure agrees with one-step parent recursion over the edges
+            expanded = {p for c, p in edges if c == i}
             frontier = list(expanded)
             while frontier:
                 k = frontier.pop()
-                for p in g.parents(k):
+                for p in (q for c, q in edges if c == k):
                     if p not in expanded:
                         expanded.add(p)
                         frontier.append(p)

@@ -31,10 +31,10 @@ from xlsched import (
     run_online,
     solve_independent,
     solve_interdependent,
+    UnitSolution,
 )
 from xlsched import offline
 from xlsched.config import default_config
-from xlsched.offline import _solve_unit
 from xlsched.oracle import brute_force
 
 from test_pair_polish import reference_polish
@@ -103,7 +103,8 @@ def _unit_kernel():
     for _ in range(2000):
         cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
         model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
-        sol = _solve_unit(unit, model, loss, err, price, hp, hn, floor)
+        start, end, payload, objective = offline._unit_kernel(unit, model, loss, err, price, hp, hn, floor)
+        sol = UnitSolution(CrossLayerDecision(start, end, payload), objective)
         window = model.window_fn(unit, loss + err, price)
         values = [window(tau) for tau in (0.0, 1e-9, 1e-4, 0.01, 0.05)]
         out.append((sol, values))

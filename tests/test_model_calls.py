@@ -39,6 +39,7 @@ class CountingModel(ShannonExpModel):
 
     calls: Counter = field(default_factory=Counter, compare=False, repr=False)
     arg_types: Counter = field(default_factory=Counter, compare=False, repr=False)
+    shapes: list = field(default_factory=list, compare=False, repr=False)  # of each window_vec's taus
 
     def loss(self, unit, start, end, payload):
         self.calls["loss"] += 1
@@ -56,6 +57,7 @@ class CountingModel(ShannonExpModel):
 
     def window_vec(self, unit, taus, loss_weight, energy_weight):
         self.calls["window_vec"] += 1
+        self.shapes.append(np.shape(taus))
         return super().window_vec(unit, taus, loss_weight, energy_weight)
 
 
@@ -108,7 +110,8 @@ TWO_CYCLES = Instance(generate_trace(TraceParams(seed=12, num_dus=10, budget=10.
 
 
 def _online_calls(policy, monkeypatch):
-    """The model calls of one run and the cycle DP's passes, by first unit."""
+    """The model calls of one run, the cycle DP's passes by first unit, the
+    shapes of the taus of each ``window_vec`` call, and the run."""
     model, passes = CountingModel(params=default_config().model), Counter()
     dp = online._cycle_dp
 
@@ -117,15 +120,17 @@ def _online_calls(policy, monkeypatch):
         return dp(units, *args, **kwargs)
 
     monkeypatch.setattr(online, "_cycle_dp", counted_dp)
-    run_online(CausalStream(TWO_CYCLES, cycle_len=5, expose_cycle_impacts=True), model, policy)
-    return dict(model.calls), dict(passes)
+    run = run_online(CausalStream(TWO_CYCLES, cycle_len=5, expose_cycle_impacts=True), model, policy)
+    return dict(model.calls), dict(passes), model.shapes, run
 
 
 def test_mdu_values_each_unit_once_per_dp_pass(monkeypatch):
     # cycle 1 runs the graph-free DP and all three weighted passes; in cycle 2
     # the first weighted pass returns the same schedule, which ends the passes
-    calls, passes = _online_calls("mdu", monkeypatch)
+    calls, passes, shapes, _ = _online_calls("mdu", monkeypatch)
     assert passes == {1: 4, 6: 2}
+    # each call values every state of one unit at the DP's 51 window ends
+    assert {shape[-1] for shape in shapes} == {51}
     assert calls["window_vec"] == 5 * sum(passes.values()) == 30
     # each of the 5 distinct schedules is valued once for its Lagrangian (loss
     # and cost per unit); booking values each unit's loss and cost once, and
@@ -138,5 +143,11 @@ def test_each_online_decision_values_two_grids(policy, monkeypatch):
     # the end grid and the refinement between the best end's neighbours, and
     # the scalar loss of the chosen decision, which the per-cycle rows read
     # from the booking; no unit of this stream is dropped
-    calls, passes = _online_calls(policy, monkeypatch)
+    calls, passes, shapes, run = _online_calls(policy, monkeypatch)
     assert calls == {"window_vec": 2 * 10, "loss": 10} and passes == {}
+    # 200 ends from the start to the deadline, and the next arrival when it
+    # falls between them (both happen here), then 60 ends around the best
+    units = TWO_CYCLES.units
+    ends = [201 if decision.start < t_next < unit.deadline else 200
+            for unit, t_next, decision in zip(units, [u.ready for u in units[1:]] + [np.inf], run.decisions)]
+    assert shapes == [shape for n in ends for shape in ((n,), (60,))] and set(ends) == {200, 201}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from xlsched import (
 from xlsched import online
 from xlsched.offline import _ScheduleValues
 from xlsched.online import POLICIES
+
+from test_config import LEARNER_REFUSALS
 
 MODEL = ShannonExpModel()
 
@@ -211,12 +214,6 @@ class TestSolveOnlineUnit:
         with pytest.raises(ValueError):
             solve_online_unit(_unit(), -0.01, 1.0, ValueModel.zero(3), math.inf, MODEL)
 
-    @pytest.mark.parametrize("end_grid", [1, 0, -2])
-    def test_rejects_an_end_grid_below_two(self, end_grid):
-        # 1 returned an empty window at the start, 0 failed in numpy's argmin
-        with pytest.raises(ValueError, match="end_grid must be at least 2"):
-            solve_online_unit(_unit(), 0.0, 1.0, ValueModel.zero(3), math.inf, MODEL, end_grid=end_grid)
-
 
 class TestSolveOnlineUnitDag:
     def _knowledge(self, graph, realized_err, lo=1, hi=5, impact=100.0):
@@ -256,12 +253,13 @@ class TestSolveOnlineUnitDag:
         assert payloads[0] >= payloads[1] >= payloads[2]
         assert payloads[2] == 0.0  # nothing left to protect, energy only hurts
 
-    @pytest.mark.parametrize("end_grid", [1, 0, -2])
-    def test_rejects_an_end_grid_below_two(self, end_grid):
-        know = self._knowledge(DependencyGraph(5, ((2, 1),)), [])
-        with pytest.raises(ValueError, match="end_grid must be at least 2"):
-            solve_online_unit_dag(_unit(), 0.0, 1.0, ValueModel.zero(3), math.inf, know, MODEL,
-                                  end_grid=end_grid)
+
+@pytest.mark.parametrize("name", ["_END_GRID", "_REFINE_POINTS", "_CYCLE_ENDS"])
+def test_readme_names_each_grid_size_with_its_value(name):
+    # the grid sizes are constants, not config keys, so the README is where
+    # a reader finds them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"`online.{name}` = {getattr(online, name)}" in " ".join(readme.split())
 
 
 class TestCausalStream:
@@ -420,7 +418,7 @@ class TestRunOnline:
             assert run.decisions[:4] == tuple(first)
         else:
             alone = solve_online_unit(inst.units[0], 0.0, price_init, ValueModel.zero(params.feature_order),
-                                      inst.units[1].ready, MODEL, params.end_grid, params.refine_points)
+                                      inst.units[1].ready, MODEL)
             assert run.decisions[0] == alone.decision
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -466,21 +464,16 @@ class TestRunOnline:
 
 
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("field,value", [
-        ("kappa0", -1.0), ("kappa0", math.nan), ("kappa0", math.inf), ("kappa0", -math.inf),
-        ("price_init", -1.0), ("price_init", math.nan), ("price_init", math.inf), ("price_init", -math.inf),
+    @pytest.mark.parametrize("field,value", [(field, value) for field, _, value in LEARNER_REFUSALS] + [
         ("impact_mean", -1.0), ("impact_mean", math.nan), ("impact_mean", math.inf), ("impact_mean", -math.inf),
-        ("end_grid", 0), ("end_grid", 1), ("end_grid", -1),
-        ("gamma0", 0.0), ("gamma0", -0.5), ("gamma0", 1.5), ("gamma0", math.nan),
-        ("gamma0", math.inf), ("gamma0", -math.inf),
-        ("gamma_power", -0.5), ("gamma_power", math.nan), ("gamma_power", math.inf), ("gamma_power", -math.inf),
     ])
     def test_bad_learner_numbers_are_rejected(self, policy, field, value):
-        # a negative or NaN kappa0 froze the price, a NaN price_init made every
-        # price NaN, a NaN impact_mean made every proposed unit on a graph send
-        # nothing, and end_grid 0 crashed in argmin while 1 saw only the start;
-        # a gamma0 above 1 or a negative gamma_power failed only a few units
-        # into a proposed run, and myopic and mdu never read them
+        # the config refuses the same values of every field but impact_mean,
+        # which it sets itself. A negative or NaN kappa0 froze the price, a
+        # NaN price_init made every price NaN, a NaN impact_mean made every
+        # proposed unit on a graph send nothing; a gamma0 above 1 or a
+        # negative gamma_power failed only a few units into a proposed run,
+        # and myopic and mdu never read them
         stream = _Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
         params = dataclasses.replace(OnlineParams(), **{field: value})
         with pytest.raises(ValueError, match=field):

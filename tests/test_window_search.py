@@ -8,6 +8,7 @@ import pytest
 
 from xlsched import (
     CausalStream,
+    CrossLayerDecision,
     DataUnit,
     DependencyGraph,
     Instance,
@@ -20,7 +21,7 @@ from xlsched import (
     solve_interdependent,
     upper_optimization,
 )
-from xlsched.offline import _solve_unit
+from xlsched.offline import _unit_kernel
 from xlsched.search import brent_root, derivative_search, golden_section
 
 from test_models import _payload_bound
@@ -178,19 +179,19 @@ class TestSlopeSearchAgainstGolden:
             cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
             params = ShannonEnergyParams(energy_cap=cap)
             model = CountingModel(params=params)
-            sol = _solve_unit(unit, model, loss, err, price, hp, hn, floor)
+            start, end, payload, objective = _unit_kernel(unit, model, loss, err, price, hp, hn, floor)
             ref = _golden_reference(unit, ShannonExpModel(params=params), loss, err, price, hp, hn, floor)
             evals.append(len(model.taus))
             # each window length is valued once
             assert len(set(model.taus)) == len(model.taus)
 
-            d = sol.decision
+            d = CrossLayerDecision(start, end, payload)
             assert floor <= d.start <= d.end <= unit.deadline
             assert 0.0 <= d.payload <= _payload_bound(model, unit, d.end - d.start) * (1 + 1e-12)
             if cap is not None:
                 assert model.cost(unit, d.start, d.end, d.payload) <= cap * (1 + 1e-9)
             lam = max(hp, hn)
-            assert sol.objective <= ref + 1e-9 * max(1.0, abs(ref)) + lam * TOL
+            assert objective <= ref + 1e-9 * max(1.0, abs(ref)) + lam * TOL
             # the reported objective is the decision's own priced value
             honest = (
                 loss * model.loss(unit, d.start, d.end, d.payload)
@@ -199,7 +200,7 @@ class TestSlopeSearchAgainstGolden:
                 - hp * d.start
                 + hn * d.end
             )
-            assert sol.objective == pytest.approx(honest, rel=1e-9, abs=1e-9)
+            assert objective == pytest.approx(honest, rel=1e-9, abs=1e-9)
         # every solve values its window through window_fn, about eight times
         assert min(evals) > 0
         assert float(np.mean(evals)) <= 12.0
