@@ -2,9 +2,10 @@
 
 Every key has a default, so an empty (or missing) file is a valid
 configuration. Unknown sections or keys raise immediately; silently ignored
-typos in sweep definitions are much worse than a hard error. The canonical
-text rendering feeds a short hash that output CSVs embed, which is what makes
-"same config, byte-identical outputs" checkable.
+typos in sweep definitions are much worse than a hard error. A section takes
+the values that the dataclass it builds takes, by that dataclass's rules. The
+canonical text rendering feeds a short hash that output CSVs embed, which is
+what makes "same config, byte-identical outputs" checkable.
 
 Each key is one row of ``_FIELDS``: its default text, the dataclass field it
 sets and its kind. The kind parses the text, names what it expected when
@@ -17,13 +18,16 @@ import configparser
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
+from .core import _require_count
 from .models import ShannonEnergyParams
-from .online import IMPACT_ESTIMATES, POLICIES, OnlineParams
-from .tracegen import DAG_KINDS, TraceParams
+from .offline import _require_settings
+from .online import POLICIES, OnlineParams
+from .tracegen import TraceParams, _require_dag_args
 
 __all__ = [
     "ConfigError",
@@ -38,7 +42,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Bad configuration file: unknown key, unparsable or out-of-range value."""
+    """Bad configuration file: unknown key, unparsable or refused value."""
 
 
 class _Kind(NamedTuple):
@@ -126,6 +130,9 @@ class SolverParams:
     alpha0: float
     beta0: float
 
+    def __post_init__(self) -> None:
+        _require_settings(self.max_outer, self.alpha0, self.beta0, self.epsilon, None, self.max_inner, self.inner_epsilon)
+
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -140,6 +147,21 @@ class ExperimentPlan:
     edge_prob: float
     steady_start: int
     out_dir: str
+
+    def __post_init__(self) -> None:
+        if not self.policies or not self.seeds or not self.w_sweep:
+            raise ValueError("policies, seeds and w_sweep must be non-empty")
+        for p in self.policies:
+            if p not in POLICIES:
+                raise ValueError(f"unknown policy {p!r} in policies; expected one of {POLICIES}")
+        for seed in self.seeds:
+            _require_count("seeds", seed, 0)
+        if not all(0.0 < w < math.inf for w in self.w_sweep):
+            raise ValueError(f"w_sweep entries must be positive and finite, got {self.w_sweep}")
+        _require_count("cycles", self.cycles, 1)
+        _require_count("steady_start", self.steady_start, 1)
+        # the graph settings are generate_dag's; the experiments build a random graph when dag is none
+        _require_dag_args("random" if self.dag == "none" else self.dag, self.cycle_len, self.edge_prob)
 
 
 @dataclass(frozen=True)
@@ -176,6 +198,15 @@ def _merge(path: Optional[Union[str, Path]]) -> dict[str, dict[str, str]]:
     return raw
 
 
+def _key_named(section: str, message: str) -> str:
+    """" key" for the first field of ``section`` named in ``message`` as a whole
+    word (``_`` may read as a space) under another INI key, else ""."""
+    for key, _, name, _ in _FIELDS[section]:
+        if key != name and re.search(rf"\b{name.replace('_', '[_ ]')}\b", message):
+            return f" {key}"
+    return ""
+
+
 def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
     fields: dict[str, dict[str, object]] = {}
     for section, rows in _FIELDS.items():
@@ -186,64 +217,20 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
                 fields[section][name] = kind.parse(v)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key} = {v!r}: not {kind.expected}") from exc
-    try:
-        trace = TraceParams(**fields["trace"])
-    except ValueError as exc:
-        raise ConfigError(f"[trace]: {exc}") from exc
-    try:
-        model = ShannonEnergyParams(**fields["model"])
-    except ValueError as exc:
-        raise ConfigError(f"[model]: {exc}") from exc
 
-    solver = SolverParams(**fields["solver"])
-    # written as "not ... > 0" so that NaN fails too
-    if not (solver.epsilon > 0 and solver.inner_epsilon >= 0) or min(solver.max_outer, solver.max_inner) < 1:
-        raise ConfigError("[solver]: epsilon must be > 0, inner_epsilon >= 0 and iteration caps >= 1")
-    if not (0 < solver.alpha0 < math.inf and 0 < solver.beta0 < math.inf):
-        raise ConfigError("[solver]: step constants must be positive and finite")
+    def build(section: str, cls: type, **extra: object):
+        try:
+            return cls(**fields[section], **extra)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}]{_key_named(section, str(exc))}: {exc}") from exc
 
-    learner = OnlineParams(
-        **fields["learner"],
-        impact_mean=0.5 * (trace.impact_low + trace.impact_high),
-    )
-    if learner.impact_estimate not in IMPACT_ESTIMATES:
-        raise ConfigError(f"[learner] dag_impact = {learner.impact_estimate!r}: expected one of {IMPACT_ESTIMATES}")
-    if learner.feature_order < 1:
-        raise ConfigError("[learner]: features must be >= 1")
-    if not 0.0 < learner.gamma0 <= 1.0:
-        raise ConfigError("[learner]: gamma0 must lie in (0, 1]")
-    # a negative power would take the value step past gamma0, and past 1
-    if not 0.0 <= learner.gamma_power < math.inf:
-        raise ConfigError("[learner]: gamma_power must be nonnegative and finite")
-    if not (0.0 <= learner.kappa0 < math.inf and 0.0 <= learner.price_init < math.inf):
-        raise ConfigError("[learner]: kappa0 and lambda_init must be nonnegative and finite")
-
-    plan = ExperimentPlan(**fields["experiment"])
-    for p in plan.policies:
-        if p not in POLICIES:
-            raise ConfigError(
-                f"[experiment] policies: unknown policy {p!r}; "
-                f"expected from {POLICIES}"
-            )
-    if plan.dag != "none" and plan.dag not in DAG_KINDS:
-        raise ConfigError(
-            f"[experiment] dag = {plan.dag!r}: expected 'none' or one of {DAG_KINDS}"
-        )
-    if not plan.policies or not plan.seeds or not plan.w_sweep:
-        raise ConfigError("[experiment]: policies, seeds and w_sweep must be non-empty")
-    if min(plan.seeds) < 0:
-        raise ConfigError("[experiment]: seeds must be nonnegative")
-    if not all(0.0 < w < math.inf for w in plan.w_sweep):
-        raise ConfigError("[experiment]: w_sweep entries must be positive and finite")
-    if plan.cycles < 1 or plan.cycle_len < 1:
-        raise ConfigError("[experiment]: cycles and cycle_len must be >= 1")
-    if not 0.0 <= plan.edge_prob <= 1.0:
-        raise ConfigError("[experiment]: edge_prob must lie in [0, 1]")
-    if plan.steady_start < 1:
-        raise ConfigError("[experiment]: steady_start must be >= 1")
-
+    trace = build("trace", TraceParams)
     return ExperimentConfig(
-        trace=trace, model=model, solver=solver, learner=learner, plan=plan
+        trace=trace,
+        model=build("model", ShannonEnergyParams),
+        solver=build("solver", SolverParams),
+        learner=build("learner", OnlineParams, impact_mean=0.5 * (trace.impact_low + trace.impact_high)),
+        plan=build("experiment", ExperimentPlan),
     )
 
 
@@ -252,7 +239,8 @@ def default_config() -> ExperimentConfig:
 
 
 def load_config(path: Optional[Union[str, Path]] = None) -> ExperimentConfig:
-    """Read an INI file (None: pure defaults) into a validated config."""
+    """Read an INI file (None: pure defaults) into a config. A section's values
+    obey the rules of the dataclass it builds, else ``ConfigError`` names the key."""
     return _build(_merge(path))
 
 

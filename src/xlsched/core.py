@@ -23,6 +23,7 @@ save/load round trip is bit-exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -44,6 +45,15 @@ __all__ = [
     "dumps_instance",
     "loads_instance",
 ]
+
+
+def _require_count(name: str, value: object, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (an ``int`` or a
+    numpy integer, not a ``bool``) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .core import (
     Instance,
     IterationRow,
     SolveReport,
+    _require_count,
     validate_instance,
     write_text_atomic,
 )
@@ -120,9 +121,7 @@ class DecisionGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.time_step < math.inf:
             raise ValueError(f"time_step must be positive and finite, got {self.time_step!r}")
-        points = self.action_points
-        if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
-            raise ValueError(f"action_points must be an integer of at least 2, got {points!r}")
+        _require_count("action_points", self.action_points, 2)
 
     def action_step(self, unit: DataUnit) -> float:
         return unit.size / (self.action_points - 1)
@@ -964,11 +963,10 @@ def _require_valid(inst: Instance) -> None:
 
 def _require_settings(max_outer: int, alpha0: float, beta0: float, epsilon: float,
                       gap_tol: Optional[float], max_inner: int = 1, inner_epsilon: float = 0.0) -> None:
-    """Raise ``ValueError`` unless the iteration caps are at least 1, the step
+    """Raise ``ValueError`` unless the iteration caps are integers >= 1, the step
     constants positive and finite and the tolerances non-negative (or None)."""
     for name, value in (("max_outer", max_outer), ("max_inner", max_inner)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        _require_count(name, value, 1)
     for name, value in (("alpha0", alpha0), ("beta0", beta0)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CrossLayerDecision, DataUnit, DependencyGraph, Instance
+from .core import CrossLayerDecision, DataUnit, DependencyGraph, Instance, _require_count
 from .models import TransmissionModel, check_model
 from .offline import _dag_coeffs, _graph_coeffs, _require_valid, _ScheduleValues
 # unused here: perfbench/spans.py wraps these module attributes
@@ -75,8 +75,7 @@ class ValueModel:
 
     @classmethod
     def zero(cls, order: int) -> "ValueModel":
-        if order < 1:
-            raise ValueError(f"feature order must be >= 1, got {order}")
+        _require_count("feature order", order, 1)
         return cls(coeffs=(0.0,) * order)
 
     def features(self, s: float) -> tuple[float, ...]:
@@ -152,7 +151,8 @@ class OnlineParams:
     The value step of unit i is ``gamma0 / i**gamma_power`` in
     :func:`value_update`'s normalized rule, the only one; the price step is
     ``kappa0 / i``. The decision's grid sizes are not knobs: see
-    ``_END_GRID``, ``_REFINE_POINTS`` and ``_CYCLE_ENDS``.
+    ``_END_GRID``, ``_REFINE_POINTS`` and ``_CYCLE_ENDS``. Building one
+    with an invalid setting raises ``ValueError``.
     """
 
     feature_order: int = 3
@@ -162,6 +162,19 @@ class OnlineParams:
     price_init: float = 1.0
     impact_estimate: str = "known"
     impact_mean: float = 100.0
+
+    def __post_init__(self) -> None:
+        if self.impact_estimate not in IMPACT_ESTIMATES:
+            raise ValueError(f"unknown impact_estimate {self.impact_estimate!r}; "
+                             f"expected one of {IMPACT_ESTIMATES}")
+        _require_count("feature order", self.feature_order, 1)
+        # a negative gamma_power would take the value step past gamma0, and past 1
+        for name in ("kappa0", "price_init", "impact_mean", "gamma_power"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+        if not 0.0 < self.gamma0 <= 1.0:
+            raise ValueError(f"gamma0 must lie in (0, 1], got {self.gamma0!r}")
 
     def gamma(self, i: int) -> float:
         return self.gamma0 / float(i) ** self.gamma_power
@@ -344,8 +357,7 @@ class CausalStream:
     """
 
     def __init__(self, inst: Instance, cycle_len: int = 10, expose_cycle_impacts: bool = False):
-        if cycle_len < 1:
-            raise ValueError(f"cycle length must be >= 1, got {cycle_len}")
+        _require_count("cycle_len", cycle_len, 1)
         self._inst = inst
         self._cycle_len = cycle_len
         self._expose = expose_cycle_impacts
@@ -542,27 +554,16 @@ def run_online(
     new cycle's are filled from ``impact_hint`` (``known``) or
     ``impact_mean`` (``mean``).
 
-    Raises ``ValueError`` on an invalid instance (see ``validate_instance``),
-    an unknown policy or ``impact_estimate``, a ``kappa0``, ``price_init``,
-    ``impact_mean`` or ``gamma_power`` that is not non-negative and finite, a
-    ``gamma0`` outside (0, 1] or a ``feature_order`` below 1, under every
-    policy. All are checked before any unit is decided.
+    Raises ``ValueError`` on an invalid instance (see ``validate_instance``)
+    or an unknown policy before any unit is decided. Invalid learner settings
+    are refused when the :class:`OnlineParams` is built.
     """
     check_model(model)
     _require_valid(stream.instance)
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if params is None:
         params = OnlineParams()
-    for what, name, names in (("policy", policy, POLICIES),
-                              ("impact_estimate", params.impact_estimate, IMPACT_ESTIMATES)):
-        if name not in names:
-            raise ValueError(f"unknown {what} {name!r}; expected one of {names}")
-    # a negative gamma_power would take the value step past gamma0, and past 1
-    for name, value in (("kappa0", params.kappa0), ("price_init", params.price_init),
-                        ("impact_mean", params.impact_mean), ("gamma_power", params.gamma_power)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-    if not 0.0 < params.gamma0 <= 1.0:
-        raise ValueError(f"gamma0 must lie in (0, 1], got {params.gamma0!r}")
     zero = ValueModel.zero(params.feature_order)
     ledger = _PriceLedger(stream, model, params)
     if policy == "mdu":

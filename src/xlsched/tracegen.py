@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DataUnit, DependencyGraph, Instance
+from .core import DataUnit, DependencyGraph, Instance, _require_count
 
 __all__ = ["TraceParams", "generate_trace", "generate_dag", "DAG_KINDS"]
 
@@ -115,6 +115,18 @@ def generate_trace(params: TraceParams) -> Instance:
     return Instance(units=units, budget=params.budget, graph=None)
 
 
+def _require_dag_args(kind: str, cycle_len: int, edge_prob: float) -> None:
+    """Raise ``ValueError`` unless ``generate_dag`` takes these arguments."""
+    if kind not in DAG_KINDS:
+        raise ValueError(f"unknown dag kind {kind!r}; expected one of {DAG_KINDS}")
+    _require_count("cycle_len", cycle_len, 1)
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
+    for pattern, size in (("ibpbp", 5), ("gop8", 8)):
+        if kind == pattern and cycle_len != size:
+            raise ValueError(f"{pattern} pattern needs cycle_len {size}, got {cycle_len}")
+
+
 def generate_dag(
     kind: str,
     num_dus: int,
@@ -131,19 +143,9 @@ def generate_dag(
     exist. Returns None when no edge survives. No edge crosses a cycle
     boundary.
     """
-    if kind not in DAG_KINDS:
-        raise ValueError(f"unknown dag kind {kind!r}; expected one of {DAG_KINDS}")
-    if cycle_len < 1:
-        raise ValueError(f"cycle length must be >= 1, got {cycle_len}")
+    _require_dag_args(kind, cycle_len, edge_prob)
     if num_dus < 0:
         raise ValueError(f"num_dus must be nonnegative, got {num_dus}")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
-
-    if kind == "ibpbp" and cycle_len != 5:
-        raise ValueError(f"ibpbp pattern needs cycle_len 5, got {cycle_len}")
-    if kind == "gop8" and cycle_len != 8:
-        raise ValueError(f"gop8 pattern needs cycle_len 8, got {cycle_len}")
 
     edges: list[tuple[int, int]] = []
     if kind == "random":

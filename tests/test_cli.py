@@ -276,6 +276,14 @@ class TestExperiments:
         assert all("seed9" in name for name in cells)
         assert (out / "online_summary.csv").exists()
 
+    def test_online_seed_override_obeys_the_plan_rules(self, tmp_path, capsys):
+        cfg = _config(tmp_path, _TINY_PLAN)
+        out = tmp_path / "o"
+        rc = main(["--config", cfg, "--out", str(out), "--seed", "-1", "online"])
+        assert rc == 2
+        assert "seeds must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestArgumentErrors:
     def test_unknown_subcommand(self):

@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 from xlsched import (
+    DAG_KINDS,
     ConfigError,
     OnlineParams,
     config_hash,
     config_to_text,
     default_config,
+    generate_dag,
     load_config,
     solve_independent,
     solve_interdependent,
@@ -22,8 +24,8 @@ from xlsched import (
 from xlsched.config import _FIELDS
 
 
-# the learner rules that the config and run_online both check, as (OnlineParams
-# field, INI key, a value both refuse): a rule changed on one side only fails
+# the learner rules that OnlineParams checks, as (field, INI key, a refused
+# value): the config and run_online both refuse these values through it
 LEARNER_REFUSALS = [
     (field, key, value)
     for field, key, values in (
@@ -104,12 +106,12 @@ class TestRejection:
         ("[trace]\nbudget = -1\n", "budget"),
         ("[trace]\ntheta = 0\n", "decay"),
         ("[model]\nn0 = -5\n", "model"),
-        ("[solver]\nepsilon = 0\n", "epsilon"),
-        ("[solver]\nalpha0 = -0.5\n", "step constants"),
-        ("[solver]\nalpha0 = nan\n", "step constants"),
-        ("[solver]\nalpha0 = inf\n", "step constants"),
-        ("[solver]\nbeta0 = nan\n", "step constants"),
-        ("[solver]\nbeta0 = inf\n", "step constants"),
+        ("[solver]\nepsilon = -1\n", "epsilon"),
+        ("[solver]\nalpha0 = -0.5\n", "alpha0"),
+        ("[solver]\nalpha0 = nan\n", "alpha0"),
+        ("[solver]\nalpha0 = inf\n", "alpha0"),
+        ("[solver]\nbeta0 = nan\n", "beta0"),
+        ("[solver]\nbeta0 = inf\n", "beta0"),
         ("[solver]\nepsilon = nan\n", "epsilon"),
         ("[solver]\ninner_epsilon = nan\n", "inner_epsilon"),
         ("[solver]\ninner_epsilon = -1e-6\n", "inner_epsilon"),
@@ -158,6 +160,68 @@ class TestRejection:
 
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
+
+
+class TestRulesOfTheDataclasses:
+    """Each section's values are those that its dataclass takes."""
+
+    @pytest.mark.parametrize("section,key,name,kind", [
+        (section, key, name, kind) for section in ("solver", "learner") for key, _, name, kind in _FIELDS[section]
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("text", ["0", "-0.0", "-1", "nan", "inf", "-inf"])
+    def test_the_config_refuses_what_the_api_refuses(self, tmp_path, section, key, name, kind, text):
+        # the API is passed what the key parses to, or the float it reads as
+        # where the key's kind refuses the text (an integer key and "nan")
+        try:
+            value = kind.parse(text)
+        except ValueError:
+            value = float(text)
+        path = _write(tmp_path, f"[{section}]\n{key} = {text}\n")
+        try:
+            dataclasses.replace(getattr(default_config(), section), **{name: value})
+        except ValueError:
+            with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+                load_config(path)
+        else:
+            assert getattr(getattr(load_config(path), section), name) == value
+
+    @pytest.mark.parametrize("section,change,field", [
+        ("learner", {"gamma0": 2.0}, "gamma0"),
+        ("learner", {"feature_order": True}, "feature order"),
+        ("solver", {"max_outer": 2.5}, "max_outer"),
+        ("solver", {"epsilon": -1.0}, "epsilon"),
+        ("plan", {"seeds": (-1,)}, "seeds"),
+        ("plan", {"cycles": 2.5}, "cycles"),
+        ("plan", {"cycles": True}, "cycles"),
+        ("plan", {"steady_start": 0}, "steady_start"),
+    ])
+    def test_replace_checks_again(self, section, change, field):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(getattr(default_config(), section), **change)
+
+    def test_zero_epsilon_loads(self, tmp_path):
+        # the solvers take it, and the config once refused it
+        assert load_config(_write(tmp_path, "[solver]\nepsilon = 0\n")).solver.epsilon == 0.0
+
+    @pytest.mark.parametrize("dag,cycle_len", [("ibpbp", 10), ("gop8", 5), ("ibpbp", 8)])
+    def test_a_pattern_dag_needs_its_cycle_len(self, tmp_path, dag, cycle_len):
+        # ibpbp with cycle_len 10 once loaded, and fig8 failed on it
+        with pytest.raises(ConfigError, match="needs cycle_len"):
+            load_config(_write(tmp_path, f"[experiment]\ndag = {dag}\ncycle_len = {cycle_len}\n"))
+
+    @pytest.mark.parametrize("dag", ["none", *DAG_KINDS, "tree"])
+    @pytest.mark.parametrize("cycle_len", [0, 1, 5, 8, 2.5])
+    @pytest.mark.parametrize("edge_prob", [0.0, 0.5, 1.5, math.nan])
+    def test_the_plan_takes_what_generate_dag_takes(self, dag, cycle_len, edge_prob):
+        # the experiments build a random graph when dag is none
+        kind = "random" if dag == "none" else dag
+        try:
+            generate_dag(kind, 20, cycle_len, edge_prob=edge_prob)
+        except ValueError:
+            with pytest.raises(ValueError):
+                dataclasses.replace(default_config().plan, dag=dag, cycle_len=cycle_len, edge_prob=edge_prob)
+        else:
+            dataclasses.replace(default_config().plan, dag=dag, cycle_len=cycle_len, edge_prob=edge_prob)
 
 
 def test_sections_match_the_parameters_they_set():

@@ -968,6 +968,23 @@ class TestSharedDualLoop:
             solve_interdependent(self._instance(5, chain=True), MODEL, max_inner=0)
 
     @pytest.mark.parametrize("name,value", [
+        ("max_outer", 2.5), ("max_outer", True), ("max_outer", 3.0), ("max_outer", "3"),
+        ("max_inner", 2.5), ("max_inner", True),
+    ])
+    def test_rejects_an_iteration_cap_that_is_not_an_integer(self, name, value, fail_fast):
+        # 2.5 once failed with a TypeError from range, and True ran one iteration
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            solve_interdependent(self._instance(4, chain=True), MODEL, **{name: value})
+        if name == "max_outer":
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                solve_independent(self._instance(4, chain=True), MODEL, max_outer=value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.int32(2)])
+    def test_accepts_a_numpy_integer_cap(self, value):
+        rep = solve_independent(self._instance(4, chain=True), MODEL, max_outer=value)
+        assert 1 <= rep.outer_iterations <= value
+
+    @pytest.mark.parametrize("name,value", [
         ("alpha0", math.nan), ("alpha0", math.inf), ("alpha0", 0.0),
         ("beta0", math.nan), ("beta0", math.inf), ("beta0", -1.0),
         ("epsilon", math.nan), ("epsilon", -1e-3),

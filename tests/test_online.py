@@ -308,6 +308,11 @@ class TestCausalStream:
         with pytest.raises(ValueError):
             self._stream(cycle_len=0)
 
+    @pytest.mark.parametrize("cycle_len", [2.5, 5.0, True, "5"])
+    def test_rejects_a_cycle_length_that_is_not_an_integer(self, cycle_len):
+        with pytest.raises(ValueError, match="cycle_len must be an integer"):
+            self._stream(cycle_len=cycle_len)
+
 
 class _Untouched(CausalStream):
     """A stream whose units and cycles must not be asked for."""
@@ -458,8 +463,8 @@ class TestRunOnline:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_unknown_impact_estimate_is_rejected(self, policy):
         inst = generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0))
-        params = dataclasses.replace(OnlineParams(), impact_estimate="oracle")
         with pytest.raises(ValueError, match="unknown impact_estimate 'oracle'"):
+            params = dataclasses.replace(OnlineParams(), impact_estimate="oracle")
             run_online(CausalStream(inst, 5, expose_cycle_impacts=True), MODEL, policy, params)
 
 
@@ -475,8 +480,8 @@ class TestRunOnline:
         # negative gamma_power failed only a few units into a proposed run,
         # and myopic and mdu never read them
         stream = _Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
-        params = dataclasses.replace(OnlineParams(), **{field: value})
         with pytest.raises(ValueError, match=field):
+            params = dataclasses.replace(OnlineParams(), **{field: value})
             run_online(stream, MODEL, policy, params)
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -501,9 +506,16 @@ class TestRunOnline:
     @pytest.mark.parametrize("order", [0, -1])
     def test_feature_order_below_one_is_rejected_before_any_unit(self, policy, order):
         stream = _Untouched(generate_trace(TraceParams(seed=6, num_dus=10, budget=5.0)), 5)
-        params = dataclasses.replace(OnlineParams(), feature_order=order)
         with pytest.raises(ValueError, match="feature order must be >= 1"):
+            params = dataclasses.replace(OnlineParams(), feature_order=order)
             run_online(stream, MODEL, policy, params)
+
+    @pytest.mark.parametrize("order", [2.5, 3.0, True, np.float64(3.0)])
+    def test_feature_order_that_is_not_an_integer_is_rejected(self, order):
+        # 2.5 once failed with a TypeError in ValueModel.zero, and True learned
+        # one coefficient
+        with pytest.raises(ValueError, match="feature order must be an integer"):
+            OnlineParams(feature_order=order)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_mdu_ends_with_zero_values_of_the_feature_order(self, order):
