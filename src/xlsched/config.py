@@ -198,13 +198,14 @@ def _merge(path: Optional[Union[str, Path]]) -> dict[str, dict[str, str]]:
     return raw
 
 
-def _key_named(section: str, message: str) -> str:
-    """" key" for the first field of ``section`` named in ``message`` as a whole
-    word (``_`` may read as a space) under another INI key, else ""."""
-    for key, _, name, _ in _FIELDS[section]:
+def _row_named(section: str, message: str) -> Optional[tuple[str, str, str, _Kind]]:
+    """The row of the first field of ``section`` named in ``message`` as a
+    whole word (``_`` may read as a space) under another INI key, else None."""
+    for row in _FIELDS[section]:
+        key, _, name, _ = row
         if key != name and re.search(rf"\b{name.replace('_', '[_ ]')}\b", message):
-            return f" {key}"
-    return ""
+            return row
+    return None
 
 
 def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
@@ -222,7 +223,14 @@ def _build(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
         try:
             return cls(**fields[section], **extra)
         except ValueError as exc:
-            raise ConfigError(f"[{section}]{_key_named(section, str(exc))}: {exc}") from exc
+            message, row = str(exc), _row_named(section, str(exc))
+            if row is None:
+                raise ConfigError(f"[{section}]: {message}") from exc
+            key, _, name, kind = row
+            if kind is _MS:
+                # the dataclass holds seconds: quote the file's milliseconds
+                message = message.replace(f"got {fields[section][name]}", f"got {raw[section][key]} ms")
+            raise ConfigError(f"[{section}] {key}: {message}") from exc
 
     trace = build("trace", TraceParams)
     return ExperimentConfig(

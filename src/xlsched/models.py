@@ -149,13 +149,17 @@ class TransmissionModel(Protocol):
     The scalar pair ``loss`` and ``cost`` values a decision (and is all
     :func:`verify_shape` samples); a unit's loss is also the error it
     propagates to the units that reference it. Both depend on the window
-    only through its length ``end - start``: ``window_fn``, ``window_vec``
-    and the lattice option tables rely on it. The per-unit solves use the
-    closed form of the payload argmin at fixed weights on loss and energy:
-    ``window_fn`` for the offline window search, built once per solve, and
-    its array twin ``window_vec`` for the online end-grid search. A window
-    may carry ``root(lam)``, the root of its slope plus ``lam`` in closed
-    form or None; the search uses it where present.
+    only through its length ``end - start``: ``window_fn``, ``window_vec``,
+    ``window_table`` and the lattice option tables rely on it. The per-unit
+    solves use the closed form of the payload argmin at fixed weights on loss
+    and energy: ``window_fn`` for the offline window search, built once per
+    solve, and its array twin ``window_vec`` for the online end-grid search.
+    ``window_table(unit, taus)`` is ``window_vec`` on fixed taus with the
+    weights left open, ``(loss_weight, energy_weight) -> (payload, loss,
+    energy)``: the ``mdu`` DAG passes build one per unit and cycle and
+    evaluate it at each pass's weights while the unit's start times stay the
+    same. A window may carry ``root(lam)``, the root of its slope plus
+    ``lam`` in closed form or None; the search uses it where present.
     """
 
     def loss(self, unit: "DataUnit", start: float, end: float, payload: float) -> float: ...
@@ -170,13 +174,17 @@ class TransmissionModel(Protocol):
         self, unit: "DataUnit", taus: np.ndarray, loss_weight: float, energy_weight: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
+    def window_table(
+        self, unit: "DataUnit", taus: np.ndarray
+    ) -> Callable[[float, float], tuple[np.ndarray, np.ndarray, np.ndarray]]: ...
+
 
 def check_model(model: object) -> None:
     """Raise ``TypeError`` unless ``model`` implements :class:`TransmissionModel`."""
     if not isinstance(model, TransmissionModel):
         raise TypeError(
             f"{type(model).__name__} does not implement the TransmissionModel protocol "
-            "(loss, cost, window_fn, window_vec)"
+            "(loss, cost, window_fn, window_vec, window_table)"
         )
 
 
@@ -186,12 +194,13 @@ class ShannonExpModel:
 
     Besides the scalar pair it exposes the window value
     ``V(tau) = min_a L * 2**(-decay*a) + E * cost(tau, a)`` in closed form
-    (``window_fn``, and ``window_vec`` over an array of window lengths): the
-    payload minimizer is a stationary point solvable in the log domain, and
-    the slope ``dV/dtau`` follows from the envelope theorem. Below the cap
-    and with energy priced it is ``E*noise/channel*phi(z)``, where
-    ``z = a*bit_unit/(tau*bandwidth_hz)`` and ``phi(z) = 2**z (1 - z ln 2) - 1``
-    falls, so its root has a closed form in the Lambert W function.
+    (``window_fn``, and ``window_vec`` or ``window_table`` over an array of
+    window lengths): the payload minimizer is a stationary point solvable in
+    the log domain, and the slope ``dV/dtau`` follows from the envelope
+    theorem. Below the cap and with energy priced it is
+    ``E*noise/channel*phi(z)``, where ``z = a*bit_unit/(tau*bandwidth_hz)``
+    and ``phi(z) = 2**z (1 - z ln 2) - 1`` falls, so its root has a closed
+    form in the Lambert W function.
     """
 
     params: ShannonEnergyParams = field(default_factory=ShannonEnergyParams)
@@ -320,56 +329,98 @@ class ShannonExpModel:
         are pinned to this arithmetic.
 
         It runs twice per online decision on a few hundred taus, and once per
-        unit of an ``mdu`` cycle on a table of (link-free time, end) pairs, so
-        it is whole-array ufunc arithmetic, and on such arrays its time goes
-        mostly to the number of numpy calls: ``safe`` stands in for the taus
-        that are not positive, one ``where`` zeroes their payload, and only
-        clamps that can bind are applied. The energy exponent keeps its
-        upper clamp (a subnormal span sends it past ``EXP_CLAMP``); its lower
-        one and the loss exponent's upper one never bind, since payloads lie
-        in [0, size]. The cap ``a_cap`` is never negative, so it needs no
-        lower clamp. The loss exponent's lower clamp is applied only when
-        ``decay * size`` exceeds ``EXP_CLAMP``, and the payload's lower clamp
-        only when ``log2(ratio)`` is not positive: otherwise the stationary
-        point is never negative. An infinite energy is read as ``2**EXP_CLAMP``;
-        one max test finds that none is there (a NaN also takes the ``where``).
+        unit of a graph-free ``mdu`` cycle on a table of (link-free time, end)
+        pairs, so it is whole-array ufunc arithmetic, and on such arrays its
+        time goes mostly to the number of numpy calls. It is the two halves
+        of :meth:`window_table` run in one call under one ``errstate``: the
+        weight-free half on ``taus``, then the weighted half at the weights.
         """
+        with np.errstate(divide="ignore", over="ignore"):
+            return self._weighted(unit, self._weight_free(unit, taus), loss_weight, energy_weight)
+
+    def window_table(
+        self, unit, taus: np.ndarray
+    ) -> Callable[[float, float], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """:meth:`window_vec` on fixed ``taus`` at weights given later.
+
+        Returns ``(loss_weight, energy_weight) -> (payload, loss, energy)``,
+        bit for bit ``window_vec(unit, taus, loss_weight, energy_weight)``.
+        The weight-free half of the arithmetic runs here, once; each call
+        runs only the half that reads the weights, and returns fresh arrays.
+        The ``mdu`` DAG passes value the same (link-free time, end) pairs of
+        a unit at new loss weights, and keep its table while its start times
+        stay the same.
+        """
+        with np.errstate(divide="ignore", over="ignore"):
+            free = self._weight_free(unit, taus)
+
+        def table(loss_weight: float, energy_weight: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            with np.errstate(divide="ignore", over="ignore"):
+                return self._weighted(unit, free, loss_weight, energy_weight)
+
+        return table
+
+    # The two halves below run under the caller's errstate: a subnormal tau
+    # overflows energy_cap*channel/(noise*tau), bit_unit/span and
+    # payload*bit_unit/span, and a huge one the energy product; each inf
+    # stands for the bound it exceeds, as the clamps expect. Their time goes
+    # mostly to the number of numpy calls: ``safe`` stands in for the taus
+    # that are not positive, one ``where`` zeroes their payload, and only
+    # clamps that can bind are applied. The energy exponent keeps its upper
+    # clamp (a subnormal span sends it past ``EXP_CLAMP``); its lower one and
+    # the loss exponent's upper one never bind, since payloads lie in
+    # [0, size]. The cap ``a_cap`` is never negative, so it needs no lower
+    # clamp. The loss exponent's lower clamp is applied only when
+    # ``decay * size`` exceeds ``EXP_CLAMP``, and the payload's lower clamp
+    # only when ``log2(ratio)`` is not positive: otherwise the stationary
+    # point is never negative. An infinite energy is read as
+    # ``2**EXP_CLAMP``; one max test finds that none is there (a NaN also
+    # takes the ``where``).
+
+    def _weight_free(self, unit, taus: np.ndarray) -> tuple:
+        """What the window arrays take from the taus alone: the positivity
+        mask, the spans, the payload's upper bound (the size, or the energy
+        cap's payload), the stationary payload's denominator
+        ``decay + bit_unit / span`` and the energy's factor ``noise / channel * tau``."""
         p = self.params
         taus = np.asarray(taus, dtype=float)
         pos = taus > 0.0
         safe = np.where(pos, taus, 1.0)
-        # a subnormal tau overflows energy_cap*channel/(noise*tau), bit_unit/span
-        # and payload*bit_unit/span, and a huge one the energy product; each
-        # inf stands for the bound it exceeds, as the clamps below expect
-        with np.errstate(divide="ignore", over="ignore"):
-            span = safe * p.bandwidth_hz
-            payload = 0.0
-            if not loss_weight <= 0.0:
-                upper = float(unit.size)
-                if p.energy_cap is not None:
-                    # span and the log2 of 1 plus a positive are not negative, so
-                    # neither is a_cap; a NaN would pass a max with 0 unchanged
-                    a_cap = span / p.bit_unit * np.log2(1.0 + p.energy_cap * unit.channel / (p.noise * safe))
-                    upper = np.minimum(upper, a_cap)
-                if energy_weight <= 0.0:
-                    payload = upper
-                else:
-                    ratio = loss_weight * unit.decay * unit.channel * p.bandwidth_hz / (energy_weight * p.noise * p.bit_unit)
-                    if not ratio <= 0.0:
-                        log_ratio = math.log2(ratio)
-                        a = log_ratio / (unit.decay + p.bit_unit / span)
-                        # a positive over a positive is not negative; otherwise
-                        # not np.clip: with a scalar bound it keeps a = -0.0 (a
-                        # tau near 1e-300), which np.maximum turns into +0.0
-                        payload = np.minimum(a if log_ratio > 0.0 else np.maximum(a, 0.0), upper)
-            payloads = np.where(pos, payload, 0.0)
+        span = safe * p.bandwidth_hz
+        upper = float(unit.size)
+        if p.energy_cap is not None:
+            # span and the log2 of 1 plus a positive are not negative, so
+            # neither is a_cap; a NaN would pass a max with 0 unchanged
+            a_cap = span / p.bit_unit * np.log2(1.0 + p.energy_cap * unit.channel / (p.noise * safe))
+            upper = np.minimum(upper, a_cap)
+        return pos, span, upper, unit.decay + p.bit_unit / span, (p.noise / unit.channel) * safe
 
-            # payloads lie in [0, size], so the exponent is in [-decay*size, 0]
-            z = -unit.decay * payloads
-            loss = np.exp2(z if unit.decay * unit.size <= EXP_CLAMP else np.maximum(z, -EXP_CLAMP))
-            vals = (p.noise / unit.channel) * safe * (np.exp2(np.minimum(payloads * p.bit_unit / span, EXP_CLAMP)) - 1.0)
-            # vals are not negative, so a max below inf rules out inf and NaN
-            energy = vals if vals.size and vals.max() < math.inf else np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
+    def _weighted(self, unit, free: tuple, loss_weight: float, energy_weight: float) -> tuple:
+        """The window arrays at the weights, from :meth:`_weight_free`'s tuple,
+        which it reads and never writes."""
+        p = self.params
+        pos, span, upper, denominator, spend = free
+        payload = 0.0
+        if not loss_weight <= 0.0:
+            if energy_weight <= 0.0:
+                payload = upper
+            else:
+                ratio = loss_weight * unit.decay * unit.channel * p.bandwidth_hz / (energy_weight * p.noise * p.bit_unit)
+                if not ratio <= 0.0:
+                    log_ratio = math.log2(ratio)
+                    a = log_ratio / denominator
+                    # a positive over a positive is not negative; otherwise
+                    # not np.clip: with a scalar bound it keeps a = -0.0 (a
+                    # tau near 1e-300), which np.maximum turns into +0.0
+                    payload = np.minimum(a if log_ratio > 0.0 else np.maximum(a, 0.0), upper)
+        payloads = np.where(pos, payload, 0.0)
+
+        # payloads lie in [0, size], so the exponent is in [-decay*size, 0]
+        z = -unit.decay * payloads
+        loss = np.exp2(z if unit.decay * unit.size <= EXP_CLAMP else np.maximum(z, -EXP_CLAMP))
+        vals = spend * (np.exp2(np.minimum(payloads * p.bit_unit / span, EXP_CLAMP)) - 1.0)
+        # vals are not negative, so a max below inf rules out inf and NaN
+        energy = vals if vals.size and vals.max() < math.inf else np.where(np.isinf(vals), 2.0 ** EXP_CLAMP, vals)
         return payloads, loss, energy
 
 

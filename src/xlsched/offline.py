@@ -40,7 +40,9 @@ decisions a step returns or a sweep accepts.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +53,7 @@ import numpy as np
 from .core import (
     CrossLayerDecision,
     DataUnit,
+    DependencyGraph,
     Instance,
     IterationRow,
     SolveReport,
@@ -945,6 +948,157 @@ def _polish_grid_pairs(
         if not improved:
             break
     return tuple(out), best
+
+
+# -- the fixed-price FIFO dynamic program --------------------------------------
+
+# window ends per unit in the FIFO DP, and its fixed-coefficient passes on a graph
+_CYCLE_ENDS = 51
+_DAG_PASSES = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _ramp(n: int) -> np.ndarray:
+    # operator.index refuses a float count, as np.linspace does
+    ramp = np.arange(operator.index(n), dtype=float)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)`` for n >= 2, as every caller passes: its
+    arithmetic (the step, its zero-step branch for subnormal spans, the shift
+    by ``lo`` and the exact last point) on a cached ramp, not a fresh ``arange``."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    y = _ramp(n) / div * delta if step == 0 else _ramp(n) * step
+    y += lo
+    y[-1] = hi
+    return y
+
+
+class _UnitWindows:
+    """The windows that :func:`_fifo_dp` values, for one sequence of units at
+    one floor and number of ends, shared by every DP over them.
+
+    ``ends[k]`` is unit k's end grid, ``points`` evenly spaced times from
+    ``max(ready, floor)`` to its deadline, or None where that interval is
+    empty. :meth:`value` values the windows from the live start times to those
+    ends at a loss weight and price. With ``keep`` it also keeps each unit's
+    window table, with the start times and the mask of empty windows it was
+    built on, and a later DP whose unit k starts from the same times only
+    evaluates that table at its own weights; otherwise it calls ``window_vec``.
+    """
+
+    def __init__(self, units: Sequence[DataUnit], model: TransmissionModel, floor: float, points: int,
+                 keep: bool):
+        self.model = model
+        self.ends = [_grid(lo, u.deadline, points) if (lo := max(u.ready, floor)) < u.deadline else None
+                     for u in units]
+        self.kept = [None] * len(units) if keep else None
+
+    def value(self, k: int, unit: DataUnit, starts: np.ndarray, weight: float, price: float) -> tuple:
+        """(payload, loss, energy, empty window) tables of unit k, one row per start."""
+        if self.kept is None:
+            taus = self.ends[k] - starts[:, None]
+            return (*self.model.window_vec(unit, taus, weight, price), taus <= 0.0)
+        kept, key = self.kept[k], starts.tobytes()
+        if kept is None or kept[0] != key:
+            taus = self.ends[k] - starts[:, None]
+            kept = self.kept[k] = key, self.model.window_table(unit, taus), taus <= 0.0
+        return (*kept[1](weight, price), kept[2])
+
+
+def _fifo_dp(units: Sequence[DataUnit], weights: Sequence[float], price: float, model: TransmissionModel,
+             floor: float, points: int = _CYCLE_ENDS,
+             windows: Optional[_UnitWindows] = None) -> tuple[tuple[CrossLayerDecision, ...], float]:
+    """The cheapest FIFO schedule of ``units`` at fixed loss weights and price.
+
+    Minimizes the sum of ``weights[i] * loss + price * energy``. Each unit
+    sends nothing, or ends on one of ``points`` evenly spaced times from
+    ``max(ready, floor)`` to its deadline, starts at ``max(ready, link-free
+    time)`` and sends ``window_vec``'s payload. The state is the time the link
+    becomes free: one valuation per unit values every (state, end) pair,
+    sending nothing keeps the state (with an empty window there, or at the
+    deadline if that has passed), and a state free no earlier than another at
+    no lower cost is pruned, so the last state kept is the optimum. Returns
+    the decisions and the time the link becomes free after them. ``windows``,
+    built on the same units, model, floor and points, carries the valuations
+    from one DP to the next; without it each unit calls ``window_vec``.
+
+    A unit's candidates are its live states, which keep their time (sending
+    nothing), then its ends, each reached from the state of least cost (the
+    row argmin of the value table). Only their times and costs are
+    concatenated and pruned; the unit keeps its first live state, starts,
+    idle times, ends, row argmins, payload table and kept indices, and the
+    backtrack resolves the parent, window and payload of the one candidate
+    it picks per unit.
+    """
+    if windows is None:
+        windows = _UnitWindows(units, model, floor, points, keep=False)
+    times, costs, steps = np.array([floor]), np.array([0.0]), []
+    for k, (unit, w) in enumerate(zip(units, weights)):
+        # ready times do not decrease, so of the states free by this ready
+        # time the last, cheapest one stands for all, for every later unit too
+        first = max(int(times.searchsorted(unit.ready, "right")) - 1, 0)
+        starts, base = np.maximum(times[first:], unit.ready), costs[first:]
+        t, c, ends, rows, payloads = starts, base + w, windows.ends[k], None, None
+        if ends is not None:
+            payloads, loss, energy, empty = windows.value(k, unit, starts, w, price)
+            vals = base[:, None] + (w * loss + price * energy)
+            np.putmask(vals, empty, math.inf)
+            rows = vals.argmin(axis=0)
+            t, c = np.concatenate((t, ends)), np.concatenate((c, vals.min(axis=0)))
+        order = np.lexsort((c, t))
+        ordered = c[order]
+        keep = order[ordered < np.minimum.accumulate(np.concatenate(((math.inf,), ordered[:-1])))]
+        times, costs = t[keep], c[keep]
+        steps.append((first, starts, np.minimum(starts, unit.deadline), ends, rows, payloads, keep))
+    decisions, state = [], len(times) - 1
+    for first, starts, idle, ends, rows, payloads, keep in reversed(steps):
+        j = int(keep[state])
+        if j < len(starts):
+            decisions.append(CrossLayerDecision(float(idle[j]), float(idle[j]), 0.0))
+            state = first + j
+        else:
+            j -= len(starts)
+            row = int(rows[j])
+            decisions.append(CrossLayerDecision(float(starts[row]), float(ends[j]), float(payloads[row, j])))
+            state = first + row
+    return tuple(reversed(decisions)), float(times[-1])
+
+
+def _solve_cycle_fixed_price(
+    units: Sequence[DataUnit], graph: Optional[DependencyGraph], price: float, model: TransmissionModel,
+    start_floor: float,
+) -> tuple[tuple[CrossLayerDecision, ...], float]:
+    """Clairvoyant solve of one cycle at a fixed budget price, starting no
+    earlier than ``start_floor``: one :func:`_fifo_dp` at the units' impacts.
+    With a graph that schedule seeds up to ``_DAG_PASSES`` passes, each at the
+    weights ``impact * A + S`` that ``_dag_coeffs`` reads from the previous
+    schedule, and the schedule with the lowest cycle Lagrangian (distortion
+    through the graph plus the priced energy) is kept. The end grids are
+    built once per cycle; with a graph each unit's window table is kept too,
+    and a pass whose unit starts from the same times as the last pass only
+    evaluates it at the new weight. Returns the decisions and the time the
+    link becomes free after them."""
+    windows = _UnitWindows(units, model, start_floor, _CYCLE_ENDS, keep=graph is not None)
+    best = solved = _fifo_dp(units, [u.impact for u in units], price, model, start_floor, _CYCLE_ENDS, windows)
+    if graph is None:
+        return best
+    values = _ScheduleValues(units, graph, solved[0], model)
+    best_value = values.lagrangian(price, (), 0.0)
+    for _ in range(_DAG_PASSES):
+        coeffs = [_dag_coeffs(i, values) for i in range(1, len(units) + 1)]
+        again = _fifo_dp(units, [u.impact * a + s for u, (a, s) in zip(units, coeffs)], price, model, start_floor,
+                         _CYCLE_ENDS, windows)
+        if again[0] == solved[0]:
+            break
+        solved, values = again, _ScheduleValues(units, graph, again[0], model)
+        if (value := values.lagrangian(price, (), 0.0)) < best_value:
+            best, best_value = solved, value
+    return best
 
 
 # -- full solvers -------------------------------------------------------------

@@ -15,15 +15,14 @@ the slow price step and the run's records:
 * ``proposed``: full objective with the learned value term;
 * ``myopic``: the same per-unit solve with the value term pinned to zero;
 * ``mdu``: buffers one cycle at a time, assumes the cycle's attributes are
-  known, and solves it at the frozen global price by a dynamic program over
-  each unit's window ends (explicitly exempt from the causal interface).
+  known, and solves it at the frozen global price by ``offline``'s FIFO
+  dynamic program over each unit's window ends (explicitly exempt from the
+  causal interface).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,9 +30,9 @@ import numpy as np
 
 from .core import CrossLayerDecision, DataUnit, DependencyGraph, Instance, _require_count
 from .models import TransmissionModel, check_model
-from .offline import _dag_coeffs, _graph_coeffs, _require_valid, _ScheduleValues
+from .offline import _graph_coeffs, _grid, _require_valid, _ScheduleValues, _solve_cycle_fixed_price
 # unused here: perfbench/spans.py wraps these module attributes
-from .offline import _solve_unit_dag, handoff_update, recover_primal, upper_optimization  # noqa: F401
+from .offline import _dag_coeffs, _solve_unit_dag, handoff_update, recover_primal, upper_optimization  # noqa: F401
 
 __all__ = [
     "ValueModel",
@@ -58,10 +57,10 @@ IMPACT_ESTIMATES = ("known", "mean")
 # the floor under the squared feature norm in value_update's step
 _VALUE_FLOOR = 1e-4
 # window ends per unit: a proposed or myopic decision's end grid and its
-# refinement between the best end's neighbours, and the mdu cycle DP's ends
+# refinement between the best end's neighbours (the mdu cycle DP's ends are
+# offline._CYCLE_ENDS)
 _END_GRID = 200
 _REFINE_POINTS = 60
-_CYCLE_ENDS = 51
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ class OnlineParams:
     The value step of unit i is ``gamma0 / i**gamma_power`` in
     :func:`value_update`'s normalized rule, the only one; the price step is
     ``kappa0 / i``. The decision's grid sizes are not knobs: see
-    ``_END_GRID``, ``_REFINE_POINTS`` and ``_CYCLE_ENDS``. Building one
+    ``_END_GRID``, ``_REFINE_POINTS`` and ``offline._CYCLE_ENDS``. Building one
     with an invalid setting raises ``ValueError``.
     """
 
@@ -190,27 +189,6 @@ class UnitOutcome:
     energy: float
     loss: float
     dropped: bool = False
-
-
-@functools.lru_cache(maxsize=None)
-def _ramp(n: int) -> np.ndarray:
-    # operator.index refuses a float count, as np.linspace does
-    ramp = np.arange(operator.index(n), dtype=float)
-    ramp.flags.writeable = False
-    return ramp
-
-
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n)`` for n >= 2, as every caller passes: its
-    arithmetic (the step, its zero-step branch for subnormal spans, the shift
-    by ``lo`` and the exact last point) on a cached ramp, not a fresh ``arange``."""
-    div = n - 1
-    delta = hi - lo
-    step = delta / div
-    y = _ramp(n) / div * delta if step == 0 else _ramp(n) * step
-    y += lo
-    y[-1] = hi
-    return y
 
 
 def _decide(
@@ -613,9 +591,6 @@ def run_online(
 
 # -- clairvoyant per-cycle baseline ---------------------------------------------
 
-# the cycle DP's fixed-coefficient passes on a graph
-_DAG_PASSES = 3
-
 
 def _cycle_edges(graph: Optional[DependencyGraph], cycle_len: int) -> dict[int, list[tuple[int, int]]]:
     """The edges of ``graph`` between units of one cycle of ``cycle_len``
@@ -628,88 +603,6 @@ def _cycle_edges(graph: Optional[DependencyGraph], cycle_len: int) -> dict[int, 
         if (j - 1) // cycle_len == c:
             blocks.setdefault(c + 1, []).append((i - c * cycle_len, j - c * cycle_len))
     return blocks
-
-
-def _cycle_dp(units: Sequence[DataUnit], weights: Sequence[float], price: float, model: TransmissionModel,
-              floor: float, points: int = _CYCLE_ENDS) -> tuple[tuple[CrossLayerDecision, ...], float]:
-    """The cheapest FIFO schedule of one cycle at fixed loss weights and price.
-
-    Minimizes the sum of ``weights[i] * loss + price * energy``. Each unit
-    sends nothing, or ends on one of ``points`` evenly spaced times from
-    ``max(ready, floor)`` to its deadline, starts at ``max(ready, link-free
-    time)`` and sends ``window_vec``'s payload. The state is the time the link
-    becomes free: one ``window_vec`` call per unit values every (state, end)
-    pair, sending nothing keeps the state (with an empty window there, or at
-    the deadline if that has passed), and a state free no earlier than another
-    at no lower cost is pruned, so the last state kept is the optimum. Returns
-    the decisions and the time the link becomes free after them.
-
-    A unit's candidates are its live states, which keep their time (sending
-    nothing), then its ends, each reached from the state of least cost (the
-    row argmin of the value table). Only their times and costs are
-    concatenated and pruned; the unit keeps its first live state, starts,
-    idle times, ends, row argmins, payload table and kept indices, and the
-    backtrack resolves the parent, window and payload of the one candidate
-    it picks per unit.
-    """
-    times, costs, steps = np.array([floor]), np.array([0.0]), []
-    for unit, w in zip(units, weights):
-        # ready times do not decrease, so of the states free by this ready
-        # time the last, cheapest one stands for all, for every later unit too
-        first = max(int(times.searchsorted(unit.ready, "right")) - 1, 0)
-        starts, base = np.maximum(times[first:], unit.ready), costs[first:]
-        t, c, ends, rows, payloads = starts, base + w, None, None, None
-        lo = max(unit.ready, floor)
-        if lo < unit.deadline:
-            ends = _grid(lo, unit.deadline, points)
-            taus = ends - starts[:, None]
-            payloads, loss, energy = model.window_vec(unit, taus, w, price)
-            vals = base[:, None] + (w * loss + price * energy)
-            np.putmask(vals, taus <= 0.0, math.inf)
-            rows = vals.argmin(axis=0)
-            t, c = np.concatenate((t, ends)), np.concatenate((c, vals.min(axis=0)))
-        order = np.lexsort((c, t))
-        ordered = c[order]
-        keep = order[ordered < np.minimum.accumulate(np.concatenate(((math.inf,), ordered[:-1])))]
-        times, costs = t[keep], c[keep]
-        steps.append((first, starts, np.minimum(starts, unit.deadline), ends, rows, payloads, keep))
-    decisions, state = [], len(times) - 1
-    for first, starts, idle, ends, rows, payloads, keep in reversed(steps):
-        j = int(keep[state])
-        if j < len(starts):
-            decisions.append(CrossLayerDecision(float(idle[j]), float(idle[j]), 0.0))
-            state = first + j
-        else:
-            j -= len(starts)
-            row = int(rows[j])
-            decisions.append(CrossLayerDecision(float(starts[row]), float(ends[j]), float(payloads[row, j])))
-            state = first + row
-    return tuple(reversed(decisions)), float(times[-1])
-
-
-def _solve_cycle_fixed_price(units: Sequence[DataUnit], graph: Optional[DependencyGraph], price: float,
-                             model: TransmissionModel, start_floor: float):
-    """Clairvoyant solve of one cycle at the frozen budget price, starting no
-    earlier than ``start_floor``: one :func:`_cycle_dp` at the units' impacts.
-    With a graph that schedule seeds up to ``_DAG_PASSES`` passes, each at the
-    weights ``impact * A + S`` that ``_dag_coeffs`` reads from the previous
-    schedule, and the schedule with the lowest cycle Lagrangian (distortion
-    through the graph plus the priced energy) is kept. Returns the decisions
-    and the time the link becomes free after them."""
-    best = solved = _cycle_dp(units, [u.impact for u in units], price, model, start_floor)
-    if graph is None:
-        return best
-    values = _ScheduleValues(units, graph, solved[0], model)
-    best_value = values.lagrangian(price, (), 0.0)
-    for _ in range(_DAG_PASSES):
-        coeffs = [_dag_coeffs(i, values) for i in range(1, len(units) + 1)]
-        again = _cycle_dp(units, [u.impact * a + s for u, (a, s) in zip(units, coeffs)], price, model, start_floor)
-        if again[0] == solved[0]:
-            break
-        solved, values = again, _ScheduleValues(units, graph, again[0], model)
-        if (value := values.lagrangian(price, (), 0.0)) < best_value:
-            best, best_value = solved, value
-    return best
 
 
 def _run_mdu(ledger: _PriceLedger, coeffs: tuple[float, ...]) -> RunResult:

@@ -158,6 +158,17 @@ class TestRejection:
         with pytest.raises(ConfigError, match=key):
             load_config(_write(tmp_path, f"[learner]\n{key} = {value}\n"))
 
+    @pytest.mark.parametrize("key,text", [
+        ("interarrival_ms", "-1"), ("interarrival_ms", "0"), ("interarrival_ms", "inf"),
+        ("lifetime_ms", "-1"), ("lifetime_ms", "-2.5e3"), ("lifetime_ms", "nan"),
+    ])
+    def test_a_refused_millisecond_value_reads_as_written(self, tmp_path, key, text):
+        # the trace holds seconds, and the error once quoted them: -1 read -0.001
+        with pytest.raises(ConfigError) as err:
+            load_config(_write(tmp_path, f"[trace]\n{key} = {text}\n"))
+        assert str(err.value).startswith(f"[trace] {key}: ")
+        assert str(err.value).endswith(f"must be positive and finite, got {text} ms")
+
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
 

@@ -5,6 +5,11 @@ kept here as ``reference_brute_force`` is kept in ``test_oracle.py``: up to
 40 projected subgradient steps of beta0/k on the handoff prices, each
 sweeping the offline per-unit solve over the cycle (three times with a
 graph), then ``recover_primal`` on the cycle with an infinite budget.
+
+``reference_fifo_dp`` and ``reference_dag_passes`` are the DP and its DAG
+passes as they were before the passes kept each unit's window table: one
+``window_vec`` call per unit and pass, and a fresh end grid each time. The
+solve that reuses the tables must equal them bit for bit.
 """
 
 import itertools
@@ -31,6 +36,8 @@ from xlsched import (
 )
 from xlsched.config import default_config
 from xlsched.experiments import build_instance
+
+from test_model_calls import CountingModel
 
 CFG = default_config()
 MODEL = ShannonExpModel(params=CFG.model)
@@ -70,8 +77,63 @@ def reference_solve_cycle_fixed_price(units, graph, price, model, start_floor,
     return realized
 
 
-def reference_cycle_dp(units, weights, price, model, floor, points=online._CYCLE_ENDS):
-    """``online._cycle_dp`` before it backtracked by index: each unit's
+def reference_fifo_dp(units, weights, price, model, floor, points=offline._CYCLE_ENDS):
+    """``offline._fifo_dp`` before it took its windows from ``_UnitWindows``:
+    each unit builds its end grid and calls ``window_vec`` on every pass."""
+    times, costs, steps = np.array([floor]), np.array([0.0]), []
+    for unit, w in zip(units, weights):
+        first = max(int(times.searchsorted(unit.ready, "right")) - 1, 0)
+        starts, base = np.maximum(times[first:], unit.ready), costs[first:]
+        t, c, ends, rows, payloads = starts, base + w, None, None, None
+        lo = max(unit.ready, floor)
+        if lo < unit.deadline:
+            ends = offline._grid(lo, unit.deadline, points)
+            taus = ends - starts[:, None]
+            payloads, loss, energy = model.window_vec(unit, taus, w, price)
+            vals = base[:, None] + (w * loss + price * energy)
+            np.putmask(vals, taus <= 0.0, math.inf)
+            rows = vals.argmin(axis=0)
+            t, c = np.concatenate((t, ends)), np.concatenate((c, vals.min(axis=0)))
+        order = np.lexsort((c, t))
+        ordered = c[order]
+        keep = order[ordered < np.minimum.accumulate(np.concatenate(((math.inf,), ordered[:-1])))]
+        times, costs = t[keep], c[keep]
+        steps.append((first, starts, np.minimum(starts, unit.deadline), ends, rows, payloads, keep))
+    decisions, state = [], len(times) - 1
+    for first, starts, idle, ends, rows, payloads, keep in reversed(steps):
+        j = int(keep[state])
+        if j < len(starts):
+            decisions.append(CrossLayerDecision(float(idle[j]), float(idle[j]), 0.0))
+            state = first + j
+        else:
+            j -= len(starts)
+            row = int(rows[j])
+            decisions.append(CrossLayerDecision(float(starts[row]), float(ends[j]), float(payloads[row, j])))
+            state = first + row
+    return tuple(reversed(decisions)), float(times[-1])
+
+
+def reference_dag_passes(units, graph, price, model, start_floor):
+    """``_solve_cycle_fixed_price`` on :func:`reference_fifo_dp`."""
+    best = solved = reference_fifo_dp(units, [u.impact for u in units], price, model, start_floor)
+    if graph is None:
+        return best
+    values = offline._ScheduleValues(units, graph, solved[0], model)
+    best_value = values.lagrangian(price, (), 0.0)
+    for _ in range(offline._DAG_PASSES):
+        coeffs = [offline._dag_coeffs(i, values) for i in range(1, len(units) + 1)]
+        again = reference_fifo_dp(units, [u.impact * a + s for u, (a, s) in zip(units, coeffs)], price, model,
+                                  start_floor)
+        if again[0] == solved[0]:
+            break
+        solved, values = again, offline._ScheduleValues(units, graph, again[0], model)
+        if (value := values.lagrangian(price, (), 0.0)) < best_value:
+            best, best_value = solved, value
+    return best
+
+
+def reference_cycle_dp(units, weights, price, model, floor, points=offline._CYCLE_ENDS):
+    """``offline._fifo_dp`` before it backtracked by index: each unit's
     candidates (skip and window parts) are gathered and concatenated whole,
     parent, start, end and payload columns included, and the backtrack reads
     them by state."""
@@ -83,7 +145,7 @@ def reference_cycle_dp(units, weights, price, model, floor, points=online._CYCLE
         parts = [(starts, base + w, live, idle, idle, np.zeros(len(live)))]
         lo = max(unit.ready, floor)
         if lo < unit.deadline:
-            ends = online._grid(lo, unit.deadline, points)
+            ends = offline._grid(lo, unit.deadline, points)
             taus = ends - starts[:, None]
             payloads, loss, energy = model.window_vec(unit, taus, w, price)
             vals = base[:, None] + (w * loss + price * energy)
@@ -155,7 +217,7 @@ def _brute_force(units, weights, price, model, floor, points):
     choices = []
     for u in units:
         lo = max(u.ready, floor)
-        choices.append([None] + (list(online._grid(lo, u.deadline, points)) if lo < u.deadline else []))
+        choices.append([None] + (list(offline._grid(lo, u.deadline, points)) if lo < u.deadline else []))
     memo, best = {}, math.inf
     for combo in itertools.product(*choices):
         t, total = floor, 0.0
@@ -189,7 +251,7 @@ def test_dp_matches_brute_force_on_small_cycles(cap):
         weights = [u.impact * float(rng.choice([0.0, 0.01, 1.0, 1.5])) for u in units]
         price = float(rng.choice([0.0, 0.3, 1.0, 5.0]))
         floor = float(rng.choice([-math.inf, 0.0, 0.02, 0.04]))
-        decisions, free = online._cycle_dp(units, weights, price, model, floor, points)
+        decisions, free = offline._fifo_dp(units, weights, price, model, floor, points)
         got = sum(_value(u, w, price, model, d) for u, w, d in zip(units, weights, decisions))
         assert got == pytest.approx(_brute_force(units, weights, price, model, floor, points), rel=1e-12)
         t = floor
@@ -217,7 +279,7 @@ def test_dag_passes_never_end_worse_than_the_graph_free_schedule():
         if not edges:
             continue
         graph, price = DependencyGraph(m, edges), float(rng.choice([0.01, 0.3, 1.0, 3.0, 10.0]))
-        free_of_graph, _ = online._cycle_dp(units, [u.impact for u in units], price, MODEL, -math.inf)
+        free_of_graph, _ = offline._fifo_dp(units, [u.impact for u in units], price, MODEL, -math.inf)
         solved, _ = online._solve_cycle_fixed_price(units, graph, price, MODEL, -math.inf)
         assert (_cycle_lagrangian(units, graph, solved, price)
                 <= _cycle_lagrangian(units, graph, free_of_graph, price))
@@ -286,7 +348,7 @@ def _random_cycle(rng):
                               last, last + 0.05]))
     cap = rng.choice([None, 0.5, 50.0])
     model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=None if cap is None else float(cap)))
-    return units, weights, price, model, floor, int(rng.choice([online._CYCLE_ENDS, 2, 3, 7]))
+    return units, weights, price, model, floor, int(rng.choice([offline._CYCLE_ENDS, 2, 3, 7]))
 
 
 def test_dp_matches_the_gathering_dp_bit_for_bit():
@@ -294,7 +356,7 @@ def test_dp_matches_the_gathering_dp_bit_for_bit():
     collapsed = sent = 0
     for _ in range(400):
         units, weights, price, model, floor, points = _random_cycle(rng)
-        got = online._cycle_dp(units, weights, price, model, floor, points)
+        got = offline._fifo_dp(units, weights, price, model, floor, points)
         assert _bits(got) == _bits(reference_cycle_dp(units, weights, price, model, floor, points)), (
             units, weights, price, model.params.energy_cap, floor, points)
         collapsed += all(d.payload == 0.0 for d in got[0])
@@ -306,8 +368,63 @@ def test_dp_matches_the_gathering_dp_bit_for_bit():
 def test_dp_matches_the_gathering_dp_on_a_whole_trace():
     units = generate_trace(TraceParams(seed=3, num_dus=1000, budget=10.0)).units
     for weights, price in [([u.impact for u in units], 1.0), ([0.0 if i % 7 == 0 else u.impact for i, u in enumerate(units)], 0.2)]:
-        got = online._cycle_dp(units, weights, price, MODEL, -math.inf)
+        got = offline._fifo_dp(units, weights, price, MODEL, -math.inf)
         assert _bits(got) == _bits(reference_cycle_dp(units, weights, price, MODEL, -math.inf))
+
+
+def _random_graph_cycle(rng):
+    """A random cycle (see :func:`_random_cycle`) under a model that counts
+    its calls and tables, with a random graph over its units, or none."""
+    units, _, price, model, floor, _ = _random_cycle(rng)
+    m = len(units)
+    edges = tuple((i, j) for i in range(2, m + 1) for j in range(1, i) if rng.random() < 0.5)
+    graph = DependencyGraph(m, edges) if edges and rng.random() < 0.9 else None
+    return units, graph, price, CountingModel(params=model.params), floor
+
+
+def test_dag_passes_match_the_window_vec_passes_bit_for_bit():
+    # the passes evaluate a unit's kept table where its start times are the
+    # last pass's, and build a new one where they are not; a graph-free cycle
+    # makes one pass and calls window_vec
+    rng = np.random.default_rng(27)
+    graph_cycles = first_pass = 0
+    built = evaluated = 0
+    for _ in range(400):
+        units, graph, price, model, floor = _random_graph_cycle(rng)
+        got = offline._solve_cycle_fixed_price(units, graph, price, model, floor)
+        ref = reference_dag_passes(units, graph, price, ShannonExpModel(params=model.params), floor)
+        assert _bits(got) == _bits(ref), (units, graph, price, model.params.energy_cap, floor)
+        if graph is None:
+            assert set(model.calls) <= {"window_vec"}
+            continue
+        assert "window_vec" not in model.calls
+        graph_cycles += 1
+        first_pass += sum(max(u.ready, floor) < u.deadline for u in units)
+        built, evaluated = built + model.calls["window_table"], evaluated + model.calls["table_evaluations"]
+    # later passes both reused tables and rebuilt some
+    assert graph_cycles > 200
+    assert first_pass < built < evaluated
+    print(f"{graph_cycles} graph cycles: {built} tables built ({built - first_pass} after the first pass), "
+          f"{evaluated} evaluated")
+
+
+def test_kept_windows_value_any_weights_as_window_vec_does():
+    # one _UnitWindows across DPs at new weights and prices, zero weights and
+    # price 0 included, gives each DP's fresh result bit for bit
+    rng = np.random.default_rng(31)
+    reused = 0
+    for _ in range(150):
+        units, weights, price, model, floor, points = _random_cycle(rng)
+        model = CountingModel(params=model.params)
+        windows = offline._UnitWindows(units, model, floor, points, keep=True)
+        for _ in range(4):
+            got = offline._fifo_dp(units, weights, price, model, floor, points, windows)
+            ref = reference_fifo_dp(units, weights, price, ShannonExpModel(params=model.params), floor, points)
+            assert _bits(got) == _bits(ref)
+            weights = [w * float(rng.choice([0.0, 0.5, 1.0, 3.0])) for w in weights]
+            price = float(rng.choice([price, 0.0, rng.uniform(0.0, 5.0)]))
+        reused += model.calls["table_evaluations"] - model.calls["window_table"]
+    assert reused > 100
 
 
 @pytest.mark.parametrize("cycle_len", [1, 3, 5, 7, 10, 150])

@@ -2,7 +2,10 @@
 iteration of the dual solvers each decision is valued once where it is made,
 and the outer loop, the price step and the recovery reuse those values. An
 online decision values its end grid and its refinement grid, one
-``window_vec`` call each, and an ``mdu`` cycle DP one call per unit. A
+``window_vec`` call each. An ``mdu`` cycle DP values each unit once per
+pass: on a graph-free cycle with one ``window_vec`` call, and on a cycle
+with a graph by evaluating the unit's ``window_table``, which the passes
+build once and build again only for a unit whose start times changed. A
 lattice option table makes one ``loss`` and one ``cost`` call per distinct
 window length and action point, on plain floats.
 
@@ -25,6 +28,7 @@ from xlsched import (
     TraceParams,
     generate_dag,
     generate_trace,
+    offline,
     online,
     run_online,
     solve_independent,
@@ -59,6 +63,17 @@ class CountingModel(ShannonExpModel):
         self.calls["window_vec"] += 1
         self.shapes.append(np.shape(taus))
         return super().window_vec(unit, taus, loss_weight, energy_weight)
+
+    def window_table(self, unit, taus):
+        self.calls["window_table"] += 1
+        self.shapes.append(np.shape(taus))
+        table = super().window_table(unit, taus)
+
+        def counted(loss_weight, energy_weight):
+            self.calls["table_evaluations"] += 1
+            return table(loss_weight, energy_weight)
+
+        return counted
 
 
 INST = generate_trace(TraceParams(seed=11, num_dus=10, budget=10.0))
@@ -111,15 +126,15 @@ TWO_CYCLES = Instance(generate_trace(TraceParams(seed=12, num_dus=10, budget=10.
 
 def _online_calls(policy, monkeypatch):
     """The model calls of one run, the cycle DP's passes by first unit, the
-    shapes of the taus of each ``window_vec`` call, and the run."""
+    shapes of the taus of each ``window_vec`` call and table, and the run."""
     model, passes = CountingModel(params=default_config().model), Counter()
-    dp = online._cycle_dp
+    dp = offline._fifo_dp
 
     def counted_dp(units, *args, **kwargs):
         passes[units[0].index] += 1
         return dp(units, *args, **kwargs)
 
-    monkeypatch.setattr(online, "_cycle_dp", counted_dp)
+    monkeypatch.setattr(offline, "_fifo_dp", counted_dp)
     run = run_online(CausalStream(TWO_CYCLES, cycle_len=5, expose_cycle_impacts=True), model, policy)
     return dict(model.calls), dict(passes), model.shapes, run
 
@@ -129,13 +144,17 @@ def test_mdu_values_each_unit_once_per_dp_pass(monkeypatch):
     # the first weighted pass returns the same schedule, which ends the passes
     calls, passes, shapes, _ = _online_calls("mdu", monkeypatch)
     assert passes == {1: 4, 6: 2}
-    # each call values every state of one unit at the DP's 51 window ends
+    # both cycles have a graph, so each unit's first pass builds its table of
+    # every state at the DP's 51 window ends; no later pass moved a unit's
+    # start times, so each evaluates the tables of the first, and none calls
+    # window_vec (30 calls before the tables were kept)
     assert {shape[-1] for shape in shapes} == {51}
-    assert calls["window_vec"] == 5 * sum(passes.values()) == 30
+    assert calls["window_table"] == 5 * len(passes) == 10
+    assert calls["table_evaluations"] == 5 * sum(passes.values()) == 30
     # each of the 5 distinct schedules is valued once for its Lagrangian (loss
     # and cost per unit); booking values each unit's loss and cost once, and
     # the rows read them from the booking
-    assert calls == {"window_vec": 30, "loss": 5 * 5 + 10, "cost": 5 * 5 + 10}
+    assert calls == {"window_table": 10, "table_evaluations": 30, "loss": 5 * 5 + 10, "cost": 5 * 5 + 10}
 
 
 @pytest.mark.parametrize("policy", ["proposed", "myopic"])

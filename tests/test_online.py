@@ -29,7 +29,7 @@ from xlsched import (
     upper_optimization,
     value_update,
 )
-from xlsched import online
+from xlsched import offline, online
 from xlsched.offline import _ScheduleValues
 from xlsched.online import POLICIES
 
@@ -254,12 +254,18 @@ class TestSolveOnlineUnitDag:
         assert payloads[2] == 0.0  # nothing left to protect, energy only hurts
 
 
-@pytest.mark.parametrize("name", ["_END_GRID", "_REFINE_POINTS", "_CYCLE_ENDS"])
+# each grid size by the module that holds it: the mdu cycle DP lives in offline
+GRID_SIZES = {"_END_GRID": online, "_REFINE_POINTS": online, "_CYCLE_ENDS": offline}
+
+
+@pytest.mark.parametrize("name", list(GRID_SIZES))
 def test_readme_names_each_grid_size_with_its_value(name):
     # the grid sizes are constants, not config keys, so the README is where
     # a reader finds them
+    module = GRID_SIZES[name]
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    assert f"`online.{name}` = {getattr(online, name)}" in " ".join(readme.split())
+    owner = module.__name__.rpartition(".")[2]
+    assert f"`{owner}.{name}` = {getattr(module, name)}" in " ".join(readme.split())
 
 
 class TestCausalStream:

@@ -9,7 +9,7 @@ import pytest
 from xlsched import DataUnit, ShannonEnergyParams, ShannonExpModel
 from xlsched.models import EXP_CLAMP
 from xlsched import online
-from xlsched.online import _grid
+from xlsched.offline import _grid
 
 
 def reference_window_vec(model, unit, taus, loss_weight, energy_weight):
@@ -108,6 +108,56 @@ def test_matches_reference_on_edge_inputs(model, lw, ew, taus):
         ref = reference_window_vec(model, unit, taus, lw, ew)
     for g, r in zip(got, ref):
         assert _same(g, r)
+
+
+def _from_table(model, unit, taus, lw, ew):
+    return model.window_table(unit, taus)(lw, ew)
+
+
+def test_table_matches_window_vec_and_reference_on_random_draws():
+    rng = np.random.default_rng(17)
+    for _ in range(10_000):
+        model, unit, taus, lw, ew = _draw(rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _from_table(model, unit, taus, lw, ew)
+            vec = model.window_vec(unit, taus, lw, ew)
+            ref = reference_window_vec(model, unit, taus, lw, ew)
+        for g, v, r in zip(got, vec, ref):
+            assert _same(g, v) and _same(g, r), (model.params.energy_cap, unit, taus.tolist(), lw, ew)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=["uncapped", "cap0.5", "cap50"])
+@pytest.mark.parametrize("taus", [
+    SPECIAL_TAUS,
+    np.array(0.02),
+    np.array(0.0),
+    np.array(math.nan),
+    np.array([]),
+    np.linspace(0.0, 0.05, 201),
+    np.array([1e-300, 5e-324, 1e-310, 1e300, math.inf]),
+], ids=["special", "0d", "0d-zero", "0d-nan", "empty", "grid", "overflowing"])
+def test_one_table_at_weights_in_a_row(model, taus):
+    # the weight pairs run through every branch of the weighted half, in an
+    # order where a table that kept state from one call to the next would
+    # answer the next call wrongly; the arrays it returns are fresh
+    unit = DataUnit(index=1, impact=50.0, size=10.0, ready=0.0, deadline=0.05, decay=0.5, channel=1.3)
+    pairs = [(80.0, 1.5), (0.0, 1.0), (-3.0, 1.0), (80.0, 0.0), (80.0, -2.0), (1e-300, 1e300), (1e300, 1e-300),
+             (80.0, 1.5), (1e-3, 50.0), (0.0, 0.0), (80.0, 1.5)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = model.window_table(unit, taus)
+    seen = []
+    for lw, ew in pairs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = table(lw, ew)
+            vec = model.window_vec(unit, taus, lw, ew)
+            ref = reference_window_vec(model, unit, taus, lw, ew)
+        for g, v, r in zip(got, vec, ref):
+            assert _same(g, v) and _same(g, r), (lw, ew)
+        seen.extend(got)
+        for g in got:
+            if isinstance(g, np.ndarray):  # 0-d taus give numpy scalars
+                g[...] = 7.0  # a caller may write into what it was handed
+    assert len({id(a) for a in seen}) == len(seen)
 
 
 def test_not_positive_taus_send_nothing():
