@@ -83,7 +83,7 @@ def _load_valid_instance(path: Path):
     check = validate_instance(inst)
     if not check.ok:
         for issue in check.issues:
-            print(f"invalid instance: {issue.message} (unit {issue.index})", file=sys.stderr)
+            print(f"invalid instance: {issue}", file=sys.stderr)
         return None
     return inst
 

@@ -224,6 +224,10 @@ class ValidationIssue:
     index: Optional[int]
     message: str
 
+    def __str__(self) -> str:
+        """The message, naming the unit when the issue belongs to one."""
+        return self.message if self.index is None else f"{self.message} (unit {self.index})"
+
 
 @dataclass(frozen=True)
 class ValidationResult:

@@ -159,10 +159,8 @@ class DecisionGrid:
         times = np.minimum(unit.ready + self.time_step * np.arange(n_steps + 1), unit.deadline)
         actions = np.linspace(0.0, unit.size, self.action_points)
 
-        xi, yi = np.triu_indices(len(times))
-        starts = np.repeat(times[xi], len(actions))
-        ends = np.repeat(times[yi], len(actions))
-        payloads = np.tile(actions, len(xi))
+        xi, yi, row_x, row_y, row_a = _table_index(len(times), len(actions))
+        starts, ends, payloads = times[row_x], times[row_y], actions[row_a]
 
         # scalar calls (the vector model differs from them in the last ulp),
         # once per distinct window length at a window of that length
@@ -177,6 +175,20 @@ class DecisionGrid:
         if cap is not None:
             keep &= cost <= cap + 1e-12
         return starts[keep], ends[keep], payloads[keep], loss[keep], cost[keep]
+
+
+@functools.lru_cache(maxsize=4)
+def _table_index(points: int, actions: int) -> tuple[np.ndarray, ...]:
+    """The index arrays of an option table of ``points`` time points and
+    ``actions`` action points, which depend on its shape only: the start and
+    end point of each window pair, start-major, then each row's start point,
+    end point and action point. They are read-only; at the row limit one
+    entry holds about 32 MB."""
+    xi, yi = np.triu_indices(points)
+    index = xi, yi, np.repeat(xi, actions), np.repeat(yi, actions), np.tile(np.arange(actions), len(xi))
+    for arr in index:
+        arr.flags.writeable = False
+    return index
 
 
 def _solve_unit_grid(
@@ -643,9 +655,13 @@ def _recover_primal_grid(
     of its option row, so only drops and shaved payloads call the model. The
     restoration and the local descent read only the repaired schedule, not
     the prices, so ``memo`` (one dict per dual solve) keeps their result by
-    the repaired decisions. The schedule's values are built at the first
-    repair on a graph, whose coefficients read them, and otherwise only
-    after a memo miss, with the repairs replayed into them in order.
+    the repaired decisions. On a graph a repair reads its coefficients
+    (``_graph_coeffs``) from plain lists of the losses and kept impacts of
+    ``measured``, with the losses of the repairs so far; descendants come
+    later, so no repair reads the kept impact of an earlier one. A drop there
+    is valued where it is made, since a later repair may read its loss. The
+    schedule's values (:class:`_ScheduleValues`) are built only after a memo
+    miss, on a graph or not, with the repairs replayed into them in order.
 
     ``opts`` are :meth:`DecisionGrid.options` tables, whose starts never
     decrease, so the rows that start at or after a bound are a suffix, found
@@ -656,23 +672,30 @@ def _recover_primal_grid(
     exact: each skipped product is ±0.0, and the running sum, which starts
     from the impact times the survival times a loss, all non-negative, is
     never -0.0."""
-    m = inst.num_units
-    values, out, repairs = None, list(decisions), []
+    m, graph = inst.num_units, inst.graph
+    out, repairs, losses, kept = list(decisions), [], None, None
     prev_end = -math.inf
     for pos, (unit, dec) in enumerate(zip(inst.units, decisions), start=1):
         floor = max(unit.ready, prev_end)
         if dec.start >= floor - _TINY and dec.end >= dec.start:
             prev_end = dec.end
             continue
-        if values is None and inst.graph is not None:
-            values = _ScheduleValues(inst.units, inst.graph, decisions, model, measured=measured)
+        if losses is None and graph is not None:
+            # _ScheduleValues' layout: slot i holds unit i's loss and kept
+            # impact. Descendants come later, so no repair reads the kept
+            # impact of an earlier repair, only its loss
+            losses = [0.0, *measured[0]]
+            kept = [0.0, *(u.impact * (1.0 - p) for u, p in zip(inst.units, measured[0]))]
         starts, ends, payloads, loss, cost = opts[pos - 1]
         first = int(starts.searchsorted(floor - _TINY))
         if first == len(starts):
-            fixed, pair = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0), None
+            fixed = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0)
+            # a later repair's coefficients read the drop's loss
+            pair = None if graph is None else (model.loss(unit, fixed.start, fixed.end, 0.0),
+                                                model.cost(unit, fixed.start, fixed.end, 0.0))
         else:
             hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
-            a_surv, s_weight = (1.0, 0.0) if values is None else _dag_coeffs(pos, values)
+            a_surv, s_weight = (1.0, 0.0) if graph is None else _graph_coeffs(pos, graph, losses, kept)
             vals = unit.impact * a_surv * loss[first:]
             if s_weight:
                 vals += s_weight * loss[first:]
@@ -685,18 +708,16 @@ def _recover_primal_grid(
             fixed = CrossLayerDecision(starts.item(j), ends.item(j), payloads.item(j))
             pair = loss.item(j), cost.item(j)
         out[pos - 1] = fixed
-        if values is None:
-            repairs.append((pos, fixed, pair))
-        else:
-            values.set(pos, fixed, pair)
+        repairs.append((pos, fixed, pair))
+        if losses is not None:
+            losses[pos] = pair[0]
         prev_end = max(prev_end, fixed.end)
     repaired = tuple(out)
-    if repaired in memo:
-        return memo[repaired]
-    if values is None:
-        values = _ScheduleValues(inst.units, inst.graph, decisions, model, measured=measured)
-        for pos, fixed, pair in repairs:
-            values.set(pos, fixed, pair)
+    if (known := memo.get(repaired)) is not None:
+        return known
+    values = _ScheduleValues(inst.units, graph, decisions, model, measured=measured)
+    for pos, fixed, pair in repairs:
+        values.set(pos, fixed, pair)
     out = values.decisions
 
     # budget restoration in whole action steps, largest spender first
@@ -762,6 +783,97 @@ def _recover_primal_grid(
 _POLISH_ROUNDS = 4
 _POLISH_TIME_RADIUS = 3
 _POLISH_PAY_RADIUS = 5
+
+
+# the most totals one block of the polish's shave table holds (steps x candidates)
+_SHAVE_CELLS = 1 << 16
+
+
+def _undominated(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
+    """The distinct pairs (x[r], y[r]) that no other pair matches or
+    exceeds in both values, as plain floats."""
+    if x.size == 0:
+        return []
+    top = x.max(), y.max()
+    # mostly one pair holds both maxima
+    if ((x == top[0]) & (y == top[1])).any():
+        return [(float(top[0]), float(top[1]))]
+    order = np.lexsort((-y, -x))
+    ys = y[order]
+    new = np.ones(ys.size, dtype=bool)
+    new[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
+    return list(zip(x[order[new]].tolist(), ys[new].tolist()))
+
+
+def _unit_order_sum(terms: list, i: int, x: float, k: int, y: float) -> float:
+    """``terms`` summed in order from 0.0, with ``x`` at position i and ``y`` at k."""
+    total = 0.0
+    for q, term in enumerate(terms):
+        total += x if q == i else y if q == k else term
+    return total
+
+
+def _shave(bystanders: dict, m: int, i: int, cost_i: np.ndarray, k: int, cost_k: np.ndarray,
+           budget_total: float, limit: int) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The shave sequence that candidates over budget share, and where each fits.
+
+    Candidate r spends ``cost_i[r]`` on unit i and ``cost_k[r]`` on unit k;
+    ``bystanders`` maps every other unit to its :class:`_Bystander`, in unit
+    order. Each step shaves the largest spender (ties to the lowest index),
+    for at most ``limit`` steps and while a payload is left, and a candidate
+    stops at the first step whose energy, summed in unit order, is within
+    ``budget_total``. Returns the bystanders' levels after each step
+    (``steps[0]`` the incumbent), whether each candidate fits and its stop,
+    the last step for one that never fits.
+
+    The sequence ends once every candidate has fit at some step. A total
+    summed in unit order never falls as ``cost_i`` or ``cost_k`` grows, so a
+    candidate fits no later than one whose two costs are both at least its
+    own, and only the undominated ones are followed while the sequence is
+    made. The candidates' stops then come from a steps x candidates table of
+    totals, a block of steps at a time, so no step makes a numpy pass.
+    """
+    levels = dict.fromkeys(bystanders, 0)
+    spends = {j: y.spend(0) for j, y in bystanders.items()}
+    terms = [bystanders[q].cost[0] if q in bystanders else None for q in range(m)]
+    steps = [tuple(levels.values())]
+    pending = _undominated(cost_i, cost_k) if bystanders else []
+    for _ in range(limit if pending else 0):
+        j = max(spends, key=spends.get)
+        if spends[j] == -math.inf:
+            break
+        levels[j] = n = levels[j] + 1
+        ladder = bystanders[j]
+        ladder.reach(n)
+        spends[j], terms[j] = ladder.spend(n), ladder.cost[n]
+        steps.append(tuple(levels.values()))
+        pending = [(x, y) for x, y in pending if _unit_order_sum(terms, i, x, k, y) > budget_total]
+        if not pending:
+            break
+
+    # the terms before the first bystander, p, are the same at every step
+    p = min(bystanders, default=m)
+    shaves = {q: np.array([bystanders[q].cost[lv[c]] for lv in steps[1:]])[:, None]
+              for c, q in enumerate(bystanders)}
+    fits, stops = np.zeros(cost_i.size, dtype=bool), np.zeros(cost_i.size, dtype=np.intp)
+    left = np.arange(cost_i.size)
+    block = max(1, _SHAVE_CELLS // max(cost_i.size, 1))
+    for lo in range(1, len(steps), block):
+        part = slice(lo - 1, min(lo + block, len(steps)) - 1)
+        head = np.zeros(left.size)
+        for q in range(p):
+            head += cost_i if q == i else cost_k
+        total = head + shaves[p][part]
+        for q in range(p + 1, m):
+            total += cost_i if q == i else cost_k if q == k else shaves[q][part]
+        fit = total <= budget_total
+        hit = fit.any(axis=0)
+        fits[left] = hit
+        stops[left] = np.where(hit, lo + fit.argmax(axis=0), len(steps) - 1)
+        if hit.all():
+            break
+        left, cost_i, cost_k = left[~hit], cost_i[~hit], cost_k[~hit]
+    return steps, fits, stops
 
 
 class _Bystander:
@@ -833,7 +945,11 @@ def _polish_grid_pairs(
     ladder of its shave levels (:class:`_Bystander`). Every candidate starts
     from the incumbent bystanders and the shave rule reads only their
     levels, so the candidates over budget share one shave sequence, and each
-    stops at the first step whose energy, summed in unit order, fits. The
+    stops at the first step whose energy, summed in unit order, fits
+    (:func:`_shave`, which follows only the undominated candidates while it
+    makes the sequence and then finds every stop in one table). As in the
+    scan, the first budget test adds the pair's energies to the incumbent
+    bystanders' sum, and only the later ones sum in unit order. The
     value applies ``_unit_distortion`` to those arrays in
     ``instance_distortion``'s order, so each score is bit-identical to
     valuing the candidate schedule alone. The first
@@ -866,37 +982,14 @@ def _polish_grid_pairs(
             if j not in (i, k)
         }
         spent_elsewhere = sum(y.cost[0] for y in bystanders.values())
-        pair_cost = {i: opts[i][4][a], k: opts[k][4][b]}
-        feasible = spent_elsewhere + pair_cost[i] + pair_cost[k] <= budget_total
-
-        # the candidates over budget share one shave sequence: ``steps[n]``
-        # holds the bystanders' levels after n shaves, and ``stop`` the step
-        # at which each candidate fits (or the last one)
-        levels = dict.fromkeys(bystanders, 0)
-        steps = [tuple(levels.values())]
-        stop = np.zeros(a.size, dtype=np.intp)
+        cost_i, cost_k = opts[i][4][a], opts[k][4][b]
+        feasible = spent_elsewhere + cost_i + cost_k <= budget_total
         rows = (~feasible).nonzero()[0]
-        # without bystanders nothing can be shaved
-        for n in range(1, 2 * len(opts[i][2]) + 1 if bystanders else 0):
-            if rows.size == 0:
-                break
-            # largest spender first, ties to the lowest index; none once every payload is 0
-            spends = {j: y.spend(levels[j]) for j, y in bystanders.items()}
-            j = max(spends, key=spends.get)
-            if spends[j] == -math.inf:
-                break
-            levels[j] += 1
-            bystanders[j].reach(levels[j])
-            steps.append(tuple(levels.values()))
-            total = np.zeros(rows.size)
-            for q in range(m):
-                total += pair_cost[q][rows] if q in pair_cost else bystanders[q].cost[levels[q]]
-            fits = total <= budget_total
-            feasible[rows[fits]] = True
-            stop[rows[fits]] = n
-            rows = rows[~fits]
-        # a candidate that never fits keeps the last levels
-        stop[rows] = len(steps) - 1
+        steps, fits, stops = _shave(bystanders, m, i, cost_i[rows], k, cost_k[rows], budget_total,
+                                    2 * len(opts[i][2]))
+        feasible[rows] = fits
+        stop = np.zeros(a.size, dtype=np.intp)
+        stop[rows] = stops
 
         losses = [None] * m
         for c, (j, y) in enumerate(bystanders.items()):
@@ -1110,9 +1203,7 @@ def _require_valid(inst: Instance) -> None:
     """Raise ``ValueError`` naming the first issue ``validate_instance`` finds."""
     check = validate_instance(inst)
     if not check.ok:
-        issue = check.issues[0]
-        where = "" if issue.index is None else f" (unit {issue.index})"
-        raise ValueError(f"invalid instance: {issue.message}{where}")
+        raise ValueError(f"invalid instance: {check.issues[0]}")
 
 
 def _require_settings(max_outer: int, alpha0: float, beta0: float, epsilon: float,
@@ -1157,6 +1248,17 @@ def _unit_solver(inst: Instance, model: TransmissionModel, opts):
     return solve
 
 
+def _handoff_norm(v: Sequence[float]) -> float:
+    """``float(np.linalg.norm(v))`` bit for bit. numpy takes the square root
+    of ``v.dot(v)``: with one element that is a single product, so plain
+    floats give the same bits, while a longer dot keeps numpy's summation
+    order (and its overflow warning), so a longer vector still goes through
+    numpy."""
+    if len(v) > 1:
+        return float(np.linalg.norm(v))
+    return math.sqrt(v[0] * v[0]) if v else 0.0
+
+
 def _dual_loop(
     inst: Instance, model: TransmissionModel, relax: Callable, opts, grid: Optional[DecisionGrid],
     *, epsilon: float, max_outer: int, alpha0: float, beta0: float,
@@ -1176,6 +1278,11 @@ def _dual_loop(
     multipliers move by at most ``epsilon`` or the best relative gap reaches
     ``gap_tol``, when given. On a lattice the best schedule is finally
     polished by pairwise lattice descent.
+
+    The trajectory's handoff norm and the norm of the handoff step are
+    numpy's, bit for bit (:func:`_handoff_norm`). The step's norm is taken
+    only when the price moved by at most ``epsilon``: adding a norm, never
+    negative, cannot bring a larger move back under it.
     """
     m = inst.num_units
     price = 0.0
@@ -1204,8 +1311,7 @@ def _dual_loop(
             best_primal = primal_value
             best_decisions = primal_decisions
         gap = (best_primal - best_dual) / max(abs(best_dual), _TINY)
-        norm = float(np.linalg.norm(mu))
-        rows.append(IterationRow(k, dual_value, primal_value, gap, price, norm, sweeps))
+        rows.append(IterationRow(k, dual_value, primal_value, gap, price, _handoff_norm(mu), sweeps))
 
         usage = min(avg_usage, _USAGE_CLIP_FACTOR * inst.budget)
         new_price = price_update(price, usage, inst.budget, alpha0 / k)
@@ -1213,7 +1319,10 @@ def _dual_loop(
             handoff_update(mu[i], decisions[i].end, decisions[i + 1].start, beta0 / k)
             for i in range(m - 1)
         )
-        delta = abs(new_price - price) + float(np.linalg.norm(np.subtract(new_mu, mu)))
+        delta = abs(new_price - price)
+        # adding a norm, never negative, cannot bring a larger delta back under epsilon
+        if delta <= epsilon:
+            delta += _handoff_norm([a - b for a, b in zip(new_mu, mu)])
         price, mu = new_price, new_mu
         if (gap_tol is not None and gap <= gap_tol) or delta <= epsilon:
             converged = True

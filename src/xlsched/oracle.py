@@ -11,19 +11,28 @@ staircase, the least loss among its options up to a cost that start at or
 after a given point, so one pair needs two lookups instead of a pass over
 unit M's options. (M = 2 scores unit 1 as one level and M = 1 unit 1 alone.)
 
-The search makes two passes. The first finds the exact minimum, pruning any
-prefix whose distortion already exceeds the running bar (distortion only
-grows downstream). The second walks again with the final bar fixed, expands
-only the pairs whose least total is within it, and emits the tied
-assignments in index order until ``_MAX_TIES``. Blocks are cut by rows of
-unit M-2 to about ``_BLOCK_PAIRS`` pairs, so memory is the staircase plus one
-block plus the ties whatever the grid or the number of near-optimal
-assignments.
+The search makes two passes, each pruning any prefix whose distortion
+already exceeds its bar (distortion only grows downstream). The first finds
+the exact minimum. A minimum does not depend on the order in which totals
+are met, so this pass goes best first, with the running minimum as the
+incumbent bound of branch and bound (Land and Doig, Econometrica 28(3),
+1960): each level's options in order of their prefix distortion, the rows
+of unit M-2 (unit 1 at M = 2) from a first chunk of ``_FIRST_ROWS`` rows,
+and every later chunk cut at the first row above the running bar before its
+pairs are built. It also marks the rows of unit M-2 that reach a total
+within the bar of the moment. The second pass walks again in index order
+with the final bar fixed, which is never above those bars, so it expands
+only the marked rows, and of their pairs only those whose least total is
+within the bar, and emits the tied assignments in index order until
+``_MAX_TIES``. Blocks are cut by rows of unit M-2 to about ``_BLOCK_PAIRS``
+pairs, so memory is the staircase plus one block, one mark per option of
+unit M-2 and prefix, and the ties, whatever the grid or the number of
+near-optimal assignments.
 
 Cost still grows as (window pairs x actions)^(M-1), so the solver refuses
 instances above ``_MAX_UNITS`` (4). With the default 10 ms / 21-point grids
-on a 2-vCPU Xeon VM, M = 3 takes 0.005-0.008 s (the acceptance gate's cells,
-trace seeds 1-5, independent and chain) and M = 4 0.05-0.24 s (trace seeds
+on a 2-vCPU Xeon VM, M = 3 takes 0.002-0.004 s (the acceptance gate's cells,
+trace seeds 1-5, independent and chain) and M = 4 0.03-0.09 s (trace seeds
 1-3, budgets 2 and 10, independent and chain).
 """
 
@@ -43,6 +52,8 @@ __all__ = ["OracleResult", "brute_force"]
 _MAX_TIES = 200
 _BLOCK_PAIRS = 16_384
 _MAX_UNITS = 4
+# the rows of the first chunk that the first pass scores, to set its bar
+_FIRST_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -71,10 +82,12 @@ def brute_force(
     of them by option index, in that order. ``decisions`` is the first tie.
 
     Units 1..M-3 are walked depth first, units M-2 and M-1 are scored as one
-    pair block and unit M is read from a staircase, so memory is the
-    staircase, one block of about ``_BLOCK_PAIRS`` pairs and the ties. With
-    the default grids on a 2-vCPU Xeon VM, M = 3 takes 0.005-0.008 s and
-    M = 4 0.05-0.24 s (the cells of the module docstring).
+    pair block and unit M is read from a staircase, in two passes: best
+    first to the minimum, then in index order to the ties. Memory is the
+    staircase, one block of about ``_BLOCK_PAIRS`` pairs, the first pass's
+    row marks and the ties. With the default grids on a 2-vCPU Xeon VM,
+    M = 3 takes 0.002-0.004 s and M = 4 0.03-0.09 s (the cells of the module
+    docstring).
 
     Raises ``ValueError`` on an invalid instance, grid or ``tie_tol`` and
     ``RuntimeError`` when no grid assignment meets the budget.
@@ -153,15 +166,14 @@ def brute_force(
         totals = row_dist + impacts[m - 1] * (1.0 - (1.0 - np.where(found, least, 0.0)) * surv)
         return np.where(found, totals, math.inf), surv
 
-    def block(rows, row_end, row_energy, row_dist, bar, visit) -> bool:
+    def block(rows, row_end, row_energy, row_dist, bar, visit, chunks) -> bool:
         """Units M-2 and M-1 as one broadcast: the options ``rows`` of unit M-2
         times all options of unit M-1, kept by the FIFO, budget and ``bar()``
-        tests of ``level`` and passed to ``visit`` in row-major (index) order,
-        at most about ``_BLOCK_PAIRS`` pairs at a time."""
+        tests of ``level`` and passed to ``visit`` in row-major order, at most
+        about ``_BLOCK_PAIRS`` pairs at a time (the ``chunks`` of the rows)."""
         starts, ends, _, loss, cost = opts[m - 2]
         step = max(1, _BLOCK_PAIRS // max(len(starts), 1))
-        for lo in range(0, len(rows), step):
-            part = slice(lo, lo + step)
+        for part in chunks(row_dist, step):
             e2 = row_energy[part, None] + cost
             surv = survival(m - 1, (rows[part, None],))
             d2 = row_dist[part, None] + impacts[m - 2] * (1.0 - (1.0 - loss) * surv)
@@ -171,23 +183,49 @@ def brute_force(
                 return True
         return False
 
-    def walk(bar, visit) -> bool:
-        """Depth-first over the prefixes of units 1..M-3 in index order, pruned
-        at ``bar()``; ``visit(picks, ends, energies, distortions)`` scores unit
-        M after the per-row options ``picks`` of the units past the prefix
-        (units M-2 and M-1, unit 1 if M = 2, none if M = 1) and returns True
-        to stop the walk."""
+    def walk(bar, visit, first: bool) -> bool:
+        """Depth-first over the prefixes of units 1..M-3, pruned at ``bar()``;
+        ``visit(picks, ends, energies, distortions)`` scores unit M after the
+        per-row options ``picks`` of the units past the prefix (units M-2 and
+        M-1, unit 1 if M = 2, none if M = 1) and returns True to stop the
+        walk. The ``first`` pass visits options best first, in order of their
+        prefix distortion: the rows of unit M-2 (unit 1 at M = 2) from a
+        first chunk of ``_FIRST_ROWS`` rows, each later chunk cut at the first
+        row above the bar, and a walked level up to that row. The second pass
+        visits them in index order, and of the rows of unit M-2 (unit 1 at
+        M = 2) only those that the first pass marked in ``reached``."""
+
+        def chunks(dist, step):
+            """Slices of rows ``step`` at a time, in the visiting order."""
+            if not first:
+                yield from (slice(lo, lo + step) for lo in range(0, len(dist), step))
+                return
+            lo, hi = 0, _FIRST_ROWS
+            while (hi := min(hi, int(dist.searchsorted(bar(), "right")))) > lo:
+                yield slice(lo, hi)
+                lo, hi = hi, hi + step
 
         def descend(pos: int, prev_end, energy, dist) -> bool:
             if m == 1:
                 return visit((), np.array([prev_end]), np.array([energy]), np.array([dist]))
             keep, ends, e2, d2 = level(pos, prev_end, energy, dist, bar())
+            if first:
+                sel = d2.argsort(kind="stable")
+            elif pos >= m - 2:
+                if (marked := reached.get(tuple(chosen))) is None:
+                    return False
+                sel = marked[keep]
+            else:
+                sel = slice(None)
+            keep, ends, e2, d2 = keep[sel], ends[sel], e2[sel], d2[sel]
             if pos == m - 1:
-                return visit((keep,), ends, e2, d2)
+                return any(visit((keep[part],), ends[part], e2[part], d2[part]) for part in chunks(d2, len(d2) or 1))
             if pos == m - 2:
-                return block(keep, ends, e2, d2, bar, visit)
+                return block(keep, ends, e2, d2, bar, visit, chunks)
             for n, j in enumerate(keep):
                 if d2[n] > bar():
+                    if first:
+                        break
                     continue
                 chosen.append(int(j))
                 stop = descend(pos + 1, ends[n], e2[n], d2[n])
@@ -202,20 +240,27 @@ def brute_force(
         # no bar before the first total (0 * inf would make it NaN)
         return value + tie_tol * max(1.0, abs(value)) if value < math.inf else math.inf
 
-    # pass 1: the exact minimum
+    # pass 1: the exact minimum, and per prefix the rows of unit M-2 (unit 1
+    # at M = 2) with a total within the bar at the time. The final bar is
+    # never above it, so these hold every row that pass 2 can expand
     best = math.inf
+    reached: dict[tuple[int, ...], np.ndarray] = {}
 
-    def improve(*prefixes) -> bool:
+    def improve(picks, row_end, row_energy, row_dist) -> bool:
         nonlocal best
-        best = min(best, float(last_unit(*prefixes)[0].min(initial=math.inf)))
+        totals = last_unit(picks, row_end, row_energy, row_dist)[0]
+        best = min(best, float(totals.min(initial=math.inf)))
+        if picks:
+            rows = reached.setdefault(tuple(chosen), np.zeros(len(opts[len(chosen)][0]), dtype=bool))
+            rows[picks[0][totals <= tie_bar(best)]] = True
         return False
 
-    walk(lambda: tie_bar(best), improve)
+    walk(lambda: tie_bar(best), improve, first=True)
     if not math.isfinite(best):
         raise RuntimeError("no feasible grid assignment found")
 
-    # pass 2: the ties within the final bar, in index order; only the rows
-    # whose least total is within the bar are expanded
+    # pass 2: the ties within the final bar, in index order; of the marked
+    # rows only those whose least total is within the bar are expanded
     final_bar = tie_bar(best)
     ties: list[tuple[CrossLayerDecision, ...]] = []
 
@@ -239,7 +284,7 @@ def brute_force(
                     return True
         return False
 
-    walk(lambda: final_bar, collect)
+    walk(lambda: final_bar, collect, first=False)
 
     return OracleResult(
         value=best / m,

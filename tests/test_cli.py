@@ -1,5 +1,7 @@
 """Command-line interface, driven in process through main(argv)."""
 
+import dataclasses
+
 import pytest
 
 from xlsched import (
@@ -171,6 +173,36 @@ class TestOracle:
         assert rc == 2
         err = capsys.readouterr().err
         assert "invalid instance" in err and "budget" in err
+
+
+class TestInvalidInstanceMessages:
+    """Each issue is printed once, naming its unit only when it belongs to one."""
+
+    def _errors(self, tmp_path, capsys, command, inst):
+        path = tmp_path / "bad.txt"
+        save_instance(inst, path)
+        assert main(["--out", str(tmp_path / "o"), command, str(path)]) == 2
+        return capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_a_budget_issue_names_no_unit(self, tmp_path, capsys, command):
+        inst = generate_trace(TraceParams(seed=1, num_dus=2))
+        errors = self._errors(tmp_path, capsys, command, Instance(inst.units, -1.0))
+        assert errors == ["invalid instance: budget must be positive and finite, got -1.0"]
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_a_graph_issue_names_no_unit(self, tmp_path, capsys, command):
+        inst = generate_trace(TraceParams(seed=1, num_dus=2))
+        errors = self._errors(tmp_path, capsys, command,
+                              Instance(inst.units, inst.budget, DependencyGraph(2, ((2, 5),))))
+        assert errors == ["invalid instance: edge (2, 5) out of range"]
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_a_unit_issue_names_its_unit(self, tmp_path, capsys, command):
+        inst = generate_trace(TraceParams(seed=1, num_dus=2))
+        late = dataclasses.replace(inst.units[1], deadline=inst.units[1].ready - 0.01)
+        errors = self._errors(tmp_path, capsys, command, Instance((inst.units[0], late), inst.budget))
+        assert errors == [f"invalid instance: deadline {late.deadline!r} precedes ready time {late.ready!r} (unit 2)"]
 
 
 def _tiny_plan(policies="proposed,myopic", extra=""):

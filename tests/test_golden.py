@@ -174,6 +174,25 @@ def _capped_oracle(chain):
     return brute_force(_capped_cell(chain), CAPPED, LATTICE.time_step, LATTICE.action_points)
 
 
+def _criterion_2_cells():
+    """The acceptance gate's 20 criterion-2 cells (M = 2 and 3, independent
+    and chain, trace seeds 1-5) as the lattice benchmark solves them: each
+    on the lattice at 100 outer iterations with the config's capped model,
+    and by brute force. Their memo hits and misses, drops, shaves and tied
+    optima are pinned bit for bit."""
+    out = []
+    for m in (2, 3):
+        for chain in (False, True):
+            for seed in (1, 2, 3, 4, 5):
+                base = generate_trace(TraceParams(seed=seed, num_dus=m))
+                graph = DependencyGraph(m, tuple((i, i - 1) for i in range(2, m + 1))) if chain else None
+                inst = Instance(base.units, base.budget, graph)
+                solve = solve_interdependent if chain else solve_independent
+                out.append((solve(inst, CAPPED, max_outer=100, grid=LATTICE),
+                            brute_force(inst, CAPPED, LATTICE.time_step, LATTICE.action_points)))
+    return out
+
+
 CASES = {
     "interdependent-sweeps-seed1": (
         lambda: _sweeps_on_random_dag(1),
@@ -254,6 +273,10 @@ CASES = {
     "oracle-capped-chain": (
         lambda: _capped_oracle(True),
         "068f070e967c67f7600f2566fea8d5cda6d645edf5588a89d89e7d3e31315928",
+    ),
+    "criterion-2-cells": (
+        _criterion_2_cells,
+        "dd0b98552a819d258a07ef83cba59a492e40d65ab460bd7efab215829037e665",
     ),
 }
 

@@ -7,11 +7,14 @@ pass: on a graph-free cycle with one ``window_vec`` call, and on a cycle
 with a graph by evaluating the unit's ``window_table``, which the passes
 build once and build again only for a unit whose start times changed. A
 lattice option table makes one ``loss`` and one ``cost`` call per distinct
-window length and action point, on plain floats.
+window length and action point, on plain floats. A lattice recovery whose
+repaired schedule is already in its memo builds no ``_ScheduleValues`` and
+calls the model only for a unit it drops on a graph, and the pair polish
+extends its bystanders' shave ladders no further than the candidates need.
 
-The counts are pinned on fixed 10-unit traces, so a change that values a
-decision or a window twice again fails here even while every number stays
-the same.
+The counts are pinned on fixed traces of 3-10 units, so a change that
+values a decision or a window twice again fails here even while every
+number stays the same.
 """
 
 from collections import Counter
@@ -22,7 +25,10 @@ import pytest
 
 from xlsched import (
     CausalStream,
+    CrossLayerDecision,
+    DataUnit,
     DecisionGrid,
+    DependencyGraph,
     Instance,
     ShannonExpModel,
     TraceParams,
@@ -170,3 +176,68 @@ def test_each_online_decision_values_two_grids(policy, monkeypatch):
     ends = [201 if decision.start < t_next < unit.deadline else 200
             for unit, t_next, decision in zip(units, [u.ready for u in units[1:]] + [np.inf], run.decisions)]
     assert shapes == [shape for n in ends for shape in ((n,), (60,))] and set(ends) == {200, 201}
+
+
+def _unit(index, ready, deadline, impact):
+    return DataUnit(index=index, impact=impact, size=10.0, ready=ready, deadline=deadline, decay=0.5, channel=1.0)
+
+
+@pytest.mark.parametrize("chain", [False, True], ids=["graph-free", "chain"])
+@pytest.mark.parametrize("drop", [False, True], ids=["repair", "drop"])
+def test_a_recovery_found_in_the_memo_builds_no_schedule_values(chain, drop, monkeypatch):
+    # unit 1 sends until 0.05, so unit 2 (ready at 0.01) is repaired, or
+    # dropped when its deadline is 0.03 (no option starts that late), and
+    # unit 3 is repaired after it
+    units = (_unit(1, 0.0, 0.05, 50.0), _unit(2, 0.01, 0.03 if drop else 0.06, 40.0), _unit(3, 0.02, 0.08, 30.0))
+    inst = Instance(units, 10.0, DependencyGraph(3, ((2, 1), (3, 2))) if chain else None)
+    grid = DecisionGrid(0.01, 21)
+    plain = ShannonExpModel(params=default_config().model)
+    opts = [grid.options(u, plain) for u in units]
+    decisions = tuple(CrossLayerDecision(u.ready, u.deadline, 5.0) for u in units)
+    measured = tuple(zip(*[(plain.loss(u, d.start, d.end, d.payload), plain.cost(u, d.start, d.end, d.payload))
+                           for u, d in zip(units, decisions)]))
+    built, values = Counter(), offline._ScheduleValues
+
+    class CountedValues(values):
+        def __init__(self, *args, **kwargs):
+            built["values"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(offline, "_ScheduleValues", CountedValues)
+    memo, calls = {}, []
+    for _ in range(2):
+        model = CountingModel(params=default_config().model)
+        offline._recover_primal_grid(inst, decisions, opts, grid, model, 0.5, [0.2, 0.3], measured, memo)
+        calls.append((dict(model.calls), built.pop("values", 0)))
+    assert len(memo) == 1
+    # the first call misses and builds the schedule's values once; the second
+    # reads the memo, valuing only a drop whose loss a later repair reads
+    assert calls[0][1] == 1
+    assert calls[1] == ({"loss": 1, "cost": 1} if chain and drop else {}, 0)
+
+
+def _polish_start(seed, m, chain, budget):
+    base = generate_trace(TraceParams(seed=seed, num_dus=m))
+    graph = DependencyGraph(m, tuple((i, i - 1) for i in range(2, m + 1))) if chain else None
+    inst = Instance(base.units, budget, graph)
+    grid, model = DecisionGrid(0.01, 21), ShannonExpModel(params=default_config().model)
+    solve = solve_interdependent if chain else solve_independent
+    opts = [grid.options(u, model) for u in inst.units]
+    crude = tuple(CrossLayerDecision(u.ready, u.ready, 0.0) for u in inst.units)
+    return inst, grid, opts, {"solved": solve(inst, model, max_outer=20, grid=grid).decisions, "crude": crude}
+
+
+@pytest.mark.parametrize("seed,m,chain,start,losses,costs", [
+    (11, 4, False, "solved", 82, 78),
+    (11, 4, False, "crude", 242, 238),
+    (12, 5, True, "solved", 76, 71),
+    (12, 5, True, "crude", 151, 146),
+])
+def test_the_polish_shaves_its_ladders_only_as_far_as_needed(seed, m, chain, start, losses, costs):
+    # the incumbent's losses, then one loss and one cost per bystander and
+    # pair scored and per ladder level that some candidate over budget
+    # reaches: the same counts as the candidate-by-candidate shaves made
+    inst, grid, opts, starts = _polish_start(seed, m, chain, 2.0)
+    model = CountingModel(params=default_config().model)
+    offline._polish_grid_pairs(inst, starts[start], opts, grid, model)
+    assert model.calls == {"loss": losses, "cost": costs}

@@ -263,7 +263,26 @@ def _reference_cases():
     yield "tie-tol-1e-3", _trace(5, 3, 2.0), {"tie_tol": 1e-3}
     yield "tie-tol-1e-3-chain", _chain(_trace(5, 3, 2.0)), {"tie_tol": 1e-3}
     yield "tie-tol-0", _trace(5, 2, 2.0), {"tie_tol": 0.0}
+    # the first pass visits rows best first, the second in index order
+    yield "tie-tol-0-m1", _trace(5, 1, 2.0), {"tie_tol": 0.0}
+    yield "tie-tol-0-m3", _trace(5, 3, 2.0), {"tie_tol": 0.0}
+    yield "tie-tol-0-m3-chain", _chain(_trace(5, 3, 2.0)), {"tie_tol": 0.0}
+    yield "tie-tol-0-m4", _trace(3, 4, 2.0), {"tie_tol": 0.0, **coarse}
+    yield "tie-tol-0-m4-chain", _chain(_trace(3, 4, 2.0)), {"tie_tol": 0.0, **coarse}
+    yield "tie-tol-1e-2-m4", _trace(5, 4, 2.0), {"tie_tol": 1e-2, **coarse}
+    yield "tie-tol-1e-2-m4-chain", _chain(_trace(5, 4, 2.0)), {"tie_tol": 1e-2, **coarse}
+    for name, inst, kwargs in UNSORTED_TIES:
+        yield name, inst, kwargs
 
+
+# cells whose ties, listed in index order, do not list unit 1's options in
+# the order of their distortion, the first pass's visiting order
+UNSORTED_TIES = [
+    ("unsorted-ties-m2", _trace(1, 2, 2.0), {"tie_tol": 1e-2}),
+    ("unsorted-ties-m3", _trace(2, 3, 2.0), {"tie_tol": 1e-2}),
+    ("unsorted-ties-m3-chain", _chain(_trace(1, 3, 2.0)), {"tie_tol": 1e-3}),
+    ("unsorted-ties-m3-many", _trace(4, 3, 2.0), {"tie_tol": 1e-2}),
+]
 
 REFERENCE_CASES = list(_reference_cases())
 
@@ -275,6 +294,14 @@ class TestMatchesScalarReference:
         assert repr(brute_force(inst, MODEL, **kwargs)) == repr(
             reference_brute_force(inst, MODEL, **kwargs)
         )
+
+    @pytest.mark.parametrize("inst,kwargs", [c[1:] for c in UNSORTED_TIES], ids=[c[0] for c in UNSORTED_TIES])
+    def test_ties_are_not_in_the_first_pass_order(self, inst, kwargs):
+        # several ties, with unit 1's distortion out of order along them
+        result = brute_force(inst, MODEL, **kwargs)
+        unit = inst.units[0]
+        first = [unit.impact * MODEL.loss(unit, t[0].start, t[0].end, t[0].payload) for t in result.ties]
+        assert first != sorted(first)
 
     def test_grid_infeasible_budget_raises_the_same_error(self):
         inst = _trace(5, 2, 1e-9)
@@ -413,13 +440,16 @@ class TestPairBlock:
              "three-ancestors", "tie-tol-1e-3-chain", "m4-chain-1", "m4-0-none-uncapped",
              "m4-3-both-uncapped", "near-zero-m3-coarse")
 
+    @pytest.mark.parametrize("first_rows", [1, 4, 100_000])
     @pytest.mark.parametrize("pairs", [1, 40])
     @pytest.mark.parametrize("name", SPLIT)
-    def test_rows_split_across_blocks_match_the_reference(self, name, pairs, monkeypatch):
+    def test_rows_split_across_blocks_match_the_reference(self, name, pairs, first_rows, monkeypatch):
         # a block of one row (or a few) of unit M-2, so the bar, the ties and
-        # the tie cap all cross block boundaries
+        # the tie cap all cross block boundaries; the first pass scores its
+        # first chunk of one row, a few or all of them before cutting at the bar
         inst, kwargs = self.CASES[name]
         monkeypatch.setattr(oracle, "_BLOCK_PAIRS", pairs)
+        monkeypatch.setattr(oracle, "_FIRST_ROWS", first_rows)
         assert repr(brute_force(inst, MODEL, **kwargs)) == repr(reference_brute_force(inst, MODEL, **kwargs))
 
     def test_default_grid_m4_memory_is_one_block(self):

@@ -1,6 +1,7 @@
 """Batched lattice pair polish against the candidate-by-candidate scan."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,16 @@ from xlsched import (
     solve_independent,
     solve_interdependent,
 )
-from xlsched.offline import _TINY, DecisionGrid, _polish_grid_pairs, instance_distortion
+from xlsched import offline
+from xlsched.offline import (
+    _TINY,
+    DecisionGrid,
+    _Bystander,
+    _polish_grid_pairs,
+    _shave,
+    _undominated,
+    instance_distortion,
+)
 
 GRID = DecisionGrid(0.02, 11)
 MODEL = ShannonExpModel()
@@ -149,6 +159,92 @@ def test_batched_polish_equals_scalar_scan(m, kind, respect_graph):
     for budget in (1.0, 2.0, 10.0):
         for crude_start in (False, True):
             _check_case(m, kind, respect_graph, budget, crude_start)
+
+
+@pytest.mark.parametrize("cells", [1, 7])
+@pytest.mark.parametrize("kind", ["independent", "chain"])
+def test_shave_table_split_into_blocks_equals_scalar_scan(kind, cells, monkeypatch):
+    # a table block of one step (or a few), so candidates fit across blocks
+    monkeypatch.setattr(offline, "_SHAVE_CELLS", cells)
+    for m in (3, 4):
+        for budget in (1.0, 2.0):
+            for crude_start in (False, True):
+                _check_case(m, kind, True, budget, crude_start)
+
+
+def reference_shave(bystanders, m, i, x, k, y, budget_total, limit):
+    """One candidate's shaves, as the scalar scan makes them: its levels when
+    it fits, or when the limit or the payloads run out, and whether it fits."""
+    levels = dict.fromkeys(bystanders, 0)
+    for _ in range(limit):
+        spends = {j: b.cost[levels[j]] for j, b in bystanders.items() if b.payload[levels[j]] > 0.0}
+        if not spends:
+            break
+        j = max(spends, key=spends.get)
+        levels[j] += 1
+        bystanders[j].reach(levels[j])
+        total = 0.0
+        for q in range(m):
+            total += x if q == i else y if q == k else bystanders[q].cost[levels[q]]
+        if total <= budget_total:
+            return tuple(levels.values()), True
+    return tuple(levels.values()), False
+
+
+@pytest.mark.parametrize("cells", [1, 7, 1 << 16])
+def test_shared_shaves_equal_each_candidates_own(cells, monkeypatch):
+    # random ladders and candidate energies drawn from a few values, so that
+    # candidates tie and several are undominated; budgets where candidates
+    # fit after no, some or every shave, or never
+    monkeypatch.setattr(offline, "_SHAVE_CELLS", cells)
+    rng = np.random.default_rng(29)
+    seen = Counter()
+    for _ in range(150):
+        m = int(rng.integers(3, 6))
+        i, k = sorted(rng.choice(m, 2, replace=False).tolist())
+        units = generate_trace(TraceParams(seed=int(rng.integers(1000)), num_dus=m)).units
+
+        def ladders():
+            return {j: _Bystander(u, CrossLayerDecision(u.ready, u.deadline, float(rng.uniform(0.0, u.size))),
+                                  float(rng.choice([0.5, 1.0, 3.0])), MODEL)
+                    for j, u in enumerate(units) if j not in (i, k)}
+
+        state = rng.bit_generator.state
+        got_ladders = ladders()
+        rng.bit_generator.state = state
+        ref_ladders = ladders()
+        n = int(rng.integers(0, 60))
+        x = rng.choice(rng.uniform(0.0, 50.0, 4), n)
+        y = rng.choice(rng.uniform(0.0, 50.0, 4), n)
+        spent = sum(b.cost[0] for b in got_ladders.values())
+        budget_total = float(rng.uniform(0.0, spent + 100.0))
+        limit = int(rng.integers(1, 40))
+        steps, fits, stops = _shave(got_ladders, m, i, x, k, y, budget_total, limit)
+        refs = [reference_shave(ref_ladders, m, i, a, k, b, budget_total, limit)
+                for a, b in zip(x.tolist(), y.tolist())]
+        assert [(steps[s], bool(f)) for s, f in zip(stops, fits)] == refs
+        # the sequence goes no further than the candidate that needs the most
+        last = max((s for s in stops.tolist()), default=0)
+        assert len(steps) - 1 == last
+        assert [len(b.payload) for b in got_ladders.values()] == [1 + lv for lv in steps[-1]]
+        seen["fronts of several"] += len(_undominated(x, y)) > 1
+        seen["fits after shaves"] += bool((fits & (stops > 0)).any())
+        seen["never fits"] += bool((~fits).any())
+    assert min(seen[key] for key in ("fronts of several", "fits after shaves", "never fits")) > 0
+
+
+def test_undominated_pairs():
+    # against the definition: no other pair at least as large in both values
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 5, 40):
+        for levels in (2, 5, 1000):
+            x = rng.integers(0, levels, n).astype(float)
+            y = rng.integers(0, levels, n).astype(float)
+            pairs = set(zip(x.tolist(), y.tolist()))
+            expected = {p for p in pairs if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pairs)}
+            got = _undominated(x, y)
+            assert len(got) == len(set(got)) and set(got) == expected
+            assert all(type(v) is float for pair in got for v in pair)
 
 
 def test_accepted_candidates_with_shaved_bystanders():
