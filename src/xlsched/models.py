@@ -142,6 +142,18 @@ def _unit_distortion(impact: float, loss: float, ancestor_losses: Sequence[float
     return impact - impact * survive
 
 
+def _empty_window(empty: tuple) -> Callable[[float], tuple]:
+    """A ``window_fn`` window that sends nothing: ``empty`` at every length,
+    and ``ValueError`` on an infinite or NaN one."""
+
+    def window(tau: float) -> tuple:
+        if not tau < math.inf:  # NaN fails too
+            raise ValueError(f"window length must be finite, got {tau!r}")
+        return empty
+
+    return window
+
+
 @runtime_checkable
 class TransmissionModel(Protocol):
     """What the solvers need from a physical-layer model.
@@ -154,6 +166,10 @@ class TransmissionModel(Protocol):
     solves use the closed form of the payload argmin at fixed weights on loss
     and energy: ``window_fn`` for the offline window search, built once per
     solve, and its array twin ``window_vec`` for the online end-grid search.
+    A ``window_fn`` window maps tau to five entries, ``(payload, value,
+    slope, loss, energy)``; the last two are ``loss`` and ``cost`` of that
+    payload in a window of length tau, bit for bit, so that a solver values
+    the decision it stores without calling them again.
     ``window_table(unit, taus)`` is ``window_vec`` on fixed taus with the
     weights left open, ``(loss_weight, energy_weight) -> (payload, loss,
     energy)``: the ``mdu`` DAG passes build one per unit and cycle and
@@ -168,7 +184,7 @@ class TransmissionModel(Protocol):
 
     def window_fn(
         self, unit: "DataUnit", loss_weight: float, energy_weight: float
-    ) -> Callable[[float], tuple[float, float, float]]: ...
+    ) -> Callable[[float], tuple[float, float, float, float, float]]: ...
 
     def window_vec(
         self, unit: "DataUnit", taus: np.ndarray, loss_weight: float, energy_weight: float
@@ -219,18 +235,23 @@ class ShannonExpModel:
 
     def window_fn(
         self, unit, loss_weight: float, energy_weight: float
-    ) -> Callable[[float], tuple[float, float, float]]:
+    ) -> Callable[[float], tuple[float, float, float, float, float]]:
         """The window value of ``unit`` at fixed weights, as a function of tau.
 
-        Returns ``tau -> (a, V, dV/dtau)``: the payload minimizer, the window
-        value ``V(tau) = min_a L*loss(a) + E*cost(tau, a)`` over the payloads
-        ``a`` that fit the unit and the energy cap in a window of length
-        ``tau``, and its slope. Everything that does not depend on tau is
-        computed here, once per solve. By the envelope theorem the slope is
-        ``E * d cost/d tau`` at fixed ``a`` unless the energy cap binds, where
-        ``a`` moves with the cap and the slope is ``L * d loss/d a * d a_cap/d tau``
-        (energy stays at the cap). An empty payload, or an unpriced one
-        (``E = 0``) below the cap, has slope 0.
+        Returns ``tau -> (a, V, dV/dtau, loss, energy)``: the payload
+        minimizer, the window value ``V(tau) = min_a L*loss(a) + E*cost(tau, a)``
+        over the payloads ``a`` that fit the unit and the energy cap in a
+        window of length ``tau``, its slope, and the loss and energy of ``a``
+        in that window. The last two are the same expressions as
+        :func:`loss_fraction` and :func:`energy_cost`, so they equal
+        ``loss`` and ``cost`` of any window of length ``tau`` bit for bit.
+        A tau that is not positive gives the empty payload (loss 1, energy
+        0); an infinite or NaN one raises ``ValueError``. Everything that does
+        not depend on tau is computed here, once per solve. By the envelope
+        theorem the slope is ``E * d cost/d tau`` at fixed ``a`` unless the
+        energy cap binds, where ``a`` moves with the cap and the slope is
+        ``L * d loss/d a * d a_cap/d tau`` (energy stays at the cap). An empty
+        payload, or an unpriced one (``E = 0``) below the cap, has slope 0.
 
         The window also carries ``root(lam)``, the tau where the slope is
         ``-lam`` in closed form, or None where that form does not hold.
@@ -238,14 +259,14 @@ class ShannonExpModel:
         p = self.params
         size, decay, channel = unit.size, unit.decay, unit.channel
         bandwidth, bit_unit, noise, cap = p.bandwidth_hz, p.bit_unit, p.noise, p.energy_cap
-        empty = (0.0, loss_weight, 0.0)
+        empty = (0.0, loss_weight, 0.0, 1.0, 0.0)
         if loss_weight <= 0.0:
-            return lambda tau: empty
+            return _empty_window(empty)
         log_ratio = None  # unpriced: the payload sits at its upper bound
         if not energy_weight <= 0.0:
             ratio = loss_weight * decay * channel * bandwidth / (energy_weight * noise * bit_unit)
             if ratio <= 0.0:
-                return lambda tau: empty
+                return _empty_window(empty)
             log_ratio = math.log2(ratio)
         priced = energy_weight > 0.0
         per_gain = noise / channel
@@ -255,9 +276,11 @@ class ShannonExpModel:
 
         # runs once per tau: min, max and the exponent clamp are spelled out as the
         # same comparisons, since calls to them took about a third of its time
-        def window(tau: float) -> tuple[float, float, float]:
+        def window(tau: float) -> tuple[float, float, float, float, float]:
             if tau <= 0.0:
                 return empty
+            if not tau < math.inf:  # NaN fails too
+                raise ValueError(f"window length must be finite, got {tau!r}")
             span = tau * bandwidth
             upper = size
             if cap_gain is not None:
@@ -281,23 +304,23 @@ class ShannonExpModel:
             z = -decay * a
             lost = 2.0 ** (EXP_CLAMP if z > EXP_CLAMP else -EXP_CLAMP if z < -EXP_CLAMP else z)
             lost = 1.0 if lost > 1.0 else lost
+            z = a * bit_unit / span
+            e2z = 2.0 ** (EXP_CLAMP if z > EXP_CLAMP else -EXP_CLAMP if z < -EXP_CLAMP else z)
+            spend = per_gain * tau * (e2z - 1.0)
+            if spend == math.inf or spend == -math.inf:
+                spend = 2.0 ** EXP_CLAMP
             value = loss_weight * lost
             if priced:
-                z = a * bit_unit / span
-                e2z = 2.0 ** (EXP_CLAMP if z > EXP_CLAMP else -EXP_CLAMP if z < -EXP_CLAMP else z)
-                spend = per_gain * tau * (e2z - 1.0)
-                if spend == math.inf or spend == -math.inf:
-                    spend = 2.0 ** EXP_CLAMP
                 value += energy_weight * spend
             if a == upper < size:
                 # the cap binds: a = a_cap(tau) = (tau/c) log2(1 + K/tau) with
                 # c = bit_unit/bandwidth and K = cap*channel/noise, so
                 # a_cap'(tau) = (log2(1 + K/tau) - (K/tau) / ((1 + K/tau) ln 2)) / c
                 d_cap = (log_k - k_tau / ((1.0 + k_tau) * _LN2)) * bandwidth / bit_unit
-                return a, value, cap_pull * lost * d_cap
+                return a, value, cap_pull * lost * d_cap, lost, spend
             if priced:
-                return a, value, spend_slope * (e2z - 1.0 - z * _LN2 * e2z)
-            return a, value, 0.0
+                return a, value, spend_slope * (e2z - 1.0 - z * _LN2 * e2z), lost, spend
+            return a, value, 0.0, lost, spend
 
         def root(lam: float) -> Optional[float]:
             # phi(z) = -lam/spend_slope at z = (1 + W0((lam/spend_slope - 1)/e))/ln 2,

@@ -13,9 +13,11 @@ model solves it in closed form, and the remaining window search is convex in
 the window length after observing that the start time enters linearly and is
 therefore optimal at an interval endpoint. The model's window value comes
 with its slope in the window length, and the default model gives the root of
-that slope in closed form (Lambert W): the search values the window there
-and at both ends. Elsewhere (a binding energy cap, unpriced energy) it is a
-bracketed root-find on the slope, about eight values per unit. A unit's loss
+that slope in closed form (Lambert W). There energy is priced, the window
+value is continuous at length 0 and the root is the minimum, so the kernel
+values the window once, at the length of the window it stores. Elsewhere (a
+binding energy cap, unpriced energy) it is a bracketed root-find on the
+slope compared against both ends, about eight values per unit. A unit's loss
 is also the error it propagates to its descendants, so the dependency terms
 weigh the same loss curve, and every table and cache below holds loss and
 energy only.
@@ -29,11 +31,12 @@ there the per-unit subproblems are swept in index order (block coordinate
 descent) with warm starts across outer iterations.
 
 Each decision is valued once, where it is made. The per-unit kernel returns
-a plain (start, end, payload, objective) tuple; a relaxed step values each
-of its decisions with one ``loss`` and one ``cost`` call (a lattice step
-reads both from the option row) and hands the outer loop the per-unit loss
-and energy with the decisions. The price step sums those energies, and the
-recovery starts from them and values only the units it moves and the
+a plain (start, end, payload, objective, loss, energy) tuple, the loss and
+energy taken from the window evaluation at the stored window's length (a
+lattice step reads both from the option row), and a relaxed step hands the
+outer loop the per-unit loss and energy with the decisions. The price step
+sums those energies, and the recovery starts from them, takes a repaired
+unit's from its kernel solve and values only the units it drops and the
 payloads it scales. ``CrossLayerDecision`` objects are built only for the
 decisions a step returns or a sweep accepts.
 """
@@ -62,7 +65,7 @@ from .core import (
     write_text_atomic,
 )
 from .models import TransmissionModel, _unit_distortion, check_model
-from .search import _with_corners, brent_root, derivative_search
+from .search import brent_root, derivative_search
 # unused here: perfbench/spans.py wraps this module attribute
 from .search import golden_section  # noqa: F401
 
@@ -236,25 +239,31 @@ def _unit_kernel(
     handoff_prev: float,
     handoff_next: float,
     start_floor: float,
-) -> tuple[float, float, float, float]:
+) -> tuple[float, float, float, float, float, float]:
     """The continuous per-unit relaxed solve every solver path shares, as a
-    plain (start, end, payload, objective) tuple.
+    plain (start, end, payload, objective, loss, energy) tuple, the last two
+    the model's ``loss`` and ``cost`` of the decision, bit for bit.
 
     Minimizes loss_coeff*p + err_coeff*p + energy_coeff*w - handoff_prev*start
     + handoff_next*end over windows inside [start_floor, deadline] and their
     payloads, where p is the unit's loss and also the error it propagates to
     its descendants. ``window_fn`` gives, per window length tau, the payload
     argmin, the window value V(tau) and its slope for the merged weight
-    loss_coeff + err_coeff; V depends on the window only through its length.
+    loss_coeff + err_coeff, and the payload's loss and energy; V depends on
+    the window only through its length.
 
     For fixed tau the start time enters linearly with coefficient
     (handoff_next - handoff_prev), so it sits at an endpoint of
     [start_floor, deadline - tau]; substituting the endpoint leaves a convex
     function g of tau alone, with slope V'(tau) + handoff_next (start at the
-    floor) or + handoff_prev (end at the deadline). Its root is the window's
-    ``root`` where that gives one inside the window, else derivative_search's,
-    and it is compared against both ends. Ties prefer the maximal window
-    (start at the floor, end at the deadline).
+    floor) or + handoff_prev (end at the deadline). Where the window's
+    ``root`` gives the root of that slope strictly inside (0, deadline -
+    start_floor), energy is priced, so g is continuous at 0 (the payload
+    vanishes with the window) and the root is its minimum: the stored window
+    is derived from it and valued once, at its own length. Elsewhere g may
+    jump at 0 (free energy buys the full payload in any window), so
+    derivative_search's point is compared against both ends, and ties prefer
+    the maximal window (start at the floor, end at the deadline).
     """
     # numpy scalars here would leak into every iterate and the decision
     handoff_prev, handoff_next = float(handoff_prev), float(handoff_next)
@@ -264,25 +273,28 @@ def _unit_kernel(
     at_floor = cf * start_floor
     lam = handoff_next if cf >= 0.0 else handoff_prev
 
-    def g(tau: float) -> tuple[float, float, float]:  # with the payload argmin
-        a, value, slope = window(tau)
+    def g(tau: float) -> tuple[float, float, float, float, float]:  # with the payload, loss and energy
+        a, value, slope, p, w = window(tau)
         start_term = at_floor if cf >= 0.0 else cf * (deadline - tau)
-        return value + handoff_next * tau + start_term, slope + lam, a
+        return value + handoff_next * tau + start_term, slope + lam, a, p, w
 
     tau_max = deadline - start_floor
     root = getattr(window, "root", None)
-    tau_c = None if root is None else root(lam)
-    if tau_c is not None and 0.0 < tau_c < tau_max:
-        tau_star, (obj, _, payload) = _with_corners(0.0, g(0.0), tau_max, g(tau_max), tau_c, g(tau_c))
-    else:
-        tau_star, (obj, _, payload) = derivative_search(g, 0.0, tau_max)
+    tau_star = None if root is None else root(lam)
+    closed = tau_star is not None and 0.0 < tau_star < tau_max
+    if not closed:
+        tau_star, at = derivative_search(g, 0.0, tau_max)
     x_star = start_floor if cf >= 0.0 else max(deadline - tau_star, start_floor)
     # rounding in start + tau must not carry the end past the deadline, and
     # the payload must fit the stored window, whose length may differ by an ulp
     end = min(x_star + tau_star, deadline)
-    if end - x_star != tau_star:
-        payload = window(end - x_star)[0]
-    return x_star, end, payload, obj
+    if closed:
+        obj, _, payload, p, w = g(end - x_star)
+    else:
+        obj, _, payload, p, w = at
+        if end - x_star != tau_star:
+            payload, _, _, p, w = window(end - x_star)
+    return x_star, end, payload, obj, p, w
 
 
 def upper_optimization(
@@ -301,7 +313,7 @@ def upper_optimization(
     if num_units <= 0:
         raise ValueError(f"num_units must be positive, got {num_units}")
     m = float(num_units)
-    start, end, payload, obj = _unit_kernel(
+    start, end, payload, obj, _, _ = _unit_kernel(
         unit, model, unit.impact / m, 0.0, price / m, handoff_prev, handoff_next, unit.ready
     )
     return UnitSolution(CrossLayerDecision(start, end, payload), obj)
@@ -378,9 +390,9 @@ def _solve_unit_dag(
     model: TransmissionModel,
     anc_survival: float,
     desc_weight: float,
-) -> tuple[float, float, float, float]:
+) -> tuple[float, float, float, float, float, float]:
     """Per-unit relaxed solve with dependency-adjusted distortion terms, as
-    :func:`_unit_kernel`'s (start, end, payload, objective).
+    :func:`_unit_kernel`'s (start, end, payload, objective, loss, energy).
 
     Objective (up to the constant -desc_weight/num_units):
     (impact*A*p + S*p)/M + price*w/M - handoff_prev*start + handoff_next*end.
@@ -408,8 +420,8 @@ class _ScheduleValues:
     which is also the error it propagates to its descendants, kept impact
     ``impact * (1 - loss)`` and, if ``priced``, energy, from scalar model
     calls on ``decisions[i - 1]``, or from ``measured``, the per-unit
-    (losses, energies) of those decisions when the caller already has them;
-    ``set`` re-values one unit. ``graph`` (None ignores the dependencies) is
+    (losses, energies) of those decisions when the caller already has them,
+    taken in one pass; ``set`` re-values one unit. ``graph`` (None ignores the dependencies) is
     the one that the distortion and the coefficients use. The distortion is
     kept until the next ``set``."""
 
@@ -420,13 +432,18 @@ class _ScheduleValues:
             raise ValueError(f"got {len(decisions)} decisions for {len(units)} units")
         self.units, self.graph, self.model = units, graph, model
         self.decisions = list(decisions)
-        n = len(units) + 1
-        self.loss, self.kept = [0.0] * n, [0.0] * n
-        self.cost = [0.0] * n if priced else None
         self._distortion = None
-        pairs = zip(*measured) if measured is not None else [None] * len(units)
-        for i, pair in enumerate(pairs, start=1):
-            self.set(i, self.decisions[i - 1], pair)
+        if measured is None:
+            n = len(units) + 1
+            self.loss, self.kept = [0.0] * n, [0.0] * n
+            self.cost = [0.0] * n if priced else None
+            for i, dec in enumerate(self.decisions, start=1):
+                self.set(i, dec)
+        else:
+            losses, energies = measured
+            self.loss = [0.0, *losses]
+            self.kept = [0.0, *[u.impact * (1.0 - p) for u, p in zip(units, losses)]]
+            self.cost = [0.0, *energies] if priced else None
 
     def measure(self, i: int, dec: CrossLayerDecision) -> tuple:
         """Loss and energy (None unless priced) of unit i under ``dec``."""
@@ -567,10 +584,11 @@ def recover_primal(
     their loss through the instance's graph, if it has one, and so does the
     returned distortion.
 
-    Each given decision is valued once (loss and energy), each re-optimized
-    or dropped one once more, and every scaled one once (loss); the energy at
-    scale 1 is the sum of those energies. The dual loop hands over the values
-    its relaxed step already has (``_recover``), so there a unit that passes
+    Each given decision is valued once (loss and energy), each dropped one
+    once more, and every scaled one once (loss); a re-optimized unit takes
+    the loss and energy its kernel solve returns, and the energy at scale 1
+    is the sum of those energies. The dual loop hands over the values its
+    relaxed step already has (``_recover``), so there a unit that passes
     through is not valued again.
 
     Raises ``ValueError`` on a budget that is NaN, zero or negative.
@@ -611,10 +629,10 @@ def _recover(
         hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
         a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(pos, values)
         # a start coefficient hn - min(hn, 0) >= 0 keeps the start at the floor
-        start, end, payload, _ = _unit_kernel(
+        start, end, payload, _, p, w = _unit_kernel(
             unit, model, unit.impact * a_surv / m, s_weight / m, price / m, min(hn, 0.0), hn, floor
         )
-        values.set(pos, CrossLayerDecision(start, end, payload))
+        values.set(pos, CrossLayerDecision(start, end, payload), (p, w))
         prev_end = end
 
     # budget enforcement: uniform payload scaling, monotone in the scale; the
@@ -1227,16 +1245,14 @@ def _unit_solver(inst: Instance, model: TransmissionModel, opts):
     It returns a plain (start, end, payload, objective, loss, energy) tuple:
     the lattice argmin over ``opts`` with the loss and energy of its option
     row, else the continuous solve, which goes through the module-level
-    ``_solve_unit_dag`` looked up at call time, with its decision valued once
-    by the model's ``loss`` and ``cost``."""
+    ``_solve_unit_dag`` looked up at call time and values its decision where
+    it makes it."""
     m = inst.num_units
     if opts is None:
 
         def solve(i, price, mu, a_surv=1.0, s_weight=0.0):
             hp, hn = _neighbour_prices(mu, i)
-            unit = inst.units[i - 1]
-            x, y, a, obj = _solve_unit_dag(unit, price, hp, hn, m, model, a_surv, s_weight)
-            return x, y, a, obj, model.loss(unit, x, y, a), model.cost(unit, x, y, a)
+            return _solve_unit_dag(inst.units[i - 1], price, hp, hn, m, model, a_surv, s_weight)
 
     else:
 
@@ -1271,7 +1287,7 @@ def _dual_loop(
     per-unit loss and energy of the decisions, so that nothing here values a
     decision again: the price step's usage is the energies summed in unit
     order (``average_energy``'s sum), and the continuous recovery
-    (``_recover``) takes both and values only the units it moves. It then
+    (``_recover``) takes both and values only the units it drops. It then
     recovers a feasible schedule from the decisions, keeps the best primal
     and dual values, and moves the budget price and the handoff prices by
     projected subgradient steps alpha0/k and beta0/k. It stops when the

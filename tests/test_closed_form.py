@@ -97,7 +97,7 @@ class TestClosedFormAgainstBrent:
             cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
             params = ShannonEnergyParams(energy_cap=cap)
             model = RootCountingModel(params=params)
-            start, end, payload, objective = _unit_kernel(unit, model, loss, err, price, hp, hn, floor)
+            start, end, payload, objective, _, _ = _unit_kernel(unit, model, loss, err, price, hp, hn, floor)
             brent = _unit_kernel(unit, BrentOnlyModel(params=params), loss, err, price, hp, hn, floor)[3]
             assert objective <= brent + 1e-9 * max(1.0, abs(brent))
 
@@ -113,10 +113,9 @@ class TestClosedFormAgainstBrent:
                 in_regime += 1
                 ref = _golden_reference(unit, ShannonExpModel(params=params), loss, err, price, hp, hn, floor)
                 assert objective <= ref + 1e-9 * max(1.0, abs(ref)) + max(hp, hn) * TOL
-                # both corners and the closed form's point; a fourth value only
-                # refits the payload to the stored window's length
-                assert model.taus[:3] == [0.0, unit.deadline - floor, tau_c]
-                assert model.taus[3:] in ([], [d.end - d.start])
+                # g is convex and continuous at 0 here, so the closed form's
+                # point is the minimum: one value, at the stored window's length
+                assert model.taus == [d.end - d.start]
         assert in_regime >= 100
 
     def test_cap_binding_at_the_stationary_point_falls_back(self):
@@ -124,7 +123,7 @@ class TestClosedFormAgainstBrent:
         free = ShannonExpModel().window_fn(unit, 25.0, 0.05).root(30.0)
         assert free is not None and 0.0 < free < 0.05
         # energy at the uncapped stationary point, then a cap at half of it
-        a, _, _ = ShannonExpModel().window_fn(unit, 25.0, 0.05)(free)
+        a = ShannonExpModel().window_fn(unit, 25.0, 0.05)(free)[0]
         spend = ShannonExpModel().cost(unit, 0.0, free, a)
         capped = ShannonExpModel(params=ShannonEnergyParams(energy_cap=0.5 * spend))
         assert capped.window_fn(unit, 25.0, 0.05).root(30.0) is None

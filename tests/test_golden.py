@@ -96,18 +96,19 @@ def _mdu_on_ibpbp():
 
 
 def _unit_kernel():
-    """The per-unit solve and the window value on random kernel cases: energy
-    caps, unpriced energy, and windows of length 0 and 1e-9 included."""
+    """The per-unit solve with the loss and energy it hands back, and the
+    window value, on random kernel cases: energy caps, unpriced energy, and
+    windows of length 0 and 1e-9 included."""
     rng = np.random.default_rng(2024)
     out = []
     for _ in range(2000):
         cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
         model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
-        start, end, payload, objective = offline._unit_kernel(unit, model, loss, err, price, hp, hn, floor)
+        start, end, payload, objective, p, w = offline._unit_kernel(unit, model, loss, err, price, hp, hn, floor)
         sol = UnitSolution(CrossLayerDecision(start, end, payload), objective)
         window = model.window_fn(unit, loss + err, price)
         values = [window(tau) for tau in (0.0, 1e-9, 1e-4, 0.01, 0.05)]
-        out.append((sol, values))
+        out.append((sol, (p, w), values))
     return out
 
 
@@ -220,11 +221,11 @@ CASES = {
     ),
     "unit-kernel": (
         _unit_kernel,
-        "3091b4e66bbddbb76f9c9a1078800b9f52c84c5fe39b4022325852159c93b133",
+        "9c1ac0c2bf5731b16b6248b3d5a2cadff7ecdd72062659af709b65664da7c105",
     ),
     "independent-standard": (
         _independent_standard,
-        "f8499e38b808b327bb473bf4c0ef8f63f081546a6ddfdbfa73dea9afde0991c7",
+        "07068ce41de45d37f0dee294eff69104dc19e9f508f4251afd3c8ee817849711",
     ),
     "online-random-dag-proposed": (
         lambda: _online_on_random_dag("proposed"),

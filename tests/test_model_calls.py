@@ -1,6 +1,7 @@
 """How often the solvers ask the model for a value. In one continuous outer
 iteration of the dual solvers each decision is valued once where it is made,
-and the outer loop, the price step and the recovery reuse those values. An
+by the window evaluation of the kernel solve that makes it, and the outer
+loop, the price step and the recovery reuse those values. An
 online decision values its end grid and its refinement grid, one
 ``window_vec`` call each. An ``mdu`` cycle DP values each unit once per
 pass: on a graph-free cycle with one ``window_vec`` call, and on a cycle
@@ -109,20 +110,23 @@ def test_an_option_table_values_each_window_length_once_on_floats(time_step, act
 
 
 def test_one_independent_iteration_values_each_decision_once():
-    # the relaxed step solves and values the 10 units (10 window_fn, loss and
-    # cost); the recovery re-solves and values the 7 units it moves, and the
-    # binding budget takes 8 sums of 10 energies to find the payload scale
-    # and 10 losses of the scaled schedule. Valued again by average_energy
-    # and by the recovery, the same iteration took 27 losses and 100 costs.
-    assert _calls(solve_independent, INST) == {"window_fn": 17, "loss": 10 + 7 + 10, "cost": 10 + 7 + 80}
+    # the relaxed step solves the 10 units (10 window_fn), and the recovery
+    # re-solves the 7 units it moves (7 window_fn); each solve hands back its
+    # decision's loss and energy, so neither calls loss or cost. The binding
+    # budget takes 8 sums of 10 energies to find the payload scale and 10
+    # losses of the scaled schedule. Valued again by average_energy and by
+    # the recovery, the same iteration took 27 losses and 100 costs; valued
+    # once by loss and cost after each solve, 27 and 97.
+    assert _calls(solve_independent, INST) == {"window_fn": 17, "loss": 10, "cost": 80}
 
 
 def test_one_interdependent_iteration_values_each_decision_once():
     # the warm start is valued once (10 loss and cost), then as above with
     # one block sweep in place of the independent step; re-valued, the same
-    # iteration took 47 losses and 120 costs
+    # iteration took 47 losses and 120 costs, and valued after each solve 37
+    # and 107
     calls = _calls(solve_interdependent, DAG, max_inner=1)
-    assert calls == {"window_fn": 17, "loss": 10 + 10 + 7 + 10, "cost": 10 + 10 + 7 + 80}
+    assert calls == {"window_fn": 17, "loss": 10 + 10, "cost": 10 + 80}
 
 
 # two I-B-P-B-P cycles; every unit's window is open past the previous cycle

@@ -293,9 +293,10 @@ class TestWindowValue:
         model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
         unit = _unit(channel=1.3)
         for tau in (0.0, 1e-6, 0.004, 0.02, 0.05):
-            a, v, _ = model.window_fn(unit, lw, ew)(tau)
+            a, v, _, lost, spend = model.window_fn(unit, lw, ew)(tau)
             assert 0.0 <= a <= _payload_bound(model, unit, tau)
-            ref = lw * model.loss(unit, 0.0, tau, a) + ew * model.cost(unit, 0.0, tau, a)
+            assert (lost, spend) == (model.loss(unit, 0.0, tau, a), model.cost(unit, 0.0, tau, a))
+            ref = lw * lost + ew * spend
             assert v == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("cap", [None, 0.5, 5.0])
@@ -304,7 +305,7 @@ class TestWindowValue:
         model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=cap))
         unit = _unit(channel=0.8)
         for tau in np.linspace(0.0007, 0.05, 37):
-            _, _, slope = model.window_fn(unit, lw, ew)(tau)
+            slope = model.window_fn(unit, lw, ew)(tau)[2]
             h = 1e-6 * tau
             fd = (model.window_fn(unit, lw, ew)(tau + h)[1]
                   - model.window_fn(unit, lw, ew)(tau - h)[1]) / (2 * h)
@@ -315,12 +316,12 @@ class TestWindowValue:
     def test_unpriced_and_empty_corners_have_zero_slope(self):
         model = ShannonExpModel()
         unit = _unit()
-        assert model.window_fn(unit, 100.0, 1.0)(0.0) == (0.0, 100.0, 0.0)
-        assert model.window_fn(unit, 0.0, 1.0)(0.05) == (0.0, 0.0, 0.0)
-        a, _, slope = model.window_fn(unit, 100.0, 0.0)(0.05)
+        assert model.window_fn(unit, 100.0, 1.0)(0.0) == (0.0, 100.0, 0.0, 1.0, 0.0)
+        assert model.window_fn(unit, 0.0, 1.0)(0.05) == (0.0, 0.0, 0.0, 1.0, 0.0)
+        a, _, slope, _, _ = model.window_fn(unit, 100.0, 0.0)(0.05)
         assert (a, slope) == (unit.size, 0.0)
         # an overflowing exponent stays finite or -inf, never NaN
-        _, v, slope = model.window_fn(unit, 1e300, 1e-300)(1e-9)
+        _, v, slope, _, _ = model.window_fn(unit, 1e300, 1e-300)(1e-9)
         assert not math.isnan(v) and not math.isnan(slope)
 
 def test_params_validation():

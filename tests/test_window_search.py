@@ -179,7 +179,7 @@ class TestSlopeSearchAgainstGolden:
             cap, unit, floor, loss, err, price, hp, hn = _draw_case(rng)
             params = ShannonEnergyParams(energy_cap=cap)
             model = CountingModel(params=params)
-            start, end, payload, objective = _unit_kernel(unit, model, loss, err, price, hp, hn, floor)
+            start, end, payload, objective, _, _ = _unit_kernel(unit, model, loss, err, price, hp, hn, floor)
             ref = _golden_reference(unit, ShannonExpModel(params=params), loss, err, price, hp, hn, floor)
             evals.append(len(model.taus))
             # each window length is valued once
