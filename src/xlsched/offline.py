@@ -201,13 +201,18 @@ def _solve_unit_grid(
     loss_coeff: float,
     err_coeff: float,
     energy_coeff: float,
+    mask: Optional[np.ndarray] = None,
 ) -> tuple[float, float, float, float, float, float]:
-    """Exact per-unit relaxed solve over precomputed grid options.
+    """Exact per-unit solve over precomputed grid options: the one lattice
+    argmin, taken by the relaxed step and by both stages of
+    :func:`_recover_primal_grid`.
 
     Same objective as the continuous path:
     loss_coeff*p + err_coeff*p + energy_coeff*w - handoff_prev*start
-    + handoff_next*end; argmin ties resolve to the earliest window. Returns
-    the option row's (start, end, payload), its objective, loss and energy.
+    + handoff_next*end; argmin ties resolve to the earliest window. Rows
+    where ``mask`` is false score +inf, so an all-false mask returns an
+    infinite objective. Returns the option row's (start, end, payload), its
+    objective, loss and energy.
 
     A term whose coefficient is zero (either sign) is skipped. This is
     exact: its product with a finite column is ±0.0, and adding ±0.0
@@ -226,6 +231,8 @@ def _solve_unit_grid(
         obj -= handoff_prev * starts
     if handoff_next:
         obj += handoff_next * ends
+    if mask is not None:
+        obj = np.where(mask, obj, math.inf)
     j = int(obj.argmin())
     return starts.item(j), ends.item(j), payloads.item(j), obj.item(j), loss.item(j), cost.item(j)
 
@@ -681,15 +688,16 @@ def _recover_primal_grid(
     schedule's values (:class:`_ScheduleValues`) are built only after a memo
     miss, on a graph or not, with the repairs replayed into them in order.
 
-    ``opts`` are :meth:`DecisionGrid.options` tables, whose starts never
-    decrease, so the rows that start at or after a bound are a suffix, found
-    by ``searchsorted``; an infinite bound (no earlier or later unit) masks
-    nothing and is not tested. A repair skips its descendant-weight, energy
-    and next-handoff terms and the descent its descendant-weight term where
-    the weight is zero (either sign). As in :func:`_solve_unit_grid` this is
-    exact: each skipped product is ±0.0, and the running sum, which starts
-    from the impact times the survival times a loss, all non-negative, is
-    never -0.0."""
+    Both the repair and each descent step are one :func:`_solve_unit_grid`
+    call. ``opts`` are :meth:`DecisionGrid.options` tables, whose starts
+    never decrease, so the rows that start at or after a bound are a
+    suffix, found by ``searchsorted`` and sliced column by column. A repair
+    scores that suffix at no previous handoff price, the impact times the
+    survival, the descendant weight and the price each over ``m``, and the
+    next handoff price. A descent step scores it by the impact times the
+    survival and the descendant weight alone, masked to the rows within the
+    budget and, where a later unit exists, ending by its start; an infinite
+    least score means no such row, and the unit keeps its pick."""
     m, graph = inst.num_units, inst.graph
     out, repairs, losses, kept = list(decisions), [], None, None
     prev_end = -math.inf
@@ -714,17 +722,9 @@ def _recover_primal_grid(
         else:
             hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
             a_surv, s_weight = (1.0, 0.0) if graph is None else _graph_coeffs(pos, graph, losses, kept)
-            vals = unit.impact * a_surv * loss[first:]
-            if s_weight:
-                vals += s_weight * loss[first:]
-            if price:
-                vals += price * cost[first:]
-            vals /= m
-            if hn:
-                vals += hn * ends[first:]
-            j = first + int(vals.argmin())
-            fixed = CrossLayerDecision(starts.item(j), ends.item(j), payloads.item(j))
-            pair = loss.item(j), cost.item(j)
+            suffix = starts[first:], ends[first:], payloads[first:], loss[first:], cost[first:]
+            x, y, a, _, p, w = _solve_unit_grid(suffix, 0.0, hn, unit.impact * a_surv / m, s_weight / m, price / m)
+            fixed, pair = CrossLayerDecision(x, y, a), (p, w)
         out[pos - 1] = fixed
         repairs.append((pos, fixed, pair))
         if losses is not None:
@@ -771,23 +771,14 @@ def _recover_primal_grid(
             first = 0 if lo == -math.inf else int(starts.searchsorted(lo - _TINY))
             if first == len(starts):
                 continue
+            suffix = starts[first:], ends[first:], payloads[first:], loss[first:], cost[first:]
             feas = cost[first:] <= budget_total - spent_elsewhere + _TINY
             if hi != math.inf:
                 feas &= ends[first:] <= hi + _TINY
-            score = unit.impact * a_surv * loss[first:]
-            if s_weight:
-                score += s_weight * loss[first:]
-            # the scores are finite, so an infinite least one means no feasible row
-            score = np.where(feas, score, math.inf)
-            j = int(score.argmin())
-            best = score.item(j)
-            if best == math.inf:
-                continue
+            x, y, a, best, p, w = _solve_unit_grid(suffix, 0.0, 0.0, unit.impact * a_surv, s_weight, 0.0, feas)
             cur = unit.impact * a_surv * values.loss[i + 1] + s_weight * values.loss[i + 1]
             if best < cur - 1e-12:
-                j += first
-                values.set(i + 1, CrossLayerDecision(starts.item(j), ends.item(j), payloads.item(j)),
-                           (loss.item(j), cost.item(j)))
+                values.set(i + 1, CrossLayerDecision(x, y, a), (p, w))
                 settled = 1
         if settled == m:
             break

@@ -6,10 +6,10 @@ kept here as ``reference_brute_force`` is kept in ``test_oracle.py``: up to
 sweeping the offline per-unit solve over the cycle (three times with a
 graph), then ``recover_primal`` on the cycle with an infinite budget.
 
-``reference_fifo_dp`` and ``reference_dag_passes`` are the DP and its DAG
-passes as they were before the passes kept each unit's window table: one
-``window_vec`` call per unit and pass, and a fresh end grid each time. The
-solve that reuses the tables must equal them bit for bit.
+The DP and its DAG passes must equal ``kernel_refs.reference_cycle_dp`` and
+``kernel_refs.reference_dag_passes`` bit for bit: the DP as it was before it
+backtracked by index or kept each unit's window table, with one
+``window_vec`` call per unit and pass and a fresh end grid each time.
 """
 
 import itertools
@@ -37,6 +37,7 @@ from xlsched import (
 from xlsched.config import default_config
 from xlsched.experiments import build_instance
 
+from kernel_refs import _bits, reference_cycle_dp, reference_dag_passes
 from test_model_calls import CountingModel
 
 CFG = default_config()
@@ -77,105 +78,12 @@ def reference_solve_cycle_fixed_price(units, graph, price, model, start_floor,
     return realized
 
 
-def reference_fifo_dp(units, weights, price, model, floor, points=offline._CYCLE_ENDS):
-    """``offline._fifo_dp`` before it took its windows from ``_UnitWindows``:
-    each unit builds its end grid and calls ``window_vec`` on every pass."""
-    times, costs, steps = np.array([floor]), np.array([0.0]), []
-    for unit, w in zip(units, weights):
-        first = max(int(times.searchsorted(unit.ready, "right")) - 1, 0)
-        starts, base = np.maximum(times[first:], unit.ready), costs[first:]
-        t, c, ends, rows, payloads = starts, base + w, None, None, None
-        lo = max(unit.ready, floor)
-        if lo < unit.deadline:
-            ends = offline._grid(lo, unit.deadline, points)
-            taus = ends - starts[:, None]
-            payloads, loss, energy = model.window_vec(unit, taus, w, price)
-            vals = base[:, None] + (w * loss + price * energy)
-            np.putmask(vals, taus <= 0.0, math.inf)
-            rows = vals.argmin(axis=0)
-            t, c = np.concatenate((t, ends)), np.concatenate((c, vals.min(axis=0)))
-        order = np.lexsort((c, t))
-        ordered = c[order]
-        keep = order[ordered < np.minimum.accumulate(np.concatenate(((math.inf,), ordered[:-1])))]
-        times, costs = t[keep], c[keep]
-        steps.append((first, starts, np.minimum(starts, unit.deadline), ends, rows, payloads, keep))
-    decisions, state = [], len(times) - 1
-    for first, starts, idle, ends, rows, payloads, keep in reversed(steps):
-        j = int(keep[state])
-        if j < len(starts):
-            decisions.append(CrossLayerDecision(float(idle[j]), float(idle[j]), 0.0))
-            state = first + j
-        else:
-            j -= len(starts)
-            row = int(rows[j])
-            decisions.append(CrossLayerDecision(float(starts[row]), float(ends[j]), float(payloads[row, j])))
-            state = first + row
-    return tuple(reversed(decisions)), float(times[-1])
-
-
-def reference_dag_passes(units, graph, price, model, start_floor):
-    """``_solve_cycle_fixed_price`` on :func:`reference_fifo_dp`."""
-    best = solved = reference_fifo_dp(units, [u.impact for u in units], price, model, start_floor)
-    if graph is None:
-        return best
-    values = offline._ScheduleValues(units, graph, solved[0], model)
-    best_value = values.lagrangian(price, (), 0.0)
-    for _ in range(offline._DAG_PASSES):
-        coeffs = [offline._dag_coeffs(i, values) for i in range(1, len(units) + 1)]
-        again = reference_fifo_dp(units, [u.impact * a + s for u, (a, s) in zip(units, coeffs)], price, model,
-                                  start_floor)
-        if again[0] == solved[0]:
-            break
-        solved, values = again, offline._ScheduleValues(units, graph, again[0], model)
-        if (value := values.lagrangian(price, (), 0.0)) < best_value:
-            best, best_value = solved, value
-    return best
-
-
-def reference_cycle_dp(units, weights, price, model, floor, points=offline._CYCLE_ENDS):
-    """``offline._fifo_dp`` before it backtracked by index: each unit's
-    candidates (skip and window parts) are gathered and concatenated whole,
-    parent, start, end and payload columns included, and the backtrack reads
-    them by state."""
-    times, costs, steps = np.array([floor]), np.array([0.0]), []
-    for unit, w in zip(units, weights):
-        live = np.arange(max(int(times.searchsorted(unit.ready, "right")) - 1, 0), len(times))
-        starts, base = np.maximum(times[live], unit.ready), costs[live]
-        idle = np.minimum(starts, unit.deadline)
-        parts = [(starts, base + w, live, idle, idle, np.zeros(len(live)))]
-        lo = max(unit.ready, floor)
-        if lo < unit.deadline:
-            ends = offline._grid(lo, unit.deadline, points)
-            taus = ends - starts[:, None]
-            payloads, loss, energy = model.window_vec(unit, taus, w, price)
-            vals = base[:, None] + (w * loss + price * energy)
-            vals[taus <= 0.0] = math.inf
-            best, cols = vals.argmin(axis=0), np.arange(len(ends))
-            parts.append((ends, vals[best, cols], live[best], starts[best], ends, payloads[best, cols]))
-        t, c, parent, start, end, payload = (np.concatenate(x) for x in zip(*parts))
-        order = np.lexsort((c, t))
-        keep = order[c[order] < np.minimum.accumulate(np.concatenate(([math.inf], c[order][:-1])))]
-        times, costs = t[keep], c[keep]
-        steps.append((parent[keep], start[keep], end[keep], payload[keep]))
-    decisions, state = [], len(times) - 1
-    for parent, start, end, payload in reversed(steps):
-        decisions.append(CrossLayerDecision(float(start[state]), float(end[state]), float(payload[state])))
-        state = parent[state]
-    return tuple(reversed(decisions)), float(times[-1])
-
-
 def reference_block_graph(graph, lo, hi):
     """The block graph of units ``lo..hi`` as ``_run_mdu`` built it before it
     grouped the edges by cycle: a scan of every edge of the graph."""
     edges = () if graph is None else tuple(
         (i - lo + 1, j - lo + 1) for i, j in graph.edges if lo <= i <= hi and lo <= j <= hi)
     return DependencyGraph(num_nodes=hi - lo + 1, edges=edges) if edges else None
-
-
-def _bits(result):
-    """A DP result as hex strings: equal only when every float is the same bits."""
-    decisions, free = result
-    return [tuple(float.hex(x) for x in (d.start, d.end, d.payload)) for d in decisions], float.hex(free)
 
 
 def _cycle_lagrangian(units, graph, decisions, price):
@@ -419,7 +327,7 @@ def test_kept_windows_value_any_weights_as_window_vec_does():
         windows = offline._UnitWindows(units, model, floor, points, keep=True)
         for _ in range(4):
             got = offline._fifo_dp(units, weights, price, model, floor, points, windows)
-            ref = reference_fifo_dp(units, weights, price, ShannonExpModel(params=model.params), floor, points)
+            ref = reference_cycle_dp(units, weights, price, ShannonExpModel(params=model.params), floor, points)
             assert _bits(got) == _bits(ref)
             weights = [w * float(rng.choice([0.0, 0.5, 1.0, 3.0])) for w in weights]
             price = float(rng.choice([price, 0.0, rng.uniform(0.0, 5.0)]))

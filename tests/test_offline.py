@@ -36,7 +36,7 @@ from xlsched import offline
 from xlsched.offline import _dag_coeffs, _largest_scale, _ScheduleValues
 from xlsched.search import golden_section
 
-from test_lattice_kernels import _weight
+from kernel_refs import _weight, reference_options, reference_recover_primal_grid
 
 MODEL = ShannonExpModel()
 
@@ -623,97 +623,6 @@ def test_handoff_norm_equals_numpys():
                 assert offline._handoff_norm(step).hex() == float(np.linalg.norm(np.subtract(finite, old))).hex()
 
 
-def reference_recover_primal_grid(inst, decisions, opts, grid, model, price, handoffs, memo, seen=None):
-    """``offline._recover_primal_grid`` before it took the relaxed step's
-    values: it values the units it keeps by scalar model calls, on a graph
-    from the first repair on and otherwise after a memo miss. It forms every
-    term and mask, zero weight or infinite bound alike. ``seen``, if given,
-    counts the drops and the repairs and descent steps that meet a zero
-    weight."""
-    m = inst.num_units
-    out, values = list(decisions), None
-    prev_end = -math.inf
-    for pos, (unit, dec) in enumerate(zip(inst.units, decisions), start=1):
-        floor = max(unit.ready, prev_end)
-        if dec.start >= floor - offline._TINY and dec.end >= dec.start:
-            prev_end = dec.end
-            continue
-        if values is None and inst.graph is not None:
-            values = _ScheduleValues(inst.units, inst.graph, out, model)
-        starts, ends, payloads, loss, cost = opts[pos - 1]
-        feas = starts >= floor - offline._TINY
-        if not feas.any():
-            if seen is not None:
-                seen["drop"] += 1
-            fixed = CrossLayerDecision(start=unit.deadline, end=unit.deadline, payload=0.0)
-        else:
-            hn = handoffs[pos - 1] if pos - 1 < len(handoffs) else 0.0
-            a_surv, s_weight = (1.0, 0.0) if values is None else _dag_coeffs(pos, values)
-            if seen is not None:
-                seen["repair, zero next handoff price"] += hn == 0.0
-                seen["repair, zero descendant weight"] += s_weight == 0.0
-                seen["repair, zero price"] += price == 0.0
-            vals = (unit.impact * a_surv * loss + s_weight * loss + price * cost) / m + hn * ends
-            vals = np.where(feas, vals, math.inf)
-            j = int(np.argmin(vals))
-            fixed = CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j]))
-        out[pos - 1] = fixed
-        if values is not None:
-            values.set(pos, fixed)
-        prev_end = max(prev_end, fixed.end)
-    repaired = tuple(out)
-    if repaired in memo:
-        return memo[repaired]
-    if values is None:
-        values = _ScheduleValues(inst.units, inst.graph, out, model)
-    out = values.decisions
-
-    # budget restoration in whole action steps, largest spender first
-    for _ in range(m * grid.action_points):
-        costs = values.cost[1:]
-        if sum(costs) / m <= inst.budget + offline._TINY:
-            break
-        i = max(range(m), key=lambda k: costs[k])
-        d = out[i]
-        step = grid.action_step(inst.units[i])
-        values.set(i + 1, CrossLayerDecision(d.start, d.end, max(d.payload - step, 0.0)))
-
-    # local descent on the true objective: each unit re-picks its lattice
-    # option between the other units' boundaries while the budget allows; the
-    # varying dual iterates feeding this sweep supply diverse starting points
-    budget_total = inst.budget * m
-    for _ in range(8 * m):
-        improved = False
-        for i in range(m):
-            unit = inst.units[i]
-            starts, ends, payloads, loss, cost = opts[i]
-            lo = max((d.end for d in out[:i]), default=-math.inf)
-            hi = min((d.start for d in out[i + 1 :]), default=math.inf)
-            spent_elsewhere = sum(values.cost[1 : i + 1] + values.cost[i + 2 :])
-            a_surv, s_weight = (1.0, 0.0) if inst.graph is None else _dag_coeffs(i + 1, values)
-            if seen is not None:
-                seen["descent, zero descendant weight"] += s_weight == 0.0
-                seen["descent, infinite bound"] += lo == -math.inf or hi == math.inf
-            score = unit.impact * a_surv * loss + s_weight * loss
-            feas = (
-                (starts >= lo - offline._TINY)
-                & (ends <= hi + offline._TINY)
-                & (cost <= budget_total - spent_elsewhere + offline._TINY)
-            )
-            if not feas.any():
-                continue
-            j = int(np.argmin(np.where(feas, score, math.inf)))
-            cur = unit.impact * a_surv * values.loss[i + 1] + s_weight * values.loss[i + 1]
-            if score[j] < cur - 1e-12:
-                values.set(i + 1, CrossLayerDecision(float(starts[j]), float(ends[j]), float(payloads[j])))
-                improved = True
-        if not improved:
-            break
-
-    memo[repaired] = tuple(out), values.distortion()
-    return memo[repaired]
-
-
 def _measured(inst, decisions):
     """The model's (losses, energies) of ``decisions``."""
     pairs = [(MODEL.loss(u, d.start, d.end, d.payload), MODEL.cost(u, d.start, d.end, d.payload))
@@ -781,18 +690,9 @@ class TestDecisionGrid:
         grid = DecisionGrid(time_step=time_step, action_points=6)
         model = ShannonExpModel(params=ShannonEnergyParams(energy_cap=5.0))
         n_steps = int(math.floor((unit.deadline - unit.ready) / time_step + 1e-9))
-        times = [min(unit.ready + time_step * k, unit.deadline) for k in range(n_steps + 1)]
-        rows = []
-        for xi, x in enumerate(times):
-            for y in times[xi:]:
-                for a in np.linspace(0.0, unit.size, 6):
-                    w = model.cost(unit, x, y, a)
-                    if math.isfinite(w) and w <= 5.0 + 1e-12:
-                        rows.append((x, y, a, model.loss(unit, x, y, a), w))
         got = grid.options(unit, model)
-        assert len(got[0]) < len(times) * (len(times) + 1) // 2 * 6  # the cap binds
-        for column, ref in zip(got, zip(*rows)):
-            assert column.tolist() == list(ref)
+        assert len(got[0]) < (n_steps + 1) * (n_steps + 2) // 2 * 6  # the cap binds
+        assert repr([c.tolist() for c in got]) == repr([c.tolist() for c in reference_options(grid, unit, model)])
 
     @pytest.mark.parametrize("time_step,unit", [
         (0.1, _unit(ready=0.0, deadline=0.3)),
@@ -940,7 +840,9 @@ class TestDecisionGrid:
             assert repr(got) == repr(ref)
         assert min(kinds[k] for k in ("repair", "shave")) > 0
         # the reference walks the same drops, repairs and descent steps
-        assert len(seen) == 6 and min(seen.values()) > 0
+        paths = ("drop", "repair, zero next handoff price", "repair, zero descendant weight", "repair, zero price",
+                 "descent, zero descendant weight", "descent, infinite bound")
+        assert min(seen[k] for k in paths) > 0
 
     def test_grid_solve_stays_on_lattice_and_dominates_nothing_below_oracle(self):
         from xlsched import brute_force
